@@ -15,8 +15,8 @@
 //! back-end on LT4, 16384-event chunks, max-speed replay (`--rate R`
 //! paces at R× real time), spool under the system temp dir (removed
 //! afterwards unless `--keep`). Replay uses the resident
-//! (whole-file-in-memory) readers and the decode-ahead parallel
-//! replayer; a separate decode-only pass isolates `EBST` → `Event`
+//! (whole-file-in-memory) readers and `Replayer::replay_engine`; a
+//! separate decode-only pass isolates `EBST` → `Event`
 //! throughput from tracker cost. Emits `BENCH_replay.json` with the
 //! compression ratio and both throughputs so the perf trajectory is
 //! tracked across PRs. `--smoke` shrinks the run to CI size and skips
@@ -92,7 +92,7 @@ fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut args = parse_args(&argv);
     if args.smoke {
-        // CI-sized: exercise spool → decode → parallel replay → parity
+        // CI-sized: exercise spool → decode → replay → parity
         // in a couple of seconds, without touching the BENCH artifact.
         args.cameras = args.cameras.min(2);
         args.workers = args.workers.min(2);
@@ -180,16 +180,15 @@ fn main() {
     let decode_only_rate = decoded_events as f64 / decode_elapsed.as_secs_f64().max(1e-9);
     assert_eq!(decoded_events, total_events, "decode-only pass must see every spooled event");
 
-    // 5. Replay from disk through a fresh engine: resident readers,
-    //    decode running ahead of the engine push on its own threads.
+    // 5. Replay from disk through a fresh engine from resident
+    //    readers.
     let config = ebbiot_config_for(args.preset, &fleet[0]).with_frame_us(fleet[0].frame_us);
     let mut readers = store.mapped_readers().expect("open fleet readers");
     let engine = Engine::new(
         EngineConfig { workers, queue_capacity: 32, ..EngineConfig::default() },
         spec.build_fleet(&config, fleet.len()),
     );
-    let replay =
-        Replayer::new(mode).replay_engine_parallel(&mut readers, engine).expect("replay fleet");
+    let replay = Replayer::new(mode).replay_engine(&mut readers, engine).expect("replay fleet");
 
     let identical = replay.output.streams == in_memory.output.streams;
     println!("replay ({:?}):", mode);

@@ -15,8 +15,8 @@ use ebbiot_telemetry::{Histogram, Registry};
 use crate::{ebbiot_config_for, JsonReport};
 
 /// Column headers of [`worker_rows`].
-pub const WORKER_HEADER: [&str; 8] =
-    ["Worker", "Busy ms", "Acquire ms", "Idle ms", "Queue-wait ms", "Busy %", "Chunks", "Steals"];
+pub const WORKER_HEADER: [&str; 7] =
+    ["Worker", "Busy ms", "Acquire ms", "Idle ms", "Busy %", "Chunks", "Steals"];
 
 /// Column headers of [`stage_rows`].
 pub const STAGE_HEADER: [&str; 5] = ["Stage", "Calls", "Total ms", "Mean µs", "Max ≤ µs"];
@@ -77,8 +77,8 @@ fn ms(ns: u64) -> String {
 /// Per-worker contention table: where each worker's wall clock went.
 /// Headers in [`WORKER_HEADER`]. After `join`,
 /// Busy + Acquire + Idle == wall exactly; a low busy share with high
-/// queue waits is the contention signature of an over-subscribed core,
-/// while a high acquire share means batching is too fine
+/// stream queue waits is the contention signature of an over-subscribed
+/// core, while a high acquire share means batching is too fine
 /// (`EngineConfig::batch_chunks`).
 #[must_use]
 pub fn worker_rows(snapshot: &Snapshot) -> Vec<Vec<String>> {
@@ -93,7 +93,6 @@ pub fn worker_rows(snapshot: &Snapshot) -> Vec<Vec<String>> {
                 ms(w.busy_ns),
                 ms(w.acquire_ns),
                 ms(w.idle_ns),
-                ms(w.queue_wait_ns),
                 format!("{busy_pct:.1}"),
                 w.chunks.to_string(),
                 w.steals.to_string(),
@@ -130,7 +129,7 @@ pub fn histogram_summary(hist: &Histogram, unit: &str) -> String {
 }
 
 /// Appends the contention breakdown to a `BENCH_*.json` report as flat
-/// keys: per-worker busy/acquire/idle/queue-wait and steals, per-stream
+/// keys: per-worker busy/acquire/idle and steals, per-stream
 /// queue high-water, wait totals and migrations, scheduler steal/batch
 /// statistics, per-stage means, and the chunk-latency / queue-depth
 /// / collector-occupancy distributions' count+mean.
@@ -147,7 +146,6 @@ pub fn append_contention_fields(
             .u64(&key("busy_ns"), w.busy_ns)
             .u64(&key("acquire_ns"), w.acquire_ns)
             .u64(&key("idle_ns"), w.idle_ns)
-            .u64(&key("queue_wait_ns"), w.queue_wait_ns)
             .u64(&key("chunks"), w.chunks)
             .u64(&key("steals"), w.steals);
     }

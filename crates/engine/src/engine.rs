@@ -11,24 +11,33 @@
 //! heterogeneous cameras. Determinism is structural and survives any
 //! steal schedule: jobs sit in one FIFO queue per stream, ownership is
 //! exclusive, and results land in the stream's own ordered buffer.
+//!
+//! Each stream keeps all of its state — job queue, admission count,
+//! counters, results and the hand-off slot — under one mutex with one
+//! condvar, so a chunk costs one stream lock on the producer side and
+//! one on the worker side, and a snapshot reads each stream
+//! consistently.
 
 use std::collections::VecDeque;
-use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use ebbiot_core::{BoxedTracker, FrameResult, Pipeline, Tracker};
+use ebbiot_core::{BoxedTracker, FrameResult, Pipeline, SessionState, Tracker};
 use ebbiot_events::{Event, Micros};
 use ebbiot_telemetry::{Gauge, Registry};
 
-use crate::backpressure::ChunkGate;
 use crate::telemetry::{EngineTelemetry, StreamTelemetry, WorkerTelemetry};
 
 /// Recovers a mutex guard regardless of std poisoning; the engine's own
-/// poison flag (on the gates) governs producer liveness.
+/// `failed` flag governs producer liveness.
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Waits on `condvar`, recovering the guard like [`lock`].
+fn wait<'a, T>(condvar: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+    condvar.wait(guard).unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Identifies one camera stream; streams are numbered in the order they
@@ -109,8 +118,8 @@ pub struct StreamSnapshot {
     /// Total nanoseconds this stream's chunks sat queued before a worker
     /// picked them up.
     pub queue_wait_ns: u64,
-    /// Total nanoseconds producers spent blocked on this stream's
-    /// admission gate (back-pressure).
+    /// Total nanoseconds producers spent in blocking admission to this
+    /// stream (back-pressure).
     pub producer_block_ns: u64,
     /// The worker that most recently owned the stream (`None` until the
     /// first acquisition). Ownership is exclusive but **not** static:
@@ -144,8 +153,6 @@ pub struct WorkerSnapshot {
     /// Nanoseconds spent waiting for a ready stream (includes steal
     /// scans that came up empty).
     pub idle_ns: u64,
-    /// Summed queue wait of the chunks this worker dequeued.
-    pub queue_wait_ns: u64,
     /// Worker lifetime in nanoseconds (0 until the worker exits).
     pub wall_ns: u64,
     /// Chunks processed.
@@ -158,7 +165,8 @@ pub struct WorkerSnapshot {
 /// well batching amortized the hand-off cost.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchedulerSnapshot {
-    /// Stream acquisitions stolen from another worker's deque.
+    /// Stream acquisitions stolen from another worker's deque (the sum
+    /// of [`WorkerSnapshot::steals`]).
     pub steals: u64,
     /// Total stream acquisitions (each drains one batch).
     pub batches: u64,
@@ -254,23 +262,6 @@ pub struct EngineOutput {
     pub snapshot: Snapshot,
 }
 
-#[derive(Debug, Default)]
-struct StreamCounters {
-    events_in: u64,
-    chunks_in: u64,
-    frames_out: u64,
-    tracks_out: u64,
-    active_trackers: usize,
-    /// Producer side: `finish_stream` was called; no more submissions.
-    closed: bool,
-    /// Worker side: the finish job has been processed.
-    finished: bool,
-    /// The pipeline was dropped and the slot retired.
-    detached: bool,
-    /// A worker thread failed; waiters must not block forever.
-    failed: bool,
-}
-
 /// Scheduling state of one stream: where its ownership currently is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Sched {
@@ -291,15 +282,16 @@ enum WorkItem {
     Chunk(Vec<Event>, Instant),
     Finish(Micros),
     Detach,
-    /// Checkpoint the stream's pipeline and send its `SessionState`
-    /// back through the channel — the worker half of
-    /// [`Engine::detach_with_state`].
-    DetachWithState(Sender<ebbiot_core::SessionState>),
+    /// Checkpoint the stream's pipeline into `StreamWork::handoff` —
+    /// the worker half of [`Engine::detach_with_state`].
+    DetachWithState,
 }
 
-/// The schedulable half of a stream: its FIFO job queue, ownership
-/// state and (between acquisitions) its pipeline. Exactly one worker
-/// may hold `Running` — and thus the pipeline — at a time.
+/// Everything one stream owns, guarded by its single mutex: the FIFO
+/// job queue and ownership state, the admission count, the router and
+/// collector counters, the ordered output buffer and (between
+/// acquisitions) the pipeline. Exactly one worker may hold `Running` —
+/// and thus the pipeline — at a time.
 struct StreamWork<T: Tracker> {
     jobs: VecDeque<WorkItem>,
     sched: Sched,
@@ -311,6 +303,79 @@ struct StreamWork<T: Tracker> {
     last_owner: Option<usize>,
     /// Acquisitions whose worker differed from the previous one.
     migrations: u64,
+    /// Chunks admitted but not yet processed: queued in `jobs`, or
+    /// drained into a worker's batch and still waiting their turn or
+    /// in progress. Admission is bounded by `queue_capacity`.
+    in_flight: usize,
+    /// Highest `in_flight` observed.
+    high_water: usize,
+    events_in: u64,
+    chunks_in: u64,
+    frames_out: u64,
+    tracks_out: u64,
+    active_trackers: usize,
+    /// Frames emitted and not yet drained, in emission order.
+    results: Vec<FrameResult>,
+    /// The checkpoint a `DetachWithState` job parks for the caller.
+    handoff: Option<SessionState>,
+    /// Producer side: `finish_stream` was called; no more submissions.
+    closed: bool,
+    /// Worker side: the finish job has been processed.
+    finished: bool,
+    /// The pipeline was dropped and the slot retired.
+    detached: bool,
+    /// A worker thread failed; producers and waiters must not block
+    /// forever.
+    failed: bool,
+}
+
+impl<T: Tracker> StreamWork<T> {
+    fn new(pipeline: Pipeline<T>, totals: StreamTotals) -> Self {
+        Self {
+            jobs: VecDeque::new(),
+            sched: Sched::Idle,
+            active_trackers: pipeline.active_trackers(),
+            pipeline: Some(pipeline),
+            last_owner: None,
+            migrations: 0,
+            in_flight: 0,
+            high_water: 0,
+            events_in: totals.events_in,
+            chunks_in: totals.chunks_in,
+            frames_out: totals.frames_out,
+            tracks_out: totals.tracks_out,
+            results: Vec::new(),
+            handoff: None,
+            closed: false,
+            finished: false,
+            detached: false,
+            failed: false,
+        }
+    }
+
+    fn totals(&self) -> StreamTotals {
+        StreamTotals {
+            events_in: self.events_in,
+            chunks_in: self.chunks_in,
+            frames_out: self.frames_out,
+            tracks_out: self.tracks_out,
+        }
+    }
+
+    /// Appends one job's frames to the ordered results and folds their
+    /// counts into the stream's totals.
+    fn publish(
+        &mut self,
+        telemetry: &EngineTelemetry,
+        frames: Vec<FrameResult>,
+        active_trackers: usize,
+    ) {
+        self.frames_out += frames.len() as u64;
+        self.tracks_out += frames.iter().map(|f| f.tracks.len() as u64).sum::<u64>();
+        self.active_trackers = active_trackers;
+        self.results.extend(frames);
+        telemetry.collector_buffered.record(self.results.len() as u64);
+    }
 }
 
 impl<T: Tracker> core::fmt::Debug for StreamWork<T> {
@@ -318,26 +383,34 @@ impl<T: Tracker> core::fmt::Debug for StreamWork<T> {
         f.debug_struct("StreamWork")
             .field("jobs", &self.jobs.len())
             .field("sched", &self.sched)
-            .field("pipeline", &self.pipeline.is_some())
-            .field("last_owner", &self.last_owner)
-            .field("migrations", &self.migrations)
-            .finish()
+            .field("in_flight", &self.in_flight)
+            .field("closed", &self.closed)
+            .field("finished", &self.finished)
+            .field("detached", &self.detached)
+            .field("failed", &self.failed)
+            .finish_non_exhaustive()
     }
 }
 
-/// Shared per-stream state: admission gate, counters, the collector's
-/// ordered output buffer and the schedulable work queue.
+/// Shared per-stream state: one mutex over all of the stream's
+/// bookkeeping, and one condvar that producers (waiting for
+/// admission), `wait_finished` and `detach_with_state` all wait on.
 #[derive(Debug)]
 struct StreamState<T: Tracker> {
-    gate: ChunkGate,
-    counters: Mutex<StreamCounters>,
-    /// Signalled when `counters.finished` or `counters.failed` flips.
-    progress: Condvar,
-    results: Mutex<Vec<FrameResult>>,
+    work: Mutex<StreamWork<T>>,
+    /// Signalled whenever a worker completes a job or fails.
+    changed: Condvar,
     /// Queue-wait and producer-block counters, labelled by camera.
     telemetry: StreamTelemetry,
-    /// Job queue + ownership state + parked pipeline.
-    work: Mutex<StreamWork<T>>,
+}
+
+impl<T: Tracker> StreamState<T> {
+    /// Applies a worker-side change under the stream lock, then wakes
+    /// every waiter to re-check its condition.
+    fn update(&self, change: impl FnOnce(&mut StreamWork<T>)) {
+        change(&mut lock(&self.work));
+        self.changed.notify_all();
+    }
 }
 
 /// Growable, append-only registry of stream slots. Slots are only ever
@@ -516,18 +589,17 @@ pub struct SessionHandoff {
     pub frames: Vec<FrameResult>,
 }
 
-/// Poisons every stream gate when a worker thread unwinds, so producers
-/// blocked on a full queue (and sessions blocked in
-/// [`Engine::wait_finished`]) fail fast instead of hanging forever.
+/// Marks every stream `failed` when a worker thread unwinds, so
+/// producers blocked on a full queue (and callers blocked in
+/// [`Engine::wait_finished`] or [`Engine::detach_with_state`]) fail
+/// fast instead of hanging forever.
 struct PoisonOnPanic<T: Tracker>(Arc<StreamTable<T>>);
 
 impl<T: Tracker> Drop for PoisonOnPanic<T> {
     fn drop(&mut self) {
         if std::thread::panicking() {
             for stream in self.0.all() {
-                stream.gate.poison();
-                lock(&stream.counters).failed = true;
-                stream.progress.notify_all();
+                stream.update(|work| work.failed = true);
             }
         }
     }
@@ -564,8 +636,6 @@ pub struct Engine<T: Tracker + Send + 'static = BoxedTracker> {
     streams: Arc<StreamTable<T>>,
     config: EngineConfig,
     started: Instant,
-    /// Serialises `attach` so slot allocation stays ordered.
-    attach_lock: Mutex<()>,
     /// Engine-wide contention instruments (always on — per-chunk cost).
     telemetry: EngineTelemetry,
     /// Per-worker counters, indexed by worker; shared with the threads.
@@ -600,6 +670,7 @@ impl<T: Tracker + Send + 'static> Engine<T> {
         registry: Arc<Registry>,
     ) -> Self {
         assert!(config.workers > 0, "engine needs at least one worker");
+        assert!(config.queue_capacity > 0, "engine queue capacity must be at least 1");
         // More workers than initial streams can never all run at once
         // (a stream is owned by one worker at a time) unless sessions
         // attach later; clamp to the construction-time stream count as
@@ -636,7 +707,6 @@ impl<T: Tracker + Send + 'static> Engine<T> {
             streams,
             config,
             started: Instant::now(),
-            attach_lock: Mutex::new(()),
             telemetry,
             worker_stats,
         };
@@ -683,7 +753,7 @@ impl<T: Tracker + Send + 'static> Engine<T> {
     /// stream per accepted connection and detaches it when the session
     /// ends.
     pub fn attach(&self, pipeline: Pipeline<T>) -> StreamId {
-        self.attach_inner(pipeline, StreamTotals::default())
+        self.attach_with_state(pipeline, StreamTotals::default())
     }
 
     /// Like [`Self::attach`], but resumes a checkpointed session: the
@@ -694,39 +764,15 @@ impl<T: Tracker + Send + 'static> Engine<T> {
     /// before return makes this safe on a running engine, like
     /// `attach`.
     pub fn attach_with_state(&self, pipeline: Pipeline<T>, totals: StreamTotals) -> StreamId {
-        self.attach_inner(pipeline, totals)
-    }
-
-    fn attach_inner(&self, pipeline: Pipeline<T>, totals: StreamTotals) -> StreamId {
-        let _guard = lock(&self.attach_lock);
-        let active_trackers = pipeline.active_trackers();
-        let id = {
-            let mut slots = self.streams.slots.write().unwrap_or_else(PoisonError::into_inner);
-            let name = StreamId(slots.len()).to_string();
-            slots.push(Arc::new(StreamState {
-                gate: ChunkGate::new(self.config.queue_capacity),
-                counters: Mutex::new(StreamCounters {
-                    events_in: totals.events_in,
-                    chunks_in: totals.chunks_in,
-                    frames_out: totals.frames_out,
-                    tracks_out: totals.tracks_out,
-                    active_trackers,
-                    ..StreamCounters::default()
-                }),
-                progress: Condvar::new(),
-                results: Mutex::new(Vec::new()),
-                telemetry: StreamTelemetry::register(self.telemetry.registry(), &name),
-                work: Mutex::new(StreamWork {
-                    jobs: VecDeque::new(),
-                    sched: Sched::Idle,
-                    pipeline: Some(pipeline),
-                    last_owner: None,
-                    migrations: 0,
-                }),
-            }));
-            slots.len() - 1
-        };
-        StreamId(id)
+        // The slots write lock orders id allocation.
+        let mut slots = self.streams.slots.write().unwrap_or_else(PoisonError::into_inner);
+        let id = StreamId(slots.len());
+        slots.push(Arc::new(StreamState {
+            work: Mutex::new(StreamWork::new(pipeline, totals)),
+            changed: Condvar::new(),
+            telemetry: StreamTelemetry::register(self.telemetry.registry(), &id.to_string()),
+        }));
+        id
     }
 
     fn state(&self, stream: StreamId) -> Arc<StreamState<T>> {
@@ -735,35 +781,54 @@ impl<T: Tracker + Send + 'static> Engine<T> {
         })
     }
 
-    /// Appends a job to the stream's FIFO queue, marking the stream
-    /// ready (and waking a worker) when it was idle. A stream already
-    /// queued or running will see the job when its owner re-checks the
-    /// queue after the current batch.
-    fn enqueue(&self, state: &StreamState<T>, id: usize, item: WorkItem) {
-        let inject = {
-            let mut work = lock(&state.work);
-            work.jobs.push_back(item);
-            if work.sched == Sched::Idle {
-                work.sched = Sched::Queued;
-                Some(work.last_owner)
-            } else {
-                None
-            }
-        };
-        if let Some(prefer) = inject {
-            self.scheduler.inject(id, prefer);
+    /// Appends a job to the locked stream's FIFO queue and releases the
+    /// lock, then marks the stream ready (waking a worker) when it was
+    /// idle. A stream already queued or running will see the job when
+    /// its owner re-checks the queue after the current batch.
+    fn enqueue(&self, stream: StreamId, mut work: MutexGuard<'_, StreamWork<T>>, item: WorkItem) {
+        work.jobs.push_back(item);
+        if work.sched == Sched::Idle {
+            work.sched = Sched::Queued;
+            let prefer = work.last_owner;
+            drop(work);
+            self.scheduler.inject(stream.0, prefer);
         }
     }
 
-    fn submit(&self, stream: StreamId, chunk: Vec<Event>) {
+    /// Admits one chunk under the stream lock: while the stream has
+    /// `queue_capacity` chunks in flight, a `blocking` producer waits
+    /// for a worker to complete one and a non-blocking one gets the
+    /// chunk back.
+    fn admit(
+        &self,
+        stream: StreamId,
+        chunk: Vec<Event>,
+        blocking: bool,
+    ) -> Result<(), RejectedChunk> {
         let state = self.state(stream);
-        {
-            let mut counters = lock(&state.counters);
-            assert!(!counters.closed, "push to {stream} after finish_stream");
-            counters.chunks_in += 1;
-            counters.events_in += chunk.len() as u64;
+        let admission = Instant::now();
+        let mut work = lock(&state.work);
+        loop {
+            assert!(!work.failed, "engine worker failed; stream queue will never drain");
+            assert!(!work.closed, "push to {stream} after finish_stream");
+            if work.in_flight < self.config.queue_capacity {
+                break;
+            }
+            if !blocking {
+                return Err(RejectedChunk(chunk));
+            }
+            work = wait(&state.changed, work);
         }
-        self.enqueue(&state, stream.0, WorkItem::Chunk(chunk, Instant::now()));
+        if blocking {
+            state.telemetry.producer_block.add_duration(admission.elapsed());
+        }
+        work.in_flight += 1;
+        work.high_water = work.high_water.max(work.in_flight);
+        work.chunks_in += 1;
+        work.events_in += chunk.len() as u64;
+        self.telemetry.queue_depth.record(work.in_flight as u64);
+        self.enqueue(stream, work, WorkItem::Chunk(chunk, Instant::now()));
+        Ok(())
     }
 
     /// Routes a time-ordered chunk of events to `stream`, blocking while
@@ -776,12 +841,8 @@ impl<T: Tracker + Send + 'static> Engine<T> {
     /// Panics on an unknown stream, after [`Self::finish_stream`], or
     /// when a worker has failed.
     pub fn push(&self, stream: StreamId, chunk: Vec<Event>) {
-        let state = self.state(stream);
-        let admission = Instant::now();
-        let depth = state.gate.acquire();
-        state.telemetry.producer_block.add_duration(admission.elapsed());
-        self.telemetry.queue_depth.record(depth as u64);
-        self.submit(stream, chunk);
+        let admitted = self.admit(stream, chunk, true);
+        debug_assert!(admitted.is_ok(), "a blocking push is never rejected");
     }
 
     /// Like [`Self::push`] but never blocks: a full stream queue hands
@@ -796,13 +857,7 @@ impl<T: Tracker + Send + 'static> Engine<T> {
     /// Panics on an unknown stream, after [`Self::finish_stream`], or
     /// when a worker has failed.
     pub fn try_push(&self, stream: StreamId, chunk: Vec<Event>) -> Result<(), RejectedChunk> {
-        if let Some(depth) = self.state(stream).gate.try_acquire() {
-            self.telemetry.queue_depth.record(depth as u64);
-            self.submit(stream, chunk);
-            Ok(())
-        } else {
-            Err(RejectedChunk(chunk))
-        }
+        self.admit(stream, chunk, false)
     }
 
     /// Ends `stream`: its pipeline emits the open window plus trailing
@@ -816,12 +871,10 @@ impl<T: Tracker + Send + 'static> Engine<T> {
     /// same stream, or when a worker has failed.
     pub fn finish_stream(&self, stream: StreamId, span_us: Micros) {
         let state = self.state(stream);
-        {
-            let mut counters = lock(&state.counters);
-            assert!(!counters.closed, "finish_stream called twice for {stream}");
-            counters.closed = true;
-        }
-        self.enqueue(&state, stream.0, WorkItem::Finish(span_us));
+        let mut work = lock(&state.work);
+        assert!(!work.closed, "finish_stream called twice for {stream}");
+        work.closed = true;
+        self.enqueue(stream, work, WorkItem::Finish(span_us));
     }
 
     /// Blocks until the worker has processed `stream`'s finish job, so
@@ -836,11 +889,11 @@ impl<T: Tracker + Send + 'static> Engine<T> {
     /// has failed.
     pub fn wait_finished(&self, stream: StreamId) {
         let state = self.state(stream);
-        let mut counters = lock(&state.counters);
-        assert!(counters.closed, "wait_finished on {stream} before finish_stream");
-        while !counters.finished {
-            assert!(!counters.failed, "engine worker failed while {stream} awaited finish");
-            counters = state.progress.wait(counters).unwrap_or_else(PoisonError::into_inner);
+        let mut work = lock(&state.work);
+        assert!(work.closed, "wait_finished on {stream} before finish_stream");
+        while !work.finished {
+            assert!(!work.failed, "engine worker failed while {stream} awaited finish");
+            work = wait(&state.changed, work);
         }
     }
 
@@ -855,9 +908,7 @@ impl<T: Tracker + Send + 'static> Engine<T> {
     /// Panics on an unknown stream.
     #[must_use]
     pub fn take_results(&self, stream: StreamId) -> Vec<FrameResult> {
-        let state = self.state(stream);
-        let taken = std::mem::take(&mut *lock(&state.results));
-        taken
+        std::mem::take(&mut lock(&self.state(stream).work).results)
     }
 
     /// The highest queue depth `stream` has seen — the per-stream
@@ -869,7 +920,7 @@ impl<T: Tracker + Send + 'static> Engine<T> {
     /// Panics on an unknown stream.
     #[must_use]
     pub fn queue_high_water(&self, stream: StreamId) -> usize {
-        self.state(stream).gate.high_water()
+        lock(&self.state(stream).work).high_water
     }
 
     /// Retires a finished stream from the running engine: queues a job
@@ -890,21 +941,19 @@ impl<T: Tracker + Send + 'static> Engine<T> {
     /// first), on a second detach, or when a worker has failed.
     pub fn detach(&self, stream: StreamId) -> Vec<FrameResult> {
         let state = self.state(stream);
-        {
-            let mut counters = lock(&state.counters);
-            assert!(counters.finished, "detach of {stream} before its finish was processed");
-            assert!(!counters.detached, "detach called twice for {stream}");
-            counters.detached = true;
-        }
-        self.enqueue(&state, stream.0, WorkItem::Detach);
-        let remaining = std::mem::take(&mut *lock(&state.results));
+        let mut work = lock(&state.work);
+        assert!(work.finished, "detach of {stream} before its finish was processed");
+        assert!(!work.detached, "detach called twice for {stream}");
+        work.detached = true;
+        let remaining = std::mem::take(&mut work.results);
+        self.enqueue(stream, work, WorkItem::Detach);
         remaining
     }
 
     /// Checkpoints and retires a **running** stream: blocks until the
     /// owning worker has drained every chunk already pushed, then
     /// freezes the pipeline into a
-    /// [`SessionState`](ebbiot_core::SessionState) and returns it with
+    /// [`SessionState`] and returns it with
     /// the stream's totals and undrained frames. No `finish_stream`
     /// happens — the open window rides along inside the state, so a
     /// later [`Self::attach_with_state`] (same engine, another engine,
@@ -925,27 +974,21 @@ impl<T: Tracker + Send + 'static> Engine<T> {
     /// failed.
     pub fn detach_with_state(&self, stream: StreamId) -> SessionHandoff {
         let state = self.state(stream);
-        {
-            let mut counters = lock(&state.counters);
-            assert!(!counters.closed, "detach_with_state of {stream} after finish_stream");
-            assert!(!counters.detached, "detach called twice for {stream}");
-            counters.closed = true;
-            counters.detached = true;
-        }
-        let (tx, rx) = mpsc::channel();
-        self.enqueue(&state, stream.0, WorkItem::DetachWithState(tx));
-        let session = rx.recv().expect("engine worker failed during the state hand-off");
-        let frames = std::mem::take(&mut *lock(&state.results));
-        let totals = {
-            let counters = lock(&state.counters);
-            StreamTotals {
-                events_in: counters.events_in,
-                chunks_in: counters.chunks_in,
-                frames_out: counters.frames_out,
-                tracks_out: counters.tracks_out,
+        let mut work = lock(&state.work);
+        assert!(!work.closed, "detach_with_state of {stream} after finish_stream");
+        assert!(!work.detached, "detach called twice for {stream}");
+        work.closed = true;
+        work.detached = true;
+        self.enqueue(stream, work, WorkItem::DetachWithState);
+        let mut work = lock(&state.work);
+        loop {
+            if let Some(session) = work.handoff.take() {
+                let frames = std::mem::take(&mut work.results);
+                return SessionHandoff { state: session, totals: work.totals(), frames };
             }
-        };
-        SessionHandoff { state: session, totals, frames }
+            assert!(!work.failed, "engine worker failed during the state hand-off");
+            work = wait(&state.changed, work);
+        }
     }
 
     /// Current per-stream, per-worker and scheduler statistics.
@@ -959,26 +1002,22 @@ impl<T: Tracker + Send + 'static> Engine<T> {
                 .iter()
                 .enumerate()
                 .map(|(i, state)| {
-                    let counters = lock(&state.counters);
-                    let (last_owner, migrations) = {
-                        let work = lock(&state.work);
-                        (work.last_owner, work.migrations)
-                    };
+                    let work = lock(&state.work);
                     StreamSnapshot {
                         id: StreamId(i),
-                        events_in: counters.events_in,
-                        chunks_in: counters.chunks_in,
-                        frames_out: counters.frames_out,
-                        tracks_out: counters.tracks_out,
-                        active_trackers: counters.active_trackers,
-                        queue_depth: state.gate.depth(),
-                        queue_high_water: state.gate.high_water(),
+                        events_in: work.events_in,
+                        chunks_in: work.chunks_in,
+                        frames_out: work.frames_out,
+                        tracks_out: work.tracks_out,
+                        active_trackers: work.active_trackers,
+                        queue_depth: work.in_flight,
+                        queue_high_water: work.high_water,
                         queue_wait_ns: state.telemetry.queue_wait.get(),
                         producer_block_ns: state.telemetry.producer_block.get(),
-                        last_owner,
-                        migrations,
-                        finished: counters.finished,
-                        detached: counters.detached,
+                        last_owner: work.last_owner,
+                        migrations: work.migrations,
+                        finished: work.finished,
+                        detached: work.detached,
                     }
                 })
                 .collect(),
@@ -991,14 +1030,13 @@ impl<T: Tracker + Send + 'static> Engine<T> {
                     busy_ns: stats.busy.get(),
                     acquire_ns: stats.acquire.get(),
                     idle_ns: stats.idle.get(),
-                    queue_wait_ns: stats.queue_wait.get(),
                     wall_ns: stats.wall.get(),
                     chunks: stats.chunks.get(),
                     steals: stats.steals.get(),
                 })
                 .collect(),
             scheduler: SchedulerSnapshot {
-                steals: self.telemetry.steals.get(),
+                steals: self.worker_stats.iter().map(|stats| stats.steals.get()).sum(),
                 batches: self.telemetry.batch_size.count(),
                 batch_mean: self.telemetry.batch_size.mean(),
                 batch_max_le: self.telemetry.batch_size.max_bound(),
@@ -1027,7 +1065,7 @@ impl<T: Tracker + Send + 'static> Engine<T> {
             }
         }
         let streams =
-            self.streams.all().iter().map(|s| std::mem::take(&mut *lock(&s.results))).collect();
+            self.streams.all().iter().map(|s| std::mem::take(&mut lock(&s.work).results)).collect();
         EngineOutput { streams, snapshot: self.snapshot() }
     }
 }
@@ -1038,38 +1076,6 @@ impl<T: Tracker + Send + 'static> Drop for Engine<T> {
     /// shutdown so they drain whatever is queued and exit detached.
     fn drop(&mut self) {
         self.scheduler.shutdown();
-    }
-}
-
-/// Appends one job's frames to the stream's ordered results and folds
-/// its counts into the stream counters. Frames are published *before*
-/// `finished` flips: a waiter in `wait_finished` may observe the flag
-/// without ever blocking on the condvar, and its follow-up
-/// `take_results`/`detach` must already see every frame the stream will
-/// ever emit.
-fn publish<T: Tracker>(
-    state: &StreamState<T>,
-    telemetry: &EngineTelemetry,
-    frames: Vec<FrameResult>,
-    active_trackers: usize,
-    finished: bool,
-) {
-    let (frame_count, track_count) =
-        (frames.len() as u64, frames.iter().map(|f| f.tracks.len() as u64).sum::<u64>());
-    {
-        let mut results = lock(&state.results);
-        results.extend(frames);
-        telemetry.collector_buffered.record(results.len() as u64);
-    }
-    {
-        let mut counters = lock(&state.counters);
-        counters.frames_out += frame_count;
-        counters.tracks_out += track_count;
-        counters.active_trackers = active_trackers;
-        counters.finished |= finished;
-    }
-    if finished {
-        state.progress.notify_all();
     }
 }
 
@@ -1118,7 +1124,6 @@ fn worker_loop<T: Tracker>(
         stats.idle.add_duration(picked - mark);
         if acquired.stolen {
             stats.steals.inc();
-            telemetry.steals.inc();
         }
         let state = streams.get(acquired.stream).expect("scheduled stream exists");
 
@@ -1142,33 +1147,42 @@ fn worker_loop<T: Tracker>(
         let dequeued = Instant::now();
         stats.acquire.add_duration(dequeued - picked);
 
+        // Each job's outcome is published under one stream lock, which
+        // also wakes producers and waiters. A chunk leaves `in_flight`
+        // only once its frames are visible, and frames land before
+        // `finished` flips, so `wait_finished` → `take_results` sees
+        // every frame the stream will ever emit.
         for job in batch.drain(..) {
             match job {
                 WorkItem::Chunk(chunk, enqueued) => {
                     let wait = dequeued.saturating_duration_since(enqueued);
                     telemetry.queue_wait.record_duration(wait);
-                    stats.queue_wait.add_duration(wait);
                     state.telemetry.queue_wait.add_duration(wait);
                     stats.chunks.inc();
                     let p = pipeline.as_mut().expect("owned stream has a pipeline");
                     let frames = p.push(&chunk);
-                    publish(&state, telemetry, frames, p.active_trackers(), false);
-                    state.gate.release();
+                    let active = p.active_trackers();
+                    state.update(|work| {
+                        work.publish(telemetry, frames, active);
+                        work.in_flight -= 1;
+                    });
                 }
                 WorkItem::Finish(span_us) => {
                     let p = pipeline.as_mut().expect("owned stream has a pipeline");
                     let frames = p.finish(span_us);
                     let active = p.active_trackers();
-                    publish(&state, telemetry, frames, active, true);
+                    state.update(|work| {
+                        work.publish(telemetry, frames, active);
+                        work.finished = true;
+                    });
                 }
                 WorkItem::Detach => {
                     pipeline = None;
                 }
-                WorkItem::DetachWithState(reply) => {
-                    let p = pipeline.take().expect("owned stream has a pipeline");
-                    // A dropped receiver means the detaching thread gave
-                    // up (e.g. panicked); discard the state.
-                    let _ = reply.send(p.checkpoint());
+                WorkItem::DetachWithState => {
+                    let session =
+                        pipeline.take().expect("owned stream has a pipeline").checkpoint();
+                    state.update(|work| work.handoff = Some(session));
                 }
             }
         }
@@ -1392,13 +1406,7 @@ mod tests {
         let drained: u64 = out.snapshot.workers.iter().map(|w| w.chunks).sum();
         assert_eq!(drained, accepted);
         // Every drained chunk was part of exactly one batch.
-        let sched = out.snapshot.scheduler;
-        assert!(sched.batches >= 2, "each stream needs at least one acquisition");
-        assert_eq!(
-            out.snapshot.workers.iter().map(|w| w.steals).sum::<u64>(),
-            sched.steals,
-            "per-worker steals sum to the scheduler total"
-        );
+        assert!(out.snapshot.scheduler.batches >= 2, "each stream needs at least one acquisition");
     }
 
     #[test]
@@ -1424,7 +1432,7 @@ mod tests {
             text.contains("ebbiot_engine_stream_queue_wait_nanoseconds_total{stream=\"cam00\"}")
         );
         assert!(text.contains("ebbiot_engine_worker_chunks_total{worker=\"0\"} 3"));
-        assert!(text.contains("ebbiot_engine_steals_total"));
+        assert!(text.contains("ebbiot_engine_worker_steals_total{worker=\"0\"} 0"));
         assert!(text.contains("ebbiot_engine_batch_chunks"));
     }
 

@@ -10,8 +10,9 @@
 //!
 //! * a [`StreamId`]-keyed **router** that appends incoming event chunks
 //!   to per-stream bounded FIFO queues, with blocking ([`Engine::push`])
-//!   or rejecting ([`Engine::try_push`]) back-pressure via
-//!   [`ChunkGate`];
+//!   or rejecting ([`Engine::try_push`]) back-pressure once a stream has
+//!   [`EngineConfig::queue_capacity`] chunks in flight — counted under
+//!   the same per-stream lock that queues the job;
 //! * a **work-stealing scheduler** (global injector + per-worker
 //!   deques) over *stream* granularity: a ready stream is a schedulable
 //!   unit exactly one worker owns at a time, drains a *batch* of queued
@@ -94,12 +95,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod backpressure;
 pub mod engine;
 pub mod fleet;
 pub mod telemetry;
 
-pub use backpressure::ChunkGate;
 pub use engine::{
     Engine, EngineConfig, EngineOutput, RejectedChunk, SchedulerSnapshot, SessionHandoff, Snapshot,
     StreamId, StreamSnapshot, StreamTotals, WorkerSnapshot,

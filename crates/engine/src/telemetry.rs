@@ -9,7 +9,8 @@
 //! (ARCHITECTURE.md §7):
 //!
 //! * **per worker** ([`WorkerTelemetry`]) — busy / acquire / idle /
-//!   wall time, chunk counts and steals, accounted with telescoping
+//!   wall time, chunk counts and steals (the scheduler's steal total is
+//!   their sum), accounted with telescoping
 //!   timestamps so that `busy + acquire + idle == wall` holds *exactly*
 //!   at worker exit (the determinism suite asserts equality, not a
 //!   tolerance);
@@ -17,8 +18,7 @@
 //!   distributions, plus collector reorder-buffer occupancy;
 //! * **per stream** ([`StreamTelemetry`]) — cumulative queue wait and
 //!   producer back-pressure blocking, labelled by camera;
-//! * **scheduler** — steal counts, the jobs-per-acquisition batch-size
-//!   histogram (how well batching amortizes hand-off), and a live
+//! * **scheduler** — the jobs-per-acquisition batch-size histogram (how well batching amortizes hand-off), and a live
 //!   ready-streams gauge.
 
 use std::sync::Arc;
@@ -31,8 +31,6 @@ pub const CHUNK_QUEUE_WAIT_METRIC: &str = "ebbiot_engine_chunk_queue_wait_nanose
 pub const QUEUE_DEPTH_METRIC: &str = "ebbiot_engine_queue_depth_chunks";
 /// Collector buffer occupancy after each append (frames awaiting drain).
 pub const COLLECTOR_BUFFERED_METRIC: &str = "ebbiot_engine_collector_buffered_frames";
-/// Stream acquisitions taken from another worker's deque.
-pub const STEALS_METRIC: &str = "ebbiot_engine_steals_total";
 /// Jobs drained per stream acquisition (batching effectiveness).
 pub const BATCH_SIZE_METRIC: &str = "ebbiot_engine_batch_chunks";
 /// Streams currently ready and awaiting a worker.
@@ -48,8 +46,6 @@ pub struct EngineTelemetry {
     pub queue_depth: Arc<Histogram>,
     /// Collector buffer occupancy sampled after each append.
     pub collector_buffered: Arc<Histogram>,
-    /// Stream acquisitions stolen from another worker's deque.
-    pub steals: Arc<Counter>,
     /// Jobs drained per stream acquisition.
     pub batch_size: Arc<Histogram>,
     /// Streams ready and awaiting a worker, live.
@@ -64,7 +60,6 @@ impl EngineTelemetry {
             queue_wait: registry.histogram(CHUNK_QUEUE_WAIT_METRIC, &[]),
             queue_depth: registry.histogram(QUEUE_DEPTH_METRIC, &[]),
             collector_buffered: registry.histogram(COLLECTOR_BUFFERED_METRIC, &[]),
-            steals: registry.counter(STEALS_METRIC, &[]),
             batch_size: registry.histogram(BATCH_SIZE_METRIC, &[]),
             ready_streams: registry.gauge(READY_STREAMS_METRIC, &[]),
             registry,
@@ -93,8 +88,6 @@ pub struct WorkerTelemetry {
     pub acquire: Arc<Counter>,
     /// Nanoseconds spent waiting for a ready stream.
     pub idle: Arc<Counter>,
-    /// Sum of the queue waits of the chunks this worker dequeued.
-    pub queue_wait: Arc<Counter>,
     /// Worker lifetime in nanoseconds (written once, at exit).
     pub wall: Arc<Counter>,
     /// Chunks processed (finish jobs excluded).
@@ -113,8 +106,6 @@ impl WorkerTelemetry {
             busy: registry.counter("ebbiot_engine_worker_busy_nanoseconds_total", labels),
             acquire: registry.counter("ebbiot_engine_worker_acquire_nanoseconds_total", labels),
             idle: registry.counter("ebbiot_engine_worker_idle_nanoseconds_total", labels),
-            queue_wait: registry
-                .counter("ebbiot_engine_worker_queue_wait_nanoseconds_total", labels),
             wall: registry.counter("ebbiot_engine_worker_wall_nanoseconds_total", labels),
             chunks: registry.counter("ebbiot_engine_worker_chunks_total", labels),
             steals: registry.counter("ebbiot_engine_worker_steals_total", labels),
@@ -128,7 +119,7 @@ impl WorkerTelemetry {
 pub struct StreamTelemetry {
     /// Total nanoseconds this stream's chunks sat queued.
     pub queue_wait: Arc<Counter>,
-    /// Total nanoseconds producers spent blocked on the stream's gate.
+    /// Total nanoseconds producers spent in blocking admission.
     pub producer_block: Arc<Counter>,
 }
 
@@ -157,7 +148,6 @@ mod tests {
         telemetry.queue_wait.record(1_000);
         telemetry.queue_depth.record(3);
         telemetry.collector_buffered.record(16);
-        telemetry.steals.inc();
         telemetry.batch_size.record(4);
         telemetry.ready_streams.set(2);
         let text = telemetry.registry().render();
@@ -169,7 +159,6 @@ mod tests {
         ] {
             assert!(text.contains(&format!("# TYPE {family} histogram")), "missing {family}");
         }
-        assert!(text.contains(&format!("{STEALS_METRIC} 1")));
         assert!(text.contains(&format!("{READY_STREAMS_METRIC} 2")));
     }
 

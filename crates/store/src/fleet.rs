@@ -255,7 +255,7 @@ impl FleetStore {
     }
 
     /// Opens every camera memory-resident, in camera order — the input
-    /// shape [`crate::Replayer::replay_engine_parallel`] wants when the
+    /// shape [`crate::Replayer::replay_engine`] wants when the
     /// fleet fits in memory.
     ///
     /// # Errors

@@ -15,9 +15,7 @@
 //!   [`ChunkReader::seek_to_time`] over the chunk index, generic over a
 //!   [`ChunkSource`] (streamed `BufReader` or resident `Cursor`);
 //! * [`Replayer`] — drives a `Pipeline<T>` or a whole `Engine` from
-//!   readers, in [`ReplayMode::MaxSpeed`] or [`ReplayMode::Paced`],
-//!   sequentially or with per-stream decode-ahead threads
-//!   ([`Replayer::replay_engine_parallel`]);
+//!   readers, in [`ReplayMode::MaxSpeed`] or [`ReplayMode::Paced`];
 //! * [`FleetStore`] — one file per camera plus a manifest, the spool
 //!   layout `ebbiot_sim`'s fleet generator writes;
 //! * [`FleetArchiver`] — the streaming counterpart of
@@ -105,10 +103,7 @@
 //! into a caller-supplied `Vec<Event>`
 //! ([`ChunkReader::next_chunk_into`]) that replay then *moves* into
 //! the engine, so events are materialised exactly once on the disk →
-//! tracker path; [`Replayer::replay_engine_parallel`] additionally
-//! overlaps decode with tracking (one decode-ahead thread per stream)
-//! without perturbing push order — replayed output stays bit-for-bit
-//! identical.
+//! tracker path, and replayed output stays bit-for-bit identical.
 //!
 //! # Example
 //!

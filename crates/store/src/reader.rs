@@ -336,14 +336,6 @@ impl<R: ChunkSource> ChunkReader<R> {
         self.index.get(self.next)
     }
 
-    /// Index metadata of every not-yet-decoded chunk, in decode order —
-    /// what the parallel replayer builds its global merge schedule
-    /// from, again without any I/O.
-    #[must_use]
-    pub fn pending_metas(&self) -> &[ChunkMeta] {
-        &self.index[self.next.min(self.index.len())..]
-    }
-
     /// Decodes the next chunk into the reader's internal buffer and
     /// returns it, or `None` at end of stream. Only this one chunk is
     /// ever resident.
@@ -565,18 +557,6 @@ mod tests {
         // At end of stream the caller's buffer is left untouched.
         assert!(!chunk.is_empty());
         assert!(!reader.next_chunk_into(&mut chunk).unwrap());
-    }
-
-    #[test]
-    fn pending_metas_shrink_as_chunks_decode() {
-        let bytes = store(&events(100), 30, 0);
-        let mut reader = ChunkReader::new(Cursor::new(bytes)).unwrap();
-        assert_eq!(reader.pending_metas().len(), 4);
-        assert_eq!(reader.pending_metas()[0].t_first, reader.peek_meta().unwrap().t_first);
-        let _ = reader.next_chunk().unwrap();
-        assert_eq!(reader.pending_metas().len(), 3);
-        let _ = reader.read_recording().unwrap();
-        assert!(reader.pending_metas().is_empty());
     }
 
     #[test]

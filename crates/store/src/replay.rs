@@ -1,7 +1,6 @@
 //! [`Replayer`]: drives pipelines and engines from stored recordings,
 //! at maximum speed or paced against the wall clock.
 
-use std::sync::mpsc::sync_channel;
 use std::time::{Duration, Instant};
 
 use ebbiot_core::{FrameResult, Pipeline, Tracker};
@@ -10,10 +9,6 @@ use ebbiot_events::Event;
 
 use crate::reader::{ChunkReader, ChunkSource};
 use crate::StoreError;
-
-/// Chunks each decoder thread may run ahead of the engine push in
-/// [`Replayer::replay_engine_parallel`] before blocking.
-const DECODE_AHEAD_CHUNKS: usize = 4;
 
 /// How replay time relates to wall-clock time.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -166,11 +161,7 @@ impl Replayer {
         while let Some(meta) = reader.peek_meta().copied() {
             self.mode.pace(started, meta.t_first);
             let chunk = reader.next_chunk()?.expect("peeked chunk exists");
-            stats.events += chunk.len() as u64;
-            stats.chunks += 1;
-            if let Some(last) = chunk.last() {
-                stats.last_t = last.t;
-            }
+            note_chunk(&mut stats, chunk);
             frames.extend(pipeline.push(chunk));
         }
         frames.extend(pipeline.finish(reader.span_us()));
@@ -226,90 +217,6 @@ impl Replayer {
             note_chunk(&mut stats[stream], &chunk);
             engine.push(StreamId(stream), chunk);
         }
-        for (i, reader) in readers.iter().enumerate() {
-            engine.finish_stream(StreamId(i), reader.span_us());
-        }
-        let output = engine.join();
-        Ok(EngineReplay { output, stats, elapsed: started.elapsed() })
-    }
-
-    /// [`Replayer::replay_engine`] with parallel chunk decode
-    /// (`par_decode`): one decoder thread per reader runs up to
-    /// `DECODE_AHEAD_CHUNKS` chunks ahead through a bounded channel,
-    /// while this thread paces and pushes in the exact global order the
-    /// sequential replayer uses.
-    ///
-    /// The push schedule is computed up front from index metadata
-    /// alone: a stable sort of all pending chunks by
-    /// `(t_first, stream)` — identical to the sequential
-    /// earliest-pending pick because each stream's `t_first`s are
-    /// non-decreasing (the reader validates that at open). Per-stream
-    /// push order is therefore unchanged too, so engine output is
-    /// bit-for-bit the sequential (and in-memory) result.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first read/decode error. The engine is dropped
-    /// without joining in that case; its `Drop` signals the scheduler
-    /// shutdown, so the workers drain what was queued and exit.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `readers` does not have exactly one reader per
-    /// engine stream.
-    pub fn replay_engine_parallel<T: Tracker + Send + 'static, R: ChunkSource + Send>(
-        &self,
-        readers: &mut [ChunkReader<R>],
-        engine: Engine<T>,
-    ) -> Result<EngineReplay, StoreError> {
-        assert_eq!(readers.len(), engine.num_streams(), "one reader per engine stream");
-        let started = Instant::now();
-        let mut stats: Vec<ReplayStats> = (0..readers.len())
-            .map(|stream| ReplayStats { stream, events: 0, chunks: 0, last_t: 0 })
-            .collect();
-        let mut schedule: Vec<(u64, usize)> = readers
-            .iter()
-            .enumerate()
-            .flat_map(|(i, r)| r.pending_metas().iter().map(move |m| (m.t_first, i)))
-            .collect();
-        schedule.sort_by_key(|&order| order);
-
-        let mode = self.mode;
-        let pushed: Result<(), StoreError> = std::thread::scope(|scope| {
-            let mut chunk_rx = Vec::with_capacity(readers.len());
-            for reader in readers.iter_mut() {
-                let (tx, rx) = sync_channel::<Result<Vec<Event>, StoreError>>(DECODE_AHEAD_CHUNKS);
-                chunk_rx.push(rx);
-                scope.spawn(move || loop {
-                    let mut chunk = Vec::new();
-                    match reader.next_chunk_into(&mut chunk) {
-                        // A send fails only when the replay loop bailed
-                        // out on another stream's error; stop decoding.
-                        Ok(true) => {
-                            if tx.send(Ok(chunk)).is_err() {
-                                return;
-                            }
-                        }
-                        Ok(false) => return,
-                        Err(e) => {
-                            let _ = tx.send(Err(e));
-                            return;
-                        }
-                    }
-                });
-            }
-            for &(t_first, stream) in &schedule {
-                mode.pace(started, t_first);
-                let chunk =
-                    chunk_rx[stream].recv().expect("decoder sends every scheduled chunk")?;
-                note_chunk(&mut stats[stream], &chunk);
-                engine.push(StreamId(stream), chunk);
-            }
-            // Dropping the receivers here unblocks any decoder still
-            // parked on a full channel after an early error return.
-            Ok(())
-        });
-        pushed?;
         for (i, reader) in readers.iter().enumerate() {
             engine.finish_stream(StreamId(i), reader.span_us());
         }
@@ -391,40 +298,31 @@ mod tests {
     fn engine_replay_matches_in_memory_processing() {
         let events = recording();
         let expected = pipeline().process_recording(&events, SPAN);
-        let mut readers = vec![stored(&events, 91), stored(&events, 1_024)];
-        let engine = Engine::new(EngineConfig::with_workers(2), vec![pipeline(), pipeline()]);
-        let run = Replayer::new(ReplayMode::MaxSpeed).replay_engine(&mut readers, engine).unwrap();
-        assert_eq!(run.output.streams.len(), 2);
-        for (i, frames) in run.output.streams.iter().enumerate() {
-            assert_eq!(frames, &expected, "stream {i}");
-        }
-        assert_eq!(run.events(), 2 * events.len() as u64);
-        assert!(run.events_per_sec() > 0.0);
-        assert_eq!(run.stats[0].chunks, (events.len() as u64).div_ceil(91));
-    }
-
-    #[test]
-    fn parallel_engine_replay_matches_sequential_and_in_memory() {
-        let events = recording();
-        let expected = pipeline().process_recording(&events, SPAN);
-        // Deliberately unequal chunk sizes so the merge schedule
+        // Deliberately unequal chunk sizes, so the earliest-pending merge
         // interleaves streams unevenly.
-        let mut readers = vec![stored(&events, 91), stored(&events, 1_024), stored(&events, 17)];
-        let engine =
-            Engine::new(EngineConfig::with_workers(2), vec![pipeline(), pipeline(), pipeline()]);
-        let run = Replayer::new(ReplayMode::MaxSpeed)
-            .replay_engine_parallel(&mut readers, engine)
-            .unwrap();
-        for (i, frames) in run.output.streams.iter().enumerate() {
-            assert_eq!(frames, &expected, "stream {i}");
+        for sizes in [&[91, 1_024][..], &[91, 1_024, 17]] {
+            let mut readers: Vec<_> = sizes.iter().map(|&n| stored(&events, n)).collect();
+            let engine = Engine::new(
+                EngineConfig::with_workers(2),
+                sizes.iter().map(|_| pipeline()).collect(),
+            );
+            let run =
+                Replayer::new(ReplayMode::MaxSpeed).replay_engine(&mut readers, engine).unwrap();
+            assert_eq!(run.output.streams.len(), sizes.len());
+            for (i, frames) in run.output.streams.iter().enumerate() {
+                assert_eq!(frames, &expected, "stream {i} of {sizes:?}");
+            }
+            assert_eq!(run.events(), sizes.len() as u64 * events.len() as u64);
+            assert!(run.events_per_sec() > 0.0);
+            for (stats, &n) in run.stats.iter().zip(sizes) {
+                assert_eq!(stats.chunks, (events.len() as u64).div_ceil(n as u64));
+                assert_eq!(stats.last_t, events.last().unwrap().t);
+            }
         }
-        assert_eq!(run.events(), 3 * events.len() as u64);
-        assert_eq!(run.stats[2].chunks, (events.len() as u64).div_ceil(17));
-        assert_eq!(run.stats[0].last_t, events.last().unwrap().t);
     }
 
     #[test]
-    fn parallel_engine_replay_surfaces_decode_errors() {
+    fn engine_replay_surfaces_decode_errors() {
         let events = recording();
         let mut w = RecordingWriter::new(
             Vec::new(),
@@ -441,10 +339,10 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xFF;
         let mut readers = vec![stored(&events, 64), ChunkReader::new(Cursor::new(bytes)).unwrap()];
+        // The error path drops the engine without joining it.
         let engine = Engine::new(EngineConfig::with_workers(1), vec![pipeline(), pipeline()]);
-        let err = Replayer::new(ReplayMode::MaxSpeed)
-            .replay_engine_parallel(&mut readers, engine)
-            .unwrap_err();
+        let err =
+            Replayer::new(ReplayMode::MaxSpeed).replay_engine(&mut readers, engine).unwrap_err();
         assert!(
             matches!(err, StoreError::ChunkCrcMismatch { .. } | StoreError::CorruptChunk { .. }),
             "{err}"

@@ -29,6 +29,6 @@ cargo run --release -p ebbiot_bench --bin exp_fleet -- --overhead --cameras 4 --
 
 echo "== smoke: scheduler (jitter determinism + oversubscription) =="
 cargo test --release --test engine_determinism jittered_work_stealing_schedule_is_bit_identical
-cargo test --release -p ebbiot_engine --test scheduler
+cargo test --release --test engine_scheduler
 
 echo "smoke_bench: all experiments passed"

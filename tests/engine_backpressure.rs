@@ -1,11 +1,18 @@
 //! Back-pressure integration: a stream whose bounded queue fills up
 //! blocks (`push`) or rejects (`try_push`) its producer, never drops or
 //! reorders a chunk, and the engine's `Snapshot` reports the queue-depth
-//! high-water mark.
+//! high-water mark. Admission counts every chunk in flight — queued or
+//! in process — and a worker failure fails blocked producers instead of
+//! stranding them.
 
-use ebbiot_core::{EbbiotConfig, EbbiotPipeline};
+use std::sync::{Arc, Barrier};
+
+use ebbiot_core::{
+    EbbiotConfig, EbbiotPipeline, FrameInput, OverlapTracker, Pipeline, StateError, TrackBox,
+    Tracker,
+};
 use ebbiot_engine::{Engine, EngineConfig, StreamId};
-use ebbiot_events::{Event, SensorGeometry};
+use ebbiot_events::{Event, OpsCounter, SensorGeometry};
 
 fn pipelines(n: usize) -> Vec<EbbiotPipeline> {
     let config = EbbiotConfig::paper_default(SensorGeometry::davis240());
@@ -118,4 +125,97 @@ fn snapshot_high_water_stays_within_configured_capacity() {
         assert!(stream.queue_high_water <= 3, "bound respected: {}", stream.queue_high_water);
     }
     assert!(out.snapshot.max_queue_high_water() <= 3);
+}
+
+#[test]
+#[should_panic(expected = "queue capacity must be at least 1")]
+fn zero_queue_capacity_is_rejected_at_construction() {
+    // No stream is attached, so nothing but the constructor can refuse
+    // the configuration.
+    let _ = Engine::<OverlapTracker>::new(
+        EngineConfig { queue_capacity: 0, ..EngineConfig::with_workers(1) },
+        Vec::new(),
+    );
+}
+
+#[test]
+fn producer_blocked_on_a_full_stream_panics_when_a_worker_fails() {
+    let engine = Engine::new(
+        EngineConfig { workers: 1, queue_capacity: 1, ..EngineConfig::default() },
+        pipelines(1),
+    );
+    std::thread::scope(|scope| {
+        let producer = scope.spawn(|| {
+            engine.push(StreamId(0), vec![Event::on(10, 10, 70_000)]);
+            // Out of order: the worker panics on this chunk and never
+            // frees its slot…
+            engine.push(StreamId(0), vec![Event::on(10, 10, 0)]);
+            // …so this push waits on the full stream until the failure
+            // wakes it.
+            engine.push(StreamId(0), vec![Event::on(10, 10, 140_000)]);
+        });
+        assert!(producer.join().is_err(), "blocked producer panics instead of hanging");
+    });
+}
+
+/// A back-end whose first `step` parks on a barrier twice: once to tell
+/// the test that a chunk is in process, once to wait for its release.
+struct ParkingTracker(Option<Arc<Barrier>>);
+
+impl Tracker for ParkingTracker {
+    fn name(&self) -> &'static str {
+        "parking"
+    }
+
+    fn step(&mut self, _frame: &FrameInput<'_>) -> Vec<TrackBox> {
+        if let Some(barrier) = self.0.take() {
+            barrier.wait();
+            barrier.wait();
+        }
+        Vec::new()
+    }
+
+    fn active_count(&self) -> usize {
+        0
+    }
+
+    fn ops(&self) -> OpsCounter {
+        OpsCounter::default()
+    }
+
+    fn reset(&mut self) {}
+
+    fn reset_ops(&mut self) {}
+
+    fn save_state(&self) -> Vec<u8> {
+        Vec::new()
+    }
+
+    fn load_state(&mut self, _bytes: &[u8]) -> Result<(), StateError> {
+        Ok(())
+    }
+}
+
+#[test]
+fn admission_counts_the_chunk_a_worker_is_processing() {
+    let barrier = Arc::new(Barrier::new(2));
+    let config = EbbiotConfig::paper_default(SensorGeometry::davis240());
+    let pipeline = Pipeline::with_tracker(config, ParkingTracker(Some(Arc::clone(&barrier))));
+    let engine = Engine::new(
+        EngineConfig { workers: 1, queue_capacity: 1, ..EngineConfig::default() },
+        vec![pipeline],
+    );
+    // The second event closes frame 0, whose tracker step parks.
+    engine.push(StreamId(0), vec![Event::on(10, 10, 0), Event::on(10, 10, 70_000)]);
+    barrier.wait();
+    // The job queue is empty now, but the chunk is still in flight.
+    let rejected = engine.try_push(StreamId(0), vec![Event::on(10, 10, 140_000)]);
+    assert_eq!(engine.snapshot().streams[0].queue_depth, 1);
+    barrier.wait();
+    let chunk = rejected.expect_err("a chunk in process holds the only slot").0;
+    engine.push(StreamId(0), chunk);
+    engine.finish_stream(StreamId(0), 3 * 66_000);
+    let out = engine.join();
+    assert_eq!(out.snapshot.streams[0].chunks_in, 2);
+    assert_eq!(out.snapshot.streams[0].queue_depth, 0);
 }

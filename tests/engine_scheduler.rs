@@ -4,7 +4,7 @@
 //! lost or reordered frames — because the scheduler's shutdown drain
 //! and exclusive stream ownership hold at any worker:stream ratio. The
 //! CI "Scheduler" step runs this file alongside the jitter proptests in
-//! `tests/engine_determinism.rs`.
+//! `engine_determinism.rs`.
 
 use ebbiot_core::{EbbiotConfig, EbbiotPipeline, FrameResult, OverlapTracker};
 use ebbiot_engine::{Engine, EngineConfig, StreamId};
