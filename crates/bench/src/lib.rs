@@ -146,31 +146,45 @@ pub fn run_fleet_sequential(
         .collect()
 }
 
-/// A traffic-like synthetic EBBI for kernel benchmarking: a few
-/// vehicle-sized blobs plus uniform salt noise at roughly `density`.
-/// Shared by `exp_hotpath` and the `kernels` criterion bench so both
-/// measure the same input distribution.
-#[must_use]
-pub fn synthetic_traffic_ebbi(
-    geometry: ebbiot_events::SensorGeometry,
-    density: f64,
-    rng: &mut rand::rngs::StdRng,
-) -> ebbiot_frame::BinaryImage {
-    use rand::Rng;
-    let mut img = ebbiot_frame::BinaryImage::new(geometry);
-    let (w, h) = (geometry.width(), geometry.height());
-    for _ in 0..4 {
-        let bw = rng.random_range(12u16..40);
-        let bh = rng.random_range(8u16..20);
-        let x = rng.random_range(0..w.saturating_sub(bw).max(1));
-        let y = rng.random_range(0..h.saturating_sub(bh).max(1));
-        img.fill_box(&ebbiot_frame::PixelBox::new(x, y, (x + bw).min(w), (y + bh).min(h)));
+/// The frames the front end sees on a simulated camera fleet: every
+/// camera's events windowed at its frame period `tF` and latched into an
+/// EBBI (the median filter's input), and each EBBI after the paper's 3x3
+/// median (the region proposer's input). Empty frames are kept, because
+/// the workload has them too. Shared by `exp_hotpath` and the `kernels`
+/// criterion bench so kernels are timed on workload frames, not on a
+/// synthetic density.
+#[derive(Debug, Clone)]
+pub struct FleetFrames {
+    /// Raw EBBIs, camera by camera, in frame order.
+    pub ebbis: Vec<ebbiot_frame::BinaryImage>,
+    /// The same frames after the 3x3 median filter.
+    pub denoised: Vec<ebbiot_frame::BinaryImage>,
+}
+
+impl FleetFrames {
+    /// Simulates a `cameras`-strong `preset` fleet of `seconds` per
+    /// camera from `seed` and captures its frames.
+    #[must_use]
+    pub fn capture(preset: DatasetPreset, cameras: usize, seconds: f64, seed: u64) -> Self {
+        let fleet = ebbiot_sim::FleetConfig::new(preset, cameras)
+            .with_seconds(seconds)
+            .with_base_seed(seed)
+            .generate();
+        let ebbis: Vec<_> = fleet
+            .iter()
+            .flat_map(|rec| {
+                ebbiot_events::stream::FrameWindows::with_span(
+                    &rec.events,
+                    rec.frame_us,
+                    rec.duration_us,
+                )
+                .map(|w| ebbiot_frame::ebbi::ebbi_from_events(rec.geometry, w.events))
+            })
+            .collect();
+        let mut median = ebbiot_frame::MedianFilter::paper_default();
+        let denoised = ebbis.iter().map(|ebbi| median.apply(ebbi)).collect();
+        Self { ebbis, denoised }
     }
-    let noise = (geometry.num_pixels() as f64 * density) as usize;
-    for _ in 0..noise {
-        img.set(rng.random_range(0..w), rng.random_range(0..h), true);
-    }
-    img
 }
 
 /// An 8x8 tiling of tracker-sized boxes across the frame, the shared

@@ -11,10 +11,12 @@
 //! ```
 //!
 //! The front-end owns **reused scratch buffers** for the EBBI readout,
-//! the denoised frame and the filtered proposal list, so a steady-state
-//! pipeline performs no per-frame frame-sized allocations. Each block
-//! keeps its own [`OpsCounter`] so the resource harness can cross-check
-//! the paper's Eqs. 1 and 5 against measured numbers.
+//! the denoised frame and the filtered proposal list, and the RPN owns
+//! its downsampled image and histograms, so a steady-state pipeline
+//! performs no per-frame frame-sized allocations (the root
+//! `frontend_allocations` test pins this with a counting allocator).
+//! Each block keeps its own [`OpsCounter`] so the resource harness can
+//! cross-check the paper's Eqs. 1 and 5 against measured numbers.
 //!
 //! The frame kernels under these blocks (median, downsample, box
 //! queries) run **word-parallel** over `ebbiot_frame`'s row-aligned
@@ -24,9 +26,10 @@
 //! instruction count, so the resource cross-checks and the paper-number
 //! suites are unchanged by kernel optimizations.
 
+use std::time::Instant;
+
 use ebbiot_events::{Event, OpsCounter};
 use ebbiot_frame::{BinaryImage, BoundingBox, EbbiAccumulator, MedianFilter};
-use ebbiot_telemetry::timed;
 
 use crate::{
     config::EbbiotConfig, roe::RegionOfExclusion, rpn::RegionProposalNetwork,
@@ -91,18 +94,23 @@ impl FrontEnd {
     /// The returned slice borrows the front-end's internal scratch list;
     /// it is valid until the next call.
     pub fn process(&mut self, events: &[Event]) -> &[BoundingBox] {
-        if let Some(t) = self.telemetry.clone() {
-            timed(&t.ebbi, || {
-                self.accumulator.accumulate_all(events);
-                self.accumulator.readout_into(&mut self.ebbi_scratch);
-            });
-            timed(&t.median, || {
-                self.median.apply_into(&self.ebbi_scratch, &mut self.denoised_scratch);
-            });
-            let raw = timed(&t.rpn, || self.rpn.propose(&self.denoised_scratch));
-            timed(&t.roe, || {
-                self.roe.filter_into(&raw, &mut self.proposals, &mut self.roe_ops);
-            });
+        if let Some(t) = &self.telemetry {
+            // One clock read per stage boundary: each stage ends where
+            // the next begins, so four stages cost five reads.
+            let start = Instant::now();
+            self.accumulator.accumulate_all(events);
+            self.accumulator.readout_into(&mut self.ebbi_scratch);
+            let ebbi_done = Instant::now();
+            self.median.apply_into(&self.ebbi_scratch, &mut self.denoised_scratch);
+            let median_done = Instant::now();
+            let raw = self.rpn.propose(&self.denoised_scratch);
+            let rpn_done = Instant::now();
+            self.roe.filter_into(&raw, &mut self.proposals, &mut self.roe_ops);
+            let roe_done = Instant::now();
+            t.ebbi.record_duration(ebbi_done - start);
+            t.median.record_duration(median_done - ebbi_done);
+            t.rpn.record_duration(rpn_done - median_done);
+            t.roe.record_duration(roe_done - rpn_done);
         } else {
             self.accumulator.accumulate_all(events);
             self.accumulator.readout_into(&mut self.ebbi_scratch);

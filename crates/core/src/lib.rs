@@ -60,6 +60,7 @@ pub mod state;
 pub mod telemetry;
 pub mod tracker;
 pub mod two_timescale;
+mod window;
 
 pub use backend::{BoxedTracker, FrameInput, Tracker, TrackerInput};
 pub use config::EbbiotConfig;

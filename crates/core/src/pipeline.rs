@@ -32,6 +32,7 @@ use crate::{
     frontend::FrontEnd,
     telemetry::StageTelemetry,
     tracker::OverlapTracker,
+    window::{self, WindowedStream},
 };
 
 /// One reported track box.
@@ -302,25 +303,7 @@ impl<T: Tracker> Pipeline<T> {
     /// relative to previous pushes), or when an event belongs to a window
     /// already emitted.
     pub fn push(&mut self, chunk: &[Event]) -> Vec<FrameResult> {
-        let mut out = Vec::new();
-        for &event in chunk {
-            assert!(
-                self.last_pushed_t.is_none_or(|t| t <= event.t),
-                "pushed events must be time-ordered across chunks"
-            );
-            self.last_pushed_t = Some(event.t);
-            let window = (event.t / self.config.frame_us) as usize;
-            assert!(
-                window >= self.next_index,
-                "event at t={} belongs to already-emitted frame {window}",
-                event.t
-            );
-            while self.next_index < window {
-                out.push(self.flush_pending_window());
-            }
-            self.pending.push(event);
-        }
-        out
+        window::push(self, chunk)
     }
 
     /// Ends the stream, emitting the still-open window and trailing empty
@@ -343,25 +326,7 @@ impl<T: Tracker> Pipeline<T> {
     /// assert_eq!(frames[2].num_events, 0);
     /// ```
     pub fn finish(&mut self, span_us: Micros) -> Vec<FrameResult> {
-        let from_events = self.next_index + usize::from(!self.pending.is_empty());
-        let from_span = span_us.div_ceil(self.config.frame_us) as usize;
-        let target = from_events.max(from_span);
-        let mut out = Vec::new();
-        while self.next_index < target {
-            out.push(self.flush_pending_window());
-        }
-        self.last_pushed_t = None;
-        out
-    }
-
-    /// Emits the currently open window as a frame, reusing the pending
-    /// buffer's allocation.
-    fn flush_pending_window(&mut self) -> FrameResult {
-        let buffer = core::mem::take(&mut self.pending);
-        let result = self.process_frame(&buffer);
-        self.pending = buffer;
-        self.pending.clear();
-        result
+        window::finish(self, span_us)
     }
 
     /// Per-block op counters accumulated so far.
@@ -522,6 +487,26 @@ impl<T: Tracker> Pipeline<T> {
         self.active_tracker_sum = 0;
         self.pending.clear();
         self.last_pushed_t = None;
+    }
+}
+
+impl<T: Tracker> WindowedStream for Pipeline<T> {
+    type Frame = FrameResult;
+
+    fn frame_us(&self) -> Micros {
+        self.config.frame_us
+    }
+
+    fn frames_emitted(&self) -> usize {
+        self.next_index
+    }
+
+    fn push_state(&mut self) -> (&mut Vec<Event>, &mut Option<Timestamp>) {
+        (&mut self.pending, &mut self.last_pushed_t)
+    }
+
+    fn process_window(&mut self, events: &[Event]) -> FrameResult {
+        self.process_frame(events)
     }
 }
 
@@ -767,6 +752,50 @@ mod tests {
         let mut p = pipeline();
         let _ = p.push(&[Event::on(10, 10, 70_000)]);
         let _ = p.push(&[Event::on(10, 10, 69_000)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "time-ordered")]
+    fn a_chunk_out_of_order_within_itself_panics() {
+        let mut p = pipeline();
+        let _ = p.push(&[Event::on(10, 10, 70_000), Event::on(11, 10, 69_000)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "already-emitted frame")]
+    fn an_event_for_a_frame_emitted_by_finish_panics() {
+        let mut p = pipeline();
+        let _ = p.push(&[Event::on(10, 10, 5)]);
+        assert_eq!(p.finish(3 * 66_000).len(), 3);
+        // `finish` clears the ordering watermark, but frame 1 is gone.
+        let _ = p.push(&[Event::on(10, 10, 100_000)]);
+    }
+
+    /// Events in frames 0, 1, 4 and 9 only, with one on each side of a
+    /// window boundary and one exactly on it.
+    fn gappy_events() -> Vec<Event> {
+        let mut events = block_events(60, 90, 30, 15, 0);
+        events.push(Event::on(10, 10, 2 * 66_000 - 1));
+        events.extend(block_events(70, 90, 30, 15, 4 * 66_000));
+        events.push(Event::on(200, 20, 9 * 66_000 + 7));
+        ebbiot_events::stream::sort_by_time(&mut events);
+        events
+    }
+
+    #[test]
+    fn one_chunk_spanning_silent_windows_matches_process_recording() {
+        let events = gappy_events();
+        let span = 12 * 66_000;
+        let expected = pipeline().process_recording(&events, span);
+        let mut p = pipeline();
+        let pushed = p.push(&events);
+        // The event in frame 9 closes frames 0..=8, silent ones included.
+        assert_eq!(pushed.iter().map(|f| f.index).collect::<Vec<_>>(), (0..9).collect::<Vec<_>>());
+        let counts: Vec<usize> = pushed.iter().map(|f| f.num_events).collect();
+        assert_eq!(counts, [450, 1, 0, 0, 450, 0, 0, 0, 0]);
+        let mut got = pushed;
+        got.extend(p.finish(span));
+        assert_eq!(got, expected);
     }
 
     #[test]

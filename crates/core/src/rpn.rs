@@ -92,6 +92,18 @@ impl RpnConfig {
 pub struct RegionProposalNetwork {
     config: RpnConfig,
     ops: OpsCounter,
+    /// Downsampled image and projections, reused across frames so a
+    /// steady-state [`RegionProposalNetwork::propose`] allocates no
+    /// frame-sized buffers.
+    scratch: Scratch,
+}
+
+/// The RPN's per-frame intermediates, overwritten by every proposal.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    scaled: CountImage,
+    hx: Histogram,
+    hy: Histogram,
 }
 
 impl RegionProposalNetwork {
@@ -104,7 +116,7 @@ impl RegionProposalNetwork {
     pub fn new(config: RpnConfig) -> Self {
         assert!(config.s1 > 0 && config.s2 > 0, "scale factors must be non-zero");
         assert!(config.threshold > 0, "threshold must be non-zero");
-        Self { config, ops: OpsCounter::new() }
+        Self { config, ops: OpsCounter::new(), scratch: Scratch::default() }
     }
 
     /// The configuration.
@@ -117,11 +129,18 @@ impl RegionProposalNetwork {
     #[must_use]
     pub fn propose(&mut self, image: &BinaryImage) -> Vec<BoundingBox> {
         let frame = (image.width(), image.height());
-        let scaled = CountImage::downsample(image, self.config.s1, self.config.s2, &mut self.ops);
+        let mut scratch = core::mem::take(&mut self.scratch);
+        let Scratch { scaled, hx, hy } = &mut scratch;
+        CountImage::downsample_into(image, self.config.s1, self.config.s2, scaled, &mut self.ops);
         let proposals = match self.config.mode {
-            RpnMode::Histogram => self.propose_histogram(&scaled, frame),
-            RpnMode::ConnectedComponents => self.propose_cca(&scaled, frame),
+            RpnMode::Histogram => {
+                Histogram::project_into(scaled, Axis::X, hx, &mut self.ops);
+                Histogram::project_into(scaled, Axis::Y, hy, &mut self.ops);
+                self.intersect_runs(scaled, hx, hy, frame)
+            }
+            RpnMode::ConnectedComponents => self.propose_cca(scaled, frame),
         };
+        self.scratch = scratch;
         self.refine_all(image, proposals)
     }
 
@@ -188,12 +207,6 @@ impl RegionProposalNetwork {
             f32::from(max_x) + 1.0,
             f32::from(max_y) + 1.0,
         ))
-    }
-
-    fn propose_histogram(&mut self, scaled: &CountImage, frame: (u16, u16)) -> Vec<BoundingBox> {
-        let hx = Histogram::project(scaled, Axis::X, &mut self.ops);
-        let hy = Histogram::project(scaled, Axis::Y, &mut self.ops);
-        self.intersect_runs(scaled, &hx, &hy, frame)
     }
 
     fn intersect_runs(

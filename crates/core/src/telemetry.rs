@@ -5,7 +5,10 @@
 //! the metric family `ebbiot_stage_duration_nanoseconds{stage=…}` (see
 //! ARCHITECTURE.md §7). A pipeline without telemetry attached pays one
 //! `Option` branch per stage and records nothing; with it attached, each
-//! stage costs two relaxed atomic adds and two `Instant` reads per frame.
+//! stage costs two relaxed atomic adds per frame, and the clock is read
+//! once per stage boundary: the four front-end stages share five
+//! `Instant` reads (each stage ends where the next begins) and the
+//! tracker step takes two.
 //!
 //! Telemetry never feeds back into the computation: attaching it cannot
 //! change any `FrameResult`, which the determinism suites assert

@@ -22,6 +22,7 @@ use crate::{
     config::EbbiotConfig,
     pipeline::{EbbiotPipeline, FrameResult, Pipeline, TrackBox},
     tracker::OverlapTracker,
+    window::{self, WindowedStream},
 };
 
 /// Configuration of the two-timescale extension.
@@ -164,56 +165,17 @@ impl TwoTimescalePipeline {
     ///
     /// # Panics
     ///
-    /// Panics when events are not time-ordered across pushes or belong
-    /// to an already-emitted fast frame.
+    /// Panics when events are not time-ordered (within the chunk or
+    /// across pushes), or when an event belongs to an already-emitted
+    /// fast frame.
     pub fn push(&mut self, chunk: &[Event]) -> Vec<TwoTimescaleResult> {
-        let mut out = Vec::new();
-        for &event in chunk {
-            assert!(
-                self.last_pushed_t.is_none_or(|t| t <= event.t),
-                "pushed events must be time-ordered across chunks"
-            );
-            self.last_pushed_t = Some(event.t);
-            let window = (event.t / self.config.fast.frame_us) as usize;
-            assert!(
-                window >= self.frames_emitted(),
-                "event at t={} belongs to already-emitted frame {window}",
-                event.t
-            );
-            while self.frames_emitted() < window {
-                out.push(self.flush_pending_window());
-            }
-            self.pending.push(event);
-        }
-        out
+        window::push(self, chunk)
     }
 
     /// Ends the stream, emitting the open fast window plus trailing empty
     /// frames covering at least `span_us`.
     pub fn finish(&mut self, span_us: Micros) -> Vec<TwoTimescaleResult> {
-        let from_events = self.frames_emitted() + usize::from(!self.pending.is_empty());
-        let from_span = span_us.div_ceil(self.config.fast.frame_us) as usize;
-        let target = from_events.max(from_span);
-        let mut out = Vec::new();
-        while self.frames_emitted() < target {
-            out.push(self.flush_pending_window());
-        }
-        self.last_pushed_t = None;
-        out
-    }
-
-    /// Fast frames emitted so far, by either drive path — the fast
-    /// pipeline's counter is the single authority.
-    fn frames_emitted(&self) -> usize {
-        self.fast.frames_processed()
-    }
-
-    fn flush_pending_window(&mut self) -> TwoTimescaleResult {
-        let buffer = core::mem::take(&mut self.pending);
-        let result = self.process_frame(&buffer);
-        self.pending = buffer;
-        self.pending.clear();
-        result
+        window::finish(self, span_us)
     }
 
     /// Access to the underlying fast pipeline (ops, statistics).
@@ -302,6 +264,28 @@ impl TwoTimescalePipeline {
         self.held_slow_tracks.clear();
         self.pending.clear();
         self.last_pushed_t = None;
+    }
+}
+
+impl WindowedStream for TwoTimescalePipeline {
+    type Frame = TwoTimescaleResult;
+
+    fn frame_us(&self) -> Micros {
+        self.config.fast.frame_us
+    }
+
+    /// Fast frames emitted so far, by either drive path — the fast
+    /// pipeline's counter is the single authority.
+    fn frames_emitted(&self) -> usize {
+        self.fast.frames_processed()
+    }
+
+    fn push_state(&mut self) -> (&mut Vec<Event>, &mut Option<Timestamp>) {
+        (&mut self.pending, &mut self.last_pushed_t)
+    }
+
+    fn process_window(&mut self, events: &[Event]) -> TwoTimescaleResult {
+        self.process_frame(events)
     }
 }
 
@@ -412,6 +396,38 @@ mod tests {
             got.extend(streaming.push(chunk));
         }
         got.extend(streaming.finish(span));
+        assert_eq!(got, expected);
+    }
+
+    #[test]
+    #[should_panic(expected = "time-ordered")]
+    fn a_chunk_out_of_order_within_itself_panics() {
+        let mut p = TwoTimescalePipeline::new(config());
+        let _ = p.push(&[Event::on(10, 10, 70_000), Event::on(11, 10, 69_000)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "already-emitted frame")]
+    fn an_event_for_a_frame_emitted_by_finish_panics() {
+        let mut p = TwoTimescalePipeline::new(config());
+        let _ = p.push(&walker_strip(0));
+        assert_eq!(p.finish(3 * 66_000).len(), 3);
+        let _ = p.push(&[Event::on(10, 10, 100_000)]);
+    }
+
+    #[test]
+    fn one_chunk_spanning_silent_windows_matches_process_recording() {
+        // The walker shows up in frames 0-2, 5 and 11; the rest is silence.
+        let mut events: Vec<Event> = [0, 1, 2, 5, 11].into_iter().flat_map(walker_strip).collect();
+        ebbiot_events::stream::sort_by_time(&mut events);
+        let span = 14 * 66_000;
+        let expected = TwoTimescalePipeline::new(config()).process_recording(&events, span);
+        let mut p = TwoTimescalePipeline::new(config());
+        let pushed = p.push(&events);
+        let counts: Vec<usize> = pushed.iter().map(|r| r.fast.num_events).collect();
+        assert_eq!(counts, [16, 16, 16, 0, 0, 16, 0, 0, 0, 0, 0]);
+        let mut got = pushed;
+        got.extend(p.finish(span));
         assert_eq!(got, expected);
     }
 

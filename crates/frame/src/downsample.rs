@@ -12,18 +12,22 @@
 //! with `s1 = 6`, `s2 = 3` the division is exact and the result is
 //! bit-identical to Eq. 3.
 //!
-//! The kernel is word-parallel over the row-aligned [`BinaryImage`]: each
-//! input row contributes one masked-span popcount per cell instead of a
-//! per-pixel scan. Op accounting keeps the paper's logical Eq. 5 charge —
-//! one addition per input pixel and one write per cell — regardless of
-//! the physical instruction count.
+//! The kernel visits set pixels only: it walks the set bits of each row
+//! word of the row-aligned [`BinaryImage`] and adds 1 to the cell holding
+//! each, so an all-zero word costs one test and the work follows the
+//! scene's activity, not the frame size. Op accounting keeps the paper's
+//! logical Eq. 5 charge — one addition per input pixel and one write per
+//! cell — regardless of the physical instruction count.
 
 use ebbiot_events::OpsCounter;
 
 use crate::BinaryImage;
 
 /// A small dense image of per-block event counts.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The default value is an empty `0 x 0` image, the starting state of a
+/// buffer handed to [`CountImage::downsample_into`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CountImage {
     width: u16,
     height: u16,
@@ -49,41 +53,49 @@ impl CountImage {
     /// Panics when either factor is zero or exceeds the image dimension.
     #[must_use]
     pub fn downsample(input: &BinaryImage, s1: u16, s2: u16, ops: &mut OpsCounter) -> Self {
+        let mut out = Self::default();
+        Self::downsample_into(input, s1, s2, &mut out, ops);
+        out
+    }
+
+    /// Downsamples into a caller-owned count image — the allocation-free
+    /// variant of [`Self::downsample`] used by the region proposer, which
+    /// reuses one buffer across frames. `out` is reshaped to the result's
+    /// dimensions and overwritten; its previous contents do not matter.
+    ///
+    /// Only set pixels are visited (a stationary sensor's frames are
+    /// mostly empty), so the physical cost follows the number of set
+    /// pixels, while the op charge stays the logical Eq. 5 count of one
+    /// addition per input pixel.
+    ///
+    /// # Panics
+    ///
+    /// Panics when either factor is zero or exceeds the image dimension.
+    pub fn downsample_into(
+        input: &BinaryImage,
+        s1: u16,
+        s2: u16,
+        out: &mut Self,
+        ops: &mut OpsCounter,
+    ) {
         assert!(s1 > 0 && s2 > 0, "scale factors must be non-zero");
         assert!(s1 <= input.width() && s2 <= input.height(), "scale factors larger than the image");
         let width = input.width().div_ceil(s1);
         let height = input.height().div_ceil(s2);
-        let a = u32::from(input.width());
-        let mut data = vec![0u32; width as usize * height as usize];
-        if s1 <= 64 {
-            // Rolling bit cursor: each cell's row slice is at most one
-            // word-straddling extraction plus a popcount.
-            let full_mask = if s1 == 64 { !0u64 } else { (1u64 << s1) - 1 };
-            for y in 0..input.height() {
-                let row = input.row_words(y);
-                let base = (y / s2) as usize * width as usize;
-                let mut bit = 0u32;
-                for cell in &mut data[base..base + width as usize] {
-                    let span = u32::from(s1).min(a - bit);
-                    let w0 = (bit >> 6) as usize;
-                    let off = bit & 63;
-                    let mut bits = row[w0] >> off;
-                    if off + span > 64 {
-                        bits |= row[w0 + 1] << (64 - off);
-                    }
-                    let mask = if span == u32::from(s1) { full_mask } else { (1u64 << span) - 1 };
-                    *cell += (bits & mask).count_ones();
-                    bit += u32::from(s1);
-                }
-            }
-        } else {
-            // Blocks wider than a word: masked multi-word span popcounts.
-            for y in 0..input.height() {
-                let base = (y / s2) as usize * width as usize;
-                for i in 0..width {
-                    let x0 = i * s1;
-                    let x1 = (u32::from(x0) + u32::from(s1)).min(a) as u16;
-                    data[base + i as usize] += input.count_in_row_span(y, x0, x1);
+        *out = Self { width, height, data: core::mem::take(&mut out.data), s1, s2 };
+        let data = &mut out.data;
+        data.clear();
+        data.resize(width as usize * height as usize, 0);
+        let s1 = u32::from(s1);
+        for y in 0..input.height() {
+            let base = (y / s2) as usize * width as usize;
+            let cells = &mut data[base..base + width as usize];
+            for (w, &word) in input.row_words(y).iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    let x = w as u32 * 64 + bits.trailing_zeros();
+                    cells[(x / s1) as usize] += 1;
+                    bits &= bits - 1;
                 }
             }
         }
@@ -92,7 +104,18 @@ impl CountImage {
         // one memory write per cell.
         ops.add(input.geometry().num_pixels() as u64);
         ops.write(u64::from(width) * u64::from(height));
-        Self { width, height, data, s1, s2 }
+    }
+
+    /// Cell values of row `j`, `width()` cells long.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `j` is out of bounds.
+    #[must_use]
+    pub(crate) fn row(&self, j: u16) -> &[u32] {
+        assert!(j < self.height, "cell row {j} out of bounds");
+        let start = j as usize * self.width as usize;
+        &self.data[start..start + self.width as usize]
     }
 
     /// Builds a count image from raw parts — the in-crate constructor

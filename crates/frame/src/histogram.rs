@@ -12,7 +12,7 @@ use ebbiot_events::OpsCounter;
 use crate::CountImage;
 
 /// A 1-D projection histogram over one axis of a [`CountImage`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Histogram {
     bins: Vec<u32>,
 }
@@ -34,25 +34,36 @@ impl Histogram {
     /// are built.
     #[must_use]
     pub fn project(image: &CountImage, axis: Axis, ops: &mut OpsCounter) -> Self {
-        let (outer, inner) = match axis {
-            Axis::X => (image.width(), image.height()),
-            Axis::Y => (image.height(), image.width()),
-        };
-        let mut bins = vec![0u32; outer as usize];
-        for o in 0..outer {
-            let mut sum = 0u32;
-            for i in 0..inner {
-                let v = match axis {
-                    Axis::X => image.get(o, i),
-                    Axis::Y => image.get(i, o),
-                };
-                sum += v;
-                ops.add(1);
+        let mut out = Self::default();
+        Self::project_into(image, axis, &mut out, ops);
+        out
+    }
+
+    /// Projects into a caller-owned histogram — the allocation-free
+    /// variant of [`Self::project`] used by the region proposer. `out`
+    /// is resized to the bin count and overwritten.
+    ///
+    /// The sums run over whole cell rows: `H_Y` bins are row sums and
+    /// `H_X` accumulates each row element-wise, so both loops are
+    /// straight slice arithmetic. The op charge is the same one addition
+    /// per cell and one write per bin as a cell-by-cell scan.
+    pub fn project_into(image: &CountImage, axis: Axis, out: &mut Self, ops: &mut OpsCounter) {
+        let (width, height) = (image.width(), image.height());
+        let bins = &mut out.bins;
+        bins.clear();
+        match axis {
+            Axis::X => {
+                bins.resize(width as usize, 0);
+                for j in 0..height {
+                    for (bin, &v) in bins.iter_mut().zip(image.row(j)) {
+                        *bin += v;
+                    }
+                }
             }
-            bins[o as usize] = sum;
-            ops.write(1);
+            Axis::Y => bins.extend((0..height).map(|j| image.row(j).iter().sum::<u32>())),
         }
-        Self { bins }
+        ops.add(u64::from(width) * u64::from(height));
+        ops.write(bins.len() as u64);
     }
 
     /// Builds a histogram directly from bin values (for tests and tools).

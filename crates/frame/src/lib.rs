@@ -22,10 +22,19 @@
 //!
 //! The hot kernels (median, downsampling, box counting, CCA scans) are
 //! **word-parallel**: they process 64 pixels per `u64` operation on top
-//! of the row-aligned layout. The paper's Eq. 1 / Eq. 5 op accounting and
-//! the `A x B` payload-bit figures are *logical* and unchanged by the
-//! physical layout; see ARCHITECTURE.md ("Frame memory layout") at the
-//! repository root for the layout contract and the tail-bit invariant.
+//! of the row-aligned layout. They are also **sparse-aware**, because a
+//! stationary sensor's frames are mostly empty: downsampling visits set
+//! pixels only, the 3x3 median skips output rows that cannot reach a
+//! majority, and the projections sum whole cell-row slices. The paper's
+//! Eq. 1 / Eq. 5 op accounting and the `A x B` payload-bit figures are
+//! *logical* and unchanged by any of this: the median charges its Eq. 1
+//! additions in closed form, one popcount per row word, and every count
+//! equals the per-pixel [`mod@reference`]. See ARCHITECTURE.md ("Frame
+//! memory layout") at the repository root for the layout contract, the
+//! tail-bit invariant and the closed-form derivation. The `_into`
+//! variants ([`MedianFilter::apply_into`], [`CountImage::downsample_into`],
+//! [`Histogram::project_into`]) write into caller-owned buffers, so a
+//! streaming front end allocates no frame-sized memory per frame.
 //!
 //! # Example: events → EBBI → denoised frame
 //!

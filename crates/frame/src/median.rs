@@ -15,12 +15,16 @@
 //! (`ones`/`twos` bit-planes), the three vertical 2-bit partial sums are
 //! summed the same way into four bit-planes (`1/2/4/8`), and the
 //! majority test `count > 4` becomes one boolean expression over those
-//! planes. Other odd patch sizes fall back to a sliding column-count
-//! scan (per-column vertical sums updated incrementally, horizontal
-//! window slid across each row). Both paths are bit-exact against
-//! [`crate::reference::median_into`], including the zero-padding at
-//! borders, and both charge the *logical* per-pixel op counts of Eq. 1 —
-//! the physical layout never changes the paper's accounting.
+//! planes. Output rows that cannot reach the majority (no input row in
+//! their window has a pixel with a horizontal count of 2 or more) are
+//! skipped, and the Eq. 1 additions are charged in closed form from
+//! per-row popcounts (ARCHITECTURE.md §1.1 derives it). Other odd patch
+//! sizes fall back to a sliding column-count scan (per-column vertical
+//! sums updated incrementally, horizontal window slid across each row).
+//! Both paths are bit-exact against [`crate::reference::median_into`],
+//! including the zero-padding at borders, and both charge the *logical*
+//! per-pixel op counts of Eq. 1 — the physical layout never changes the
+//! paper's accounting.
 
 use ebbiot_events::OpsCounter;
 
@@ -67,21 +71,53 @@ impl Scratch {
 
 /// Writes the horizontal 3-neighbour sums of row `y` as 2-bit planes
 /// (`ones`, `twos`); rows outside the image are all-zero (zero padding).
-fn horizontal_planes(input: &BinaryImage, y: u32, ones: &mut [u64], twos: &mut [u64]) {
-    if y >= u32::from(input.height()) {
+/// Returns whether any `twos` bit is set, i.e. whether some pixel of the
+/// row has a horizontal count of 2 or 3.
+fn horizontal_planes(input: &BinaryImage, y: u32, ones: &mut [u64], twos: &mut [u64]) -> bool {
+    let row = match u16::try_from(y) {
+        Ok(y) if y < input.height() => input.row_words(y),
+        _ => &[],
+    };
+    if row.iter().all(|&w| w == 0) {
         ones.fill(0);
         twos.fill(0);
-        return;
+        return false;
     }
-    let row = input.row_words(y as u16);
     let wpr = row.len();
+    let mut any_twos = 0;
     for i in 0..wpr {
         let c = row[i];
         let l = (c << 1) | if i > 0 { row[i - 1] >> 63 } else { 0 };
         let r = (c >> 1) | if i + 1 < wpr { row[i + 1] << 63 } else { 0 };
         ones[i] = l ^ c ^ r;
         twos[i] = (l & c) | (r & (l ^ c));
+        any_twos |= twos[i];
     }
+    any_twos != 0
+}
+
+/// The Eq. 1 addition charge of a 3x3 median in closed form.
+///
+/// Summing the patch counts of every output pixel counts each set input
+/// pixel `(x, y)` once per patch that covers it: `nx(x) * ny(y)` patches,
+/// where `nx` is 3 inside and 2 on the left/right border column (1 for a
+/// one-pixel-wide image), and `ny` likewise for rows. Row by row that is
+/// `ny(y) * (3 * pop(row y) - bit(0, y) - bit(w - 1, y))`, which holds
+/// for `w = 1` too (the single pixel is both border columns). Only rows
+/// with a set pixel contribute.
+fn patch_count_sum3(input: &BinaryImage) -> u64 {
+    let (width, height) = (input.width(), input.height());
+    let mut total = 0u64;
+    for y in 0..height {
+        let pop: u64 = input.row_words(y).iter().map(|w| u64::from(w.count_ones())).sum();
+        if pop == 0 {
+            continue;
+        }
+        let edges = u64::from(input.get(0, y)) + u64::from(input.get(width - 1, y));
+        let ny = 3 - u64::from(y == 0) - u64::from(y == height - 1);
+        total += ny * (3 * pop - edges);
+    }
+    total
 }
 
 impl MedianFilter {
@@ -125,7 +161,8 @@ impl MedianFilter {
     /// encountered") plus one comparison against the majority threshold,
     /// plus one memory write per set output pixel. The word-parallel
     /// kernel executes far fewer machine instructions but charges exactly
-    /// these logical counts.
+    /// these logical counts; for `p = 3` it sums the additions per input
+    /// pixel rather than per patch, which gives the same total.
     #[must_use]
     pub fn apply(&mut self, input: &BinaryImage) -> BinaryImage {
         let mut out = BinaryImage::new(input.geometry());
@@ -152,52 +189,59 @@ impl MedianFilter {
     }
 
     /// Bit-sliced carry-save 3x3 kernel: 64 patch counts per word triple.
+    ///
+    /// A patch count is the sum of three horizontal counts of at most 3,
+    /// so it can exceed 4 only where some row has a horizontal count of 2
+    /// or more. Output rows whose three input rows have no such pixel
+    /// (every row of sparse, speckled noise, for instance) stay zero and
+    /// are skipped. The Eq. 1 additions come from [`patch_count_sum3`].
     fn apply3_words(&mut self, input: &BinaryImage, out: &mut BinaryImage) {
         let wpr = input.words_per_row();
         let height = input.height();
         let tail = input.tail_mask();
 
         // Reused (ones, twos) plane pairs; `prev` starts zeroed = the
-        // zero-padding row above the image.
+        // zero-padding row above the image. The flags track which of the
+        // three rows have a horizontal count of 2 or more anywhere.
         let scr = &mut self.scratch;
         scr.reset_planes(wpr);
-        horizontal_planes(input, 0, &mut scr.cur.0, &mut scr.cur.1);
-        horizontal_planes(input, 1, &mut scr.next.0, &mut scr.next.1);
+        let mut prev_twos = false;
+        let mut cur_twos = horizontal_planes(input, 0, &mut scr.cur.0, &mut scr.cur.1);
+        let mut next_twos = horizontal_planes(input, 1, &mut scr.next.0, &mut scr.next.1);
 
-        let mut additions = 0u64;
         let mut writes = 0u64;
         for y in 0..height {
-            let out_row = out.row_words_mut(y);
-            for (i, slot) in out_row.iter_mut().enumerate() {
-                // Vertical sum of three 2-bit horizontal counts into
-                // bit-planes of weight 1/2/4/8 (patch count 0..=9).
-                let (oa, ta) = (scr.prev.0[i], scr.prev.1[i]);
-                let (om, tm) = (scr.cur.0[i], scr.cur.1[i]);
-                let (ob, tb) = (scr.next.0[i], scr.next.1[i]);
-                let bit0 = oa ^ om ^ ob;
-                let c0 = (oa & om) | (ob & (oa ^ om));
-                let s1 = ta ^ tm ^ tb;
-                let c1 = (ta & tm) | (tb & (ta ^ tm));
-                let bit1 = s1 ^ c0;
-                let c2 = s1 & c0;
-                let bit2 = c1 ^ c2;
-                let bit3 = c1 & c2;
-                let mask = if i == wpr - 1 { tail } else { !0 };
-                // count > 4 <=> 8-plane set, or 4-plane set with a 1 or 2.
-                let out_word = (bit3 | (bit2 & (bit1 | bit0))) & mask;
-                additions += u64::from((bit0 & mask).count_ones())
-                    + 2 * u64::from((bit1 & mask).count_ones())
-                    + 4 * u64::from((bit2 & mask).count_ones())
-                    + 8 * u64::from((bit3 & mask).count_ones());
-                writes += u64::from(out_word.count_ones());
-                *slot = out_word;
+            if prev_twos || cur_twos || next_twos {
+                let out_row = out.row_words_mut(y);
+                for (i, slot) in out_row.iter_mut().enumerate() {
+                    // Vertical sum of three 2-bit horizontal counts into
+                    // bit-planes of weight 1/2/4/8 (patch count 0..=9).
+                    let (oa, ta) = (scr.prev.0[i], scr.prev.1[i]);
+                    let (om, tm) = (scr.cur.0[i], scr.cur.1[i]);
+                    let (ob, tb) = (scr.next.0[i], scr.next.1[i]);
+                    let bit0 = oa ^ om ^ ob;
+                    let c0 = (oa & om) | (ob & (oa ^ om));
+                    let s1 = ta ^ tm ^ tb;
+                    let c1 = (ta & tm) | (tb & (ta ^ tm));
+                    let bit1 = s1 ^ c0;
+                    let c2 = s1 & c0;
+                    let bit2 = c1 ^ c2;
+                    let bit3 = c1 & c2;
+                    let mask = if i == wpr - 1 { tail } else { !0 };
+                    // count > 4 <=> 8-plane set, or 4-plane set with a 1 or 2.
+                    let out_word = (bit3 | (bit2 & (bit1 | bit0))) & mask;
+                    writes += u64::from(out_word.count_ones());
+                    *slot = out_word;
+                }
             }
             // Rotate the row windows; fetch row y + 2.
             core::mem::swap(&mut scr.prev, &mut scr.cur);
             core::mem::swap(&mut scr.cur, &mut scr.next);
-            horizontal_planes(input, u32::from(y) + 2, &mut scr.next.0, &mut scr.next.1);
+            (prev_twos, cur_twos) = (cur_twos, next_twos);
+            next_twos =
+                horizontal_planes(input, u32::from(y) + 2, &mut scr.next.0, &mut scr.next.1);
         }
-        self.ops.add(additions);
+        self.ops.add(patch_count_sum3(input));
         self.ops.write(writes);
     }
 

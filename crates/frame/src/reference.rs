@@ -1,9 +1,10 @@
 //! Scalar per-pixel reference implementations of the hot frame kernels.
 //!
 //! The production kernels ([`crate::MedianFilter`], [`CountImage::downsample`],
-//! [`BinaryImage::count_in_box`] and friends) run word-parallel over the
-//! row-aligned bit layout. This module keeps the straightforward
-//! one-pixel-at-a-time transcriptions those kernels replaced, so the
+//! [`Histogram::project`], [`BinaryImage::count_in_box`] and friends) run
+//! word-parallel or slice-wise over the row-aligned layout and skip empty
+//! rows or words. This module keeps the straightforward one-pixel-at-a-time
+//! transcriptions those kernels replaced, so the
 //! kernel-parity proptests can prove the optimized paths bit-exact (and
 //! op-count-exact) against code with no layout tricks to share bugs
 //! with, and so the `exp_hotpath` harness can measure the speedup.
@@ -15,7 +16,7 @@
 
 use ebbiot_events::OpsCounter;
 
-use crate::{BinaryImage, CountImage, PixelBox};
+use crate::{Axis, BinaryImage, CountImage, Histogram, PixelBox};
 
 /// Scalar `p x p` binary median with zero padding — the reference for
 /// [`crate::MedianFilter::apply_into`]. Charges the same Eq. 1 op counts: one
@@ -95,6 +96,31 @@ pub fn downsample(input: &BinaryImage, s1: u16, s2: u16, ops: &mut OpsCounter) -
         }
     }
     CountImage::from_raw(width, height, data, s1, s2)
+}
+
+/// Scalar cell-by-cell axis projection — the reference for
+/// [`Histogram::project`]. Charges one addition per cell visited and one
+/// write per bin, like the production kernel.
+#[must_use]
+pub fn project(image: &CountImage, axis: Axis, ops: &mut OpsCounter) -> Histogram {
+    let (outer, inner) = match axis {
+        Axis::X => (image.width(), image.height()),
+        Axis::Y => (image.height(), image.width()),
+    };
+    let mut bins = vec![0u32; outer as usize];
+    for o in 0..outer {
+        let mut sum = 0u32;
+        for i in 0..inner {
+            sum += match axis {
+                Axis::X => image.get(o, i),
+                Axis::Y => image.get(i, o),
+            };
+            ops.add(1);
+        }
+        bins[o as usize] = sum;
+        ops.write(1);
+    }
+    Histogram::from_bins(bins)
 }
 
 /// Scalar box count — the reference for [`BinaryImage::count_in_box`]
