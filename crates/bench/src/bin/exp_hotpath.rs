@@ -6,13 +6,16 @@
 //!     [--seed N] [--budget-ms MS] [--smoke]
 //! ```
 //!
-//! Captures the EBBIs of two simulated fleets — LT4 (quiet, sparse
-//! frames) and ENG (busy, denser frames) — and their median-filtered
-//! versions, then times each kernel pair over that frame rotation: the
-//! 3x3 median on raw EBBIs, and the (6, 3) block downsample, the axis
-//! projections and box counting over tracker-sized boxes on denoised
-//! frames, which is what the region proposer and the trackers read.
-//! Reports ns/frame and the word-parallel speedup per fleet, writes
+//! Captures the frame windows of two simulated fleets — LT4 (quiet,
+//! sparse frames) and ENG (busy, denser frames) — with their EBBIs and
+//! median-filtered EBBIs, then times each kernel pair over that frame
+//! rotation: the batched EBBI latch (`accumulate_all`, then
+//! `readout_into`) against the one-event-at-a-time `accumulate` loop
+//! (then the same readout) on the event windows, the 3x3 median on raw
+//! EBBIs, and the (6, 3) block downsample, the axis projections and box
+//! counting over tracker-sized boxes on denoised frames, which is what
+//! the region proposer and the trackers read. Reports ns/frame and the
+//! speedup over the reference per fleet, writes
 //! `BENCH_hotpath.json`, and **asserts** the median kernel is at least
 //! 3x faster than the scalar reference on both fleets. Parity (bits and
 //! op counts) is asserted on every captured frame before timing starts.
@@ -23,7 +26,9 @@ use std::time::{Duration, Instant};
 
 use ebbiot_bench::{tracker_box_tiling, FleetFrames, JsonReport};
 use ebbiot_events::OpsCounter;
-use ebbiot_frame::{reference, Axis, BinaryImage, CountImage, Histogram, MedianFilter};
+use ebbiot_frame::{
+    reference, Axis, BinaryImage, CountImage, EbbiAccumulator, Histogram, MedianFilter,
+};
 use ebbiot_sim::DatasetPreset;
 
 struct Args {
@@ -52,7 +57,7 @@ fn parse_args(args: &[String]) -> Args {
 /// Adaptive wall-clock timer over a frame rotation: runs `f` on
 /// successive frames until the budget elapses, returning mean
 /// nanoseconds per frame.
-fn ns_per_frame(budget: Duration, frames: &[BinaryImage], mut f: impl FnMut(&BinaryImage)) -> f64 {
+fn ns_per_frame<T>(budget: Duration, frames: &[T], mut f: impl FnMut(&T)) -> f64 {
     // Warm-up.
     f(&frames[0]);
     let mut iters = 0usize;
@@ -70,7 +75,17 @@ fn ns_per_frame(budget: Duration, frames: &[BinaryImage], mut f: impl FnMut(&Bin
 /// Asserts every kernel agrees with its scalar reference, op counts
 /// included, on every captured frame.
 fn assert_parity(frames: &FleetFrames) {
-    let mut scratch = BinaryImage::new(frames.ebbis[0].geometry());
+    let geometry = frames.ebbis[0].geometry();
+    let mut scratch = BinaryImage::new(geometry);
+    let (mut batch, mut single) = (EbbiAccumulator::new(geometry), EbbiAccumulator::new(geometry));
+    for (window, ebbi) in frames.windows.iter().zip(&frames.ebbis) {
+        batch.accumulate_all(window);
+        window.iter().for_each(|e| single.accumulate(e));
+        assert_eq!(batch.ops(), single.ops(), "EBBI op parity");
+        batch.readout_into(&mut scratch);
+        assert_eq!(&scratch, ebbi, "EBBI parity");
+        assert_eq!(single.readout(), scratch, "EBBI parity");
+    }
     for (ebbi, denoised) in frames.ebbis.iter().zip(&frames.denoised) {
         let mut ref_ops = OpsCounter::new();
         let mut f = MedianFilter::paper_default();
@@ -120,6 +135,16 @@ fn measure(
     );
 
     let mut scratch = BinaryImage::new(geometry);
+    let mut acc = EbbiAccumulator::new(geometry);
+    let ebbi_word = ns_per_frame(budget, &frames.windows, |events| {
+        acc.accumulate_all(events);
+        acc.readout_into(&mut scratch);
+    });
+    let ebbi_ref = ns_per_frame(budget, &frames.windows, |events| {
+        events.iter().for_each(|e| acc.accumulate(e));
+        acc.readout_into(&mut scratch);
+    });
+
     let mut ops = OpsCounter::new();
     let mut filter = MedianFilter::paper_default();
     let median_word =
@@ -162,6 +187,7 @@ fn measure(
     });
 
     let rows = [
+        ("ebbi", "EBBI latch + readout", ebbi_word, ebbi_ref),
         ("median", "median 3x3 (EBBI)", median_word, median_ref),
         ("downsample", "downsample 6x3", down_word, down_ref),
         ("project", "projections X+Y", project_word, project_ref),

@@ -147,15 +147,17 @@ pub fn run_fleet_sequential(
 }
 
 /// The frames the front end sees on a simulated camera fleet: every
-/// camera's events windowed at its frame period `tF` and latched into an
-/// EBBI (the median filter's input), and each EBBI after the paper's 3x3
-/// median (the region proposer's input). Empty frames are kept, because
-/// the workload has them too. Shared by `exp_hotpath` and the `kernels`
-/// criterion bench so kernels are timed on workload frames, not on a
-/// synthetic density.
+/// camera's events windowed at its frame period `tF` (the EBBI latch's
+/// input), each window latched into an EBBI (the median filter's input),
+/// and each EBBI after the paper's 3x3 median (the region proposer's
+/// input). Empty frames are kept, because the workload has them too.
+/// Shared by `exp_hotpath` and the `kernels` criterion bench so kernels
+/// are timed on workload frames, not on a synthetic density.
 #[derive(Debug, Clone)]
 pub struct FleetFrames {
-    /// Raw EBBIs, camera by camera, in frame order.
+    /// Each frame's event window, camera by camera, in frame order.
+    pub windows: Vec<Vec<ebbiot_events::Event>>,
+    /// The raw EBBI of each window.
     pub ebbis: Vec<ebbiot_frame::BinaryImage>,
     /// The same frames after the 3x3 median filter.
     pub denoised: Vec<ebbiot_frame::BinaryImage>,
@@ -170,7 +172,7 @@ impl FleetFrames {
             .with_seconds(seconds)
             .with_base_seed(seed)
             .generate();
-        let ebbis: Vec<_> = fleet
+        let (windows, ebbis): (Vec<_>, Vec<_>) = fleet
             .iter()
             .flat_map(|rec| {
                 ebbiot_events::stream::FrameWindows::with_span(
@@ -178,12 +180,17 @@ impl FleetFrames {
                     rec.frame_us,
                     rec.duration_us,
                 )
-                .map(|w| ebbiot_frame::ebbi::ebbi_from_events(rec.geometry, w.events))
+                .map(|w| {
+                    (
+                        w.events.to_vec(),
+                        ebbiot_frame::ebbi::ebbi_from_events(rec.geometry, w.events),
+                    )
+                })
             })
-            .collect();
+            .unzip();
         let mut median = ebbiot_frame::MedianFilter::paper_default();
         let denoised = ebbis.iter().map(|ebbi| median.apply(ebbi)).collect();
-        Self { ebbis, denoised }
+        Self { windows, ebbis, denoised }
     }
 }
 

@@ -175,8 +175,7 @@ impl BinaryImage {
         self.words.fill(0);
     }
 
-    /// Copies `source` into `self` without reallocating — the buffer-reuse
-    /// primitive behind the streaming front-end's readout. With the
+    /// Copies `source` into `self` without reallocating. With the
     /// row-aligned layout this is a straight word copy.
     ///
     /// # Panics

@@ -10,6 +10,20 @@
 //! latches events (idempotently per pixel, like the sensor), and
 //! [`EbbiAccumulator::readout`] hands the frame to the processor and resets
 //! the latches, counting memory writes the way Eq. 1 does.
+//!
+//! # Hot path
+//!
+//! The streaming front-end latches a whole frame window at once with
+//! [`EbbiAccumulator::accumulate_all`]: one OR per in-bounds event, with
+//! the new-pixel count summed branch-free from the latch's "was zero"
+//! bit (whether a pixel is new is as unpredictable as the events, so a
+//! branch on it mispredicts often), and the counters and the Eq. 1 write
+//! charge updated once per window. [`EbbiAccumulator::readout_into`]
+//! then swaps the latched image into the caller's frame and clears the
+//! one it got back, so a readout writes the image once instead of
+//! copying it and then clearing it. The one-event-at-a-time
+//! [`EbbiAccumulator::accumulate`] keeps the branching form; the
+//! kernel-parity proptests check `accumulate_all` against it.
 
 use ebbiot_events::{Event, OpsCounter, SensorGeometry};
 
@@ -59,11 +73,21 @@ impl EbbiAccumulator {
         }
     }
 
-    /// Latches a whole window of events.
+    /// Latches a whole window of events, with the same image, counters
+    /// and op charge as calling [`Self::accumulate`] on each in turn: one
+    /// OR per in-bounds event, new pixels counted branch-free, counters
+    /// and the Eq. 1 write charge updated once per window.
     pub fn accumulate_all(&mut self, events: &[Event]) {
+        let geometry = self.geometry();
+        let mut latched = 0u64;
         for e in events {
-            self.accumulate(e);
+            if geometry.contains_event(e) {
+                latched += u64::from(self.image.latch(e.x, e.y));
+            }
         }
+        self.events_seen += events.len() as u64;
+        self.pixels_latched += latched;
+        self.ops.write(latched);
     }
 
     /// Number of events fed in since the last readout (the paper's `n`,
@@ -104,15 +128,16 @@ impl EbbiAccumulator {
 
     /// Reads out the EBBI into a caller-owned frame and resets the
     /// latches — the allocation-free variant of [`Self::readout`] used by
-    /// the streaming front-end (`out` is a reused scratch buffer). With
-    /// the row-aligned layout this is a straight word copy plus a word
-    /// fill — no per-pixel work.
+    /// the streaming front-end (`out` is a reused scratch buffer). The
+    /// latched image is swapped into `out` and the buffer that comes
+    /// back is cleared: one word fill, no copy and no per-pixel work.
     ///
     /// # Panics
     ///
     /// Panics when `out` has a different geometry.
     pub fn readout_into(&mut self, out: &mut BinaryImage) {
-        out.copy_from(&self.image);
+        assert_eq!(out.geometry(), self.geometry(), "geometry mismatch in readout_into");
+        core::mem::swap(&mut self.image, out);
         self.image.clear();
         self.events_seen = 0;
         self.pixels_latched = 0;

@@ -15,13 +15,23 @@
 //! (`ones`/`twos` bit-planes), the three vertical 2-bit partial sums are
 //! summed the same way into four bit-planes (`1/2/4/8`), and the
 //! majority test `count > 4` becomes one boolean expression over those
-//! planes. Output rows that cannot reach the majority (no input row in
-//! their window has a pixel with a horizontal count of 2 or more) are
-//! skipped, and the Eq. 1 additions are charged in closed form from
-//! per-row popcounts (ARCHITECTURE.md §1.1 derives it). Other odd patch
-//! sizes fall back to a sliding column-count scan (per-column vertical
-//! sums updated incrementally, horizontal window slid across each row).
-//! Both paths are bit-exact against [`crate::reference::median_into`],
+//! planes.
+//!
+//! A pre-pass reads each input row once and yields its popcount and a
+//! *pair flag*: whether some pixel of the row has a horizontal count
+//! (itself plus its left and right neighbours) of 2 or more, which holds
+//! exactly when the row has two set pixels at distance 1 or 2, across
+//! word boundaries too. A patch count is the sum of three horizontal
+//! counts, so an output row whose three input rows are all unflagged
+//! has patch counts of at most 3 and cannot reach the majority of 5:
+//! only rows within 1 of a flagged row are computed, and only rows
+//! within 2 of one get horizontal planes. The popcounts give the Eq. 1
+//! additions in closed form (ARCHITECTURE.md §1.1 derives it).
+//!
+//! Other odd patch sizes fall back to a sliding column-count scan
+//! (per-column vertical sums updated incrementally, horizontal window
+//! slid across each row). Both paths are bit-exact against
+//! [`crate::reference::median_into`],
 //! including the zero-padding at borders, and both charge the *logical*
 //! per-pixel op counts of Eq. 1 — the physical layout never changes the
 //! paper's accounting.
@@ -43,77 +53,63 @@ pub struct MedianFilter {
 /// contract holds through the word-parallel kernel.
 #[derive(Debug, Clone, Default)]
 struct Scratch {
-    /// Three (ones, twos) horizontal bit-plane pairs for rows
-    /// `y - 1`, `y`, `y + 1` of the 3x3 kernel.
-    prev: (Vec<u64>, Vec<u64>),
-    cur: (Vec<u64>, Vec<u64>),
-    next: (Vec<u64>, Vec<u64>),
+    /// Horizontal (ones, twos) bit planes of the 3x3 kernel: input row
+    /// `y` at words `(y + 1) * wpr..(y + 2) * wpr`, between an all-zero
+    /// padding row above the image and one below it. Only the rows the
+    /// current frame's output reads are rebuilt; the rest are stale.
+    ones: Vec<u64>,
+    twos: Vec<u64>,
+    /// The input rows the 3x3 pre-pass flagged, in increasing order.
+    paired_rows: Vec<u16>,
     /// Per-column vertical window counts of the generic fallback.
     col: Vec<u32>,
 }
 
-impl Scratch {
-    /// Zeroes and (re)sizes the bit planes for `wpr` words per row.
-    fn reset_planes(&mut self, wpr: usize) {
-        for plane in [
-            &mut self.prev.0,
-            &mut self.prev.1,
-            &mut self.cur.0,
-            &mut self.cur.1,
-            &mut self.next.0,
-            &mut self.next.1,
-        ] {
-            plane.clear();
-            plane.resize(wpr, 0);
-        }
-    }
-}
-
-/// Writes the horizontal 3-neighbour sums of row `y` as 2-bit planes
-/// (`ones`, `twos`); rows outside the image are all-zero (zero padding).
-/// Returns whether any `twos` bit is set, i.e. whether some pixel of the
-/// row has a horizontal count of 2 or 3.
-fn horizontal_planes(input: &BinaryImage, y: u32, ones: &mut [u64], twos: &mut [u64]) -> bool {
-    let row = match u16::try_from(y) {
-        Ok(y) if y < input.height() => input.row_words(y),
-        _ => &[],
-    };
-    if row.iter().all(|&w| w == 0) {
-        ones.fill(0);
-        twos.fill(0);
-        return false;
-    }
+/// Writes the horizontal 3-neighbour sums of one input row as 2-bit
+/// planes (`ones`, `twos`).
+fn horizontal_planes(row: &[u64], ones: &mut [u64], twos: &mut [u64]) {
     let wpr = row.len();
-    let mut any_twos = 0;
     for i in 0..wpr {
         let c = row[i];
         let l = (c << 1) | if i > 0 { row[i - 1] >> 63 } else { 0 };
         let r = (c >> 1) | if i + 1 < wpr { row[i + 1] << 63 } else { 0 };
         ones[i] = l ^ c ^ r;
         twos[i] = (l & c) | (r & (l ^ c));
-        any_twos |= twos[i];
     }
-    any_twos != 0
 }
 
-/// The Eq. 1 addition charge of a 3x3 median in closed form.
+/// The 3x3 pre-pass: one sweep over the input rows that lists the
+/// flagged rows in `paired_rows` and returns the Eq. 1 addition charge.
 ///
-/// Summing the patch counts of every output pixel counts each set input
-/// pixel `(x, y)` once per patch that covers it: `nx(x) * ny(y)` patches,
-/// where `nx` is 3 inside and 2 on the left/right border column (1 for a
-/// one-pixel-wide image), and `ny` likewise for rows. Row by row that is
+/// Row `y` is flagged when some pixel has a horizontal count of 2 or
+/// more, i.e. when two set pixels lie at distance 1 or 2: each word is
+/// ANDed with itself shifted left by 1 and by 2, with the bits shifted
+/// in from the word before, so pairs straddling a word boundary count.
+///
+/// The addition charge is closed-form. Summing the patch counts of every
+/// output pixel counts each set input pixel `(x, y)` once per patch that
+/// covers it: `nx(x) * ny(y)` patches, where `nx` is 3 inside and 2 on
+/// the left/right border column (1 for a one-pixel-wide image), and `ny`
+/// likewise for rows. Row by row that is
 /// `ny(y) * (3 * pop(row y) - bit(0, y) - bit(w - 1, y))`, which holds
-/// for `w = 1` too (the single pixel is both border columns). Only rows
-/// with a set pixel contribute.
-fn patch_count_sum3(input: &BinaryImage) -> u64 {
-    let (width, height) = (input.width(), input.height());
+/// for `w = 1` too (the single pixel is both border columns).
+fn pair_prepass3(input: &BinaryImage, paired_rows: &mut Vec<u16>) -> u64 {
+    let height = input.height();
+    let last_bit = u32::from(input.width() - 1) & 63;
+    paired_rows.clear();
     let mut total = 0u64;
     for y in 0..height {
-        let pop: u64 = input.row_words(y).iter().map(|w| u64::from(w.count_ones())).sum();
-        if pop == 0 {
-            continue;
+        let row = input.row_words(y);
+        let (mut before, mut pop, mut pair) = (0u64, 0u64, 0u64);
+        for &c in row {
+            pop += u64::from(c.count_ones());
+            pair |= c & (((c << 1) | (before >> 63)) | ((c << 2) | (before >> 62)));
+            before = c;
         }
-        let edges = u64::from(input.get(0, y)) + u64::from(input.get(width - 1, y));
+        if pair != 0 {
+            paired_rows.push(y);
+        }
+        let edges = (row[0] & 1) + ((before >> last_bit) & 1);
         let ny = 3 - u64::from(y == 0) - u64::from(y == height - 1);
         total += ny * (3 * pop - edges);
     }
@@ -190,35 +186,51 @@ impl MedianFilter {
 
     /// Bit-sliced carry-save 3x3 kernel: 64 patch counts per word triple.
     ///
-    /// A patch count is the sum of three horizontal counts of at most 3,
-    /// so it can exceed 4 only where some row has a horizontal count of 2
-    /// or more. Output rows whose three input rows have no such pixel
-    /// (every row of sparse, speckled noise, for instance) stay zero and
-    /// are skipped. The Eq. 1 additions come from [`patch_count_sum3`].
+    /// [`pair_prepass3`] lists the rows with a horizontal count of 2 or
+    /// more and charges the Eq. 1 additions. Only the output rows within
+    /// 1 of a listed row are computed (every other output row stays
+    /// zero), in increasing order, and each builds the planes of its
+    /// three input rows unless an earlier output row of this frame has:
+    /// so exactly the rows within 2 of a listed row get planes.
     fn apply3_words(&mut self, input: &BinaryImage, out: &mut BinaryImage) {
         let wpr = input.words_per_row();
-        let height = input.height();
+        let height = usize::from(input.height());
         let tail = input.tail_mask();
 
-        // Reused (ones, twos) plane pairs; `prev` starts zeroed = the
-        // zero-padding row above the image. The flags track which of the
-        // three rows have a horizontal count of 2 or more anywhere.
         let scr = &mut self.scratch;
-        scr.reset_planes(wpr);
-        let mut prev_twos = false;
-        let mut cur_twos = horizontal_planes(input, 0, &mut scr.cur.0, &mut scr.cur.1);
-        let mut next_twos = horizontal_planes(input, 1, &mut scr.next.0, &mut scr.next.1);
+        self.ops.add(pair_prepass3(input, &mut scr.paired_rows));
+        let len = (height + 2) * wpr;
+        for plane in [&mut scr.ones, &mut scr.twos] {
+            plane.resize(len, 0);
+            plane[..wpr].fill(0);
+            plane[len - wpr..].fill(0);
+        }
 
         let mut writes = 0u64;
-        for y in 0..height {
-            if prev_twos || cur_twos || next_twos {
-                let out_row = out.row_words_mut(y);
+        // Output rows below `next_out` are done; input rows below
+        // `next_plane` have planes or are never read.
+        let (mut next_out, mut next_plane) = (0usize, 0usize);
+        for &paired in &scr.paired_rows {
+            let paired = usize::from(paired);
+            for y in paired.saturating_sub(1).max(next_out)..(paired + 2).min(height) {
+                for r in y.saturating_sub(1).max(next_plane)..(y + 2).min(height) {
+                    let planes = (r + 1) * wpr..(r + 2) * wpr;
+                    horizontal_planes(
+                        input.row_words(r as u16),
+                        &mut scr.ones[planes.clone()],
+                        &mut scr.twos[planes],
+                    );
+                }
+                next_plane = y + 2;
+                // Input rows y - 1, y, y + 1 sit at plane rows y, y + 1, y + 2.
+                let (ones, twos) = (&scr.ones[y * wpr..], &scr.twos[y * wpr..]);
+                let out_row = out.row_words_mut(y as u16);
                 for (i, slot) in out_row.iter_mut().enumerate() {
                     // Vertical sum of three 2-bit horizontal counts into
                     // bit-planes of weight 1/2/4/8 (patch count 0..=9).
-                    let (oa, ta) = (scr.prev.0[i], scr.prev.1[i]);
-                    let (om, tm) = (scr.cur.0[i], scr.cur.1[i]);
-                    let (ob, tb) = (scr.next.0[i], scr.next.1[i]);
+                    let (oa, ta) = (ones[i], twos[i]);
+                    let (om, tm) = (ones[wpr + i], twos[wpr + i]);
+                    let (ob, tb) = (ones[2 * wpr + i], twos[2 * wpr + i]);
                     let bit0 = oa ^ om ^ ob;
                     let c0 = (oa & om) | (ob & (oa ^ om));
                     let s1 = ta ^ tm ^ tb;
@@ -233,15 +245,9 @@ impl MedianFilter {
                     writes += u64::from(out_word.count_ones());
                     *slot = out_word;
                 }
+                next_out = y + 1;
             }
-            // Rotate the row windows; fetch row y + 2.
-            core::mem::swap(&mut scr.prev, &mut scr.cur);
-            core::mem::swap(&mut scr.cur, &mut scr.next);
-            (prev_twos, cur_twos) = (cur_twos, next_twos);
-            next_twos =
-                horizontal_planes(input, u32::from(y) + 2, &mut scr.next.0, &mut scr.next.1);
         }
-        self.ops.add(patch_count_sum3(input));
         self.ops.write(writes);
     }
 

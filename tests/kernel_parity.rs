@@ -6,10 +6,16 @@
 //! word boundaries — and over tall sensor-sized frames where only a few
 //! row bands are set, which is what the kernels' sparsity shortcuts see on
 //! a stationary camera. Every mutating operation must also preserve the
-//! tail-bit invariant (`BinaryImage::tail_bits_zero`).
+//! tail-bit invariant (`BinaryImage::tail_bits_zero`). The batched EBBI
+//! latch must match the one-event-at-a-time latch, counters and op
+//! charge included.
 
-use ebbiot::events::{OpsCounter, SensorGeometry};
-use ebbiot::frame::{reference, Axis, BinaryImage, CountImage, Histogram, MedianFilter, PixelBox};
+use std::collections::HashSet;
+
+use ebbiot::events::{Event, OpsCounter, Polarity, SensorGeometry};
+use ebbiot::frame::{
+    reference, Axis, BinaryImage, CountImage, EbbiAccumulator, Histogram, MedianFilter, PixelBox,
+};
 use proptest::prelude::*;
 
 /// Geometries that stress the layout: non-word-multiple widths, exact
@@ -75,6 +81,85 @@ fn arb_banded_frame() -> impl Strategy<Value = (BinaryImage, SensorGeometry)> {
     })
 }
 
+/// Geometries for the pair-targeted frames: the two paper sensors and a
+/// width just over one 64-bit word.
+const PAIR_GEOMS: [(u16, u16); 3] = [(240, 180), (346, 260), (67, 12)];
+
+/// A sensor-sized frame whose only horizontal pairs (a pixel with a
+/// horizontal count of 2 or more) sit in a few targeted rows and come
+/// from a gap pair (`x - 1` and `x + 1` set, `x` clear) or from a pair
+/// straddling a word boundary `b` (`b - 1, b`, `b - 2, b` or
+/// `b - 1, b + 1`). Targeted rows come in bands of 1 to 3 rows that
+/// repeat one pattern, anchored at the top row, flush with the last row
+/// or at a random row, so stacked pair rows reach the majority. Some of
+/// the other rows carry speckle three pixels apart, which never forms a
+/// pair but lifts a neighbouring pair band over the majority.
+fn arb_pair_frame() -> impl Strategy<Value = (BinaryImage, SensorGeometry)> {
+    let band = (0u8..3, 0u16..1024, 1u16..4, 0u8..4, 0u16..1024);
+    (0..PAIR_GEOMS.len(), proptest::collection::vec(band, 1..5), 0u16..3, 0u16..5).prop_map(
+        |(gi, bands, speckle_x, speckle_rows)| {
+            let (w, h) = PAIR_GEOMS[gi];
+            let geom = SensorGeometry::new(w, h);
+            let mut pattern: Vec<Option<[u16; 2]>> = vec![None; usize::from(h)];
+            for (anchor, ys, rows, kind, xs) in bands {
+                let y0 = match anchor {
+                    0 => 0,
+                    1 => h - rows,
+                    _ => ys % h,
+                };
+                let b = 64 * (1 + xs % ((w - 1) / 64));
+                let pair = match kind {
+                    0 => {
+                        let x = 1 + xs % (w - 2);
+                        [x - 1, x + 1]
+                    }
+                    1 => [b - 1, b],
+                    2 => [b - 2, b],
+                    _ => [b - 1, b + 1],
+                };
+                for y in y0..(y0 + rows).min(h) {
+                    pattern[usize::from(y)] = Some(pair);
+                }
+            }
+            let mut img = BinaryImage::new(geom);
+            for (y, row) in (0..h).zip(&pattern) {
+                match row {
+                    Some(pair) => pair.iter().for_each(|&x| img.set(x, y, true)),
+                    None if y % 5 < speckle_rows => {
+                        (speckle_x..w).step_by(3).for_each(|x| img.set(x, y, true));
+                    }
+                    None => {}
+                }
+            }
+            (img, geom)
+        },
+    )
+}
+
+/// An event window over a small or sensor-sized geometry: coordinates
+/// range a few pixels past the array (out-of-bounds events are counted
+/// but not latched), and a prefix of the window is replayed at its end
+/// so pixels repeat even on the large sensor.
+fn arb_event_window() -> impl Strategy<Value = (SensorGeometry, Vec<Event>)> {
+    const GEOMS: [(u16, u16); 4] = [(17, 5), (65, 3), (1, 1), (240, 180)];
+    let event = (0u16..1024, 0u16..1024, any::<bool>());
+    (0..GEOMS.len(), proptest::collection::vec(event, 0..300), 0usize..100).prop_map(
+        |(gi, seeds, repeat)| {
+            let (w, h) = GEOMS[gi];
+            let mut events: Vec<Event> = seeds
+                .into_iter()
+                .enumerate()
+                .map(|(t, (sx, sy, on))| {
+                    let polarity = if on { Polarity::On } else { Polarity::Off };
+                    Event::new(sx % (w + 4), sy % (h + 4), t as u64, polarity)
+                })
+                .collect();
+            events.extend_from_within(..repeat.min(events.len()));
+            (SensorGeometry::new(w, h), events)
+        },
+    )
+}
+
 /// Checks the median at `patch` against the reference, op counts and
 /// the tail invariant included.
 fn check_median(img: &BinaryImage, geom: SensorGeometry, patch: u16) {
@@ -127,6 +212,59 @@ proptest! {
         p_idx in 0usize..3,
     ) {
         check_median(&img, geom, [1u16, 3, 5][p_idx]);
+    }
+
+    #[test]
+    fn median_matches_reference_on_gap_and_word_straddling_pairs(
+        (img, geom) in arb_pair_frame(),
+        p_idx in 0usize..3,
+    ) {
+        check_median(&img, geom, [1u16, 3, 5][p_idx]);
+    }
+
+    #[test]
+    fn ebbi_accumulate_all_matches_per_event_accumulate((geom, events) in arb_event_window()) {
+        let mut batch = EbbiAccumulator::new(geom);
+        batch.accumulate_all(&events);
+        let mut single = EbbiAccumulator::new(geom);
+        for e in &events {
+            single.accumulate(e);
+        }
+        prop_assert_eq!(batch.current(), single.current());
+        prop_assert_eq!(batch.events_seen(), single.events_seen());
+        prop_assert_eq!(batch.pixels_latched(), single.pixels_latched());
+        prop_assert_eq!(batch.beta().to_bits(), single.beta().to_bits());
+        prop_assert_eq!(batch.ops(), single.ops());
+        // And against a model with no latch at all: the distinct
+        // in-bounds pixels.
+        let distinct: HashSet<(u16, u16)> = events
+            .iter()
+            .filter(|e| geom.contains_event(e))
+            .map(|e| (e.x, e.y))
+            .collect();
+        prop_assert_eq!(batch.events_seen(), events.len() as u64);
+        prop_assert_eq!(batch.pixels_latched(), distinct.len() as u64);
+        prop_assert_eq!(batch.current().count_ones(), distinct.len());
+
+        // `readout_into` over a stale, all-ones frame hands out exactly
+        // the latched image and leaves the accumulator empty.
+        let frame = single.readout();
+        let mut out = BinaryImage::new(geom);
+        out.fill_box(&PixelBox::new(0, 0, geom.width(), geom.height()));
+        batch.readout_into(&mut out);
+        prop_assert_eq!(&out, &frame);
+        prop_assert!(out.tail_bits_zero(), "tail invariant after readout_into");
+        prop_assert_eq!(batch.events_seen(), 0);
+        prop_assert_eq!(batch.pixels_latched(), 0);
+        prop_assert_eq!(batch.current().count_ones(), 0);
+        // A second readout with nothing latched is empty, and the window
+        // latched again reads out the same frame.
+        batch.readout_into(&mut out);
+        prop_assert_eq!(out.count_ones(), 0);
+        batch.accumulate_all(&events);
+        batch.readout_into(&mut out);
+        prop_assert_eq!(&out, &frame);
+        prop_assert_eq!(batch.ops().mem_writes, 2 * single.ops().mem_writes);
     }
 
     #[test]
