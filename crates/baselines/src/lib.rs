@@ -10,14 +10,14 @@
 //!   `M_EBMS = 3.32 kB` for `CL_max = 8`).
 //! * [`backends`] — NN-filt + EBMS packaged as an event-domain
 //!   [`ebbiot_core::Tracker`] back-end.
-//! * [`pipelines`] — the composed baselines used in Figs. 4 and 5:
-//!   [`pipelines::EbbiKfPipeline`] (EBBI + median + RPN + KF) and
-//!   [`pipelines::NnEbmsPipeline`] (NN-filt + EBMS), thin wrappers over
-//!   the generic [`ebbiot_core::Pipeline`] so the evaluator treats all
-//!   three trackers identically.
 //! * [`registry`] — the back-end registry: eval sweeps and experiment
 //!   binaries enumerate trackers by name ([`registry::BACKENDS`])
-//!   instead of hand-rolled match arms.
+//!   instead of hand-rolled match arms. The composed baselines of
+//!   Figs. 4 and 5 are `build_pipeline("ebbi-kf", ..)` (EBBI + median +
+//!   RPN + KF) and `build_pipeline("nn-ebms", ..)` (NN-filt + EBMS), the
+//!   same generic [`ebbiot_core::Pipeline`] as EBBIOT; build one with
+//!   [`ebbiot_core::Pipeline::with_tracker`] to keep the concrete
+//!   tracker's statistics in reach.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,13 +25,11 @@
 pub mod backends;
 pub mod ebms;
 pub mod kalman;
-pub mod pipelines;
 pub mod registry;
 
 pub use backends::NnEbmsTracker;
 pub use ebms::{EbmsConfig, EbmsTracker};
 pub use kalman::{KalmanConfig, KalmanTracker};
-pub use pipelines::{EbbiKfPipeline, NnEbmsPipeline};
 pub use registry::{
     backend_names, build_pipeline, find_backend, restore_pipeline, BackendSpec, BACKENDS,
 };

@@ -169,6 +169,69 @@ mod tests {
         assert_eq!(fleet[2].frames_processed(), 0);
     }
 
+    /// A dense block moving 3 px right per 66 ms frame.
+    fn moving_block_events(frames: usize) -> Vec<Event> {
+        let mut events = Vec::new();
+        for f in 0..frames {
+            let x0 = 50 + f as u16 * 3;
+            let t0 = f as u64 * 66_000;
+            for dy in 0..15u16 {
+                for dx in 0..30u16 {
+                    events.push(Event::on(x0 + dx, 90 + dy, t0 + u64::from(dy * 30 + dx) * 20));
+                }
+            }
+        }
+        ebbiot_events::stream::sort_by_time(&mut events);
+        events
+    }
+
+    #[test]
+    fn every_backend_tracks_a_moving_block_on_aligned_frames() {
+        let events = moving_block_events(6);
+        for spec in BACKENDS {
+            let frames = spec.build(config()).process_recording(&events, 6 * 66_000);
+            assert_eq!(frames.len(), 6, "{}", spec.name);
+            for (k, frame) in frames.iter().enumerate() {
+                assert_eq!((frame.index, frame.t_start), (k, k as u64 * 66_000), "{}", spec.name);
+            }
+            let last = &frames[5].tracks;
+            let near = last.iter().any(|t| {
+                let (cx, cy) = t.bbox.center();
+                (cx - 80.0).abs() < 25.0 && (cy - 97.5).abs() < 15.0
+            });
+            assert!(near, "{} lost the block: {last:?}", spec.name);
+            if spec.name == "ebbi-kf" {
+                // The KF follows the block's centroid closely.
+                assert_eq!(last.len(), 1);
+                let (cx, cy) = last[0].bbox.center();
+                assert!((cx - 80.0).abs() < 10.0 && (cy - 97.5).abs() < 5.0, "KF at ({cx}, {cy})");
+            }
+        }
+    }
+
+    #[test]
+    fn isolated_noise_yields_no_tracks_and_the_nn_filter_drops_it() {
+        let noise: Vec<Event> = (0..50)
+            .map(|k| Event::on((k * 4) % 240, (k * 7) % 180, u64::from(k) * 1_000))
+            .collect();
+        for spec in BACKENDS {
+            let frames = spec.build(config()).process_recording(&noise, 66_000);
+            assert!(frames[0].tracks.is_empty(), "{}", spec.name);
+        }
+        // The filter statistics live on the concrete tracker.
+        let nn_ebms = || {
+            let tracker = NnEbmsTracker::new(config().geometry, EbmsConfig::paper_default());
+            Pipeline::with_tracker(config(), tracker)
+        };
+        let mut noisy = nn_ebms();
+        let _ = noisy.process_recording(&noise, 66_000);
+        let kept = noisy.tracker().keep_fraction();
+        assert!(kept < 0.2, "NN filter kept {kept}");
+        let mut dense = nn_ebms();
+        let _ = dense.process_recording(&moving_block_events(4), 4 * 66_000);
+        assert!(dense.tracker().keep_fraction() > 0.6, "a dense block passes the NN filter");
+    }
+
     #[test]
     fn frontend_presence_matches_backend_kind() {
         assert!(build_pipeline("ebbiot", config()).unwrap().frontend().is_some());

@@ -1,4 +1,4 @@
-//! Ablation benches for the design choices DESIGN.md calls out:
+//! Ablation benches for the design choices ARCHITECTURE.md §1 describes:
 //!
 //! * RPN downsampling (`s1 = 6, s2 = 3` vs none): the paper's second Eq. 5
 //!   term and the fragmentation merging both depend on it.

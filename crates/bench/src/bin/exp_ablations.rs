@@ -1,4 +1,4 @@
-//! Accuracy ablations for the design choices DESIGN.md calls out
+//! Accuracy ablations for the design choices ARCHITECTURE.md §1 describes
 //! (complementing the wall-clock `benches/ablations.rs`):
 //!
 //! 1. proposal refinement off (paper) vs on (extension) — effect on the

@@ -34,7 +34,7 @@ use ebbiot_bench::breakdown::{
 };
 use ebbiot_bench::{run_fleet_sequential, JsonReport};
 use ebbiot_core::StageTelemetry;
-use ebbiot_engine::{EngineTelemetry, FleetOptions};
+use ebbiot_engine::{EngineTelemetry, FleetOptions, StreamTelemetry};
 use ebbiot_eval::report::render_table;
 use ebbiot_sim::{DatasetPreset, FleetConfig};
 use ebbiot_telemetry::Registry;
@@ -207,11 +207,11 @@ fn main() {
     let engine_metrics = EngineTelemetry::register(Arc::clone(&metrics));
 
     let rows: Vec<Vec<String>> = run
-        .output
         .snapshot
         .streams
         .iter()
         .map(|s| {
+            let waits = StreamTelemetry::register(&metrics, &s.id.to_string());
             vec![
                 s.id.to_string(),
                 s.events_in.to_string(),
@@ -219,8 +219,8 @@ fn main() {
                 s.frames_out.to_string(),
                 s.tracks_out.to_string(),
                 s.queue_high_water.to_string(),
-                format!("{:.2}", s.queue_wait_ns as f64 / 1e6),
-                format!("{:.2}", s.producer_block_ns as f64 / 1e6),
+                format!("{:.2}", waits.queue_wait.get() as f64 / 1e6),
+                format!("{:.2}", waits.producer_block.get() as f64 / 1e6),
             ]
         })
         .collect();
@@ -243,7 +243,7 @@ fn main() {
 
     // Where each worker's wall clock went
     // (busy + acquire + idle == wall exactly).
-    println!("{}", render_table(&WORKER_HEADER, &worker_rows(&run.output.snapshot)));
+    println!("{}", render_table(&WORKER_HEADER, &worker_rows(&metrics, run.snapshot.workers)));
 
     // Per-stage cost across the whole fleet.
     println!("{}", render_table(&STAGE_HEADER, &stage_rows(&stage)));
@@ -275,8 +275,8 @@ fn main() {
     // delta should vanish into noise (≤ ~3%, asserted on full runs).
     let (plain_s, inst_s, overhead_pct) = measure_overhead(spec, args.preset, &fleet, 5);
 
-    let identical = run.output.streams == sequential;
-    let engine_rate = run.events_per_sec();
+    let identical = run.streams == sequential;
+    let engine_rate = run.snapshot.events_per_sec();
     let seq_rate = total_events as f64 / seq_elapsed.as_secs_f64().max(1e-9);
     let speedup = engine_rate / seq_rate.max(1e-9);
 
@@ -294,10 +294,10 @@ fn main() {
         for _ in 0..3 {
             let sweep_run = ebbiot_bench::run_fleet_backend(spec, args.preset, &fleet, &opts);
             assert_eq!(
-                sweep_run.output.streams, sequential,
+                sweep_run.streams, sequential,
                 "engine output diverged from sequential at {w} workers"
             );
-            best = best.max(sweep_run.events_per_sec());
+            best = best.max(sweep_run.snapshot.events_per_sec());
         }
         scaling.push((w, best / seq_rate.max(1e-9)));
     }
@@ -307,8 +307,8 @@ fn main() {
         "  engine ({} workers): {:>10.1} k ev/s, {:>8.1} frames/s  ({:.3} s wall)",
         workers,
         engine_rate / 1e3,
-        run.frames_per_sec(),
-        run.elapsed.as_secs_f64()
+        run.snapshot.frames_per_sec(),
+        run.snapshot.elapsed.as_secs_f64()
     );
     println!(
         "  sequential:          {:>10.1} k ev/s              ({:.3} s wall)",
@@ -348,7 +348,7 @@ fn main() {
         for (w, s) in &scaling {
             report = report.f64(&format!("speedup_w{w}"), *s);
         }
-        append_contention_fields(report, &run.output.snapshot, &stage, &engine_metrics)
+        append_contention_fields(report, &run.snapshot, &stage, &engine_metrics)
             .write(std::path::Path::new("BENCH_fleet.json"))
             .expect("write BENCH_fleet.json");
         println!("wrote BENCH_fleet.json");

@@ -190,7 +190,7 @@ fn main() {
     );
     let replay = Replayer::new(mode).replay_engine(&mut readers, engine).expect("replay fleet");
 
-    let identical = replay.output.streams == in_memory.output.streams;
+    let identical = replay.output.streams == in_memory.streams;
     println!("replay ({:?}):", mode);
     println!(
         "  decode:    {:>10.1} k ev/s  ({:.3} s wall, no engine)",
@@ -205,8 +205,8 @@ fn main() {
     );
     println!(
         "  in-memory: {:>10.1} k ev/s  ({:.3} s wall)",
-        in_memory.events_per_sec() / 1e3,
-        in_memory.elapsed.as_secs_f64()
+        in_memory.snapshot.events_per_sec() / 1e3,
+        in_memory.snapshot.elapsed.as_secs_f64()
     );
     println!("\nDeterminism: disk replay bit-for-bit identical to in-memory: {identical}");
 
@@ -230,7 +230,7 @@ fn main() {
             .f64("compression_vs_eaer", compression)
             .f64("decode_only_events_per_sec", decode_only_rate)
             .f64("replay_events_per_sec", replay.events_per_sec())
-            .f64("in_memory_events_per_sec", in_memory.events_per_sec())
+            .f64("in_memory_events_per_sec", in_memory.snapshot.events_per_sec())
             .bool("identical", identical)
             .write(std::path::Path::new("BENCH_replay.json"))
             .expect("write BENCH_replay.json");

@@ -218,7 +218,7 @@ fn main() {
             .find(|s| s.summary.name == rec.name)
             .unwrap_or_else(|| panic!("no session report for {}", rec.name));
         assert!(session.error.is_none(), "{}: {:?}", rec.name, session.error);
-        if run.frames != in_memory.output.streams[k] {
+        if run.frames != in_memory.streams[k] {
             identical = false;
         }
     }
@@ -240,7 +240,7 @@ fn main() {
     println!("{}", render_table(&["Camera", "Events", "Frames", "Queue HWM", "Session s"], &rows));
 
     // Contention breakdown of the serving engine (final, post-join).
-    println!("{}", render_table(&WORKER_HEADER, &worker_rows(&report.snapshot)));
+    println!("{}", render_table(&WORKER_HEADER, &worker_rows(&metrics, report.snapshot.workers)));
     println!("{}", render_table(&STAGE_HEADER, &stage_rows(&stage)));
 
     let events: u64 = runs.iter().map(|r| r.finished.events).sum();
@@ -264,8 +264,8 @@ fn main() {
     );
     println!(
         "  in-memory: {:>10.1} k ev/s  ({:.3} s wall)",
-        in_memory.events_per_sec() / 1e3,
-        in_memory.elapsed.as_secs_f64()
+        in_memory.snapshot.events_per_sec() / 1e3,
+        in_memory.snapshot.elapsed.as_secs_f64()
     );
     if let Some(dir) = &args.archive {
         let store = ebbiot_store::FleetStore::open(dir).expect("open archive");
@@ -301,7 +301,7 @@ fn main() {
             .f64("ingest_events_per_sec", events_per_sec)
             .f64("tracks_frames_per_sec", frames_per_sec)
             .u64("max_queue_high_water", u64::from(max_hwm))
-            .f64("in_memory_events_per_sec", in_memory.events_per_sec())
+            .f64("in_memory_events_per_sec", in_memory.snapshot.events_per_sec())
             .u64("stats_samples", stats_samples)
             .bool("identical", identical);
         append_contention_fields(json, &report.snapshot, &stage, &engine_metrics)

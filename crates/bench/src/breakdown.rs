@@ -8,7 +8,10 @@ use std::sync::Arc;
 
 use ebbiot_baselines::registry::BackendSpec;
 use ebbiot_core::{FrameResult, StageTelemetry};
-use ebbiot_engine::{Engine, EngineTelemetry, FleetOptions, FleetRun, FleetStream, Snapshot};
+use ebbiot_engine::{
+    Engine, EngineOutput, EngineTelemetry, FleetOptions, FleetStream, Snapshot, StreamTelemetry,
+    WorkerTelemetry,
+};
 use ebbiot_sim::{DatasetPreset, SimulatedRecording};
 use ebbiot_telemetry::{Histogram, Registry};
 
@@ -24,8 +27,10 @@ pub const STAGE_HEADER: [&str; 5] = ["Stage", "Calls", "Total ms", "Mean µs", "
 /// Like [`crate::run_fleet_backend`], but with the full telemetry story
 /// attached: the engine registers its contention metrics in `registry`
 /// and every pipeline records per-stage durations into one shared
-/// [`StageTelemetry`] (returned alongside the run). Output is still
-/// bit-for-bit the sequential result — telemetry observes, never steers.
+/// [`StageTelemetry`] (returned alongside the run). Worker, scheduler
+/// and queue-wait numbers are read back from `registry` after the run.
+/// Output is still bit-for-bit the sequential result — telemetry
+/// observes, never steers.
 #[must_use]
 pub fn run_fleet_backend_instrumented(
     spec: &BackendSpec,
@@ -33,7 +38,7 @@ pub fn run_fleet_backend_instrumented(
     fleet: &[SimulatedRecording],
     options: &FleetOptions,
     registry: &Arc<Registry>,
-) -> (FleetRun, StageTelemetry) {
+) -> (EngineOutput, StageTelemetry) {
     assert!(!fleet.is_empty(), "fleet needs at least one camera");
     let config = ebbiot_config_for(preset, &fleet[0]).with_frame_us(fleet[0].frame_us);
     let stage = StageTelemetry::register(registry);
@@ -74,28 +79,29 @@ fn ms(ns: u64) -> String {
     format!("{:.2}", ns as f64 / 1e6)
 }
 
-/// Per-worker contention table: where each worker's wall clock went.
-/// Headers in [`WORKER_HEADER`]. After `join`,
-/// Busy + Acquire + Idle == wall exactly; a low busy share with high
-/// stream queue waits is the contention signature of an over-subscribed
-/// core, while a high acquire share means batching is too fine
+/// Per-worker contention table: where each of the engine's `workers`
+/// workers spent its wall clock, read from `registry`. Headers in
+/// [`WORKER_HEADER`]. After `join`, Busy + Acquire + Idle == wall
+/// exactly; a low busy share with high stream queue waits is the
+/// contention signature of an over-subscribed core, while a high
+/// acquire share means batching is too fine
 /// (`EngineConfig::batch_chunks`).
 #[must_use]
-pub fn worker_rows(snapshot: &Snapshot) -> Vec<Vec<String>> {
-    snapshot
-        .workers
-        .iter()
+pub fn worker_rows(registry: &Registry, workers: usize) -> Vec<Vec<String>> {
+    (0..workers)
         .map(|w| {
-            let wall = w.busy_ns + w.acquire_ns + w.idle_ns;
-            let busy_pct = if wall > 0 { 100.0 * w.busy_ns as f64 / wall as f64 } else { 0.0 };
+            let t = WorkerTelemetry::register(registry, w);
+            let (busy, acquire, idle) = (t.busy.get(), t.acquire.get(), t.idle.get());
+            let wall = busy + acquire + idle;
+            let busy_pct = if wall > 0 { 100.0 * busy as f64 / wall as f64 } else { 0.0 };
             vec![
-                w.id.to_string(),
-                ms(w.busy_ns),
-                ms(w.acquire_ns),
-                ms(w.idle_ns),
+                w.to_string(),
+                ms(busy),
+                ms(acquire),
+                ms(idle),
                 format!("{busy_pct:.1}"),
-                w.chunks.to_string(),
-                w.steals.to_string(),
+                t.chunks.get().to_string(),
+                t.steals.get().to_string(),
             ]
         })
         .collect()
@@ -132,7 +138,9 @@ pub fn histogram_summary(hist: &Histogram, unit: &str) -> String {
 /// keys: per-worker busy/acquire/idle and steals, per-stream
 /// queue high-water, wait totals and migrations, scheduler steal/batch
 /// statistics, per-stage means, and the chunk-latency / queue-depth
-/// / collector-occupancy distributions' count+mean.
+/// / collector-occupancy distributions' count+mean. Everything but the
+/// stream high-water marks, migrations and the ready high-water comes
+/// from `engine`'s registry.
 #[must_use]
 pub fn append_contention_fields(
     mut report: JsonReport,
@@ -140,30 +148,34 @@ pub fn append_contention_fields(
     stage: &StageTelemetry,
     engine: &EngineTelemetry,
 ) -> JsonReport {
-    for w in &snapshot.workers {
-        let key = |suffix: &str| format!("worker{:02}_{suffix}", w.id);
+    let registry = engine.registry();
+    let mut steals = 0;
+    for w in 0..snapshot.workers {
+        let t = WorkerTelemetry::register(registry, w);
+        let key = |suffix: &str| format!("worker{w:02}_{suffix}");
+        steals += t.steals.get();
         report = report
-            .u64(&key("busy_ns"), w.busy_ns)
-            .u64(&key("acquire_ns"), w.acquire_ns)
-            .u64(&key("idle_ns"), w.idle_ns)
-            .u64(&key("chunks"), w.chunks)
-            .u64(&key("steals"), w.steals);
+            .u64(&key("busy_ns"), t.busy.get())
+            .u64(&key("acquire_ns"), t.acquire.get())
+            .u64(&key("idle_ns"), t.idle.get())
+            .u64(&key("chunks"), t.chunks.get())
+            .u64(&key("steals"), t.steals.get());
     }
     for s in &snapshot.streams {
+        let t = StreamTelemetry::register(registry, &s.id.to_string());
         let key = |suffix: &str| format!("{}_{suffix}", s.id);
         report = report
             .u64(&key("queue_high_water"), s.queue_high_water as u64)
-            .u64(&key("queue_wait_ns"), s.queue_wait_ns)
-            .u64(&key("producer_block_ns"), s.producer_block_ns)
+            .u64(&key("queue_wait_ns"), t.queue_wait.get())
+            .u64(&key("producer_block_ns"), t.producer_block.get())
             .u64(&key("migrations"), s.migrations);
     }
-    let sched = snapshot.scheduler;
     report = report
-        .u64("sched_steals", sched.steals)
-        .u64("sched_batches", sched.batches)
-        .f64("sched_batch_mean_chunks", sched.batch_mean)
-        .u64("sched_batch_max_le_chunks", sched.batch_max_le)
-        .u64("sched_ready_high_water", sched.ready_high_water as u64);
+        .u64("sched_steals", steals)
+        .u64("sched_batches", engine.batch_size.count())
+        .f64("sched_batch_mean_chunks", engine.batch_size.mean())
+        .u64("sched_batch_max_le_chunks", engine.batch_size.max_bound())
+        .u64("sched_ready_high_water", snapshot.ready_high_water as u64);
     for (label, hist) in stage.stages() {
         report = report
             .u64(&format!("stage_{label}_calls"), hist.count())
@@ -197,10 +209,14 @@ mod tests {
             &registry,
         );
         let sequential = run_fleet_sequential(spec, DatasetPreset::Lt4, &fleet);
-        assert_eq!(run.output.streams, sequential, "telemetry is observation-only");
-        assert_eq!(stage.frames_observed(), run.frames(), "one tracker stage call per frame");
+        assert_eq!(run.streams, sequential, "telemetry is observation-only");
+        assert_eq!(
+            stage.frames_observed(),
+            run.snapshot.frames_out(),
+            "one tracker call per frame"
+        );
 
-        let workers = worker_rows(&run.output.snapshot);
+        let workers = worker_rows(&registry, run.snapshot.workers);
         assert_eq!(workers.len(), 2);
         assert_eq!(workers[0].len(), WORKER_HEADER.len());
         let stages = stage_rows(&stage);
@@ -210,20 +226,51 @@ mod tests {
         let engine = EngineTelemetry::register(Arc::clone(&registry));
         let json = append_contention_fields(
             JsonReport::new().str("experiment", "test"),
-            &run.output.snapshot,
+            &run.snapshot,
             &stage,
             &engine,
         )
         .render();
-        assert!(json.contains("\"worker00_busy_ns\""));
-        assert!(json.contains("\"worker00_acquire_ns\""));
-        assert!(json.contains("\"worker01_steals\""));
-        assert!(json.contains("\"cam00_queue_high_water\""));
-        assert!(json.contains("\"cam01_queue_wait_ns\""));
-        assert!(json.contains("\"cam00_migrations\""));
-        assert!(json.contains("\"sched_steals\""));
-        assert!(json.contains("\"sched_batches\""));
-        assert!(json.contains("\"stage_tracker_calls\""));
-        assert!(json.contains("\"chunk_queue_wait_count\""));
+        // The key set is part of the BENCH_*.json format: pin it whole.
+        let keys: Vec<&str> = json
+            .lines()
+            .filter_map(|line| line.trim().strip_prefix('"')?.split('"').next())
+            .collect();
+        let mut expected = vec!["experiment".to_string()];
+        for w in ["worker00", "worker01"] {
+            for suffix in ["busy_ns", "acquire_ns", "idle_ns", "chunks", "steals"] {
+                expected.push(format!("{w}_{suffix}"));
+            }
+        }
+        for cam in ["cam00", "cam01"] {
+            for suffix in ["queue_high_water", "queue_wait_ns", "producer_block_ns", "migrations"] {
+                expected.push(format!("{cam}_{suffix}"));
+            }
+        }
+        expected.extend(
+            [
+                "sched_steals",
+                "sched_batches",
+                "sched_batch_mean_chunks",
+                "sched_batch_max_le_chunks",
+                "sched_ready_high_water",
+            ]
+            .map(String::from),
+        );
+        for stage in ["ebbi", "median", "rpn", "roe", "tracker"] {
+            expected.push(format!("stage_{stage}_calls"));
+            expected.push(format!("stage_{stage}_mean_ns"));
+        }
+        expected.extend(
+            [
+                "chunk_queue_wait_count",
+                "chunk_queue_wait_mean_ns",
+                "chunk_queue_wait_max_le_ns",
+                "queue_depth_mean_chunks",
+                "collector_buffered_mean_frames",
+            ]
+            .map(String::from),
+        );
+        assert_eq!(keys, expected);
     }
 }

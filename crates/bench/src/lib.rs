@@ -1,7 +1,8 @@
 //! Shared harness utilities for the experiment binaries and benches.
 //!
 //! Each `exp_*` binary in `src/bin/` regenerates one table or figure of
-//! the paper (see DESIGN.md's per-experiment index). This library holds
+//! the paper (the README's Quickstart and per-subsystem sections list
+//! how to run each). This library holds
 //! the glue: running each tracker pipeline over a simulated recording and
 //! extracting per-frame box lists in the shape the evaluator wants.
 
@@ -14,7 +15,7 @@ pub mod net;
 
 use ebbiot_baselines::registry::{self, BackendSpec};
 use ebbiot_core::{EbbiotConfig, RegionOfExclusion};
-use ebbiot_engine::{Engine, FleetOptions, FleetRun, FleetStream};
+use ebbiot_engine::{Engine, EngineOutput, FleetOptions, FleetStream};
 use ebbiot_eval::{sweep_thresholds, RecordingEval};
 use ebbiot_frame::BoundingBox;
 use ebbiot_sim::{DatasetPreset, SimulatedRecording};
@@ -119,7 +120,7 @@ pub fn run_fleet_backend(
     preset: DatasetPreset,
     fleet: &[SimulatedRecording],
     options: &FleetOptions,
-) -> FleetRun {
+) -> EngineOutput {
     assert!(!fleet.is_empty(), "fleet needs at least one camera");
     let config = ebbiot_config_for(preset, &fleet[0]).with_frame_us(fleet[0].frame_us);
     let pipelines = spec.build_fleet(&config, fleet.len());
@@ -131,7 +132,7 @@ pub fn run_fleet_backend(
 /// Sequentially processes the same fleet, one camera after another —
 /// the single-core baseline `exp_fleet` compares the engine against.
 /// Returns per-camera frame results in the same shape as
-/// [`FleetRun`]'s `output.streams`.
+/// [`EngineOutput::streams`].
 #[must_use]
 pub fn run_fleet_sequential(
     spec: &BackendSpec,
@@ -368,7 +369,7 @@ mod tests {
             &fleet,
             &FleetOptions { workers: 2, queue_capacity: 4, chunk_events: 512 },
         );
-        assert_eq!(run.output.streams, sequential);
+        assert_eq!(run.streams, sequential);
     }
 
     #[test]

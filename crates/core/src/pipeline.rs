@@ -11,16 +11,16 @@
 //!
 //! * [`Pipeline::process_frame`] — caller-windowed: one call per `tF`
 //!   readout interrupt;
-//! * [`Pipeline::process_recording`] — batch: an entire time-ordered
-//!   recording, windowed internally;
 //! * [`Pipeline::push`] / [`Pipeline::finish`] — **streaming**: arbitrary
 //!   time-ordered event chunks; frames are emitted as window boundaries
-//!   are crossed, so a recording never needs to be resident in memory.
+//!   are crossed, so a recording never needs to be resident in memory;
+//! * [`Pipeline::process_recording`] — batch: an entire time-ordered
+//!   recording, which is one `push` and one `finish`, so the streaming
+//!   windower is the only one.
 //!
 //! All three produce identical `FrameResult` sequences for the same
 //! event stream.
 
-use ebbiot_events::stream::FrameWindows;
 use ebbiot_events::{Event, Micros, OpsCounter, Timestamp};
 use ebbiot_frame::BoundingBox;
 
@@ -256,12 +256,18 @@ impl<T: Tracker> Pipeline<T> {
         }
     }
 
-    /// Processes a whole recording: windows the stream at `tF` (covering
-    /// at least `span_us` so trailing silent frames still advance the
-    /// tracker) and returns one result per frame.
+    /// Processes a whole recording: [`Self::push`]es it in one chunk,
+    /// then [`Self::finish`]es over at least `span_us` so trailing silent
+    /// frames still advance the tracker. Returns one result per frame.
+    ///
+    /// # Panics
+    ///
+    /// Panics like [`Self::push`]: on events out of time order, or on an
+    /// event in a window this pipeline already emitted.
     pub fn process_recording(&mut self, events: &[Event], span_us: Micros) -> Vec<FrameResult> {
-        let windows = FrameWindows::with_span(events, self.config.frame_us, span_us);
-        windows.map(|w| self.process_frame(w.events)).collect()
+        let mut frames = self.push(events);
+        frames.extend(self.finish(span_us));
+        frames
     }
 
     /// Streams a time-ordered chunk of events into the pipeline,

@@ -15,7 +15,6 @@
 
 use std::collections::VecDeque;
 
-use ebbiot_events::stream::FrameWindows;
 use ebbiot_events::{Event, Micros, Timestamp};
 
 use crate::{
@@ -143,16 +142,20 @@ impl TwoTimescalePipeline {
             .collect()
     }
 
-    /// Processes a whole recording: windows the stream at the fast `tF`
-    /// (covering at least `span_us`) and returns one result per fast
-    /// frame.
+    /// Processes a whole recording: [`Self::push`] then [`Self::finish`]
+    /// over at least `span_us`, one result per fast frame.
+    ///
+    /// # Panics
+    ///
+    /// Panics like [`Self::push`].
     pub fn process_recording(
         &mut self,
         events: &[Event],
         span_us: Micros,
     ) -> Vec<TwoTimescaleResult> {
-        let windows = FrameWindows::with_span(events, self.config.fast.frame_us, span_us);
-        windows.map(|w| self.process_frame(w.events)).collect()
+        let mut frames = self.push(events);
+        frames.extend(self.finish(span_us));
+        frames
     }
 
     /// Streams a time-ordered chunk of events, returning the fast-frame

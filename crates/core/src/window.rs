@@ -7,7 +7,8 @@
 //! per slice rather than per event: one order check over the chunk, one
 //! `partition_point` split per window the chunk touches, and one
 //! `extend_from_slice` of each window's events into the open-window
-//! buffer.
+//! buffer. Both pipelines' `process_recording` go through it too, so it
+//! is the only windower in the crate.
 
 use ebbiot_events::{Event, Micros, Timestamp};
 

@@ -96,7 +96,7 @@ impl Default for EngineConfig {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RejectedChunk(pub Vec<Event>);
 
-/// Point-in-time statistics for one stream.
+/// Point-in-time statistics for one stream: what its mutex holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamSnapshot {
     /// The stream.
@@ -115,12 +115,6 @@ pub struct StreamSnapshot {
     pub queue_depth: usize,
     /// Highest queue depth observed since start.
     pub queue_high_water: usize,
-    /// Total nanoseconds this stream's chunks sat queued before a worker
-    /// picked them up.
-    pub queue_wait_ns: u64,
-    /// Total nanoseconds producers spent in blocking admission to this
-    /// stream (back-pressure).
-    pub producer_block_ns: u64,
     /// The worker that most recently owned the stream (`None` until the
     /// first acquisition). Ownership is exclusive but **not** static:
     /// streams migrate to whichever worker is free.
@@ -135,61 +129,28 @@ pub struct StreamSnapshot {
     pub detached: bool,
 }
 
-/// Point-in-time statistics for one worker thread.
+/// Point-in-time view of the engine, from [`Engine::snapshot`] or
+/// [`EngineOutput::snapshot`]: the per-stream bookkeeping the stream
+/// mutexes hold, plus the scheduler's ready high-water mark.
 ///
-/// Time is attributed with telescoping timestamps inside the worker
-/// loop, so after [`Engine::join`] the identity
-/// `busy_ns + acquire_ns + idle_ns == wall_ns` holds exactly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WorkerSnapshot {
-    /// Worker index (any worker may own any ready stream; nothing is
-    /// pinned).
-    pub id: usize,
-    /// Nanoseconds spent processing jobs.
-    pub busy_ns: u64,
-    /// Nanoseconds spent taking stream ownership and draining batches
-    /// (the scheduler hand-off cost batching amortizes).
-    pub acquire_ns: u64,
-    /// Nanoseconds spent waiting for a ready stream (includes steal
-    /// scans that came up empty).
-    pub idle_ns: u64,
-    /// Worker lifetime in nanoseconds (0 until the worker exits).
-    pub wall_ns: u64,
-    /// Chunks processed.
-    pub chunks: u64,
-    /// Stream acquisitions taken from another worker's deque.
-    pub steals: u64,
-}
-
-/// Scheduler-level statistics: how often streams changed hands and how
-/// well batching amortized the hand-off cost.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SchedulerSnapshot {
-    /// Stream acquisitions stolen from another worker's deque (the sum
-    /// of [`WorkerSnapshot::steals`]).
-    pub steals: u64,
-    /// Total stream acquisitions (each drains one batch).
-    pub batches: u64,
-    /// Mean jobs drained per acquisition (0 when no batches yet).
-    pub batch_mean: f64,
-    /// Upper bound of the largest observed batch (log2 bucket bound).
-    pub batch_max_le: u64,
+/// Everything the engine counts in its [`Registry`] is read there, not
+/// copied here: worker busy/acquire/idle/wall time, chunks and steals
+/// through [`WorkerTelemetry::register`] for each of the
+/// [`Self::workers`] workers, batch sizes and chunk queue-wait through
+/// [`EngineTelemetry::register`], and per-stream queue-wait and producer
+/// blocking through [`StreamTelemetry::register`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Snapshot {
+    /// Wall-clock time since the engine started (its workers spawned).
+    pub elapsed: Duration,
+    /// Worker threads spawned. The registry holds `worker="0"` to
+    /// `worker="{workers - 1}"` series and no others; registering a
+    /// handle for any other index would create an empty series.
+    pub workers: usize,
     /// Most streams ever simultaneously ready and awaiting a worker.
     pub ready_high_water: usize,
-}
-
-/// Point-in-time view of the whole engine, from [`Engine::snapshot`] or
-/// [`EngineOutput::snapshot`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct Snapshot {
-    /// Wall-clock time since the engine started.
-    pub elapsed: Duration,
     /// Per-stream statistics, indexed by [`StreamId`].
     pub streams: Vec<StreamSnapshot>,
-    /// Per-worker time accounting, indexed by worker.
-    pub workers: Vec<WorkerSnapshot>,
-    /// Work-stealing scheduler statistics.
-    pub scheduler: SchedulerSnapshot,
 }
 
 /// `count / elapsed`, with a zero-duration run reported as 0 instead of
@@ -234,12 +195,6 @@ impl Snapshot {
     #[must_use]
     pub fn frames_per_sec(&self) -> f64 {
         rate(self.frames_out(), self.elapsed)
-    }
-
-    /// Total queue wait across streams, nanoseconds.
-    #[must_use]
-    pub fn queue_wait_ns(&self) -> u64 {
-        self.streams.iter().map(|s| s.queue_wait_ns).sum()
     }
 
     /// Deepest queue high-water mark across streams.
@@ -638,8 +593,6 @@ pub struct Engine<T: Tracker + Send + 'static = BoxedTracker> {
     started: Instant,
     /// Engine-wide contention instruments (always on — per-chunk cost).
     telemetry: EngineTelemetry,
-    /// Per-worker counters, indexed by worker; shared with the threads.
-    worker_stats: Vec<WorkerTelemetry>,
 }
 
 impl<T: Tracker + Send + 'static> Engine<T> {
@@ -685,12 +638,10 @@ impl<T: Tracker + Send + 'static> Engine<T> {
             Arc::new(Scheduler::new(config.workers, Arc::clone(&telemetry.ready_streams)));
 
         let mut worker_handles = Vec::with_capacity(config.workers);
-        let mut worker_stats = Vec::with_capacity(config.workers);
         for w in 0..config.workers {
             let streams = Arc::clone(&streams);
             let scheduler = Arc::clone(&scheduler);
             let stats = WorkerTelemetry::register(telemetry.registry(), w);
-            worker_stats.push(stats.clone());
             let shared = telemetry.clone();
             let batch = config.batch_chunks.max(1);
             let jitter = config.schedule_jitter;
@@ -708,7 +659,6 @@ impl<T: Tracker + Send + 'static> Engine<T> {
             config,
             started: Instant::now(),
             telemetry,
-            worker_stats,
         };
         for pipeline in pipelines {
             let _ = engine.attach(pipeline);
@@ -991,11 +941,14 @@ impl<T: Tracker + Send + 'static> Engine<T> {
         }
     }
 
-    /// Current per-stream, per-worker and scheduler statistics.
+    /// Current per-stream statistics; see [`Snapshot`] for where the
+    /// worker and scheduler numbers live.
     #[must_use]
     pub fn snapshot(&self) -> Snapshot {
         Snapshot {
             elapsed: self.started.elapsed(),
+            workers: self.config.workers,
+            ready_high_water: self.scheduler.ready_high_water(),
             streams: self
                 .streams
                 .all()
@@ -1012,8 +965,6 @@ impl<T: Tracker + Send + 'static> Engine<T> {
                         active_trackers: work.active_trackers,
                         queue_depth: work.in_flight,
                         queue_high_water: work.high_water,
-                        queue_wait_ns: state.telemetry.queue_wait.get(),
-                        producer_block_ns: state.telemetry.producer_block.get(),
                         last_owner: work.last_owner,
                         migrations: work.migrations,
                         finished: work.finished,
@@ -1021,27 +972,6 @@ impl<T: Tracker + Send + 'static> Engine<T> {
                     }
                 })
                 .collect(),
-            workers: self
-                .worker_stats
-                .iter()
-                .enumerate()
-                .map(|(id, stats)| WorkerSnapshot {
-                    id,
-                    busy_ns: stats.busy.get(),
-                    acquire_ns: stats.acquire.get(),
-                    idle_ns: stats.idle.get(),
-                    wall_ns: stats.wall.get(),
-                    chunks: stats.chunks.get(),
-                    steals: stats.steals.get(),
-                })
-                .collect(),
-            scheduler: SchedulerSnapshot {
-                steals: self.worker_stats.iter().map(|stats| stats.steals.get()).sum(),
-                batches: self.telemetry.batch_size.count(),
-                batch_mean: self.telemetry.batch_size.mean(),
-                batch_max_le: self.telemetry.batch_size.max_bound(),
-                ready_high_water: self.scheduler.ready_high_water(),
-            },
         }
     }
 
@@ -1235,10 +1165,11 @@ mod tests {
     #[test]
     fn engine_with_no_streams_joins_empty() {
         let engine = Engine::new(EngineConfig::with_workers(2), pipelines(0));
+        let telemetry = engine.telemetry().clone();
         let out = engine.join();
         assert!(out.streams.is_empty());
         assert_eq!(out.snapshot.events_in(), 0);
-        assert_eq!(out.snapshot.scheduler.batches, 0);
+        assert_eq!(telemetry.batch_size.count(), 0);
     }
 
     #[test]
@@ -1285,22 +1216,20 @@ mod tests {
             ..EngineConfig::default()
         };
         let engine = Engine::new(config, pipelines(1));
+        let telemetry = engine.telemetry().clone();
         for k in 0..6u64 {
             engine.push(StreamId(0), block_events(40 + 3 * k as u16, k * 66_000));
         }
         engine.finish_stream(StreamId(0), 7 * 66_000);
         let out = engine.join();
-        let sched = out.snapshot.scheduler;
-        assert!(sched.batches >= 1, "at least one acquisition");
-        assert!(
-            sched.batches <= 7,
-            "never more acquisitions than jobs (6 chunks + finish): {}",
-            sched.batches
-        );
-        assert!(sched.batch_mean >= 1.0);
-        assert!(sched.batch_max_le >= 1);
-        assert_eq!(sched.steals, 0, "one worker cannot steal from itself");
-        assert!(sched.ready_high_water >= 1);
+        let batches = telemetry.batch_size.count();
+        assert!(batches >= 1, "at least one acquisition");
+        assert!(batches <= 7, "never more acquisitions than jobs (6 chunks + finish): {batches}");
+        assert!(telemetry.batch_size.mean() >= 1.0);
+        assert!(telemetry.batch_size.max_bound() >= 1);
+        let steals = WorkerTelemetry::register(telemetry.registry(), 0).steals.get();
+        assert_eq!(steals, 0, "one worker cannot steal from itself");
+        assert!(out.snapshot.ready_high_water >= 1);
         assert_eq!(out.snapshot.streams[0].last_owner, Some(0));
         assert_eq!(out.snapshot.streams[0].migrations, 0, "one worker, no migrations");
     }
@@ -1382,6 +1311,7 @@ mod tests {
     #[test]
     fn worker_time_accounting_is_exact_after_join() {
         let engine = Engine::new(EngineConfig::with_workers(2), pipelines(2));
+        let telemetry = engine.telemetry().clone();
         for k in 0..4u64 {
             engine.push(StreamId(0), block_events(40 + 3 * k as u16, k * 66_000));
             engine.push(StreamId(1), block_events(60 + 3 * k as u16, k * 66_000));
@@ -1389,24 +1319,26 @@ mod tests {
         engine.finish_stream(StreamId(0), 5 * 66_000);
         engine.finish_stream(StreamId(1), 5 * 66_000);
         let out = engine.join();
-        assert_eq!(out.snapshot.workers.len(), 2);
-        for worker in &out.snapshot.workers {
-            assert!(worker.wall_ns > 0, "wall stamped at worker exit");
+        assert_eq!(out.snapshot.workers, 2);
+        let mut drained = 0;
+        for w in 0..out.snapshot.workers {
+            let t = WorkerTelemetry::register(telemetry.registry(), w);
+            let wall = t.wall.get();
+            assert!(wall > 0, "wall stamped at worker exit");
             assert_eq!(
-                worker.busy_ns + worker.acquire_ns + worker.idle_ns,
-                worker.wall_ns,
-                "telescoping accounting: busy + acquire + idle == wall for worker {}",
-                worker.id
+                t.busy.get() + t.acquire.get() + t.idle.get(),
+                wall,
+                "telescoping accounting: busy + acquire + idle == wall for worker {w}"
             );
+            drained += t.chunks.get();
         }
         // Chunk bookkeeping lines up across views: per-worker chunk
         // counts equal router accepts (which worker drained which chunk
         // is the scheduler's business — only the total is invariant).
         let accepted: u64 = out.snapshot.streams.iter().map(|s| s.chunks_in).sum();
-        let drained: u64 = out.snapshot.workers.iter().map(|w| w.chunks).sum();
         assert_eq!(drained, accepted);
         // Every drained chunk was part of exactly one batch.
-        assert!(out.snapshot.scheduler.batches >= 2, "each stream needs at least one acquisition");
+        assert!(telemetry.batch_size.count() >= 2, "each stream needs at least one acquisition");
     }
 
     #[test]
@@ -1422,9 +1354,9 @@ mod tests {
             engine.push(StreamId(0), block_events(40 + 3 * k as u16, k * 66_000));
         }
         engine.finish_stream(StreamId(0), 4 * 66_000);
-        let out = engine.join();
-        let stream = &out.snapshot.streams[0];
-        assert!(stream.queue_wait_ns > 0, "every chunk waits at least a little");
+        let _ = engine.join();
+        let stream = StreamTelemetry::register(&registry, "cam00");
+        assert!(stream.queue_wait.get() > 0, "every chunk waits at least a little");
         assert_eq!(telemetry.queue_wait.count(), 3, "one sample per chunk");
         assert_eq!(telemetry.queue_depth.count(), 3, "one depth sample per push");
         let text = registry.render();

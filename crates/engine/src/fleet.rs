@@ -1,8 +1,8 @@
 //! Fleet driving: feed K recorded/simulated streams through an engine
-//! and measure aggregate throughput.
+//! and drain it. The returned [`EngineOutput`]'s snapshot carries the
+//! run's rates ([`crate::Snapshot::events_per_sec`]).
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use ebbiot_core::{Pipeline, Tracker};
 use ebbiot_events::{Event, Micros};
@@ -39,53 +39,6 @@ impl Default for FleetOptions {
     }
 }
 
-/// Result of a fleet run: the engine's output plus wall-clock timing.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FleetRun {
-    /// The engine's per-stream outputs and final snapshot.
-    pub output: EngineOutput,
-    /// Wall-clock time from first push to full drain.
-    pub elapsed: Duration,
-}
-
-impl FleetRun {
-    /// Total events processed.
-    #[must_use]
-    pub fn events(&self) -> u64 {
-        self.output.snapshot.events_in()
-    }
-
-    /// Total frames emitted.
-    #[must_use]
-    pub fn frames(&self) -> u64 {
-        self.output.snapshot.frames_out()
-    }
-
-    /// Aggregate event throughput over the run, events/second (0 for a
-    /// zero-duration run rather than NaN or a bogus near-infinite rate).
-    #[must_use]
-    pub fn events_per_sec(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs > 0.0 {
-            self.events() as f64 / secs
-        } else {
-            0.0
-        }
-    }
-
-    /// Aggregate frame throughput over the run, frames/second (0 for a
-    /// zero-duration run).
-    #[must_use]
-    pub fn frames_per_sec(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs > 0.0 {
-            self.frames() as f64 / secs
-        } else {
-            0.0
-        }
-    }
-}
-
 impl<T: Tracker + Send + 'static> Engine<T> {
     /// Runs a whole fleet to completion: builds an engine over
     /// `pipelines` (one per entry of `streams`), feeds every stream's
@@ -117,12 +70,12 @@ impl<T: Tracker + Send + 'static> Engine<T> {
     ///     &streams,
     ///     &FleetOptions { workers: 2, ..FleetOptions::default() },
     /// );
-    /// assert_eq!(run.output.streams.len(), 3);
-    /// assert_eq!(run.events(), 600);
+    /// assert_eq!(run.streams.len(), 3);
+    /// assert_eq!(run.snapshot.events_in(), 600);
     ///
     /// // Identical to processing each camera alone, any worker count.
     /// let alone = EbbiotPipeline::new(config).process_recording(&cameras[0], 132_000);
-    /// assert_eq!(run.output.streams[0], alone);
+    /// assert_eq!(run.streams[0], alone);
     /// ```
     ///
     /// # Panics
@@ -134,14 +87,14 @@ impl<T: Tracker + Send + 'static> Engine<T> {
         pipelines: Vec<Pipeline<T>>,
         streams: &[FleetStream<'_>],
         options: &FleetOptions,
-    ) -> FleetRun {
+    ) -> EngineOutput {
         Self::run_fleet_with_registry(pipelines, streams, options, Arc::new(Registry::new()))
     }
 
-    /// Like [`Self::run_fleet`], but registers the engine's contention
-    /// metrics in a caller-provided [`Registry`] so the experiment
-    /// harness can read queue-wait / queue-depth / collector histograms
-    /// (and any stage telemetry the pipelines carry) after the run.
+    /// Like [`Self::run_fleet`], but registers the engine's metrics in a
+    /// caller-provided [`Registry`], so the experiment harness can read
+    /// the worker, scheduler and queue-wait numbers (and any stage
+    /// telemetry the pipelines carry) after the run.
     ///
     /// # Panics
     ///
@@ -152,7 +105,7 @@ impl<T: Tracker + Send + 'static> Engine<T> {
         streams: &[FleetStream<'_>],
         options: &FleetOptions,
         registry: Arc<Registry>,
-    ) -> FleetRun {
+    ) -> EngineOutput {
         assert_eq!(pipelines.len(), streams.len(), "one pipeline per fleet stream");
         let config = EngineConfig {
             workers: options.workers,
@@ -161,7 +114,6 @@ impl<T: Tracker + Send + 'static> Engine<T> {
         };
         let chunk = options.chunk_events.max(1);
 
-        let started = Instant::now();
         let engine = Engine::with_registry(config, pipelines, registry);
         let mut offsets = vec![0usize; streams.len()];
         loop {
@@ -181,8 +133,7 @@ impl<T: Tracker + Send + 'static> Engine<T> {
         for (i, stream) in streams.iter().enumerate() {
             engine.finish_stream(StreamId(i), stream.span_us);
         }
-        let output = engine.join();
-        FleetRun { output, elapsed: started.elapsed() }
+        engine.join()
     }
 }
 
@@ -228,10 +179,11 @@ mod tests {
                 &streams,
                 &FleetOptions { workers, queue_capacity: 2, chunk_events: 100 },
             );
-            assert_eq!(run.output.streams, expected, "{workers} workers");
-            assert_eq!(run.events(), recordings.iter().map(|r| r.len() as u64).sum::<u64>());
-            assert!(run.frames() >= 4 * 6);
-            assert!(run.events_per_sec() > 0.0);
+            assert_eq!(run.streams, expected, "{workers} workers");
+            let events = recordings.iter().map(|r| r.len() as u64).sum::<u64>();
+            assert_eq!(run.snapshot.events_in(), events);
+            assert!(run.snapshot.frames_out() >= 4 * 6);
+            assert!(run.snapshot.events_per_sec() > 0.0);
         }
     }
 

@@ -22,7 +22,9 @@
 //! * an **output collector** that keeps every stream's `FrameResult`s in
 //!   emission order, indexed by stream;
 //! * per-stream and aggregate **stats** (events/s, frames/s, active
-//!   trackers, queue depth high-water) through [`Engine::snapshot`];
+//!   trackers, queue depth high-water) through [`Engine::snapshot`], and
+//!   worker time, steals, batch sizes and queue wait in the engine's
+//!   telemetry registry ([`telemetry`]), read nowhere else;
 //! * [`Engine::run_fleet`], the batteries-included entry point the
 //!   `exp_fleet` experiment binary drives.
 //!
@@ -100,8 +102,8 @@ pub mod fleet;
 pub mod telemetry;
 
 pub use engine::{
-    Engine, EngineConfig, EngineOutput, RejectedChunk, SchedulerSnapshot, SessionHandoff, Snapshot,
-    StreamId, StreamSnapshot, StreamTotals, WorkerSnapshot,
+    Engine, EngineConfig, EngineOutput, RejectedChunk, SessionHandoff, Snapshot, StreamId,
+    StreamSnapshot, StreamTotals,
 };
-pub use fleet::{FleetOptions, FleetRun, FleetStream};
+pub use fleet::{FleetOptions, FleetStream};
 pub use telemetry::{EngineTelemetry, StreamTelemetry, WorkerTelemetry};

@@ -5,12 +5,13 @@
 //! components with [`crate::Engine::with_registry`]): a handful of
 //! relaxed atomic adds per *chunk* is noise next to the kernel work a
 //! chunk performs, so unlike the per-stage pipeline telemetry there is
-//! no off switch. Four views cover the contention story
-//! (ARCHITECTURE.md §7):
+//! no off switch. The registry is the only place these numbers live —
+//! [`crate::Snapshot`] copies none of them — so a STATS scrape and an
+//! in-process reader see the same values. Four views cover the
+//! contention story (ARCHITECTURE.md §7):
 //!
 //! * **per worker** ([`WorkerTelemetry`]) — busy / acquire / idle /
-//!   wall time, chunk counts and steals (the scheduler's steal total is
-//!   their sum), accounted with telescoping
+//!   wall time, chunk counts and steals, accounted with telescoping
 //!   timestamps so that `busy + acquire + idle == wall` holds *exactly*
 //!   at worker exit (the determinism suite asserts equality, not a
 //!   tolerance);
@@ -18,8 +19,13 @@
 //!   distributions, plus collector reorder-buffer occupancy;
 //! * **per stream** ([`StreamTelemetry`]) — cumulative queue wait and
 //!   producer back-pressure blocking, labelled by camera;
-//! * **scheduler** — the jobs-per-acquisition batch-size histogram (how well batching amortizes hand-off), and a live
-//!   ready-streams gauge.
+//! * **scheduler** — the jobs-per-acquisition batch-size histogram (how
+//!   well batching amortizes hand-off), and a live ready-streams gauge.
+//!
+//! Every `register` call is idempotent: it returns handles to the live
+//! series, creating them only when absent. Readers should therefore
+//! register worker handles only for the [`crate::Snapshot::workers`]
+//! workers that exist.
 
 use std::sync::Arc;
 

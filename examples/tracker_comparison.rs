@@ -23,15 +23,14 @@ fn main() {
     let ebbiot_frames = ebbiot.process_recording(&recording.events, recording.duration_us);
 
     // Same front end, Kalman tracker.
-    let mut kf = EbbiKfPipeline::new(
-        EbbiotConfig::paper_default(recording.geometry),
-        KalmanConfig::paper_default(),
-    );
+    let config = EbbiotConfig::paper_default(recording.geometry);
+    let mut kf = registry::build_pipeline("ebbi-kf", config.clone()).expect("registered");
     let kf_frames = kf.process_recording(&recording.events, recording.duration_us);
 
-    // Fully event-based: NN-filter + EBMS.
-    let mut ebms =
-        NnEbmsPipeline::new(recording.geometry, recording.frame_us, EbmsConfig::paper_default());
+    // Fully event-based: NN-filter + EBMS, built concretely so its
+    // filter statistics stay reachable through `tracker()`.
+    let tracker = NnEbmsTracker::new(recording.geometry, EbmsConfig::paper_default());
+    let mut ebms = Pipeline::with_tracker(config.with_frame_us(recording.frame_us), tracker);
     let ebms_frames = ebms.process_recording(&recording.events, recording.duration_us);
 
     let thresholds = [0.1f32, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7];
@@ -58,7 +57,7 @@ fn main() {
     println!("  carries full boxes with prediction-based occlusion handling.");
     println!(
         "\nEBMS diagnostic: NN-filter kept {:.0}% of events, {:.0} filtered events/frame (paper N_F ~ 650).",
-        ebms.keep_fraction() * 100.0,
-        ebms.filtered_events_per_frame()
+        ebms.tracker().keep_fraction() * 100.0,
+        ebms.tracker().filtered_events_per_frame()
     );
 }

@@ -78,8 +78,8 @@ pub use ebbiot_telemetry as telemetry;
 /// The most common imports in one place.
 pub mod prelude {
     pub use ebbiot_baselines::{
-        registry, BackendSpec, EbbiKfPipeline, EbmsConfig, EbmsTracker, KalmanConfig,
-        KalmanTracker, NnEbmsPipeline, NnEbmsTracker, BACKENDS,
+        registry, BackendSpec, EbmsConfig, EbmsTracker, KalmanConfig, KalmanTracker, NnEbmsTracker,
+        BACKENDS,
     };
     pub use ebbiot_core::{
         BoxedTracker, DutyCycleModel, DynPipeline, EbbiotConfig, EbbiotPipeline, FrameInput,
@@ -89,8 +89,8 @@ pub mod prelude {
         TwoTimescaleState,
     };
     pub use ebbiot_engine::{
-        Engine, EngineConfig, EngineOutput, FleetOptions, FleetRun, FleetStream, SessionHandoff,
-        Snapshot, StreamId, StreamTotals,
+        Engine, EngineConfig, EngineOutput, FleetOptions, FleetStream, SessionHandoff, Snapshot,
+        StreamId, StreamTotals,
     };
     pub use ebbiot_eval::{
         evaluate_frames, sweep_thresholds, weighted_average, EvalAccumulator, PrecisionRecall,

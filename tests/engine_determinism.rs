@@ -58,12 +58,12 @@ fn sixteen_camera_fleet_is_bit_identical_across_worker_counts() {
                 &FleetOptions { workers, queue_capacity: 2, chunk_events: 777 },
             );
             assert_eq!(
-                run.output.streams, expected,
+                run.streams, expected,
                 "backend {} with {workers} workers diverged from sequential",
                 spec.name
             );
             assert_eq!(
-                run.events(),
+                run.snapshot.events_in(),
                 fleet.iter().map(|r| r.events.len() as u64).sum::<u64>(),
                 "no events dropped"
             );
@@ -89,7 +89,7 @@ fn chunk_granularity_does_not_change_fleet_output() {
             &streams,
             &FleetOptions { workers: 4, queue_capacity: 8, chunk_events },
         );
-        assert_eq!(run.output.streams, expected, "chunk size {chunk_events}");
+        assert_eq!(run.streams, expected, "chunk size {chunk_events}");
     }
 }
 

@@ -22,13 +22,12 @@ fn run_all(rec: &SimulatedRecording, iou: f32) -> Outcome {
     let mut ebbiot = EbbiotPipeline::new(EbbiotConfig::paper_default(rec.geometry));
     let e_frames = ebbiot.process_recording(&rec.events, rec.duration_us);
 
-    let mut kf = EbbiKfPipeline::new(
-        EbbiotConfig::paper_default(rec.geometry),
-        KalmanConfig::paper_default(),
-    );
+    let config = EbbiotConfig::paper_default(rec.geometry);
+    let mut kf = registry::build_pipeline("ebbi-kf", config.clone()).expect("registered");
     let k_frames = kf.process_recording(&rec.events, rec.duration_us);
 
-    let mut ebms = NnEbmsPipeline::new(rec.geometry, rec.frame_us, EbmsConfig::paper_default());
+    let config = config.with_frame_us(rec.frame_us);
+    let mut ebms = registry::build_pipeline("nn-ebms", config).expect("registered");
     let m_frames = ebms.process_recording(&rec.events, rec.duration_us);
 
     let gt = gt_of(rec);

@@ -2,16 +2,18 @@
 //! the pre-refactor monolithic implementations **bit for bit**.
 //!
 //! The reference implementations below are transcriptions of the seed's
-//! monolithic `EbbiotPipeline`, `EbbiKfPipeline` and `NnEbmsPipeline`
-//! loops (each of which hand-rolled the EBBI → median → RPN → ROE chain
-//! inline), built from the same primitives. Every refactored pipeline —
-//! batch or chunked-streaming — must emit identical `FrameResult`
-//! sequences on a fixed-seed LT4 recording.
+//! monolithic EBBIOT, EBBI+KF and NN-filt+EBMS loops (each of which
+//! hand-rolled the EBBI → median → RPN → ROE chain inline), built from
+//! the same primitives. They window with `FrameWindows`, independently
+//! of the pipelines' own streaming windower, so they are the windowing
+//! oracle too. Every refactored pipeline — batch or chunked-streaming —
+//! must emit identical `FrameResult` sequences on a fixed-seed LT4
+//! recording.
 
 use ebbiot::baselines::{
-    registry, EbbiKfPipeline, EbmsConfig, EbmsTracker, KalmanConfig, KalmanTracker, NnEbmsPipeline,
+    registry, EbmsConfig, EbmsTracker, KalmanConfig, KalmanTracker, NnEbmsTracker,
 };
-use ebbiot::core::{EbbiotConfig, EbbiotPipeline, FrameResult, OverlapTracker, TrackBox};
+use ebbiot::core::{EbbiotConfig, EbbiotPipeline, FrameResult, OverlapTracker, Pipeline, TrackBox};
 use ebbiot::events::stream::FrameWindows;
 use ebbiot::events::{Event, Micros, OpsCounter};
 use ebbiot::filters::{EventFilter, NnFilter};
@@ -159,7 +161,8 @@ fn ebbi_kf_pipeline_matches_monolithic_reference() {
     let config = EbbiotConfig::paper_default(rec.geometry);
     let expected =
         monolithic_ebbi_kf(&config, KalmanConfig::paper_default(), &rec.events, rec.duration_us);
-    let mut pipeline = EbbiKfPipeline::new(config, KalmanConfig::paper_default());
+    let tracker = KalmanTracker::new(config.geometry, KalmanConfig::paper_default());
+    let mut pipeline = Pipeline::with_tracker(config, tracker);
     let got = pipeline.process_recording(&rec.events, rec.duration_us);
     assert!(!expected.is_empty());
     assert_eq!(got, expected);
@@ -175,7 +178,9 @@ fn nn_ebms_pipeline_matches_monolithic_reference() {
         &rec.events,
         rec.duration_us,
     );
-    let mut pipeline = NnEbmsPipeline::new(rec.geometry, rec.frame_us, EbmsConfig::paper_default());
+    let config = EbbiotConfig::paper_default(rec.geometry).with_frame_us(rec.frame_us);
+    let tracker = NnEbmsTracker::new(rec.geometry, EbmsConfig::paper_default());
+    let mut pipeline = Pipeline::with_tracker(config, tracker);
     let got = pipeline.process_recording(&rec.events, rec.duration_us);
     assert!(!expected.is_empty());
     assert_eq!(got, expected);

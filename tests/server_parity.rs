@@ -51,7 +51,7 @@ fn tcp_ingestion_matches_run_fleet_for_every_backend() {
 
         for (k, run) in runs.iter().enumerate() {
             assert_eq!(
-                run.frames, reference.output.streams[k],
+                run.frames, reference.streams[k],
                 "backend {} camera {k}: TCP output != in-process output",
                 spec.name
             );
@@ -94,7 +94,7 @@ fn chunk_granularity_does_not_change_server_output() {
         let runs = stream_fleet(server.local_addr(), &fleet, chunk_events).expect("stream fleet");
         let _ = server.shutdown();
         for (k, run) in runs.iter().enumerate() {
-            assert_eq!(run.frames, expected.output.streams[k], "chunk {chunk_events} camera {k}");
+            assert_eq!(run.frames, expected.streams[k], "chunk {chunk_events} camera {k}");
         }
     }
 }
@@ -179,7 +179,7 @@ fn malformed_sessions_fail_cleanly_and_leave_the_server_serving() {
         2048,
     )
     .expect("healthy session after bad ones");
-    assert_eq!(run.frames, expected.output.streams[0]);
+    assert_eq!(run.frames, expected.streams[0]);
 
     let report = server.shutdown();
     let failed = report.sessions.iter().filter(|s| s.error.is_some()).count();

@@ -61,7 +61,7 @@ fn spooled_fleet_replay_is_bit_identical_to_in_memory_for_all_backends() {
             .expect("replay fleet");
 
         assert_eq!(
-            replay.output.streams, in_memory.output.streams,
+            replay.output.streams, in_memory.streams,
             "backend {} diverged between disk replay and in-memory processing",
             spec.name
         );
