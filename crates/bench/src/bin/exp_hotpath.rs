@@ -7,29 +7,122 @@
 //! ```
 //!
 //! Captures the frame windows of two simulated fleets — LT4 (quiet,
-//! sparse frames) and ENG (busy, denser frames) — with their EBBIs and
-//! median-filtered EBBIs, then times each kernel pair over that frame
-//! rotation: the batched EBBI latch (`accumulate_all`, then
-//! `readout_into`) against the one-event-at-a-time `accumulate` loop
-//! (then the same readout) on the event windows, the 3x3 median on raw
-//! EBBIs, and the (6, 3) block downsample, the axis projections and box
-//! counting over tracker-sized boxes on denoised frames, which is what
-//! the region proposer and the trackers read. Reports ns/frame and the
-//! speedup over the reference per fleet, writes
-//! `BENCH_hotpath.json`, and **asserts** the median kernel is at least
-//! 3x faster than the scalar reference on both fleets. Parity (bits and
-//! op counts) is asserted on every captured frame before timing starts.
-//! `--smoke` shrinks the fleets and the timing budget to CI size and
-//! skips the JSON artifact while still asserting parity and the floor.
+//! sparse frames) and ENG (busy, denser frames) — with their EBBIs,
+//! median-filtered EBBIs and the rows the median wrote, plus each
+//! camera's events in the replay benchmark's 1,024-event chunks. Then
+//! times each hot-path kernel against its scalar reference over that
+//! rotation:
+//! - `ebbi`: the batched EBBI latch (`accumulate_all`, then
+//!   `readout_into`) against the one-event-at-a-time `accumulate` loop
+//!   (then the same readout), on the event windows;
+//! - `median`: the 3x3 median on raw EBBIs;
+//! - `rpn`: the region proposer's projection of the median's rows
+//!   straight into `H_X`/`H_Y` plus the run search on both, against the
+//!   count-image downsample, the two projections and the same runs, on
+//!   denoised frames;
+//! - `count_in_box`: box counting over tracker-sized boxes on denoised
+//!   frames, what the trackers read;
+//! - `decode`: the fast EBST chunk decoder against the scalar reference
+//!   decoder, on the encoded full chunks, in ns/event. `lane_share` is
+//!   the share of events whose three varints fit the decoder's one-load
+//!   lane.
+//!
+//! Reports ns per frame (per event for `decode`) and the speedup over
+//! the reference per fleet, writes `BENCH_hotpath.json`, and **asserts**
+//! the median kernel is at least 3x faster than the scalar reference on
+//! both fleets. Parity (bits, op counts, decoded events) is asserted on
+//! every captured frame and chunk before timing starts. `--smoke`
+//! shrinks the fleets and the timing budget to CI size and skips the
+//! JSON artifact while still asserting parity and the floor.
 
 use std::time::{Duration, Instant};
 
-use ebbiot_bench::{tracker_box_tiling, FleetFrames, JsonReport};
-use ebbiot_events::OpsCounter;
-use ebbiot_frame::{
-    reference, Axis, BinaryImage, CountImage, EbbiAccumulator, Histogram, MedianFilter,
-};
+use ebbiot_bench::{tracker_box_tiling, FleetFrames, JsonReport, CHUNK_EVENTS};
+use ebbiot_events::{Event, OpsCounter, SensorGeometry};
+use ebbiot_frame::{reference, Axis, BinaryImage, EbbiAccumulator, Histogram, MedianFilter, Run};
 use ebbiot_sim::DatasetPreset;
+use ebbiot_store::format::{
+    decode_chunk_payload, decode_chunk_payload_fast, encode_chunk_payload, read_varint,
+};
+
+/// The paper's RPN scale factors `(s1, s2)` and run threshold.
+const SCALE: (u16, u16) = (6, 3);
+const THRESHOLD: u32 = 1;
+
+/// One full chunk as the decoder sees it: the encoded payload, the
+/// frame fields of its `EBST` chunk and the sensor it was recorded on.
+struct EncodedChunk {
+    payload: Vec<u8>,
+    count: u32,
+    t_first: u64,
+    t_last: u64,
+    geometry: SensorGeometry,
+}
+
+impl EncodedChunk {
+    fn new(events: &[Event], geometry: SensorGeometry) -> Self {
+        let mut payload = Vec::new();
+        encode_chunk_payload(&mut payload, events);
+        let count = u32::try_from(events.len()).expect("chunk fits u32");
+        let (t_first, t_last) = (events[0].t, events[events.len() - 1].t);
+        Self { payload, count, t_first, t_last, geometry }
+    }
+
+    fn decode(&self, out: &mut Vec<Event>, fast: bool) {
+        let decoder = if fast { decode_chunk_payload_fast } else { decode_chunk_payload };
+        decoder(out, &self.payload, 0, self.geometry, self.count, self.t_first, self.t_last)
+            .expect("the chunk was encoded from valid events");
+    }
+
+    /// Events whose three varints take at most 3 bytes each and at most
+    /// 8 together, the decoder's one-load lane.
+    fn lane_events(&self) -> usize {
+        let mut pos = 0;
+        let mut lengths = || {
+            let start = pos;
+            read_varint(&self.payload, &mut pos).expect("valid varint");
+            pos - start
+        };
+        (0..self.count)
+            .filter(|_| {
+                let lens = [lengths(), lengths(), lengths()];
+                lens.iter().all(|&len| len <= 3) && lens.iter().sum::<usize>() <= 8
+            })
+            .count()
+    }
+}
+
+/// The full chunks of a fleet, with their events.
+fn full_chunks(frames: &FleetFrames) -> impl Iterator<Item = (&[Event], EncodedChunk)> {
+    let geometry = frames.ebbis[0].geometry();
+    frames
+        .chunks
+        .iter()
+        .filter(|c| c.len() == CHUNK_EVENTS)
+        .map(move |c| (c.as_slice(), EncodedChunk::new(c, geometry)))
+}
+
+/// The production RPN histogram stage: the median's rows projected
+/// straight into `H_X`/`H_Y`, then the runs of both.
+fn rpn_word(
+    img: &BinaryImage,
+    rows: &[u16],
+    (hx, hy): (&mut Histogram, &mut Histogram),
+    ops: &mut OpsCounter,
+) -> (Vec<Run>, Vec<Run>) {
+    Histogram::project_rows(img, rows.iter().copied(), SCALE, hx, hy, ops);
+    (hx.runs_at_least(THRESHOLD, ops), hy.runs_at_least(THRESHOLD, ops))
+}
+
+/// The scalar reference of [`rpn_word`]: the count-image downsample, its
+/// two projections and the same runs.
+fn rpn_reference(img: &BinaryImage, ops: &mut OpsCounter) -> (Histogram, Histogram) {
+    let scaled = reference::downsample(img, SCALE.0, SCALE.1, ops);
+    let (hx, hy) =
+        (reference::project(&scaled, Axis::X, ops), reference::project(&scaled, Axis::Y, ops));
+    let _ = (hx.runs_at_least(THRESHOLD, ops), hy.runs_at_least(THRESHOLD, ops));
+    (hx, hy)
+}
 
 struct Args {
     seed: u64,
@@ -86,24 +179,28 @@ fn assert_parity(frames: &FleetFrames) {
         assert_eq!(&scratch, ebbi, "EBBI parity");
         assert_eq!(single.readout(), scratch, "EBBI parity");
     }
-    for (ebbi, denoised) in frames.ebbis.iter().zip(&frames.denoised) {
+    let (mut hx, mut hy) = (Histogram::default(), Histogram::default());
+    for ((ebbi, denoised), rows) in
+        frames.ebbis.iter().zip(&frames.denoised).zip(&frames.denoised_rows)
+    {
         let mut ref_ops = OpsCounter::new();
         let mut f = MedianFilter::paper_default();
         f.apply_into(ebbi, &mut scratch);
         assert_eq!(scratch, reference::median(ebbi, 3, &mut ref_ops), "median parity");
         assert_eq!(*f.ops(), ref_ops, "median op parity");
+        assert_eq!(f.written_rows(), rows, "median row list");
         let (mut ops, mut ref_ops) = (OpsCounter::new(), OpsCounter::new());
-        let fast = CountImage::downsample(denoised, 6, 3, &mut ops);
-        let slow = reference::downsample(denoised, 6, 3, &mut ref_ops);
-        assert_eq!(fast, slow, "downsample parity");
-        for axis in [Axis::X, Axis::Y] {
-            assert_eq!(
-                Histogram::project(&fast, axis, &mut ops),
-                reference::project(&slow, axis, &mut ref_ops),
-                "projection parity"
-            );
-        }
-        assert_eq!(ops, ref_ops, "downsample + projection op parity");
+        let _ = rpn_word(denoised, rows, (&mut hx, &mut hy), &mut ops);
+        let (ref_hx, ref_hy) = rpn_reference(denoised, &mut ref_ops);
+        assert_eq!((&hx, &hy), (&ref_hx, &ref_hy), "projection parity");
+        assert_eq!(ops, ref_ops, "projection + runs op parity");
+    }
+    let mut decoded = Vec::new();
+    for (events, chunk) in full_chunks(frames) {
+        chunk.decode(&mut decoded, true);
+        assert_eq!(decoded, events, "fast decode parity");
+        chunk.decode(&mut decoded, false);
+        assert_eq!(decoded, events, "reference decode parity");
     }
 }
 
@@ -153,29 +250,13 @@ fn measure(
         reference::median_into(img, 3, &mut scratch, &mut ops);
     });
 
-    let mut scaled = CountImage::default();
-    let down_word = ns_per_frame(budget, &frames.denoised, |img| {
-        CountImage::downsample_into(img, 6, 3, &mut scaled, &mut ops);
-    });
-    let down_ref = ns_per_frame(budget, &frames.denoised, |img| {
-        std::hint::black_box(reference::downsample(img, 6, 3, &mut ops));
-    });
-
-    let scaled_frames: Vec<CountImage> =
-        frames.denoised.iter().map(|img| CountImage::downsample(img, 6, 3, &mut ops)).collect();
     let (mut hx, mut hy) = (Histogram::default(), Histogram::default());
-    let mut k = 0usize;
-    let project_word = ns_per_frame(budget, &frames.denoised, |_| {
-        let scaled = &scaled_frames[k % scaled_frames.len()];
-        Histogram::project_into(scaled, Axis::X, &mut hx, &mut ops);
-        Histogram::project_into(scaled, Axis::Y, &mut hy, &mut ops);
-        k += 1;
+    let with_rows: Vec<_> = frames.denoised.iter().zip(&frames.denoised_rows).collect();
+    let rpn_word_ns = ns_per_frame(budget, &with_rows, |&(img, rows)| {
+        std::hint::black_box(rpn_word(img, rows, (&mut hx, &mut hy), &mut ops));
     });
-    let project_ref = ns_per_frame(budget, &frames.denoised, |_| {
-        let scaled = &scaled_frames[k % scaled_frames.len()];
-        std::hint::black_box(reference::project(scaled, Axis::X, &mut ops));
-        std::hint::black_box(reference::project(scaled, Axis::Y, &mut ops));
-        k += 1;
+    let rpn_ref_ns = ns_per_frame(budget, &frames.denoised, |img| {
+        std::hint::black_box(rpn_reference(img, &mut ops));
     });
 
     let boxes = tracker_box_tiling(geometry);
@@ -186,29 +267,44 @@ fn measure(
         std::hint::black_box(boxes.iter().map(|b| reference::count_in_box(img, b)).sum::<usize>());
     });
 
+    let chunks: Vec<EncodedChunk> = full_chunks(frames).map(|(_, chunk)| chunk).collect();
+    let lane_share = chunks.iter().map(EncodedChunk::lane_events).sum::<usize>() as f64
+        / (chunks.len() * CHUNK_EVENTS) as f64;
+    let mut decoded = Vec::with_capacity(CHUNK_EVENTS);
+    let per_event = |ns_per_chunk: f64| ns_per_chunk / CHUNK_EVENTS as f64;
+    let decode_word = per_event(ns_per_frame(budget, &chunks, |c| c.decode(&mut decoded, true)));
+    let decode_ref = per_event(ns_per_frame(budget, &chunks, |c| c.decode(&mut decoded, false)));
+
     let rows = [
-        ("ebbi", "EBBI latch + readout", ebbi_word, ebbi_ref),
-        ("median", "median 3x3 (EBBI)", median_word, median_ref),
-        ("downsample", "downsample 6x3", down_word, down_ref),
-        ("project", "projections X+Y", project_word, project_ref),
-        ("count_in_box", "count_in_box x64", count_word, count_ref),
+        ("ebbi", "EBBI latch + readout", "frame", ebbi_word, ebbi_ref),
+        ("median", "median 3x3 (EBBI)", "frame", median_word, median_ref),
+        ("rpn", "RPN rows + runs", "frame", rpn_word_ns, rpn_ref_ns),
+        ("count_in_box", "count_in_box x64", "frame", count_word, count_ref),
+        ("decode", "EBST chunk decode", "event", decode_word, decode_ref),
     ];
     report = report
         .u64(&format!("{label}_frames"), frames.ebbis.len() as u64)
         .f64(&format!("{label}_ebbi_density"), density(&frames.ebbis))
         .f64(&format!("{label}_denoised_density"), density(&frames.denoised))
-        .f64(&format!("{label}_denoised_empty_row_share"), empty_rows);
-    for (key, name, word, scalar) in rows {
+        .f64(&format!("{label}_denoised_empty_row_share"), empty_rows)
+        .u64(&format!("{label}_decode_chunks"), chunks.len() as u64)
+        .f64(&format!("{label}_decode_lane_share"), lane_share);
+    for (key, name, unit, word, scalar) in rows {
         println!(
-            "{name:<20} word {word:>10.0} ns/frame   scalar {scalar:>11.0} ns/frame   \
+            "{name:<20} word {word:>10.1} ns/{unit:<5}   scalar {scalar:>11.1} ns/{unit:<5}   \
              speedup {:>7.1}x",
             scalar / word
         );
         report = report
-            .f64(&format!("{label}_{key}_word_ns_per_frame"), word)
-            .f64(&format!("{label}_{key}_reference_ns_per_frame"), scalar)
+            .f64(&format!("{label}_{key}_word_ns_per_{unit}"), word)
+            .f64(&format!("{label}_{key}_reference_ns_per_{unit}"), scalar)
             .f64(&format!("{label}_{key}_speedup"), scalar / word);
     }
+    println!(
+        "decode one-load lane share {:.1}% of {} full chunks",
+        lane_share * 100.0,
+        chunks.len()
+    );
     println!();
     (report, median_ref / median_word)
 }

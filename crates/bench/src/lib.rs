@@ -147,13 +147,18 @@ pub fn run_fleet_sequential(
         .collect()
 }
 
+/// Events per chunk of the fleets the EBST replay benchmark spools.
+pub const CHUNK_EVENTS: usize = 1_024;
+
 /// The frames the front end sees on a simulated camera fleet: every
 /// camera's events windowed at its frame period `tF` (the EBBI latch's
 /// input), each window latched into an EBBI (the median filter's input),
 /// and each EBBI after the paper's 3x3 median (the region proposer's
-/// input). Empty frames are kept, because the workload has them too.
-/// Shared by `exp_hotpath` and the `kernels` criterion bench so kernels
-/// are timed on workload frames, not on a synthetic density.
+/// input), with the rows the median wrote. Empty frames are kept,
+/// because the workload has them too. Also holds each camera's events
+/// cut into [`CHUNK_EVENTS`]-event chunks, the decoder's input on
+/// replay. Shared by `exp_hotpath` and the `kernels` criterion bench so
+/// kernels are timed on workload data, not on a synthetic density.
 #[derive(Debug, Clone)]
 pub struct FleetFrames {
     /// Each frame's event window, camera by camera, in frame order.
@@ -162,6 +167,12 @@ pub struct FleetFrames {
     pub ebbis: Vec<ebbiot_frame::BinaryImage>,
     /// The same frames after the 3x3 median filter.
     pub denoised: Vec<ebbiot_frame::BinaryImage>,
+    /// The rows the median wrote a set pixel to in each denoised frame
+    /// (`MedianFilter::written_rows`), what the region proposer reads.
+    pub denoised_rows: Vec<Vec<u16>>,
+    /// Each camera's events in chunks of [`CHUNK_EVENTS`], camera by
+    /// camera; a camera's last chunk may be shorter.
+    pub chunks: Vec<Vec<ebbiot_events::Event>>,
 }
 
 impl FleetFrames {
@@ -190,8 +201,13 @@ impl FleetFrames {
             })
             .unzip();
         let mut median = ebbiot_frame::MedianFilter::paper_default();
-        let denoised = ebbis.iter().map(|ebbi| median.apply(ebbi)).collect();
-        Self { windows, ebbis, denoised }
+        let (denoised, denoised_rows) =
+            ebbis.iter().map(|ebbi| (median.apply(ebbi), median.written_rows().to_vec())).unzip();
+        let chunks = fleet
+            .iter()
+            .flat_map(|rec| rec.events.chunks(CHUNK_EVENTS).map(<[_]>::to_vec))
+            .collect();
+        Self { windows, ebbis, denoised, denoised_rows, chunks }
     }
 }
 

@@ -12,13 +12,16 @@
 //!
 //! The front-end owns **reused scratch buffers** for the EBBI readout,
 //! the denoised frame and the filtered proposal list, and the RPN owns
-//! its downsampled image and histograms, so a steady-state pipeline
+//! its histograms, so a steady-state pipeline
 //! performs no per-frame frame-sized allocations (the root
 //! `frontend_allocations` test pins this with a counting allocator).
 //! Each block keeps its own [`OpsCounter`] so the resource harness can
 //! cross-check the paper's Eqs. 1 and 5 against measured numbers.
 //!
-//! The frame kernels under these blocks (median, downsample, box
+//! The median hands the RPN the rows it wrote a set pixel to, and the
+//! RPN projects only those rows.
+//!
+//! The frame kernels under these blocks (median, projection, box
 //! queries) run **word-parallel** over `ebbiot_frame`'s row-aligned
 //! bit layout — 64 pixels per `u64` operation (see ARCHITECTURE.md,
 //! "Frame memory layout"). The [`OpsCounter`] numbers are *logical*
@@ -103,7 +106,7 @@ impl FrontEnd {
             let ebbi_done = Instant::now();
             self.median.apply_into(&self.ebbi_scratch, &mut self.denoised_scratch);
             let median_done = Instant::now();
-            let raw = self.rpn.propose(&self.denoised_scratch);
+            let raw = self.rpn.propose_rows(&self.denoised_scratch, self.median.written_rows());
             let rpn_done = Instant::now();
             self.roe.filter_into(&raw, &mut self.proposals, &mut self.roe_ops);
             let roe_done = Instant::now();
@@ -115,7 +118,7 @@ impl FrontEnd {
             self.accumulator.accumulate_all(events);
             self.accumulator.readout_into(&mut self.ebbi_scratch);
             self.median.apply_into(&self.ebbi_scratch, &mut self.denoised_scratch);
-            let raw = self.rpn.propose(&self.denoised_scratch);
+            let raw = self.rpn.propose_rows(&self.denoised_scratch, self.median.written_rows());
             self.roe.filter_into(&raw, &mut self.proposals, &mut self.roe_ops);
         }
         &self.proposals

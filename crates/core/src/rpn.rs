@@ -6,21 +6,35 @@
 //! from partial cells are clamped back to the frame), project `H_X` and
 //! `H_Y` (Eq. 4), find contiguous runs at or above a threshold (the paper
 //! sets it to 1), and propose the Cartesian intersections of X-runs and
-//! Y-runs as regions. When multiple runs exist
-//! on *both* axes, the product contains false intersections; the paper
-//! prescribes "a check ... in the original image to see if there are any
-//! valid pixels in that region" — we check the downsampled count image,
-//! which contains exactly the same information at `1/(s1*s2)` the cost.
+//! Y-runs as regions.
+//!
+//! The downsample and the projections are one step: `H_X` and `H_Y` are
+//! built straight from the set bits of the denoised frame
+//! ([`Histogram::project_rows`]), never materialising the count image.
+//! The front end hands over the rows the median filter wrote, so empty
+//! rows are never read. Any increasing row list that contains every
+//! non-empty row gives the same proposals: [`RegionProposalNetwork::propose`]
+//! passes all rows. The Eq. 5 op charge is the count-image path's, in
+//! closed form.
+//!
+//! When multiple runs exist on *both* axes, the product contains false
+//! intersections; the paper prescribes "a check ... in the original image
+//! to see if there are any valid pixels in that region". We check the
+//! intersection's pixel box on the denoised frame with
+//! [`BinaryImage::any_in_box`], which is non-empty exactly when the
+//! intersection's cells hold a non-zero block sum.
+//! [`RegionProposalNetwork::propose_with_intermediates`] takes the
+//! explicit count-image path for Fig. 3 and proposes the same regions.
 //!
 //! [`RpnMode::ConnectedComponents`] implements the paper's stated future
 //! work (a general CCA-based proposer, for scenes that are not side views)
-//! on the same interface.
+//! on the same interface; it labels the downsampled count image.
 
 use ebbiot_events::OpsCounter;
 use ebbiot_frame::{
     cca::{connected_components, Connectivity},
     histogram::{Axis, Histogram},
-    BinaryImage, BoundingBox, CountImage,
+    BinaryImage, BoundingBox, CountImage, PixelBox,
 };
 
 /// Which proposal algorithm to run.
@@ -92,15 +106,16 @@ impl RpnConfig {
 pub struct RegionProposalNetwork {
     config: RpnConfig,
     ops: OpsCounter,
-    /// Downsampled image and projections, reused across frames so a
-    /// steady-state [`RegionProposalNetwork::propose`] allocates no
-    /// frame-sized buffers.
+    /// Projections (and the CCA mode's downsampled image), reused across
+    /// frames so a steady-state [`RegionProposalNetwork::propose`]
+    /// allocates no frame-sized buffers.
     scratch: Scratch,
 }
 
 /// The RPN's per-frame intermediates, overwritten by every proposal.
 #[derive(Debug, Clone, Default)]
 struct Scratch {
+    /// The downsampled image, built in CCA mode only.
     scaled: CountImage,
     hx: Histogram,
     hy: Histogram,
@@ -125,36 +140,57 @@ impl RegionProposalNetwork {
         &self.config
     }
 
-    /// Proposes regions for one denoised EBBI.
+    /// Proposes regions for one denoised EBBI, projecting every row.
     #[must_use]
     pub fn propose(&mut self, image: &BinaryImage) -> Vec<BoundingBox> {
+        self.propose_from(image, 0..image.height())
+    }
+
+    /// Proposes regions for one denoised EBBI, reading only the listed
+    /// rows in histogram mode. `rows` must be increasing and hold every
+    /// non-empty row of `image` (any such superset gives the same
+    /// proposals and op counts): the front end passes the median filter's
+    /// [`written_rows`](ebbiot_frame::MedianFilter::written_rows).
+    #[must_use]
+    pub fn propose_rows(&mut self, image: &BinaryImage, rows: &[u16]) -> Vec<BoundingBox> {
+        self.propose_from(image, rows.iter().copied())
+    }
+
+    fn propose_from(
+        &mut self,
+        image: &BinaryImage,
+        rows: impl IntoIterator<Item = u16>,
+    ) -> Vec<BoundingBox> {
         let frame = (image.width(), image.height());
+        let scale = (self.config.s1, self.config.s2);
         let mut scratch = core::mem::take(&mut self.scratch);
         let Scratch { scaled, hx, hy } = &mut scratch;
-        CountImage::downsample_into(image, self.config.s1, self.config.s2, scaled, &mut self.ops);
         let proposals = match self.config.mode {
             RpnMode::Histogram => {
-                Histogram::project_into(scaled, Axis::X, hx, &mut self.ops);
-                Histogram::project_into(scaled, Axis::Y, hy, &mut self.ops);
-                self.intersect_runs(scaled, hx, hy, frame)
+                Histogram::project_rows(image, rows, scale, hx, hy, &mut self.ops);
+                self.intersect_runs(image, hx, hy)
             }
-            RpnMode::ConnectedComponents => self.propose_cca(scaled, frame),
+            RpnMode::ConnectedComponents => {
+                CountImage::downsample_into(image, scale.0, scale.1, scaled, &mut self.ops);
+                self.propose_cca(scaled, frame)
+            }
         };
         self.scratch = scratch;
         self.refine_all(image, proposals)
     }
 
-    /// Proposes regions and also returns the intermediate downsampled
-    /// image and histograms (for visualization, e.g. regenerating Fig. 3).
+    /// Proposes regions through the intermediate downsampled image and
+    /// histograms and returns them too (for visualization, e.g.
+    /// regenerating Fig. 3). Proposals and op counts equal
+    /// [`Self::propose`]'s.
     pub fn propose_with_intermediates(
         &mut self,
         image: &BinaryImage,
     ) -> (Vec<BoundingBox>, CountImage, Histogram, Histogram) {
-        let frame = (image.width(), image.height());
         let scaled = CountImage::downsample(image, self.config.s1, self.config.s2, &mut self.ops);
         let hx = Histogram::project(&scaled, Axis::X, &mut self.ops);
         let hy = Histogram::project(&scaled, Axis::Y, &mut self.ops);
-        let proposals = self.intersect_runs(&scaled, &hx, &hy, frame);
+        let proposals = self.intersect_runs(image, &hx, &hy);
         let proposals = self.refine_all(image, proposals);
         (proposals, scaled, hx, hy)
     }
@@ -211,37 +247,29 @@ impl RegionProposalNetwork {
 
     fn intersect_runs(
         &mut self,
-        scaled: &CountImage,
+        image: &BinaryImage,
         hx: &Histogram,
         hy: &Histogram,
-        frame: (u16, u16),
     ) -> Vec<BoundingBox> {
+        let frame = (image.width(), image.height());
         let x_runs = hx.runs_at_least(self.config.threshold, &mut self.ops);
         let y_runs = hy.runs_at_least(self.config.threshold, &mut self.ops);
         let ambiguous = x_runs.len() > 1 && y_runs.len() > 1;
         let mut proposals = Vec::with_capacity(x_runs.len() * y_runs.len());
         for rx in &x_runs {
             for ry in &y_runs {
+                let (i_min, i_max) = (rx.start as u16, rx.end as u16);
+                let (j_min, j_max) = (ry.start as u16, ry.end as u16);
+                let pixels = self.cells_to_pixels(i_min, i_max, j_min, j_max, frame);
                 // False intersections only arise when both axes have
-                // multiple runs; validate those against the count image.
+                // multiple runs; validate those against the denoised frame.
                 if ambiguous {
                     self.ops.compare(1);
-                    if !scaled.any_nonzero_in(
-                        rx.start as u16,
-                        rx.end as u16,
-                        ry.start as u16,
-                        ry.end as u16,
-                    ) {
+                    if !image.any_in_box(&pixels) {
                         continue;
                     }
                 }
-                let bbox = self.cells_to_box(
-                    rx.start as u16,
-                    rx.end as u16,
-                    ry.start as u16,
-                    ry.end as u16,
-                    frame,
-                );
+                let bbox = pixels.to_bounding_box();
                 self.ops.compare(1);
                 if bbox.area() >= self.config.min_area {
                     proposals.push(bbox);
@@ -269,7 +297,8 @@ impl RegionProposalNetwork {
         comps
             .into_iter()
             .map(|c| {
-                self.cells_to_box(c.bbox.x_min, c.bbox.x_max, c.bbox.y_min, c.bbox.y_max, frame)
+                let b = c.bbox;
+                self.cells_to_pixels(b.x_min, b.x_max, b.y_min, b.y_max, frame).to_bounding_box()
             })
             .filter(|b| b.area() >= self.config.min_area)
             .collect()
@@ -277,20 +306,24 @@ impl RegionProposalNetwork {
 
     /// Converts a half-open cell rectangle back to full-resolution pixels,
     /// clamping to the frame: a trailing *partial* cell (non-divisible
-    /// geometry, Eq. 3 extension) maps to only the pixels that exist.
-    fn cells_to_box(
+    /// geometry, Eq. 3 extension) maps to only the pixels that exist. The
+    /// cells hold a non-zero block sum exactly when these pixels hold a
+    /// set one.
+    fn cells_to_pixels(
         &self,
         i_min: u16,
         i_max: u16,
         j_min: u16,
         j_max: u16,
         frame: (u16, u16),
-    ) -> BoundingBox {
-        BoundingBox::from_corners(
-            f32::from(i_min) * f32::from(self.config.s1),
-            f32::from(j_min) * f32::from(self.config.s2),
-            (f32::from(i_max) * f32::from(self.config.s1)).min(f32::from(frame.0)),
-            (f32::from(j_max) * f32::from(self.config.s2)).min(f32::from(frame.1)),
+    ) -> PixelBox {
+        let (s1, s2) = (u32::from(self.config.s1), u32::from(self.config.s2));
+        let px = |cell: u16, s: u32, limit: u16| (u32::from(cell) * s).min(u32::from(limit)) as u16;
+        PixelBox::new(
+            px(i_min, s1, frame.0),
+            px(j_min, s2, frame.1),
+            px(i_max, s1, frame.0),
+            px(j_max, s2, frame.1),
         )
     }
 
@@ -316,7 +349,6 @@ impl RegionProposalNetwork {
 mod tests {
     use super::*;
     use ebbiot_events::SensorGeometry;
-    use ebbiot_frame::PixelBox;
 
     fn davis_image() -> BinaryImage {
         BinaryImage::new(SensorGeometry::davis240())

@@ -18,6 +18,14 @@
 //! scene's activity, not the frame size. Op accounting keeps the paper's
 //! logical Eq. 5 charge — one addition per input pixel and one write per
 //! cell — regardless of the physical instruction count.
+//!
+//! The histogram proposer on the hot path no longer builds this image:
+//! [`Histogram::project_rows`](crate::Histogram::project_rows) sums the
+//! same blocks straight into `H_X` and `H_Y`, reading only the rows the
+//! median wrote, and the false-intersection check reads the denoised
+//! frame. A [`CountImage`] is built only for the CCA proposer, which
+//! labels the cell grid itself, and for the intermediates that
+//! regenerate Fig. 3.
 
 use ebbiot_events::OpsCounter;
 
@@ -155,22 +163,6 @@ impl CountImage {
         self.data.iter().map(|&v| u64::from(v)).sum()
     }
 
-    /// Whether any cell in the half-open cell rectangle is non-zero.
-    /// Used by the RPN validity check for intersection regions.
-    #[must_use]
-    pub fn any_nonzero_in(&self, i_min: u16, i_max: u16, j_min: u16, j_max: u16) -> bool {
-        let i_end = i_max.min(self.width);
-        let j_end = j_max.min(self.height);
-        for j in j_min..j_end {
-            for i in i_min..i_end {
-                if self.get(i, j) > 0 {
-                    return true;
-                }
-            }
-        }
-        false
-    }
-
     /// Memory footprint in bits using the paper's Eq. 5 accounting:
     /// `ceil(log2(s1 * s2))` bits per cell (enough to store a block sum).
     #[must_use]
@@ -259,17 +251,6 @@ mod tests {
         let ds = CountImage::downsample(&img, 6, 3, &mut ops);
         assert_eq!(ops.additions, 24 * 12, "A*B additions");
         assert_eq!(ops.mem_writes, u64::from(ds.width()) * u64::from(ds.height()));
-    }
-
-    #[test]
-    fn any_nonzero_in_detects_and_clips() {
-        let mut img = image(12, 6);
-        img.set(7, 1, true); // cell (1, 0)
-        let mut ops = OpsCounter::new();
-        let ds = CountImage::downsample(&img, 6, 3, &mut ops);
-        assert!(ds.any_nonzero_in(1, 2, 0, 1));
-        assert!(!ds.any_nonzero_in(0, 1, 0, 2));
-        assert!(ds.any_nonzero_in(0, 100, 0, 100), "clips to image");
     }
 
     #[test]

@@ -6,10 +6,17 @@
 //! threshold "to 1"). Regions fragmented in the full-resolution image merge
 //! in the coarse histograms — the paper's answer to big vehicles whose flat
 //! sides generate few events.
+//!
+//! Both sums reduce to pixel counts: `H_X(i)` counts the set pixels of
+//! column block `i` and `H_Y(j)` those of row block `j`. So the hot path
+//! ([`Histogram::project_rows`]) builds them straight from the binary
+//! image's set bits, and reads only the rows the caller lists: the rows
+//! the median filter wrote. [`Histogram::project`] projects an explicit
+//! [`CountImage`] for Fig. 3 and the parity oracle.
 
 use ebbiot_events::OpsCounter;
 
-use crate::CountImage;
+use crate::{BinaryImage, CountImage};
 
 /// A 1-D projection histogram over one axis of a [`CountImage`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -29,41 +36,93 @@ pub enum Axis {
 impl Histogram {
     /// Builds the projection histogram of `image` along `axis`.
     ///
-    /// Charges one addition per cell visited and one write per bin,
-    /// matching the `2 * A * B / (s1 * s2)` term of Eq. 5 when both axes
-    /// are built.
+    /// The sums run over whole cell rows: `H_Y` bins are row sums and
+    /// `H_X` accumulates each row element-wise. Charges one addition per
+    /// cell visited and one write per bin, matching the
+    /// `2 * A * B / (s1 * s2)` term of Eq. 5 when both axes are built.
     #[must_use]
     pub fn project(image: &CountImage, axis: Axis, ops: &mut OpsCounter) -> Self {
-        let mut out = Self::default();
-        Self::project_into(image, axis, &mut out, ops);
-        out
-    }
-
-    /// Projects into a caller-owned histogram — the allocation-free
-    /// variant of [`Self::project`] used by the region proposer. `out`
-    /// is resized to the bin count and overwritten.
-    ///
-    /// The sums run over whole cell rows: `H_Y` bins are row sums and
-    /// `H_X` accumulates each row element-wise, so both loops are
-    /// straight slice arithmetic. The op charge is the same one addition
-    /// per cell and one write per bin as a cell-by-cell scan.
-    pub fn project_into(image: &CountImage, axis: Axis, out: &mut Self, ops: &mut OpsCounter) {
         let (width, height) = (image.width(), image.height());
-        let bins = &mut out.bins;
-        bins.clear();
-        match axis {
+        let bins = match axis {
             Axis::X => {
-                bins.resize(width as usize, 0);
+                let mut bins = vec![0; usize::from(width)];
                 for j in 0..height {
                     for (bin, &v) in bins.iter_mut().zip(image.row(j)) {
                         *bin += v;
                     }
                 }
+                bins
             }
-            Axis::Y => bins.extend((0..height).map(|j| image.row(j).iter().sum::<u32>())),
-        }
+            Axis::Y => (0..height).map(|j| image.row(j).iter().sum::<u32>()).collect(),
+        };
         ops.add(u64::from(width) * u64::from(height));
         ops.write(bins.len() as u64);
+        Self { bins }
+    }
+
+    /// Builds `H_X` and `H_Y` of the `(s1, s2)` block sums of `image`
+    /// straight from its set bits, without the count image: a set pixel
+    /// `(x, y)` adds 1 to `hx[x / s1]` and every row adds its popcount to
+    /// `hy[y / s2]`. Both outputs are resized to `ceil(A / s1)` and
+    /// `ceil(B / s2)` bins and overwritten, so the bins equal
+    /// [`CountImage::downsample`] followed by [`Self::project`] on both
+    /// axes, partial edge cells included.
+    ///
+    /// Only the listed `rows` are read. Any increasing list that holds
+    /// every non-empty row of `image` gives the same bins, since an empty
+    /// row adds nothing: the median filter's
+    /// [`written_rows`](crate::MedianFilter::written_rows), or
+    /// `0..height` when the caller has no list.
+    ///
+    /// The op charge is the logical Eq. 5 count of the downsample and the
+    /// two projections, in closed form: `A * B + 2 * W * H` additions and
+    /// `W * H + W + H` writes for a `W x H` cell grid.
+    ///
+    /// # Panics
+    ///
+    /// Panics when either factor is zero or exceeds the image dimension,
+    /// or when a listed row is out of bounds.
+    pub fn project_rows(
+        image: &BinaryImage,
+        rows: impl IntoIterator<Item = u16>,
+        (s1, s2): (u16, u16),
+        hx: &mut Self,
+        hy: &mut Self,
+        ops: &mut OpsCounter,
+    ) {
+        assert!(s1 > 0 && s2 > 0, "scale factors must be non-zero");
+        assert!(s1 <= image.width() && s2 <= image.height(), "scale factors larger than the image");
+        let width = image.width().div_ceil(s1);
+        let height = image.height().div_ceil(s2);
+        hx.bins.clear();
+        hx.bins.resize(usize::from(width), 0);
+        hy.bins.clear();
+        hy.bins.resize(usize::from(height), 0);
+        // `x * recip >> 32 == x / s1` for every column x < 2^16, with no
+        // divide per pixel: `recip` exceeds 2^32 / s1 by less than 1, so
+        // `x * recip` exceeds `x * 2^32 / s1` by less than x. And
+        // x < 2^16 <= 2^32 / s1, the least gap to the next multiple of
+        // 2^32.
+        let recip = (1u64 << 32).div_ceil(u64::from(s1));
+        let mut next = 0u16;
+        for y in rows {
+            debug_assert!(y >= next, "rows must be increasing and distinct");
+            next = y + 1;
+            let mut row_total = 0u32;
+            for (w, &word) in image.row_words(y).iter().enumerate() {
+                row_total += word.count_ones();
+                let mut bits = word;
+                while bits != 0 {
+                    let x = w as u64 * 64 + u64::from(bits.trailing_zeros());
+                    hx.bins[((x * recip) >> 32) as usize] += 1;
+                    bits &= bits - 1;
+                }
+            }
+            hy.bins[usize::from(y / s2)] += row_total;
+        }
+        let cells = u64::from(width) * u64::from(height);
+        ops.add(image.geometry().num_pixels() as u64 + 2 * cells);
+        ops.write(cells + u64::from(width) + u64::from(height));
     }
 
     /// Builds a histogram directly from bin values (for tests and tools).
@@ -171,7 +230,6 @@ impl Run {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::BinaryImage;
     use ebbiot_events::SensorGeometry;
 
     fn count_image(w: u16, h: u16, set: &[(u16, u16)]) -> CountImage {
@@ -211,6 +269,44 @@ mod tests {
         let _ = Histogram::project(&ci, Axis::X, &mut ops);
         assert_eq!(ops.additions, 24, "one add per cell");
         assert_eq!(ops.mem_writes, 6, "one write per bin");
+    }
+
+    #[test]
+    fn row_projection_matches_the_count_image_path() {
+        let mut img = BinaryImage::new(SensorGeometry::new(13, 7));
+        for &(x, y) in &[(0, 0), (12, 6), (5, 3), (6, 3), (11, 0)] {
+            img.set(x, y, true);
+        }
+        let (mut hx, mut hy) = (Histogram::default(), Histogram::default());
+        let mut ops = OpsCounter::new();
+        Histogram::project_rows(&img, [0, 3, 6], (6, 3), &mut hx, &mut hy, &mut ops);
+        let mut count_ops = OpsCounter::new();
+        let scaled = CountImage::downsample(&img, 6, 3, &mut count_ops);
+        assert_eq!(hx, Histogram::project(&scaled, Axis::X, &mut count_ops));
+        assert_eq!(hy, Histogram::project(&scaled, Axis::Y, &mut count_ops));
+        assert_eq!(ops, count_ops, "Eq. 5 charge of the downsample and both projections");
+        // A superset with empty rows reads the same bins.
+        Histogram::project_rows(&img, 0..7, (6, 3), &mut hx, &mut hy, &mut ops);
+        assert_eq!((hx.bins(), hy.bins()), (&[2, 2, 1][..], &[2, 2, 1][..]));
+    }
+
+    #[test]
+    fn row_projection_bins_every_column_of_the_widest_row() {
+        // One full row of the widest geometry: every column x < 2^16
+        // lands in bin x / s1, so each bin holds s1 (the last one the
+        // remainder).
+        let width = u16::MAX;
+        let mut img = BinaryImage::new(SensorGeometry::new(width, 1));
+        img.fill_box(&crate::PixelBox::new(0, 0, width, 1));
+        let (mut hx, mut hy) = (Histogram::default(), Histogram::default());
+        let mut ops = OpsCounter::new();
+        for s1 in [1, 2, 3, 5, 6, 7, 64, 255, 1000, 4097, 32_768, width] {
+            Histogram::project_rows(&img, [0], (s1, 1), &mut hx, &mut hy, &mut ops);
+            let (full, rest) = (u32::from(width / s1), u32::from(width % s1));
+            assert!(hx.bins()[..full as usize].iter().all(|&b| b == u32::from(s1)), "s1 {s1}");
+            assert_eq!(hx.bins()[full as usize..], [rest][..usize::from(rest > 0)], "s1 {s1}");
+            assert_eq!(hy.bins(), &[u32::from(width)]);
+        }
     }
 
     #[test]

@@ -9,9 +9,11 @@
 //!   bits past `width` are an always-zero invariant),
 //! * [`EbbiAccumulator`] — sensor-as-memory event accumulation (§II-A),
 //! * [`MedianFilter`] — `p x p` binary median denoising (§II-A, Eq. 1),
-//! * [`CountImage`] — block-sum downsampling (Eq. 3),
+//! * [`CountImage`] — block-sum downsampling (Eq. 3), kept for the CCA
+//!   proposer and for Fig. 3's intermediates,
 //! * [`Histogram`] / [`Run`] — axis projections and 1-D run extraction
-//!   (Eq. 4),
+//!   (Eq. 4), including [`Histogram::project_rows`], which projects a
+//!   binary image's rows onto both axes without the count image,
 //! * [`cca`] — connected-component analysis (the paper's traditional
 //!   baseline and future-work RPN),
 //! * [`morphology`] — binary dilate/erode/open/close,
@@ -23,20 +25,22 @@
 //! The hot kernels (median, downsampling, box counting, CCA scans) are
 //! **word-parallel**: they process 64 pixels per `u64` operation on top
 //! of the row-aligned layout. They are also **sparse-aware**, because a
-//! stationary sensor's frames are mostly empty: downsampling visits set
-//! pixels only, the 3x3 median computes only output rows near a row
-//! holding a horizontal pair (no other row can reach a majority), and
-//! the projections sum whole cell-row slices. The EBBI latch counts new
-//! pixels branch-free and reads out by swapping buffers. The paper's
-//! Eq. 1 / Eq. 5 op accounting and the `A x B` payload-bit figures are
-//! *logical* and unchanged by any of this: the median charges its Eq. 1
-//! additions in closed form, one popcount per row word, and every count
-//! equals the per-pixel [`mod@reference`]. See ARCHITECTURE.md ("Frame
-//! memory layout") at the repository root for the layout contract, the
-//! tail-bit invariant and the closed-form derivation. The `_into`
-//! variants ([`EbbiAccumulator::readout_into`],
-//! [`MedianFilter::apply_into`], [`CountImage::downsample_into`],
-//! [`Histogram::project_into`]) write into caller-owned buffers, so a
+//! stationary sensor's frames are mostly empty: the 3x3 median computes
+//! only output rows near a row holding a horizontal pair (no other row
+//! can reach a majority) and records the rows it wrote
+//! ([`MedianFilter::written_rows`]), and the region proposer's
+//! projection reads only those rows, set bit by set bit. The EBBI latch
+//! counts new pixels branch-free and reads out by swapping buffers. The
+//! paper's Eq. 1 / Eq. 5 op accounting and the `A x B` payload-bit
+//! figures are *logical* and unchanged by any of this: the median
+//! charges its Eq. 1 additions and the projection its Eq. 5 charge in
+//! closed form, and every count equals the per-pixel
+//! [`mod@reference`]. See ARCHITECTURE.md ("Frame memory layout") at the
+//! repository root for the layout contract, the tail-bit invariant, the
+//! closed-form derivations and the median → RPN row hand-off. The
+//! `_into` variants ([`EbbiAccumulator::readout_into`],
+//! [`MedianFilter::apply_into`], [`CountImage::downsample_into`]) and
+//! [`Histogram::project_rows`] write into caller-owned buffers, so a
 //! streaming front end allocates no frame-sized memory per frame.
 //!
 //! # Example: events → EBBI → denoised frame

@@ -28,6 +28,12 @@
 //! within 2 of one get horizontal planes. The popcounts give the Eq. 1
 //! additions in closed form (ARCHITECTURE.md §1.1 derives it).
 //!
+//! Both paths record the increasing list of output rows they wrote a set
+//! pixel to ([`MedianFilter::written_rows`]): exactly the non-empty rows
+//! of the output. The 3x3 path visits only the computed rows, so the list
+//! costs one OR per output word. The region proposer projects only those
+//! rows; any superset would give it the same histograms.
+//!
 //! Other odd patch sizes fall back to a sliding column-count scan
 //! (per-column vertical sums updated incrementally, horizontal window
 //! slid across each row). Both paths are bit-exact against
@@ -61,6 +67,9 @@ struct Scratch {
     twos: Vec<u64>,
     /// The input rows the 3x3 pre-pass flagged, in increasing order.
     paired_rows: Vec<u16>,
+    /// The output rows the last frame wrote a set pixel to, in
+    /// increasing order (see [`MedianFilter::written_rows`]).
+    written_rows: Vec<u16>,
     /// Per-column vertical window counts of the generic fallback.
     col: Vec<u32>,
 }
@@ -176,6 +185,7 @@ impl MedianFilter {
     pub fn apply_into(&mut self, input: &BinaryImage, out: &mut BinaryImage) {
         assert_eq!(input.geometry(), out.geometry(), "geometry mismatch in apply_into");
         out.clear();
+        self.scratch.written_rows.clear();
         self.ops.compare(input.geometry().num_pixels() as u64);
         if self.patch == 3 {
             self.apply3_words(input, out);
@@ -225,6 +235,7 @@ impl MedianFilter {
                 // Input rows y - 1, y, y + 1 sit at plane rows y, y + 1, y + 2.
                 let (ones, twos) = (&scr.ones[y * wpr..], &scr.twos[y * wpr..]);
                 let out_row = out.row_words_mut(y as u16);
+                let mut row_bits = 0u64;
                 for (i, slot) in out_row.iter_mut().enumerate() {
                     // Vertical sum of three 2-bit horizontal counts into
                     // bit-planes of weight 1/2/4/8 (patch count 0..=9).
@@ -243,7 +254,11 @@ impl MedianFilter {
                     // count > 4 <=> 8-plane set, or 4-plane set with a 1 or 2.
                     let out_word = (bit3 | (bit2 & (bit1 | bit0))) & mask;
                     writes += u64::from(out_word.count_ones());
+                    row_bits |= out_word;
                     *slot = out_word;
+                }
+                if row_bits != 0 {
+                    scr.written_rows.push(y as u16);
                 }
                 next_out = y + 1;
             }
@@ -259,7 +274,7 @@ impl MedianFilter {
         let height = input.height();
         let half = self.patch / 2;
         let majority = self.majority();
-        let col = &mut self.scratch.col;
+        let Scratch { col, written_rows, .. } = &mut self.scratch;
         col.clear();
         col.resize(width as usize, 0);
         // Prime the column counts for the window centred on row 0.
@@ -271,11 +286,13 @@ impl MedianFilter {
         for y in 0..height {
             // Horizontal window [x - half, x + half] clipped, slid along.
             let mut acc: u32 = col[..((half as usize) + 1).min(width as usize)].iter().sum();
+            let mut wrote = false;
             for x in 0..width {
                 self.ops.add(u64::from(acc));
                 if acc > majority {
                     out.set(x, y, true);
                     self.ops.write(1);
+                    wrote = true;
                 }
                 let leaving = i32::from(x) - i32::from(half);
                 if leaving >= 0 {
@@ -285,6 +302,9 @@ impl MedianFilter {
                 if entering < u32::from(width) {
                     acc += col[entering as usize];
                 }
+            }
+            if wrote {
+                written_rows.push(y);
             }
             // Slide the vertical window: drop row y - half, add y + half + 1.
             if y >= half {
@@ -299,6 +319,14 @@ impl MedianFilter {
                 }
             }
         }
+    }
+
+    /// The output rows the most recent [`Self::apply_into`] wrote a set
+    /// pixel to, in increasing order: exactly the non-empty rows of its
+    /// output. The region proposer projects only these rows.
+    #[must_use]
+    pub fn written_rows(&self) -> &[u16] {
+        &self.scratch.written_rows
     }
 
     /// Runtime op counter.

@@ -235,6 +235,59 @@ fn read_varint_word(buf: &[u8], pos: &mut usize) -> Option<u64> {
     Some(value)
 }
 
+/// Packs the low 7 bits of each of up to three little-endian varint
+/// bytes: byte `i` contributes bits `8i..8i + 7` at position `7i`, and
+/// the continuation bits fall out of the three lane masks.
+#[inline]
+const fn compact3(bytes: u64) -> u64 {
+    (bytes & 0x7f) | ((bytes >> 1) & (0x7f << 7)) | ((bytes >> 2) & (0x7f << 14))
+}
+
+/// The one-load lane of [`decode_chunk_payload_fast`]: decodes an
+/// event's three varints from the eight little-endian payload bytes in
+/// `word` when all three end inside it and none is longer than 3 bytes.
+/// Returns the three values and the bytes they take, or `None` (read
+/// them one at a time instead).
+///
+/// The three lowest clear continuation bits end the three varints: two
+/// `x & (x - 1)` steps peel them off the stop mask, and their trailing
+/// zeros give each varint's end byte. With every varint at most 3 bytes
+/// long each value fits [`compact3`], so the decode has no per-byte
+/// branch. A 3-byte varint holds at most 21 bits, so no value can
+/// overflow and the result equals three [`read_varint`] calls: same
+/// values, same advance.
+#[inline]
+fn varint_triple(word: u64) -> Option<([u64; 3], usize)> {
+    let stop0 = !word & VARINT_CONT;
+    let stop1 = stop0 & stop0.wrapping_sub(1);
+    let stop2 = stop1 & stop1.wrapping_sub(1);
+    // One past each varint's last byte; 9 when it ends beyond the word.
+    let end0 = (stop0.trailing_zeros() >> 3) + 1;
+    let end1 = (stop1.trailing_zeros() >> 3) + 1;
+    let end2 = (stop2.trailing_zeros() >> 3) + 1;
+    if end2 > 8 || end0 > 3 || end1 - end0 > 3 || end2 - end1 > 3 {
+        return None;
+    }
+    let lane = |from: u32, to: u32| compact3((word >> (8 * from)) & ((1 << (8 * (to - from))) - 1));
+    Some(([lane(0, end0), lane(end0, end1), lane(end1, end2)], end2 as usize))
+}
+
+/// Reads an event's three varints one at a time with `read`, starting at
+/// `pos`, and returns them with the position after them; `None` when a
+/// read fails. Taking `pos` by value keeps the decode loop's own cursor
+/// out of memory.
+#[inline]
+fn read_triple(
+    payload: &[u8],
+    mut pos: usize,
+    read: fn(&[u8], &mut usize) -> Option<u64>,
+) -> Option<([u64; 3], usize)> {
+    let dt = read(payload, &mut pos)?;
+    let dx = read(payload, &mut pos)?;
+    let dyp = read(payload, &mut pos)?;
+    Some(([dt, dx, dyp], pos))
+}
+
 /// Maps a signed delta onto an unsigned varint-friendly value
 /// (0, -1, 1, -2, … → 0, 1, 2, 3, …).
 #[must_use]
@@ -421,12 +474,14 @@ pub fn decode_chunk_payload(
 /// decoder behind [`ChunkReader`](crate::ChunkReader) and the `EBWP`
 /// EVENTS path.
 ///
-/// While at least [`MAX_EVENT_BYTES`] × 2 bytes remain, the three
-/// varints of an event are read via unaligned `u64` loads and
-/// trailing-zero dispatch (`read_varint_word`) with the slice bound
-/// hoisted to one per-event check; the payload tail falls back to the
-/// byte loop. Decodes straight into the reused `out` buffer with one
-/// upfront `reserve`.
+/// While at least [`MAX_EVENT_BYTES`] × 2 bytes remain, each event
+/// starts with one unaligned `u64` load. When its three varints all end
+/// inside those eight bytes and none is longer than 3 bytes (the modal
+/// event: `dt` below 2^21 µs and small coordinate steps), one lane
+/// decodes all three branch-free and advances once (`varint_triple`). Otherwise the three are read one at a time by
+/// unaligned loads and trailing-zero dispatch (`read_varint_word`). The
+/// payload tail falls back to the byte loop. Decodes straight into the
+/// reused `out` buffer with one upfront `reserve`.
 ///
 /// Bit-for-bit equivalent to the scalar reference: identical events for
 /// every valid payload and the identical error (variant, reason and
@@ -464,30 +519,19 @@ pub fn decode_chunk_payload_fast(
     let (mut x, mut y) = (0i64, 0i64);
     let mut i = 0u32;
     while i < count {
-        let (dt, dx, dyp);
-        if payload.len() - pos >= 2 * MAX_EVENT_BYTES {
+        let triple = if payload.len() - pos >= 2 * MAX_EVENT_BYTES {
             let word = u64::from_le_bytes(payload[pos..pos + 8].try_into().expect("len 8"));
-            if word & 0x0080_8080 == 0 {
-                // The modal event: all three varints are single-byte
-                // (dt < 128, |dx| ≤ 63, |dy| ≤ 31 with the polarity
-                // bit) — decode the whole triple from the one load.
-                dt = word & 0x7f;
-                dx = (word >> 8) & 0x7f;
-                dyp = (word >> 16) & 0x7f;
-                pos += 3;
-            } else {
-                dt = read_varint_word(payload, &mut pos)
-                    .ok_or_else(|| corrupt("truncated varint"))?;
-                dx = read_varint_word(payload, &mut pos)
-                    .ok_or_else(|| corrupt("truncated varint"))?;
-                dyp = read_varint_word(payload, &mut pos)
-                    .ok_or_else(|| corrupt("truncated varint"))?;
-            }
+            // The modal event: the whole triple from the one load.
+            varint_triple(word)
+                .map(|(values, len)| (values, pos + len))
+                .or_else(|| read_triple(payload, pos, read_varint_word))
         } else {
-            dt = read_varint(payload, &mut pos).ok_or_else(|| corrupt("truncated varint"))?;
-            dx = read_varint(payload, &mut pos).ok_or_else(|| corrupt("truncated varint"))?;
-            dyp = read_varint(payload, &mut pos).ok_or_else(|| corrupt("truncated varint"))?;
-        }
+            read_triple(payload, pos, read_varint)
+        };
+        let Some(([dt, dx, dyp], next)) = triple else {
+            return Err(corrupt("truncated varint"));
+        };
+        pos = next;
         t = t.checked_add(dt).ok_or_else(|| corrupt("timestamp overflow"))?;
         if i == 0 && dt != 0 {
             return Err(corrupt("first event does not start at t_first"));
@@ -596,6 +640,39 @@ mod tests {
         assert_eq!(read_varint_word(&buf, &mut fast_pos), Some(0));
         assert_eq!(read_varint(&buf, &mut slow_pos), Some(0));
         assert_eq!(fast_pos, slow_pos);
+    }
+
+    #[test]
+    fn varint_triple_matches_three_byte_loop_reads() {
+        // Every length mix of 1..=4-byte varints (4 bytes never fits the
+        // lane), padded with continuation bytes so a triple that spills
+        // past the word is seen as one.
+        let widths = [0u64, 127, 128, (1 << 14) - 1, 1 << 14, (1 << 21) - 1, 1 << 21];
+        for &a in &widths {
+            for &b in &widths {
+                for &c in &widths {
+                    let mut buf = Vec::new();
+                    for v in [a, b, c] {
+                        write_varint(&mut buf, v);
+                    }
+                    let fits = buf.len() <= 8 && [a, b, c].iter().all(|&v| v < 1 << 21);
+                    buf.resize(16, 0xff);
+                    let word = u64::from_le_bytes(buf[..8].try_into().unwrap());
+                    let mut pos = 0;
+                    let slow = [(); 3].map(|()| read_varint(&buf, &mut pos).unwrap());
+                    match varint_triple(word) {
+                        Some((values, len)) => {
+                            assert!(fits, "{a} {b} {c}");
+                            assert_eq!((values, len), (slow, pos), "{a} {b} {c}");
+                        }
+                        None => assert!(!fits, "{a} {b} {c} should take the lane"),
+                    }
+                }
+            }
+        }
+        // Non-canonical 3-byte zeros decode like the byte loop too.
+        let word = u64::from_le_bytes([0x80, 0x80, 0x00, 0x81, 0x00, 0x05, 0xff, 0xff]);
+        assert_eq!(varint_triple(word), Some(([0, 1, 5], 6)));
     }
 
     fn sample() -> Vec<Event> {

@@ -84,12 +84,16 @@
 //! * [`format::decode_chunk_payload`] — the byte-at-a-time **scalar
 //!   reference** the rejection rules are written against;
 //! * [`format::decode_chunk_payload_fast`] — the production decoder:
-//!   while ≥ 32 bytes remain, varints are read via an unaligned `u64`
-//!   load (continuation bits isolated with one mask, varint length
-//!   from `trailing_zeros`, 7-bit groups extracted branch-free), with
-//!   the scalar loop handling 9/10-byte varints and the payload tail.
+//!   while ≥ 32 bytes remain, each event starts with one unaligned
+//!   `u64` load. When the three varints all end inside it and none is
+//!   longer than 3 bytes, one lane finds their ends from the three
+//!   lowest stop bits and decodes all three branch-free. Otherwise each
+//!   varint is read by its own load (continuation bits isolated with
+//!   one mask, length from `trailing_zeros`, 7-bit groups extracted
+//!   branch-free), with the scalar loop handling 9/10-byte varints and
+//!   the payload tail.
 //!
-//! `crates/store/tests/decode_parity.rs` pins the two together by
+//! The root `tests/decode_parity.rs` pins the two together by
 //! property test: same events out of every valid payload, same error
 //! out of every corrupt one (hostile tails, bit flips, truncation at
 //! every byte boundary, lying frame metadata). CRC-32 is slice-by-8

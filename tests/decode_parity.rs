@@ -3,14 +3,19 @@
 //! ([`decode_chunk_payload`]): identical events out on every valid
 //! payload, and identical errors on every corrupt one — hostile tails,
 //! 1-byte and 10-byte varints, chunk-boundary truncation, bit flips and
-//! lying frame metadata. The slice-by-8 CRC gets the same treatment
-//! against its one-byte-at-a-time reference.
+//! lying frame metadata — and at the edges of the fast decoder's lanes:
+//! a triple ending exactly at the one-load lane's eighth byte, a 4-byte
+//! varint in each position, value bits in the last byte of such long
+//! varints, a 10-byte `dt`, and events starting with
+//! exactly 32 or 31 payload bytes left, either side of the watermark
+//! where the fast loop hands over to the byte loop. The slice-by-8 CRC
+//! gets the same treatment against its one-byte-at-a-time reference.
 
-use ebbiot_events::{Event, Polarity, SensorGeometry};
-use ebbiot_store::format::{
+use ebbiot::events::{Event, Polarity, SensorGeometry};
+use ebbiot::store::format::{
     crc32, crc32_reference, decode_chunk_payload, decode_chunk_payload_fast, encode_chunk_payload,
 };
-use ebbiot_store::StoreError;
+use ebbiot::store::StoreError;
 use proptest::prelude::*;
 
 const W: u16 = 240;
@@ -184,5 +189,134 @@ fn varint_width_extremes_decode_identically() {
         for cut in 0..payload.len() {
             assert_parity(&payload[..cut], geometry, count, t_first, t_last);
         }
+    }
+}
+
+/// A chunk of `n` events whose varints are all one byte long (`dt` of
+/// 3 µs, moves of a few pixels near the origin), so each event takes
+/// exactly 3 payload bytes.
+fn one_byte_chunk(n: usize) -> Vec<Event> {
+    (0..n)
+        .map(|k| {
+            let small = u16::try_from(k % 5).unwrap();
+            let polarity = Polarity::from_bit(u8::from(k % 2 == 1));
+            Event::new(10 + small, 20 - small % 3, 1_000 + 3 * k as u64, polarity)
+        })
+        .collect()
+}
+
+/// Re-encodes a [`one_byte_chunk`] payload with event `k`'s three varints
+/// `widths(k)` bytes long: the value byte with its continuation bit set,
+/// then zero groups, which every LEB128 reader decodes to the same
+/// value.
+fn widen(payload: &[u8], widths: impl Fn(usize) -> [usize; 3]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for (k, event) in payload.chunks_exact(3).enumerate() {
+        for (&byte, width) in event.iter().zip(widths(k)) {
+            assert_eq!(byte & 0x80, 0, "one-byte varint");
+            if width == 1 {
+                out.push(byte);
+            } else {
+                out.push(byte | 0x80);
+                out.extend(std::iter::repeat_n(0x80, width - 2));
+                out.push(0x00);
+            }
+        }
+    }
+    out
+}
+
+/// Both decoders accept `payload` as the encoding of `events`, and agree
+/// on every truncation of it.
+fn assert_decodes_to(payload: &[u8], events: &[Event]) {
+    let geometry = SensorGeometry::new(W, H);
+    let count = u32::try_from(events.len()).unwrap();
+    let (t_first, t_last) = (events[0].t, events[events.len() - 1].t);
+    let (scalar, fast) = both(payload, geometry, count, t_first, t_last);
+    assert_eq!(scalar.unwrap(), events);
+    assert_eq!(fast.unwrap(), events);
+    for cut in 0..payload.len() {
+        assert_parity(&payload[..cut], geometry, count, t_first, t_last);
+    }
+}
+
+#[test]
+fn triples_ending_exactly_at_the_eighth_byte_decode_identically() {
+    let events = one_byte_chunk(40);
+    let (payload, ..) = encode(&events);
+    assert_eq!(payload.len(), 3 * events.len());
+    // 3 + 3 + 2 bytes: the third varint's stop bit is the top bit of the
+    // one-load word. The others spill one byte past it.
+    for widths in [[3, 3, 2], [2, 3, 3], [3, 2, 3], [3, 3, 3]] {
+        let wide = widen(&payload, |_| widths);
+        let len: usize = widths.iter().sum();
+        assert!(wide.chunks_exact(len).all(|event| event[len - 1] & 0x80 == 0));
+        assert_decodes_to(&wide, &events);
+    }
+}
+
+#[test]
+fn a_four_byte_varint_in_each_position_decodes_identically() {
+    let events = one_byte_chunk(40);
+    let (payload, ..) = encode(&events);
+    for four in 0..3 {
+        let mut widths = [1; 3];
+        widths[four] = 4;
+        // On one event mid-chunk, then on every event.
+        assert_decodes_to(&widen(&payload, |k| if k == 20 { widths } else { [1; 3] }), &events);
+        assert_decodes_to(&widen(&payload, |_| widths), &events);
+    }
+}
+
+#[test]
+fn value_bits_in_the_last_byte_of_a_long_varint_decode_identically() {
+    // Padding groups are zero, so a decoder that dropped a varint's last
+    // byte would still pass the tests above. Here the last byte of each
+    // widened varint of event 20 carries a value bit. A 4-byte varint,
+    // and a 3 + 3 + 3 triple that spills past the one-load word, must
+    // leave the lane; a 3 + 3 + 2 triple stays in it and must decode
+    // every byte. Whatever the values make of the chunk, both decoders
+    // agree.
+    let geometry = SensorGeometry::new(W, H);
+    let (payload, count, t_first, t_last) = encode(&one_byte_chunk(40));
+    for widths in [[4, 1, 1], [1, 4, 1], [1, 1, 4], [3, 3, 3], [2, 3, 3], [3, 3, 2]] {
+        let mut wide = widen(&payload, |k| if k == 20 { widths } else { [1; 3] });
+        let mut end = 3 * 20;
+        for width in widths {
+            end += width;
+            if width > 1 {
+                wide[end - 1] = 0x01;
+            }
+        }
+        for cut in 0..=wide.len() {
+            assert_parity(&wide[..cut], geometry, count, t_first, t_last);
+        }
+    }
+}
+
+#[test]
+fn a_ten_byte_dt_between_lane_events_decodes_identically() {
+    // The 10-byte varint sits with 60 bytes still to come, so the fast
+    // loop, not the byte-loop tail, meets it.
+    let mut events = one_byte_chunk(20);
+    let far = events[19].t + (1 << 63);
+    events.extend(one_byte_chunk(20).into_iter().map(|e| Event { t: far + e.t, ..e }));
+    let (payload, ..) = encode(&events);
+    assert!(payload[60..69].iter().all(|&b| b & 0x80 != 0) && payload[69] & 0x80 == 0);
+    assert_decodes_to(&payload, &events);
+}
+
+#[test]
+fn events_starting_with_exactly_32_or_31_bytes_left_decode_identically() {
+    // Thirty 3-byte events take 90 bytes, so event 20 starts with 30
+    // left. Widening the last event's `dt` by 2 (or 1) bytes puts event
+    // 20 exactly on the fast loop's 32-byte watermark (or one below it).
+    let events = one_byte_chunk(30);
+    let (payload, ..) = encode(&events);
+    let last = events.len() - 1;
+    for (dt_width, left) in [(3, 32), (2, 31)] {
+        let wide = widen(&payload, |k| if k == last { [dt_width, 1, 1] } else { [1; 3] });
+        assert_eq!(wide.len() - 3 * 20, left);
+        assert_decodes_to(&wide, &events);
     }
 }

@@ -8,13 +8,17 @@
 //! a stationary camera. Every mutating operation must also preserve the
 //! tail-bit invariant (`BinaryImage::tail_bits_zero`). The batched EBBI
 //! latch must match the one-event-at-a-time latch, counters and op
-//! charge included.
+//! charge included. The region proposer that projects only the rows the
+//! median wrote must propose exactly what the count-image path of
+//! `propose_with_intermediates` proposes, op counts included.
 
 use std::collections::HashSet;
 
+use ebbiot::core::rpn::{RegionProposalNetwork, RpnConfig};
 use ebbiot::events::{Event, OpsCounter, Polarity, SensorGeometry};
 use ebbiot::frame::{
-    reference, Axis, BinaryImage, CountImage, EbbiAccumulator, Histogram, MedianFilter, PixelBox,
+    reference, Axis, BinaryImage, BoundingBox, CountImage, EbbiAccumulator, Histogram,
+    MedianFilter, PixelBox,
 };
 use proptest::prelude::*;
 
@@ -171,6 +175,12 @@ fn check_median(img: &BinaryImage, geom: SensorGeometry, patch: u16) {
     assert_eq!(out, expected, "median p={patch} on {geom}");
     assert_eq!(*filter.ops(), ref_ops, "median op accounting p={patch} on {geom}");
     assert!(out.tail_bits_zero(), "tail invariant after median");
+    assert_eq!(filter.written_rows(), non_empty_rows(&expected), "median p={patch} row list");
+}
+
+/// The rows of `img` holding at least one set pixel, in order.
+fn non_empty_rows(img: &BinaryImage) -> Vec<u16> {
+    (0..img.height()).filter(|&y| img.row_words(y).iter().any(|&w| w != 0)).collect()
 }
 
 /// Checks the downsample and both projections of its result against
@@ -193,6 +203,58 @@ fn check_downsample_and_projections(img: &BinaryImage, geom: SensorGeometry, s1:
         assert_eq!(ops, ref_ops, "{axis:?} projection op accounting on {geom}");
         assert_eq!(hist.total(), got.total(), "{axis:?} projection conserves mass");
     }
+    // The row projection builds both histograms without the count image
+    // and charges the downsample plus both projections.
+    let (mut hx, mut hy) = (Histogram::default(), Histogram::default());
+    let mut rows_ops = OpsCounter::new();
+    let rows = non_empty_rows(img);
+    Histogram::project_rows(img, rows, (s1, s2), &mut hx, &mut hy, &mut rows_ops);
+    let mut ref_ops = OpsCounter::new();
+    let _ = reference::downsample(img, s1, s2, &mut ref_ops);
+    assert_eq!(hx, reference::project(&expected, Axis::X, &mut ref_ops), "row-projected H_X");
+    assert_eq!(hy, reference::project(&expected, Axis::Y, &mut ref_ops), "row-projected H_Y");
+    assert_eq!(rows_ops, ref_ops, "row projection op accounting {s1}x{s2} on {geom}");
+}
+
+/// Geometries for the region-proposer frames: the paper's DAVIS240, the
+/// DAVIS346 (partial edge cells on both axes for `(6, 3)`) and a frame
+/// 67 pixels wide, just over one word.
+const RPN_GEOMS: [(u16, u16); 3] = [(240, 180), (346, 260), (67, 40)];
+
+/// A sparse sensor-sized frame of up to four solid blobs plus speckle,
+/// or, in a diagonal layout, exactly two blobs of at least 6x6 pixels in
+/// opposite quadrants with a 16-pixel gap: two runs on both axes for any
+/// cell size up to 8, so two of the four run intersections are false.
+/// Returns the frame and whether it is diagonal.
+fn arb_rpn_frame() -> impl Strategy<Value = (BinaryImage, bool)> {
+    let blob = (0u16..1024, 0u16..1024, 3u16..14, 3u16..9);
+    let speckle = proptest::collection::vec((0u16..1024, 0u16..1024), 0..60);
+    (0..RPN_GEOMS.len(), proptest::collection::vec(blob, 2..5), any::<bool>(), speckle).prop_map(
+        |(gi, blobs, diagonal, speckle)| {
+            let (w, h) = RPN_GEOMS[gi];
+            let mut img = BinaryImage::new(SensorGeometry::new(w, h));
+            if diagonal {
+                for (k, &(xs, ys, bw, bh)) in blobs.iter().take(2).enumerate() {
+                    let (bw, bh) = (bw.clamp(6, w / 4), bh.clamp(6, h / 4));
+                    let (free_x, free_y) = (w / 2 - 8 - bw, h / 2 - 8 - bh);
+                    let (mut x0, mut y0) = (xs % free_x, ys % free_y);
+                    if k == 1 {
+                        (x0, y0) = (w - bw - x0, h - bh - y0);
+                    }
+                    img.fill_box(&PixelBox::new(x0, y0, x0 + bw, y0 + bh));
+                }
+                return (img, true);
+            }
+            for (xs, ys, bw, bh) in blobs {
+                let (x0, y0) = (xs % (w - bw), ys % (h - bh));
+                img.fill_box(&PixelBox::new(x0, y0, x0 + bw, y0 + bh));
+            }
+            for (sx, sy) in speckle {
+                img.set(sx % w, sy % h, true);
+            }
+            (img, false)
+        },
+    )
 }
 
 fn arb_pixel_box() -> impl Strategy<Value = PixelBox> {
@@ -288,6 +350,74 @@ proptest! {
         s2 in 1u16..9,
     ) {
         check_downsample_and_projections(&img, geom, s1, s2);
+    }
+
+    #[test]
+    fn row_list_rpn_matches_the_count_image_path(
+        (raw, diagonal) in arb_rpn_frame(),
+        p_idx in 0usize..2,
+        (s1, s2) in (1u16..9, 1u16..9),
+        threshold in 1u32..4,
+        refine_boxes in any::<bool>(),
+    ) {
+        let patch = [3u16, 5][p_idx];
+        let mut median = MedianFilter::new(patch);
+        let denoised = median.apply(&raw);
+        prop_assert_eq!(median.written_rows(), non_empty_rows(&denoised), "p={} row list", patch);
+        let config = RpnConfig { s1, s2, threshold, refine_boxes, ..RpnConfig::paper_default() };
+        let mut counted = RegionProposalNetwork::new(config);
+        let (expected, scaled, hx, hy) = counted.propose_with_intermediates(&denoised);
+        // The median's list, every row, and a superset with empty rows.
+        let every_seventh = (0..denoised.height()).filter(|y| y % 7 == 0);
+        let mut superset: Vec<u16> =
+            median.written_rows().iter().copied().chain(every_seventh).collect();
+        superset.sort_unstable();
+        superset.dedup();
+        for rows in [median.written_rows().to_vec(), (0..denoised.height()).collect(), superset] {
+            let mut by_rows = RegionProposalNetwork::new(config);
+            prop_assert_eq!(&by_rows.propose_rows(&denoised, &rows), &expected);
+            prop_assert_eq!(by_rows.ops(), counted.ops());
+        }
+        let mut all_rows = RegionProposalNetwork::new(config);
+        prop_assert_eq!(&all_rows.propose(&denoised), &expected);
+        prop_assert_eq!(all_rows.ops(), counted.ops());
+
+        // The proposals follow from the count image alone: with both
+        // axes holding several runs, an intersection is kept only when
+        // its cells hold a non-zero sum, which the proposer reads off the
+        // denoised frame instead. Unrefined proposals are the kept
+        // intersections' cell boxes, clamped to the frame.
+        let mut ops = OpsCounter::new();
+        let x_runs = hx.runs_at_least(threshold, &mut ops);
+        let y_runs = hy.runs_at_least(threshold, &mut ops);
+        let ambiguous = x_runs.len() > 1 && y_runs.len() > 1;
+        if diagonal && threshold == 1 {
+            prop_assert!(ambiguous, "a diagonal layout has false intersections");
+        }
+        let (w, h) = (u32::from(denoised.width()), u32::from(denoised.height()));
+        let px = |cell: usize, s: u16, limit: u32| (cell as u32 * u32::from(s)).min(limit) as u16;
+        let mut oracle = Vec::new();
+        for rx in &x_runs {
+            for ry in &y_runs {
+                let cells = (ry.start..ry.end)
+                    .any(|j| (rx.start..rx.end).any(|i| scaled.get(i as u16, j as u16) > 0));
+                let (x0, x1) = (px(rx.start, s1, w), px(rx.end, s1, w));
+                let (y0, y1) = (px(ry.start, s2, h), px(ry.end, s2, h));
+                prop_assert_eq!(denoised.any_in_box(&PixelBox::new(x0, y0, x1, y1)), cells);
+                let bbox = BoundingBox::from_corners(
+                    f32::from(x0),
+                    f32::from(y0),
+                    f32::from(x1),
+                    f32::from(y1),
+                );
+                if (cells || !ambiguous) && bbox.area() >= config.min_area {
+                    oracle.push(bbox);
+                }
+            }
+        }
+        if !refine_boxes {
+            prop_assert_eq!(&expected, &oracle);
+        }
     }
 
     #[test]
