@@ -466,6 +466,38 @@ fn encode_payload(frame: &Frame) -> Vec<u8> {
     out
 }
 
+/// Packs `results` into as many TRACKS frames as [`MAX_FRAME_BYTES`]
+/// needs, in order: each frame takes results until the next one would
+/// push its payload past the cap. Always at least one frame, empty when
+/// `results` is. A session can close any number of windows in one
+/// reply (one EVENTS chunk may span hours of event time), so no reply
+/// is sent as a single frame.
+///
+/// A result with more tracks than one frame can hold still gets a frame
+/// of its own, which [`write_frame`] then refuses; the trackers keep far
+/// fewer tracks than that.
+#[must_use]
+pub(crate) fn tracks_frames(mut results: Vec<FrameResult>) -> Vec<Frame> {
+    const COUNT_BYTES: usize = 4;
+    let mut starts = Vec::new();
+    let mut bytes = COUNT_BYTES;
+    for (k, result) in results.iter().enumerate() {
+        let size = TRACKS_FRAME_FIXED_BYTES + TRACK_BYTES * result.tracks.len();
+        if bytes + size > MAX_FRAME_BYTES && bytes > COUNT_BYTES {
+            starts.push(k);
+            bytes = COUNT_BYTES;
+        }
+        bytes += size;
+    }
+    // Split from the back, so each result moves at most once and a reply
+    // that fits one frame keeps its vector.
+    let mut frames: Vec<Frame> =
+        starts.iter().rev().map(|&k| Frame::Tracks(results.split_off(k))).collect();
+    frames.push(Frame::Tracks(results));
+    frames.reverse();
+    frames
+}
+
 /// Writes one frame (envelope + payload) to `sink`. The caller flushes.
 ///
 /// # Errors
@@ -475,7 +507,8 @@ fn encode_payload(frame: &Frame) -> Vec<u8> {
 /// # Panics
 ///
 /// Panics when the encoded payload exceeds [`MAX_FRAME_BYTES`] (callers
-/// bound their chunk and batch sizes) or a HELLO name exceeds `u16`.
+/// bound their chunk sizes, and a [`Session`](crate::Session) splits its
+/// results across TRACKS frames) or a HELLO name exceeds `u16`.
 pub fn write_frame<W: Write>(sink: &mut W, frame: &Frame) -> io::Result<()> {
     let payload = encode_payload(frame);
     assert!(payload.len() <= MAX_FRAME_BYTES, "frame payload of {} bytes", payload.len());
@@ -733,6 +766,33 @@ mod tests {
         let error = Frame::Error("boom".into());
         for frame in [hello, events, finish, Frame::Flush, tracks, finished, error] {
             assert_eq!(roundtrip(&frame), frame);
+        }
+    }
+
+    #[test]
+    fn tracks_replies_split_exactly_at_the_frame_cap() {
+        let empty = |index| FrameResult {
+            index,
+            t_start: 0,
+            duration: 66_000,
+            tracks: Vec::new(),
+            num_proposals: 0,
+            num_events: 0,
+        };
+        assert!(matches!(tracks_frames(Vec::new()).as_slice(), [Frame::Tracks(f)] if f.is_empty()));
+        let fit = (MAX_FRAME_BYTES - 4) / TRACKS_FRAME_FIXED_BYTES;
+        for (results, sizes) in [(fit, vec![fit]), (fit + 1, vec![fit, 1])] {
+            let frames = tracks_frames((0..results).map(empty).collect());
+            let mut next = 0;
+            for (frame, &size) in frames.iter().zip(&sizes) {
+                let Frame::Tracks(batch) = frame else { panic!("not TRACKS") };
+                assert_eq!(batch.len(), size);
+                assert!(batch.iter().enumerate().all(|(k, r)| r.index == next + k), "in order");
+                next += batch.len();
+                let mut bytes = Vec::new();
+                write_frame(&mut bytes, frame).expect("a split frame fits the cap");
+            }
+            assert_eq!(frames.len(), sizes.len());
         }
     }
 

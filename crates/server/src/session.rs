@@ -14,7 +14,7 @@ use ebbiot_core::{DynPipeline, FrameResult, StageTelemetry};
 use ebbiot_engine::{Engine, StreamId};
 use ebbiot_store::{ArchiveStream, FleetArchiver};
 
-use crate::protocol::{EventsRef, Finished, Frame, Hello, WireError};
+use crate::protocol::{tracks_frames, EventsRef, Finished, Frame, Hello, WireError};
 
 /// Builds one pipeline per accepted session from its HELLO. The factory
 /// decides the back-end and configuration; rejecting a HELLO (unknown
@@ -203,14 +203,14 @@ impl Session {
                 let frames = Self::ingest(&self.engine, active, &view)?;
                 self.summary.events += u64::from(chunk.count);
                 self.summary.frames += frames.len() as u64;
-                Ok(if frames.is_empty() { Vec::new() } else { vec![Frame::Tracks(frames)] })
+                Ok(replies(frames))
             }
             (State::Streaming(active), Frame::Flush) => {
                 // Best-effort: returns what the tracker has emitted so
                 // far (frames still in flight arrive with a later drain).
                 let frames = self.engine.take_results(active.stream);
                 self.summary.frames += frames.len() as u64;
-                Ok(vec![Frame::Tracks(frames)])
+                Ok(tracks_frames(frames))
             }
             (State::Streaming(_), Frame::Finish { span_us }) => {
                 let State::Streaming(active) = std::mem::replace(&mut self.state, State::Finished)
@@ -219,10 +219,7 @@ impl Session {
                 };
                 let (frames, high_water) = self.finish_stream(*active, span_us)?;
                 self.summary.frames += frames.len() as u64;
-                let mut responses = Vec::new();
-                if !frames.is_empty() {
-                    responses.push(Frame::Tracks(frames));
-                }
+                let mut responses = replies(frames);
                 responses.push(Frame::Finished(Finished {
                     events: self.summary.events,
                     frames: self.summary.frames,
@@ -266,7 +263,7 @@ impl Session {
             Ok(frames) => {
                 self.summary.events += u64::from(chunk.count);
                 self.summary.frames += frames.len() as u64;
-                Ok(if frames.is_empty() { Vec::new() } else { vec![Frame::Tracks(frames)] })
+                Ok(replies(frames))
             }
             Err(e) => {
                 self.abort();
@@ -335,6 +332,16 @@ impl Session {
             // The partial archive file is left behind but never enters
             // the manifest — see `FleetArchiver`.
         }
+    }
+}
+
+/// The TRACKS frames answering an EVENTS or FINISH frame: none when no
+/// window closed, otherwise as many as the frame-size cap needs.
+fn replies(frames: Vec<FrameResult>) -> Vec<Frame> {
+    if frames.is_empty() {
+        Vec::new()
+    } else {
+        tracks_frames(frames)
     }
 }
 

@@ -4,6 +4,16 @@
 //! See the [crate docs](crate) for the full layout specification. This
 //! module owns everything byte-level; the [`writer`](crate::writer) and
 //! [`reader`](crate::reader) modules only frame and stream it.
+//!
+//! The codec has a fast and a reference implementation in each
+//! direction, and nothing but tests and benches calls a reference:
+//! [`encode_chunk_payload`] (a word-store lane for every event whose
+//! `Δt` is below 2^21 µs) against [`encode_chunk_payload_reference`],
+//! [`decode_chunk_payload_fast`] (a one-load lane for every event whose
+//! three varints fit 3 bytes each and 8 together) against
+//! [`decode_chunk_payload`], and [`crc32`] against [`crc32_reference`].
+//! The hot paths — the writer, the reader, the `EBWP` EVENTS frames —
+//! use only the fast ones.
 
 use ebbiot_events::{Event, Polarity, SensorGeometry, Timestamp};
 
@@ -379,6 +389,25 @@ pub fn crc32_reference(bytes: &[u8]) -> u32 {
 
 // --- chunk payload codec ----------------------------------------------
 
+/// Time deltas below this take the encoder's word-store lane: their
+/// varint is at most 3 bytes long, like every coordinate varint.
+const LANE_DT_LIMIT: u64 = 1 << 21;
+
+/// Bytes the encoder gathers in its stack block before appending them
+/// to the output in one copy.
+const ENCODE_BLOCK_BYTES: usize = 1024;
+
+/// The LEB128 encoding of `v < 2^21` as a little-endian word, and its
+/// length in bytes: the three 7-bit groups spread to bytes 0..3
+/// branch-free, with the continuation bits set by two compares.
+#[inline]
+fn varint3(v: u64) -> (u64, usize) {
+    debug_assert!(v < LANE_DT_LIMIT, "{v} needs more than 3 varint bytes");
+    let (two, three) = (u64::from(v >= 1 << 7), u64::from(v >= 1 << 14));
+    let groups = (v & 0x7f) | (v << 1 & 0x7f00) | (v << 2 & 0x7f_0000);
+    (groups | two << 7 | three << 15, 1 + (two + three) as usize)
+}
+
 /// Encodes one chunk's events into `out` (cleared first).
 ///
 /// Within a chunk the stream is delta-coded against a running
@@ -388,11 +417,79 @@ pub fn crc32_reference(bytes: &[u8]) -> u32 {
 /// therefore self-contained — decoding needs nothing but the frame's
 /// `t_first`.
 ///
+/// The hot encoder behind [`RecordingWriter`](crate::RecordingWriter)
+/// and the `EBWP` EVENTS frames. For `u16` coordinates, `zigzag(Δx)` is
+/// below 2^17 and `zigzag(Δy) << 1 | p` below 2^18, so both always fit
+/// 3 varint bytes. When `Δt` is below 2^21 µs too, the event takes the
+/// word-store lane: each value is spread to its varint bytes branch-free
+/// (`varint3`) and the event is stored with two unaligned 8-byte writes
+/// into a stack block, which is appended to `out` about once per KiB.
+/// A longer gap takes [`write_varint`]. The bytes are exactly those of
+/// [`encode_chunk_payload_reference`], which `tests/decode_parity.rs`
+/// checks.
+///
 /// # Panics
 ///
 /// Panics when `events` is empty or not time-ordered — the writer
 /// validates both before framing a chunk.
 pub fn encode_chunk_payload(out: &mut Vec<u8>, events: &[Event]) {
+    out.clear();
+    let mut prev_t = events.first().expect("chunks are never empty").t;
+    let (mut prev_x, mut prev_y) = (0i64, 0i64);
+    // Room for one lane event's second 8-byte write past the watermark.
+    let mut block = [0u8; ENCODE_BLOCK_BYTES + 16];
+    let mut len = 0;
+    for e in events {
+        assert!(e.t >= prev_t, "chunk events must be time-ordered");
+        let dt = e.t - prev_t;
+        let dx = zigzag(i64::from(e.x) - prev_x);
+        let dyp = zigzag(i64::from(e.y) - prev_y) << 1 | u64::from(e.polarity.bit());
+        if dt < LANE_DT_LIMIT {
+            let (t_bytes, t_len) = varint3(dt);
+            let (x_bytes, x_len) = varint3(dx);
+            let (y_bytes, y_len) = varint3(dyp);
+            // At most 6 bytes of `dt` and `dx`, then `dyp` right after
+            // them, over the first write's zero tail.
+            block[len..len + 8].copy_from_slice(&(t_bytes | x_bytes << (8 * t_len)).to_le_bytes());
+            let at = len + t_len + x_len;
+            block[at..at + 8].copy_from_slice(&y_bytes.to_le_bytes());
+            len = at + y_len;
+            if len >= ENCODE_BLOCK_BYTES {
+                out.extend_from_slice(&block[..len]);
+                len = 0;
+            }
+        } else {
+            encode_long_gap(out, &block[..len], [dt, dx, dyp]);
+            len = 0;
+        }
+        prev_t = e.t;
+        prev_x = i64::from(e.x);
+        prev_y = i64::from(e.y);
+    }
+    out.extend_from_slice(&block[..len]);
+}
+
+/// The rare event of [`encode_chunk_payload`] whose `dt` needs more than
+/// 3 varint bytes: appends the block gathered so far, then the event's
+/// three varints. Kept out of line so the lane's loop keeps its state in
+/// registers.
+#[cold]
+#[inline(never)]
+fn encode_long_gap(out: &mut Vec<u8>, gathered: &[u8], values: [u64; 3]) {
+    out.extend_from_slice(gathered);
+    for v in values {
+        write_varint(out, v);
+    }
+}
+
+/// One [`write_varint`] call per value — the obviously-correct reference
+/// the word-store [`encode_chunk_payload`] is tested and benchmarked
+/// against, byte for byte. Not used on any hot path.
+///
+/// # Panics
+///
+/// Exactly those of [`encode_chunk_payload`].
+pub fn encode_chunk_payload_reference(out: &mut Vec<u8>, events: &[Event]) {
     out.clear();
     let mut prev_t = events.first().expect("chunks are never empty").t;
     let (mut prev_x, mut prev_y) = (0i64, 0i64);
@@ -673,6 +770,20 @@ mod tests {
         // Non-canonical 3-byte zeros decode like the byte loop too.
         let word = u64::from_le_bytes([0x80, 0x80, 0x00, 0x81, 0x00, 0x05, 0xff, 0xff]);
         assert_eq!(varint_triple(word), Some(([0, 1, 5], 6)));
+    }
+
+    #[test]
+    fn varint3_matches_write_varint_below_2_pow_21() {
+        // Both sides of every length step, and a stride through the rest.
+        let edges = [0u64, 1, 127, 128, 129, (1 << 14) - 1, 1 << 14, (1 << 21) - 2, (1 << 21) - 1];
+        for v in edges.into_iter().chain((0..1 << 21).step_by(997)) {
+            let mut buf = Vec::new();
+            write_varint(&mut buf, v);
+            let (bytes, len) = varint3(v);
+            assert_eq!(len, buf.len(), "value {v}");
+            assert_eq!(&bytes.to_le_bytes()[..len], &buf[..], "value {v}");
+            assert_eq!(bytes >> (8 * len), 0, "value {v} spills past its length");
+        }
     }
 
     fn sample() -> Vec<Event> {

@@ -72,15 +72,25 @@
 //!
 //! Varints are LEB128 (7 value bits per byte, high bit = continue);
 //! zigzag folds signed deltas to unsigned (0, -1, 1, -2 → 0, 1, 2, 3).
-//! Dense traffic recordings land around 4–6 bytes/event versus the
-//! flat `EAER` codec's 14, and decoding validates CRC, bounds,
-//! ordering and span, so corruption is detected rather than tracked.
+//! Simulated traffic lands near 4 bytes/event versus the flat `EAER`
+//! codec's 14, and decoding validates CRC, bounds, ordering and span,
+//! so corruption is detected rather than tracked.
 //!
-//! # The decode fast path
+//! # The codec fast paths
 //!
-//! Decoding is the store's hot loop, so two implementations of the
-//! chunk codec live in [`format`](mod@format):
+//! Encoding is what a sensor node pays to frame its events, and
+//! decoding is the store's hot loop, so each direction of the chunk
+//! codec has two implementations in [`format`](mod@format):
 //!
+//! * [`format::encode_chunk_payload_reference`] — one byte-loop varint
+//!   write per value, the encoder's oracle;
+//! * [`format::encode_chunk_payload`] — the production encoder. Both
+//!   coordinate varints of an event always fit 3 bytes (`zigzag(Δx) <
+//!   2^17`, `zigzag(Δy) << 1 | p < 2^18` for `u16` coordinates), so
+//!   whenever `Δt < 2^21` an event's three values are spread to their
+//!   varint bytes branch-free and stored with two unaligned 8-byte
+//!   writes into a stack block that is appended to the output about
+//!   once per KiB; longer gaps take the byte loop;
 //! * [`format::decode_chunk_payload`] — the byte-at-a-time **scalar
 //!   reference** the rejection rules are written against;
 //! * [`format::decode_chunk_payload_fast`] — the production decoder:
@@ -93,11 +103,12 @@
 //!   branch-free), with the scalar loop handling 9/10-byte varints and
 //!   the payload tail.
 //!
-//! The root `tests/decode_parity.rs` pins the two together by
-//! property test: same events out of every valid payload, same error
-//! out of every corrupt one (hostile tails, bit flips, truncation at
-//! every byte boundary, lying frame metadata). CRC-32 is slice-by-8
-//! with a one-byte [`format::crc32_reference`] under the same contract.
+//! The root `tests/decode_parity.rs` pins each pair together by
+//! property test: the same bytes out of both encoders for every chunk,
+//! the same events out of every valid payload, and the same error out
+//! of every corrupt one (hostile tails, bit flips, truncation at every
+//! byte boundary, lying frame metadata). CRC-32 is slice-by-8 with a
+//! one-byte [`format::crc32_reference`] under the same contract.
 //!
 //! Where the payload bytes live is a [`ChunkSource`] property:
 //! streamed sources (`BufReader`) copy each payload into a reused

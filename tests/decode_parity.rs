@@ -10,12 +10,22 @@
 //! exactly 32 or 31 payload bytes left, either side of the watermark
 //! where the fast loop hands over to the byte loop. The slice-by-8 CRC
 //! gets the same treatment against its one-byte-at-a-time reference.
+//!
+//! The word-store encoder ([`encode_chunk_payload`]) is pinned the same
+//! way to its one-`write_varint`-per-value reference
+//! ([`encode_chunk_payload_reference`]): identical bytes, which the fast
+//! decoder turns back into the events, for `dt` on both sides of the
+//! lane's 2^21 limit and up to 10-byte varints, coordinates at the array
+//! corners of 240×180, 346×260 and a `u16::MAX`-wide sensor, 1-event
+//! chunks and chunks longer than the encoder's block. A `RecordingWriter`
+//! writes the same file however its input is split.
 
 use ebbiot::events::{Event, Polarity, SensorGeometry};
 use ebbiot::store::format::{
     crc32, crc32_reference, decode_chunk_payload, decode_chunk_payload_fast, encode_chunk_payload,
+    encode_chunk_payload_reference, CHUNK_FRAME_BYTES, HEADER_FIXED_BYTES,
 };
-use ebbiot::store::StoreError;
+use ebbiot::store::{RecordingWriter, StoreError, StoreOptions};
 use proptest::prelude::*;
 
 const W: u16 = 240;
@@ -40,6 +50,59 @@ fn arb_chunk(max_len: usize) -> impl Strategy<Value = Vec<Event>> {
             })
             .collect()
     })
+}
+
+/// The sensors the encoder cases run on: the paper's DAVIS240, a
+/// DAVIS346 and the widest array a `u16` column allows, where a column
+/// step's zigzag reaches its 2^17 bound.
+const GEOMETRIES: [(u16, u16); 3] = [(240, 180), (346, 260), (u16::MAX, 6)];
+
+/// A time-ordered chunk on one of [`GEOMETRIES`] that stresses the
+/// encoder: about half the coordinates sit on the array's first or last
+/// column or row (the largest steps a chunk can hold), and `dt` is
+/// small, just either side of the word-store lane's 2^21 limit, or wide
+/// enough for any varint length up to 10 bytes.
+fn arb_edge_chunk(max_len: usize) -> impl Strategy<Value = (SensorGeometry, Vec<Event>)> {
+    let coord = || (0u8..4, any::<u16>());
+    let step = (0u8..4, any::<u64>(), coord(), coord(), any::<bool>());
+    (0..GEOMETRIES.len(), proptest::collection::vec(step, 1..max_len)).prop_map(|(g, steps)| {
+        let (w, h) = GEOMETRIES[g];
+        let pick = |(edge, v): (u8, u16), n: u16| match edge {
+            0 => 0,
+            1 => n - 1,
+            _ => v % n,
+        };
+        let mut t = 0u64;
+        let events = steps
+            .into_iter()
+            .map(|(kind, bits, x, y, on)| {
+                let dt = match kind {
+                    0 => bits % 128,
+                    1 => (1 << 21) - 2 + bits % 4,
+                    2 => bits % (1 << 21),
+                    _ => bits >> (bits % 64),
+                };
+                t = t.saturating_add(dt);
+                Event::new(pick(x, w), pick(y, h), t, Polarity::from_bit(u8::from(on)))
+            })
+            .collect();
+        (SensorGeometry::new(w, h), events)
+    })
+}
+
+/// The word-store encoder writes exactly the reference's bytes for
+/// `events`, and the fast decoder turns them back into `events` on
+/// `geometry`.
+fn assert_encodes_like_reference(events: &[Event], geometry: SensorGeometry) {
+    let (mut fast, mut reference) = (Vec::new(), vec![0xAA; 7]);
+    encode_chunk_payload(&mut fast, events);
+    encode_chunk_payload_reference(&mut reference, events);
+    assert_eq!(fast, reference, "encoders diverge");
+    let count = u32::try_from(events.len()).unwrap();
+    let (t_first, t_last) = (events[0].t, events[events.len() - 1].t);
+    let mut decoded = vec![Event::on(0, 0, 0)];
+    decode_chunk_payload_fast(&mut decoded, &fast, 0, geometry, count, t_first, t_last).unwrap();
+    assert_eq!(decoded, events, "round trip");
 }
 
 /// Encodes a chunk and returns `(payload, count, t_first, t_last)` —
@@ -162,6 +225,60 @@ proptest! {
     ) {
         let geometry = SensorGeometry::new(W, H);
         assert_parity(&payload, geometry, count, t_first, t_first.saturating_add(span));
+    }
+
+    // The word-store encoder == the reference, byte for byte, over the
+    // decode suite's full varint-width range and over array-edge chunks
+    // whose `dt` crosses the lane limit.
+    #[test]
+    fn fast_encoder_matches_reference_on_valid_chunks(
+        events in arb_chunk(200),
+        (geometry, edge_events) in arb_edge_chunk(300),
+    ) {
+        assert_encodes_like_reference(&events, SensorGeometry::new(W, H));
+        assert_encodes_like_reference(&edge_events, geometry);
+    }
+
+    // A `RecordingWriter` writes the same file whether its input comes
+    // in one slice or in random pieces, and every chunk in it is the
+    // reference encoding of its events under the reference CRC.
+    #[test]
+    fn recording_writer_output_does_not_depend_on_how_input_is_split(
+        (geometry, events) in arb_edge_chunk(1_500),
+        chunk_events in 1usize..700,
+        cuts in proptest::collection::vec(any::<u16>(), 0..8),
+    ) {
+        let options = StoreOptions { chunk_events };
+        let write = |pieces: &[&[Event]]| {
+            let mut writer =
+                RecordingWriter::new(Vec::new(), geometry, "split", 9, options).unwrap();
+            for piece in pieces {
+                writer.push_events(piece).unwrap();
+            }
+            writer.finish().unwrap().0
+        };
+        let whole = write(&[&events]);
+        let mut at: Vec<usize> = cuts.iter().map(|&c| usize::from(c) % (events.len() + 1)).collect();
+        at.sort_unstable();
+        let mut pieces = Vec::new();
+        let mut from = 0;
+        for to in at.into_iter().chain([events.len()]) {
+            pieces.push(&events[from..to]);
+            from = to;
+        }
+        prop_assert_eq!(&write(&pieces), &whole);
+
+        let mut offset = HEADER_FIXED_BYTES + "split".len();
+        let mut reference = Vec::new();
+        for chunk in events.chunks(chunk_events) {
+            encode_chunk_payload_reference(&mut reference, chunk);
+            let frame = &whole[offset..offset + CHUNK_FRAME_BYTES];
+            prop_assert_eq!(&frame[20..24], &(reference.len() as u32).to_le_bytes());
+            prop_assert_eq!(&frame[24..28], &crc32_reference(&reference).to_le_bytes());
+            let payload = offset + CHUNK_FRAME_BYTES;
+            prop_assert_eq!(&whole[payload..payload + reference.len()], &reference[..]);
+            offset = payload + reference.len();
+        }
     }
 
     // Slice-by-8 CRC == one-byte-at-a-time reference on arbitrary
@@ -318,5 +435,89 @@ fn events_starting_with_exactly_32_or_31_bytes_left_decode_identically() {
         let wide = widen(&payload, |k| if k == last { [dt_width, 1, 1] } else { [1; 3] });
         assert_eq!(wide.len() - 3 * 20, left);
         assert_decodes_to(&wide, &events);
+    }
+}
+
+/// `dt` on both sides of every varint length step: 2^21 − 1 is the
+/// lane's last 3-byte value and 2^21 its first 4-byte one; the rest run
+/// up to a 10-byte varint. Each gap sits between lane events, in one
+/// chunk and alone.
+#[test]
+fn the_encoder_matches_reference_across_the_lane_dt_limit() {
+    let geometry = SensorGeometry::new(W, H);
+    let mut dts = vec![0u64, 1, 127, 128, (1 << 14) - 1, 1 << 14, (1 << 21) - 1, 1 << 21];
+    dts.extend((4..=9).map(|bytes| 1u64 << (7 * bytes)));
+    let mut t = 0u64;
+    let mut events = Vec::new();
+    for (k, &dt) in dts.iter().enumerate() {
+        t += dt;
+        let x = u16::try_from(k * 13 % usize::from(W)).unwrap();
+        let polarity = Polarity::from_bit(u8::from(k % 2 == 1));
+        events.push(Event::new(x, H - 1 - x % H, t, polarity));
+        events.push(Event::on(x, 5, t + 3));
+        t += 3;
+    }
+    assert_encodes_like_reference(&events, geometry);
+    for &dt in &dts {
+        assert_encodes_like_reference(&[Event::on(1, 2, 0), Event::off(3, 4, dt)], geometry);
+    }
+    // The gap's varint is as wide as the reference makes it: 2^21 - 1 in
+    // 3 bytes, 2^21 in 4 and 2^63 in 10.
+    let width = |dt| {
+        let mut payload = Vec::new();
+        encode_chunk_payload(&mut payload, &[Event::on(0, 0, 0), Event::on(0, 0, dt)]);
+        payload.len() - 3 - 2
+    };
+    assert_eq!([width((1 << 21) - 1), width(1 << 21), width(1 << 63)], [3, 4, 10]);
+}
+
+/// Steps between the corners of each sensor in [`GEOMETRIES`] and of
+/// a square `u16::MAX` array: the largest column and row deltas an
+/// event can carry, all still inside the lane's 3-byte coordinate
+/// varints.
+#[test]
+fn the_encoder_matches_reference_at_the_array_corners() {
+    for (w, h) in GEOMETRIES.into_iter().chain([(u16::MAX, u16::MAX)]) {
+        let geometry = SensorGeometry::new(w, h);
+        let corners = [(0, 0), (w - 1, h - 1), (0, h - 1), (w - 1, 0), (0, 0), (w - 1, h - 1)];
+        let events: Vec<Event> = (0..60u64)
+            .map(|k| {
+                let (x, y) = corners[k as usize % corners.len()];
+                Event::new(x, y, 10 * k, Polarity::from_bit(u8::from(k % 3 == 0)))
+            })
+            .collect();
+        assert_encodes_like_reference(&events, geometry);
+        let mut payload = Vec::new();
+        encode_chunk_payload(&mut payload, &events);
+        assert!(payload.len() <= 7 * events.len(), "{w}x{h}: {} bytes", payload.len());
+    }
+}
+
+/// One-event chunks, and chunks many times longer than the encoder's
+/// 1 KiB block, with long gaps landing just before, on and after the
+/// points where the block is appended to the output.
+#[test]
+fn the_encoder_matches_reference_on_one_event_and_multi_block_chunks() {
+    for (w, h) in GEOMETRIES {
+        let geometry = SensorGeometry::new(w, h);
+        for (x, y, t) in [(0, 0, 0), (w - 1, h - 1, 1 << 40), (w / 2, 0, u64::MAX)] {
+            assert_encodes_like_reference(&[Event::off(x, y, t)], geometry);
+        }
+    }
+    let geometry = SensorGeometry::new(W, H);
+    let dense = one_byte_chunk(5_000);
+    assert_encodes_like_reference(&dense, geometry);
+    // 3-byte events fill the block after 342 of them; put a 4-byte gap
+    // on each event around that point, and every 700 events after.
+    for gap_at in [340, 341, 342, 343, 344, 700, 1_400] {
+        let mut events = dense.clone();
+        let mut shift = 0;
+        for (k, e) in events.iter_mut().enumerate() {
+            if k == gap_at || (k > gap_at && (k - gap_at) % 700 == 0) {
+                shift += 1 << 21;
+            }
+            e.t += shift;
+        }
+        assert_encodes_like_reference(&events, geometry);
     }
 }

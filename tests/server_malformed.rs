@@ -1,7 +1,9 @@
 //! Hostile-input property tests for the `EBWP` protocol and session:
 //! truncated frames, corrupted bytes, bad CRCs, out-of-geometry events
 //! and ordering violations must all surface as `WireError`s — never a
-//! panic, never a hung engine, and never a leaked engine stream.
+//! panic, never a hung engine, and never a leaked engine stream. Every
+//! response a session gives goes through `write_frame`, so a reply too
+//! large for one frame panics here as it would on a session thread.
 //!
 //! These mirror the `ebbiot_events` codec proptests: the wire is just
 //! another untrusted byte source.
@@ -9,10 +11,10 @@
 use std::io::Cursor;
 use std::sync::Arc;
 
-use ebbiot_core::{EbbiotConfig, EbbiotPipeline};
-use ebbiot_engine::{Engine, EngineConfig};
-use ebbiot_events::{Event, Polarity, SensorGeometry};
-use ebbiot_server::{
+use ebbiot::core::{EbbiotConfig, EbbiotPipeline};
+use ebbiot::engine::{Engine, EngineConfig};
+use ebbiot::events::{Event, Polarity, SensorGeometry};
+use ebbiot::server::{
     read_frame, write_frame, EventsChunk, Frame, Hello, PipelineFactory, Session, WireError,
 };
 use proptest::prelude::*;
@@ -28,7 +30,7 @@ fn arb_event() -> impl Strategy<Value = Event> {
 
 fn arb_ordered_events(max_len: usize) -> impl Strategy<Value = Vec<Event>> {
     proptest::collection::vec(arb_event(), 1..max_len).prop_map(|mut v| {
-        ebbiot_events::stream::sort_by_time(&mut v);
+        ebbiot::events::stream::sort_by_time(&mut v);
         v
     })
 }
@@ -54,18 +56,22 @@ fn factory() -> Arc<PipelineFactory> {
     })
 }
 
-/// Feeds raw bytes through the real decode → session path, exactly like
-/// the TCP loop does, returning the first error (if any).
-fn drive_session(bytes: &[u8]) -> Result<(), WireError> {
+/// Feeds raw bytes through the real decode → session → reply path,
+/// exactly like the TCP loop does, returning the encoded replies or the
+/// first error.
+fn drive_session(bytes: &[u8]) -> Result<Vec<u8>, WireError> {
     let engine = engine();
     let mut session = Session::new(Arc::clone(&engine), factory(), None);
     let mut cursor = Cursor::new(bytes.to_vec());
+    let mut replies = Vec::new();
     loop {
         match read_frame(&mut cursor)? {
             Some(frame) => {
-                let _responses = session.on_frame(frame)?;
+                for response in session.on_frame(frame)? {
+                    write_frame(&mut replies, &response)?;
+                }
                 if session.is_finished() {
-                    return Ok(());
+                    return Ok(replies);
                 }
             }
             None => return Err(WireError::Truncated),
@@ -247,4 +253,40 @@ fn failed_sessions_never_leak_engine_streams() {
     let snapshot = engine.snapshot();
     assert_eq!(snapshot.streams.len(), 20);
     assert!(snapshot.streams.iter().all(|s| s.detached), "all sessions detached: {snapshot:?}");
+}
+
+/// Two events 17,600 s apart in one 39-byte EVENTS frame close 266,667
+/// empty 66 ms windows: 9.6 MB of TRACKS, more than one frame may carry.
+/// The session answers in as many TRACKS frames as the cap needs, and
+/// the client reads every result back, in order.
+#[test]
+fn a_reply_larger_than_one_frame_is_split_across_tracks_frames() {
+    let geometry = SensorGeometry::new(16, 16);
+    let t_last = 17_600_000_000;
+    let events = [Event::on(1, 1, 0), Event::off(14, 14, t_last)];
+    let events_frame = encode_frames(&[Frame::Events(EventsChunk::encode(&events))]);
+    assert_eq!(events_frame.len(), 39);
+    let mut bytes =
+        encode_frames(&[Frame::Hello(Hello { geometry, span_us: 0, name: "gap".into() })]);
+    bytes.extend(events_frame);
+    bytes.extend(encode_frames(&[Frame::Finish { span_us: t_last + 1 }]));
+    let replies = drive_session(&bytes).expect("the session finishes");
+
+    let mut cursor = Cursor::new(replies);
+    let (mut tracks_frames, mut results, mut finished) = (0, Vec::new(), None);
+    while let Some(frame) = read_frame(&mut cursor).expect("every reply frame reads back") {
+        match frame {
+            Frame::Tracks(frames) => {
+                tracks_frames += 1;
+                results.extend(frames);
+            }
+            Frame::Finished(done) => finished = Some(done),
+            other => panic!("unexpected reply {other:?}"),
+        }
+    }
+    let done = finished.expect("FINISHED ends the session");
+    assert_eq!(done.frames, results.len() as u64);
+    assert_eq!(results.len(), 266_667);
+    assert!(tracks_frames >= 2, "{tracks_frames} TRACKS frames");
+    assert!(results.iter().enumerate().all(|(k, r)| r.index == k), "results in order");
 }

@@ -6,10 +6,10 @@
 //! something observably different) — never a panic, and never the
 //! original state reconstructed from damaged bytes.
 
-use ebbiot_core::SessionState;
-use ebbiot_events::{Event, OpsCounter, Polarity, SensorGeometry};
-use ebbiot_store::snapshot::{SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
-use ebbiot_store::{read_snapshot, write_snapshot, SnapshotError};
+use ebbiot::core::SessionState;
+use ebbiot::events::{Event, OpsCounter, Polarity, SensorGeometry};
+use ebbiot::store::snapshot::{SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
+use ebbiot::store::{read_snapshot, write_snapshot, SnapshotError};
 use proptest::prelude::*;
 
 /// A synthetic but structurally realistic session state. The tracker
