@@ -13,7 +13,7 @@ use ebbiot_core::{
     FrameInput, StateError, StateReader, StateWriter, TrackBox, Tracker, TrackerInput,
 };
 use ebbiot_events::{OpsCounter, SensorGeometry, Timestamp};
-use ebbiot_filters::{EventFilter, NnFilter};
+use ebbiot_filters::NnFilter;
 
 use crate::ebms::{EbmsConfig, EbmsTracker};
 

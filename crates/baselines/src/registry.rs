@@ -149,9 +149,10 @@ mod tests {
         }
         for spec in BACKENDS {
             let mut pipeline = spec.build(config());
-            let result = pipeline.process_frame(&events);
-            assert_eq!(result.index, 0, "{}", spec.name);
-            assert_eq!(result.num_events, events.len(), "{}", spec.name);
+            let frames = pipeline.process_recording(&events, 0);
+            assert_eq!(frames.len(), 1, "{}", spec.name);
+            assert_eq!(frames[0].index, 0, "{}", spec.name);
+            assert_eq!(frames[0].num_events, events.len(), "{}", spec.name);
         }
     }
 
@@ -163,7 +164,7 @@ mod tests {
         let events: Vec<Event> =
             (0..300).map(|i| Event::on(60 + (i % 20) as u16, 90 + (i / 20) as u16, i)).collect();
         // Stepping one pipeline leaves the others untouched.
-        let _ = fleet[0].process_frame(&events);
+        let _ = fleet[0].process_recording(&events, 0);
         assert_eq!(fleet[0].frames_processed(), 1);
         assert_eq!(fleet[1].frames_processed(), 0);
         assert_eq!(fleet[2].frames_processed(), 0);

@@ -14,7 +14,7 @@ use ebbiot_core::{
     RpnMode,
 };
 use ebbiot_events::{Event, SensorGeometry};
-use ebbiot_filters::{EventFilter, NnFilter};
+use ebbiot_filters::NnFilter;
 use ebbiot_frame::{BoundingBox, MedianFilter};
 use ebbiot_sim::DatasetPreset;
 use std::hint::black_box;

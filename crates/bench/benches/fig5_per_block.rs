@@ -13,7 +13,7 @@ use ebbiot_core::{
     tracker::{OtConfig, OverlapTracker},
 };
 use ebbiot_events::{Event, SensorGeometry};
-use ebbiot_filters::{EventFilter, NnFilter};
+use ebbiot_filters::NnFilter;
 use ebbiot_frame::{BinaryImage, BoundingBox, EbbiAccumulator, MedianFilter};
 use ebbiot_sim::DatasetPreset;
 use std::hint::black_box;

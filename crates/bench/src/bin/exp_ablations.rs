@@ -9,10 +9,10 @@
 //! 4. ROE on vs off against a flicker distractor.
 //!
 //! ```text
-//! cargo run --release -p ebbiot-bench --bin exp_ablations [--seconds S] [--seed N]
+//! cargo run --release -p ebbiot_bench --bin exp_ablations -- [--seconds S] [--seed N]
 //! ```
 
-use ebbiot_bench::{gt_boxes, parse_harness_args};
+use ebbiot_bench::{gt_boxes, Flags};
 use ebbiot_core::{
     rpn::RpnConfig, tracker::OtConfig, EbbiotConfig, EbbiotPipeline, RegionOfExclusion, RpnMode,
 };
@@ -23,9 +23,10 @@ use ebbiot_sim::{BackgroundNoise, DatasetPreset, DavisConfig, DavisSimulator, Sc
 use rand::{rngs::StdRng, SeedableRng};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (seconds, seed, _) = parse_harness_args(&args);
-    let rec = DatasetPreset::Lt4.config().with_duration_s(seconds.unwrap_or(20.0)).generate(seed);
+    let flags = Flags::from_env(&["--seconds", "--seed"], &[]);
+    let seed: u64 = flags.get("--seed", 42);
+    let rec =
+        DatasetPreset::Lt4.config().with_duration_s(flags.get("--seconds", 20.0)).generate(seed);
     let gt = gt_boxes(&rec);
     println!("Workload: {rec}\n");
 
@@ -80,20 +81,20 @@ fn main() {
         cfg.ot = OtConfig { occlusion_lookahead: lookahead, ..cfg.ot };
         let mut pipeline = EbbiotPipeline::new(cfg);
         let mut mot = MotAccumulator::new();
-        for window in FrameWindows::with_span(&events, 66_000, duration) {
-            let result = pipeline.process_frame(window.events);
+        for frame in pipeline.process_recording(&events, duration) {
+            let midpoint = frame.t_start + frame.duration / 2;
             let gt_boxes: Vec<IdentifiedBox> = scene
                 .objects
                 .iter()
                 .filter_map(|o| {
-                    o.bbox_at(window.midpoint()).and_then(|b| {
+                    o.bbox_at(midpoint).and_then(|b| {
                         let c = b.clipped_to(240.0, 180.0);
                         (c.area() > 25.0).then(|| IdentifiedBox::new(u64::from(o.id), c))
                     })
                 })
                 .collect();
             let pred: Vec<IdentifiedBox> =
-                result.tracks.iter().map(|t| IdentifiedBox::new(t.track_id, t.bbox)).collect();
+                frame.tracks.iter().map(|t| IdentifiedBox::new(t.track_id, t.bbox)).collect();
             mot.add_frame(&gt_boxes, &pred, 0.3);
         }
         rows.push(vec![

@@ -18,30 +18,9 @@
 
 use ebbiot_baselines::registry::BACKENDS;
 use ebbiot_bench::accuracy::{evaluate_cell, floors_for, CellMetrics, MOT_IOU};
-use ebbiot_bench::JsonReport;
+use ebbiot_bench::{Flags, JsonReport};
 use ebbiot_eval::report::render_table;
 use ebbiot_sim::SCENARIO_MATRIX;
-
-struct Args {
-    seed: u64,
-    scenario: Option<String>,
-    smoke: bool,
-}
-
-fn parse_args(args: &[String]) -> Args {
-    let mut parsed = Args { seed: 42, scenario: None, smoke: false };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = || it.next().cloned().unwrap_or_default();
-        match arg.as_str() {
-            "--seed" => parsed.seed = value().parse().expect("--seed <u64>"),
-            "--scenario" => parsed.scenario = Some(value()),
-            "--smoke" => parsed.smoke = true,
-            other => panic!("unknown argument {other}"),
-        }
-    }
-    parsed
-}
 
 fn row(m: &CellMetrics) -> Vec<String> {
     vec![
@@ -60,28 +39,26 @@ fn row(m: &CellMetrics) -> Vec<String> {
 }
 
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = parse_args(&argv);
+    let flags = Flags::from_env(&["--seed", "--scenario"], &["--smoke"]);
+    let smoke = flags.has("--smoke");
+    let seed: u64 = flags.get("--seed", 42);
+    let only_scenario: Option<String> = flags.opt("--scenario");
 
-    let mode = if args.smoke { "smoke" } else { "full" };
+    let mode = if smoke { "smoke" } else { "full" };
     println!(
         "accuracy gate: {} scenarios x {} back-ends, seed {}, {mode} durations, IoU {MOT_IOU}",
         SCENARIO_MATRIX.len(),
         BACKENDS.len(),
-        args.seed
+        seed
     );
 
     let mut cells: Vec<CellMetrics> = Vec::new();
     for spec in SCENARIO_MATRIX {
-        if args.scenario.as_deref().is_some_and(|only| only != spec.name) {
+        if only_scenario.as_deref().is_some_and(|only| only != spec.name) {
             continue;
         }
         let scenario = (spec.build)();
-        let rec = if args.smoke {
-            scenario.generate_smoke(args.seed)
-        } else {
-            scenario.generate(args.seed)
-        };
+        let rec = if smoke { scenario.generate_smoke(seed) } else { scenario.generate(seed) };
         println!(
             "  {} ({:.1}s, {} events): {}",
             spec.name,
@@ -93,7 +70,7 @@ fn main() {
             cells.push(evaluate_cell(&scenario, backend, &rec));
         }
     }
-    assert!(!cells.is_empty(), "no scenario matched {:?}", args.scenario);
+    assert!(!cells.is_empty(), "no scenario matched {:?}", only_scenario);
 
     // Print the full matrix BEFORE asserting floors, so a tripped gate
     // still shows every measured number.
@@ -109,12 +86,12 @@ fn main() {
         )
     );
 
-    if args.smoke {
+    if smoke {
         println!("smoke run: skipping BENCH_accuracy.json");
     } else {
         let mut report = JsonReport::new()
             .str("experiment", "accuracy")
-            .u64("seed", args.seed)
+            .u64("seed", seed)
             .u64("scenarios", (cells.len() / BACKENDS.len()) as u64)
             .u64("backends", BACKENDS.len() as u64)
             .f64("iou_threshold", f64::from(MOT_IOU));

@@ -23,62 +23,13 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use ebbiot_baselines::{registry, BACKENDS};
-use ebbiot_bench::{ebbiot_config_for, JsonReport};
+use ebbiot_bench::{ebbiot_config_for, Flags, JsonReport};
 use ebbiot_core::FrameResult;
 use ebbiot_engine::{Engine, EngineConfig, StreamTotals};
 use ebbiot_eval::report::render_table;
 use ebbiot_events::Event;
-use ebbiot_sim::{DatasetPreset, FleetConfig};
+use ebbiot_sim::FleetConfig;
 use ebbiot_store::{read_snapshot, write_snapshot, FleetArchiver, FleetStore, StoreOptions};
-
-struct Args {
-    cameras: usize,
-    workers: usize,
-    seconds: f64,
-    seed: u64,
-    preset: DatasetPreset,
-    chunk: usize,
-    dir: Option<PathBuf>,
-    keep: bool,
-    smoke: bool,
-}
-
-fn parse_args(args: &[String]) -> Args {
-    let mut parsed = Args {
-        cameras: 6,
-        workers: 4,
-        seconds: 1.0,
-        seed: 42,
-        preset: DatasetPreset::Lt4,
-        chunk: 2048,
-        dir: None,
-        keep: false,
-        smoke: false,
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = || it.next().cloned().unwrap_or_default();
-        match arg.as_str() {
-            "--cameras" => parsed.cameras = value().parse().expect("--cameras <usize>"),
-            "--workers" => parsed.workers = value().parse().expect("--workers <usize>"),
-            "--seconds" => parsed.seconds = value().parse().expect("--seconds <f64>"),
-            "--seed" => parsed.seed = value().parse().expect("--seed <u64>"),
-            "--chunk" => parsed.chunk = value().parse().expect("--chunk <usize>"),
-            "--dir" => parsed.dir = Some(PathBuf::from(value())),
-            "--keep" => parsed.keep = true,
-            "--smoke" => parsed.smoke = true,
-            "--preset" => {
-                parsed.preset = match value().to_uppercase().as_str() {
-                    "ENG" => DatasetPreset::Eng,
-                    "LT4" => DatasetPreset::Lt4,
-                    other => panic!("--preset must be ENG or LT4, got {other:?}"),
-                }
-            }
-            other => panic!("unknown argument {other}"),
-        }
-    }
-    parsed
-}
 
 fn assert_bits_eq(got: &[FrameResult], expect: &[FrameResult], context: &str) {
     assert_eq!(got.len(), expect.len(), "{context}: frame count diverged");
@@ -98,35 +49,43 @@ fn pick_cut(chunks: &[Vec<Event>]) -> usize {
 }
 
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut args = parse_args(&argv);
-    if args.smoke {
-        args.cameras = args.cameras.min(2);
-        args.workers = args.workers.min(2);
-        args.seconds = args.seconds.min(0.25);
+    let flags = Flags::from_env(
+        &["--cameras", "--workers", "--seconds", "--seed", "--preset", "--chunk", "--dir"],
+        &["--keep", "--smoke"],
+    );
+    let smoke = flags.has("--smoke");
+    let mut cameras: usize = flags.get("--cameras", 6);
+    let mut workers: usize = flags.get("--workers", 4);
+    let mut seconds: f64 = flags.get("--seconds", 1.0);
+    let seed: u64 = flags.get("--seed", 42);
+    let preset = flags.preset();
+    let chunk_events: usize = flags.get("--chunk", 2048);
+    let given_dir: Option<PathBuf> = flags.opt("--dir");
+    if smoke {
+        cameras = cameras.min(2);
+        workers = workers.min(2);
+        seconds = seconds.min(0.25);
     }
-    let workers = args.workers.min(args.cameras).max(1);
-    let iters = if args.smoke { 3 } else { 50 };
+    let workers = workers.min(cameras).max(1);
+    let iters = if smoke { 3 } else { 50 };
 
     println!(
         "== Checkpoint: {} cameras x {:.2} s of {}, EBSS freeze/thaw + crash-recovery drill ==\n",
-        args.cameras,
-        args.seconds,
-        args.preset.name()
+        cameras,
+        seconds,
+        preset.name()
     );
 
-    let fleet = FleetConfig::new(args.preset, args.cameras)
-        .with_seconds(args.seconds)
-        .with_base_seed(args.seed)
-        .generate();
-    let config = ebbiot_config_for(args.preset, &fleet[0]).with_frame_us(fleet[0].frame_us);
+    let fleet =
+        FleetConfig::new(preset, cameras).with_seconds(seconds).with_base_seed(seed).generate();
+    let config = ebbiot_config_for(preset, &fleet[0]).with_frame_us(fleet[0].frame_us);
     let mut report = JsonReport::new()
         .str("experiment", "checkpoint")
-        .str("preset", args.preset.name())
-        .u64("cameras", args.cameras as u64)
+        .str("preset", preset.name())
+        .u64("cameras", cameras as u64)
         .u64("workers", workers as u64)
-        .f64("seconds_per_camera", args.seconds)
-        .u64("chunk_events", args.chunk as u64);
+        .f64("seconds_per_camera", seconds)
+        .u64("chunk_events", chunk_events as u64);
 
     // ------------------------------------------------------------------
     // 1. Per-back-end snapshot cost on camera 0, severed halfway, with
@@ -140,7 +99,7 @@ fn main() {
 
         let mut severed = spec.build(config.clone());
         let mut shipped = Vec::new();
-        for chunk in rec.events[..half].chunks(args.chunk.max(1)) {
+        for chunk in rec.events[..half].chunks(chunk_events.max(1)) {
             shipped.extend(severed.push(chunk));
         }
 
@@ -169,7 +128,7 @@ fn main() {
 
         let mut resumed = resumed.expect("at least one restore iteration");
         let mut frames = shipped;
-        for chunk in rec.events[half..].chunks(args.chunk.max(1)) {
+        for chunk in rec.events[half..].chunks(chunk_events.max(1)) {
             frames.extend(resumed.push(chunk));
         }
         frames.extend(resumed.finish(rec.duration_us));
@@ -212,13 +171,13 @@ fn main() {
     //    each hand-off into the archive's snapshot area, drop all live
     //    state, then recover from disk alone and prove nothing is lost.
     // ------------------------------------------------------------------
-    let dir = args.dir.clone().unwrap_or_else(|| {
+    let dir = given_dir.clone().unwrap_or_else(|| {
         std::env::temp_dir().join(format!("ebbiot_checkpoint_{}", std::process::id()))
     });
     // Cap the archive chunk so even a smoke-sized recording spans
     // several chunks — the drill needs a mid-stream boundary to cut at.
     let shortest = fleet.iter().map(|r| r.events.len()).min().unwrap_or(1);
-    let archive_chunk = args.chunk.max(1).min((shortest / 8).max(1));
+    let archive_chunk = chunk_events.max(1).min((shortest / 8).max(1));
     let archiver = FleetArchiver::create(&dir, StoreOptions { chunk_events: archive_chunk })
         .expect("create archive");
     for rec in &fleet {
@@ -323,7 +282,7 @@ fn main() {
         recovery_rate / 1e3
     );
 
-    if args.smoke {
+    if smoke {
         println!("--smoke: skipping BENCH_checkpoint.json");
     } else {
         report
@@ -336,7 +295,7 @@ fn main() {
         println!("wrote BENCH_checkpoint.json");
     }
 
-    if args.keep || args.dir.is_some() {
+    if flags.has("--keep") || given_dir.is_some() {
         println!("archive kept at {}", dir.display());
     } else {
         std::fs::remove_dir_all(&dir).expect("remove archive dir");

@@ -7,17 +7,16 @@
 //! per-frame workload of the EBBIOT pipeline on a simulated recording.
 //!
 //! ```text
-//! cargo run --release -p ebbiot-bench --bin exp_fig2 [--seconds S] [--seed N]
+//! cargo run --release -p ebbiot_bench --bin exp_fig2 -- [--seconds S] [--seed N] [--full]
 //! ```
 
-use ebbiot_bench::{ebbiot_config_for, generate_for_harness, parse_harness_args};
+use ebbiot_bench::{ebbiot_config_for, generate_for_harness, harness_args};
 use ebbiot_core::{DutyCycleModel, EbbiotPipeline, ProcessorModel};
 use ebbiot_eval::report::{render_bar, render_table};
 use ebbiot_sim::DatasetPreset;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (seconds, seed, full) = parse_harness_args(&args);
+    let (seconds, seed, full) = harness_args();
     let preset = DatasetPreset::Eng;
     let rec = generate_for_harness(preset, seconds, seed, full, 20.0);
 

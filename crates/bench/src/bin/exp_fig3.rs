@@ -6,10 +6,10 @@
 //! the downsampled histograms, and the resulting merged region proposal.
 //!
 //! ```text
-//! cargo run --release -p ebbiot-bench --bin exp_fig3 [--seed N]
+//! cargo run --release -p ebbiot_bench --bin exp_fig3 -- [--seed N]
 //! ```
 
-use ebbiot_bench::parse_harness_args;
+use ebbiot_bench::Flags;
 use ebbiot_core::rpn::{RegionProposalNetwork, RpnConfig};
 use ebbiot_events::SensorGeometry;
 use ebbiot_frame::{ebbi::ebbi_from_events, MedianFilter};
@@ -19,8 +19,7 @@ use ebbiot_sim::{
 use rand::{rngs::StdRng, SeedableRng};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (_, seed, _) = parse_harness_args(&args);
+    let seed = Flags::from_env(&["--seed"], &[]).get("--seed", 42u64);
 
     // One frame (66 ms) of a car and a bus crossing the view.
     let geometry = SensorGeometry::davis240();

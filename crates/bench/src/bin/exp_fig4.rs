@@ -3,11 +3,11 @@
 //! tracks.
 //!
 //! ```text
-//! cargo run --release -p ebbiot-bench --bin exp_fig4 [--seconds S] [--seed N] [--full]
+//! cargo run --release -p ebbiot_bench --bin exp_fig4 -- [--seconds S] [--seed N] [--full]
 //! ```
 
 use ebbiot_baselines::registry::BACKENDS;
-use ebbiot_bench::{fig4_sweep, generate_for_harness, parse_harness_args, run_backend};
+use ebbiot_bench::{fig4_sweep, generate_for_harness, harness_args, run_backend};
 use ebbiot_eval::{
     report::{render_pr_sweep, render_table},
     sweep::fig4_thresholds,
@@ -16,8 +16,7 @@ use ebbiot_eval::{
 use ebbiot_sim::DatasetPreset;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (seconds, seed, full) = parse_harness_args(&args);
+    let (seconds, seed, full) = harness_args();
 
     println!("== Fig. 4: precision/recall vs IoU threshold (EBMS, KF, EBBIOT) ==\n");
 

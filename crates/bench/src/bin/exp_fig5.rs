@@ -4,18 +4,17 @@
 //! instrumented pipelines running on a simulated recording.
 //!
 //! ```text
-//! cargo run --release -p ebbiot-bench --bin exp_fig5 [--seconds S] [--seed N]
+//! cargo run --release -p ebbiot_bench --bin exp_fig5 -- [--seconds S] [--seed N] [--full]
 //! ```
 
-use ebbiot_bench::{ebbiot_config_for, generate_for_harness, parse_harness_args};
+use ebbiot_bench::{ebbiot_config_for, generate_for_harness, harness_args};
 use ebbiot_core::EbbiotPipeline;
 use ebbiot_eval::report::{render_bar, render_table};
 use ebbiot_resource::{fig5_comparison, PaperParams};
 use ebbiot_sim::DatasetPreset;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (seconds, seed, full) = parse_harness_args(&args);
+    let (seconds, seed, full) = harness_args();
 
     println!("== Fig. 5: resources relative to EBBIOT (analytic, Eqs. 1-8) ==\n");
     let rows = fig5_comparison(PaperParams::paper());

@@ -32,71 +32,23 @@ use ebbiot_bench::breakdown::{
     append_contention_fields, histogram_summary, run_fleet_backend_instrumented,
     run_fleet_sequential_instrumented, stage_rows, worker_rows, STAGE_HEADER, WORKER_HEADER,
 };
-use ebbiot_bench::{run_fleet_sequential, JsonReport};
+use ebbiot_bench::{run_fleet_sequential, Flags, JsonReport};
 use ebbiot_core::StageTelemetry;
 use ebbiot_engine::{EngineTelemetry, FleetOptions, StreamTelemetry};
 use ebbiot_eval::report::render_table;
 use ebbiot_sim::{DatasetPreset, FleetConfig};
 use ebbiot_telemetry::Registry;
 
-struct Args {
-    cameras: usize,
-    /// Worker counts to sweep (`--workers 1,2,4,8`); the breakdown
-    /// tables and the artifact's headline `speedup` use the largest.
-    workers: Vec<usize>,
-    seconds: f64,
-    seed: u64,
-    backend: String,
-    preset: DatasetPreset,
-    chunk: usize,
-    queue: usize,
-    smoke: bool,
-    overhead: bool,
-}
+/// Worker counts to sweep (`--workers 1,2,4,8`); the breakdown tables
+/// and the artifact's headline `speedup` use the largest.
+struct WorkerCounts(Vec<usize>);
 
-fn parse_args(args: &[String]) -> Args {
-    let mut parsed = Args {
-        cameras: 16,
-        workers: vec![1, 2, 4, 8],
-        seconds: 2.0,
-        seed: 42,
-        backend: "ebbiot".into(),
-        preset: DatasetPreset::Lt4,
-        chunk: 4096,
-        queue: 32,
-        smoke: false,
-        overhead: false,
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = || it.next().cloned().unwrap_or_default();
-        match arg.as_str() {
-            "--cameras" => parsed.cameras = value().parse().expect("--cameras <usize>"),
-            "--workers" => {
-                parsed.workers = value()
-                    .split(',')
-                    .map(|w| w.trim().parse().expect("--workers <usize>[,<usize>...]"))
-                    .collect();
-                assert!(!parsed.workers.is_empty(), "--workers needs at least one count");
-            }
-            "--seconds" => parsed.seconds = value().parse().expect("--seconds <f64>"),
-            "--seed" => parsed.seed = value().parse().expect("--seed <u64>"),
-            "--backend" => parsed.backend = value(),
-            "--chunk" => parsed.chunk = value().parse().expect("--chunk <usize>"),
-            "--queue" => parsed.queue = value().parse().expect("--queue <usize>"),
-            "--smoke" => parsed.smoke = true,
-            "--overhead" => parsed.overhead = true,
-            "--preset" => {
-                parsed.preset = match value().to_uppercase().as_str() {
-                    "ENG" => DatasetPreset::Eng,
-                    "LT4" => DatasetPreset::Lt4,
-                    other => panic!("--preset must be ENG or LT4, got {other:?}"),
-                }
-            }
-            other => panic!("unknown argument {other}"),
-        }
+impl std::str::FromStr for WorkerCounts {
+    type Err = std::num::ParseIntError;
+
+    fn from_str(list: &str) -> Result<Self, Self::Err> {
+        list.split(',').map(|w| w.trim().parse()).collect::<Result<_, _>>().map(Self)
     }
-    parsed
 }
 
 /// Times `iters` plain and `iters` stage-instrumented sequential fleet
@@ -145,42 +97,60 @@ fn assert_overhead_budget(plain_s: f64, inst_s: f64, pct: f64) {
 }
 
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut args = parse_args(&argv);
-    if args.smoke {
+    let flags = Flags::from_env(
+        &[
+            "--cameras",
+            "--workers",
+            "--seconds",
+            "--seed",
+            "--backend",
+            "--preset",
+            "--chunk",
+            "--queue",
+        ],
+        &["--smoke", "--overhead"],
+    );
+    let smoke = flags.has("--smoke");
+    let mut cameras: usize = flags.get("--cameras", 16);
+    let WorkerCounts(mut worker_counts) = flags.get("--workers", WorkerCounts(vec![1, 2, 4, 8]));
+    let mut seconds: f64 = flags.get("--seconds", 2.0);
+    let seed: u64 = flags.get("--seed", 42);
+    let backend: String = flags.get("--backend", "ebbiot".into());
+    let preset = flags.preset();
+    let chunk_events: usize = flags.get("--chunk", 4096);
+    let queue: usize = flags.get("--queue", 32);
+    if smoke {
         // CI-sized: exercise engine vs sequential parity in a couple of
         // seconds, without touching the BENCH artifact.
-        args.cameras = args.cameras.min(2);
-        args.workers = vec![1, 2];
-        args.seconds = args.seconds.min(0.25);
+        cameras = cameras.min(2);
+        worker_counts = vec![1, 2];
+        seconds = seconds.min(0.25);
     }
-    let spec = registry::find_backend(&args.backend)
-        .unwrap_or_else(|| panic!("unknown backend {:?}", args.backend));
+    let spec =
+        registry::find_backend(&backend).unwrap_or_else(|| panic!("unknown backend {:?}", backend));
 
     // The engine clamps workers to the stream count; sweep what runs
     // (deduplicated, ascending — the largest drives the breakdown).
-    let mut sweep: Vec<usize> = args.workers.iter().map(|&w| w.min(args.cameras).max(1)).collect();
+    let mut sweep: Vec<usize> = worker_counts.iter().map(|&w| w.min(cameras).max(1)).collect();
     sweep.sort_unstable();
     sweep.dedup();
     let workers = *sweep.last().expect("at least one worker count");
     println!(
         "== Fleet: {} cameras x {:.1} s of {} through `{}`, workers {:?} ==\n",
-        args.cameras,
-        args.seconds,
-        args.preset.name(),
+        cameras,
+        seconds,
+        preset.name(),
         spec.name,
         sweep
     );
 
-    let fleet = FleetConfig::new(args.preset, args.cameras)
-        .with_seconds(args.seconds)
-        .with_base_seed(args.seed)
-        .generate();
+    let fleet =
+        FleetConfig::new(preset, cameras).with_seconds(seconds).with_base_seed(seed).generate();
 
-    if args.overhead {
+    if flags.has("--overhead") {
         // Overhead-only mode (scripts/smoke_bench.sh): best-of-3 plain
         // vs instrumented sequential, gate at 3%, no artifacts.
-        let (plain_s, inst_s, pct) = measure_overhead(spec, args.preset, &fleet, 3);
+        let (plain_s, inst_s, pct) = measure_overhead(spec, preset, &fleet, 3);
         println!(
             "telemetry overhead (best of 3): {pct:+.2}% \
              ({plain_s:.3} s plain, {inst_s:.3} s instrumented)"
@@ -195,15 +165,14 @@ fn main() {
         "generated {} recordings, {} events total ({:.1} k ev/s offered)\n",
         fleet.len(),
         total_events,
-        total_events as f64 / args.seconds / 1e3
+        total_events as f64 / seconds / 1e3
     );
 
     // Concurrent engine run, fully instrumented: engine contention
     // metrics plus per-stage pipeline timings in one registry.
-    let options = FleetOptions { workers, queue_capacity: args.queue, chunk_events: args.chunk };
+    let options = FleetOptions { workers, queue_capacity: queue, chunk_events };
     let metrics = Arc::new(Registry::new());
-    let (run, stage) =
-        run_fleet_backend_instrumented(spec, args.preset, &fleet, &options, &metrics);
+    let (run, stage) = run_fleet_backend_instrumented(spec, preset, &fleet, &options, &metrics);
     let engine_metrics = EngineTelemetry::register(Arc::clone(&metrics));
 
     let rows: Vec<Vec<String>> = run
@@ -263,7 +232,7 @@ fn main() {
     let mut sequential = Vec::new();
     for _ in 0..3 {
         let seq_started = Instant::now();
-        sequential = run_fleet_sequential(spec, args.preset, &fleet);
+        sequential = run_fleet_sequential(spec, preset, &fleet);
         seq_elapsed = seq_elapsed.min(seq_started.elapsed());
     }
 
@@ -273,7 +242,7 @@ fn main() {
     // artifact records this number). Stage timers are two `Instant`
     // reads and two relaxed atomic adds per stage per frame, so the
     // delta should vanish into noise (≤ ~3%, asserted on full runs).
-    let (plain_s, inst_s, overhead_pct) = measure_overhead(spec, args.preset, &fleet, 5);
+    let (plain_s, inst_s, overhead_pct) = measure_overhead(spec, preset, &fleet, 5);
 
     let identical = run.streams == sequential;
     let engine_rate = run.snapshot.events_per_sec();
@@ -288,11 +257,10 @@ fn main() {
     // single headline number.
     let mut scaling: Vec<(usize, f64)> = Vec::with_capacity(sweep.len());
     for &w in &sweep {
-        let opts =
-            FleetOptions { workers: w, queue_capacity: args.queue, chunk_events: args.chunk };
+        let opts = FleetOptions { workers: w, queue_capacity: queue, chunk_events };
         let mut best = 0.0f64;
         for _ in 0..3 {
-            let sweep_run = ebbiot_bench::run_fleet_backend(spec, args.preset, &fleet, &opts);
+            let sweep_run = ebbiot_bench::run_fleet_backend(spec, preset, &fleet, &opts);
             assert_eq!(
                 sweep_run.streams, sequential,
                 "engine output diverged from sequential at {w} workers"
@@ -329,16 +297,16 @@ fn main() {
 
     // Machine-readable artifact for the perf trajectory (skipped in
     // smoke mode so CI-sized runs never clobber the tracked numbers).
-    if args.smoke {
+    if smoke {
         println!("--smoke: skipping BENCH_fleet.json");
     } else {
         let mut report = JsonReport::new()
             .str("experiment", "fleet")
             .str("backend", spec.name)
-            .str("preset", args.preset.name())
-            .u64("cameras", args.cameras as u64)
+            .str("preset", preset.name())
+            .u64("cameras", cameras as u64)
             .u64("workers", workers as u64)
-            .f64("seconds_per_camera", args.seconds)
+            .f64("seconds_per_camera", seconds)
             .u64("events", total_events)
             .f64("engine_events_per_sec", engine_rate)
             .f64("sequential_events_per_sec", seq_rate)

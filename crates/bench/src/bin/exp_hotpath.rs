@@ -43,7 +43,7 @@
 
 use std::time::{Duration, Instant};
 
-use ebbiot_bench::{tracker_box_tiling, FleetFrames, JsonReport, CHUNK_EVENTS};
+use ebbiot_bench::{tracker_box_tiling, Flags, FleetFrames, JsonReport, CHUNK_EVENTS};
 use ebbiot_events::{Event, OpsCounter, SensorGeometry};
 use ebbiot_frame::{reference, Axis, BinaryImage, EbbiAccumulator, Histogram, MedianFilter, Run};
 use ebbiot_sim::DatasetPreset;
@@ -129,29 +129,6 @@ fn rpn_reference(img: &BinaryImage, ops: &mut OpsCounter) -> (Histogram, Histogr
         (reference::project(&scaled, Axis::X, ops), reference::project(&scaled, Axis::Y, ops));
     let _ = (hx.runs_at_least(THRESHOLD, ops), hy.runs_at_least(THRESHOLD, ops));
     (hx, hy)
-}
-
-struct Args {
-    seed: u64,
-    budget: Duration,
-    smoke: bool,
-}
-
-fn parse_args(args: &[String]) -> Args {
-    let mut parsed = Args { seed: 42, budget: Duration::from_millis(300), smoke: false };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = || it.next().cloned().unwrap_or_default();
-        match arg.as_str() {
-            "--seed" => parsed.seed = value().parse().expect("--seed <u64>"),
-            "--budget-ms" => {
-                parsed.budget = Duration::from_millis(value().parse().expect("--budget-ms <u64>"));
-            }
-            "--smoke" => parsed.smoke = true,
-            other => panic!("unknown argument {other}"),
-        }
-    }
-    parsed
 }
 
 /// Adaptive wall-clock timer over a frame rotation: runs `f` on
@@ -351,24 +328,26 @@ fn measure(
 }
 
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut args = parse_args(&argv);
+    let flags = Flags::from_env(&["--seed", "--budget-ms"], &["--smoke"]);
+    let smoke = flags.has("--smoke");
+    let seed: u64 = flags.get("--seed", 42);
+    let mut budget = Duration::from_millis(flags.get("--budget-ms", 300));
     // CI-sized: parity and the speedup floor still hold on a smaller
     // rotation with a short timing budget.
-    let (cameras, seconds) = if args.smoke { (1, 1.0) } else { (4, 4.0) };
-    if args.smoke {
-        args.budget = args.budget.min(Duration::from_millis(50));
+    let (cameras, seconds) = if smoke { (1, 1.0) } else { (4, 4.0) };
+    if smoke {
+        budget = budget.min(Duration::from_millis(50));
     }
     let mut report = JsonReport::new()
         .str("experiment", "hotpath")
-        .u64("seed", args.seed)
+        .u64("seed", seed)
         .u64("cameras", cameras as u64)
         .f64("seconds_per_camera", seconds);
     let mut median_speedups = Vec::new();
     for (label, preset) in [("lt4", DatasetPreset::Lt4), ("eng", DatasetPreset::Eng)] {
-        let frames = FleetFrames::capture(preset, cameras, seconds, args.seed);
+        let frames = FleetFrames::capture(preset, cameras, seconds, seed);
         assert_parity(&frames);
-        let (next, median_speedup) = measure(label, &frames, args.budget, report);
+        let (next, median_speedup) = measure(label, &frames, budget, report);
         report = next;
         median_speedups.push((label, median_speedup));
     }
@@ -376,7 +355,7 @@ fn main() {
 
     // Skipped in smoke mode so CI-sized runs never clobber the tracked
     // numbers.
-    if args.smoke {
+    if smoke {
         println!("--smoke: skipping BENCH_hotpath.json");
     } else {
         report

@@ -26,104 +26,69 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use ebbiot_baselines::registry;
-use ebbiot_bench::{ebbiot_config_for, run_fleet_backend, JsonReport};
+use ebbiot_bench::{ebbiot_config_for, run_fleet_backend, Flags, JsonReport};
 use ebbiot_engine::{Engine, EngineConfig, FleetOptions};
 use ebbiot_eval::report::render_table;
 use ebbiot_events::codec::{EVENT_RECORD_BYTES, HEADER_BYTES};
-use ebbiot_sim::{spool_fleet, DatasetPreset, FleetConfig};
+use ebbiot_sim::{spool_fleet, FleetConfig};
 use ebbiot_store::{ReplayMode, Replayer, StoreOptions};
 
-struct Args {
-    cameras: usize,
-    workers: usize,
-    seconds: f64,
-    seed: u64,
-    backend: String,
-    preset: DatasetPreset,
-    chunk: usize,
-    rate: Option<f64>,
-    dir: Option<PathBuf>,
-    keep: bool,
-    smoke: bool,
-}
-
-fn parse_args(args: &[String]) -> Args {
-    let mut parsed = Args {
-        cameras: 8,
-        workers: 4,
-        seconds: 2.0,
-        seed: 42,
-        backend: "ebbiot".into(),
-        preset: DatasetPreset::Lt4,
-        chunk: StoreOptions::default().chunk_events,
-        rate: None,
-        dir: None,
-        keep: false,
-        smoke: false,
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = || it.next().cloned().unwrap_or_default();
-        match arg.as_str() {
-            "--cameras" => parsed.cameras = value().parse().expect("--cameras <usize>"),
-            "--workers" => parsed.workers = value().parse().expect("--workers <usize>"),
-            "--seconds" => parsed.seconds = value().parse().expect("--seconds <f64>"),
-            "--seed" => parsed.seed = value().parse().expect("--seed <u64>"),
-            "--backend" => parsed.backend = value(),
-            "--chunk" => parsed.chunk = value().parse().expect("--chunk <usize>"),
-            "--rate" => parsed.rate = Some(value().parse().expect("--rate <f64>")),
-            "--dir" => parsed.dir = Some(PathBuf::from(value())),
-            "--keep" => parsed.keep = true,
-            "--smoke" => parsed.smoke = true,
-            "--preset" => {
-                parsed.preset = match value().to_uppercase().as_str() {
-                    "ENG" => DatasetPreset::Eng,
-                    "LT4" => DatasetPreset::Lt4,
-                    other => panic!("--preset must be ENG or LT4, got {other:?}"),
-                }
-            }
-            other => panic!("unknown argument {other}"),
-        }
-    }
-    parsed
-}
-
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut args = parse_args(&argv);
-    if args.smoke {
+    let flags = Flags::from_env(
+        &[
+            "--cameras",
+            "--workers",
+            "--seconds",
+            "--seed",
+            "--backend",
+            "--preset",
+            "--chunk",
+            "--rate",
+            "--dir",
+        ],
+        &["--keep", "--smoke"],
+    );
+    let smoke = flags.has("--smoke");
+    let mut cameras: usize = flags.get("--cameras", 8);
+    let mut workers: usize = flags.get("--workers", 4);
+    let mut seconds: f64 = flags.get("--seconds", 2.0);
+    let seed: u64 = flags.get("--seed", 42);
+    let backend: String = flags.get("--backend", "ebbiot".into());
+    let preset = flags.preset();
+    let chunk_events: usize = flags.get("--chunk", StoreOptions::default().chunk_events);
+    let rate: Option<f64> = flags.opt("--rate");
+    let given_dir: Option<PathBuf> = flags.opt("--dir");
+    if smoke {
         // CI-sized: exercise spool → decode → replay → parity
         // in a couple of seconds, without touching the BENCH artifact.
-        args.cameras = args.cameras.min(2);
-        args.workers = args.workers.min(2);
-        args.seconds = args.seconds.min(0.25);
+        cameras = cameras.min(2);
+        workers = workers.min(2);
+        seconds = seconds.min(0.25);
     }
-    let spec = registry::find_backend(&args.backend)
-        .unwrap_or_else(|| panic!("unknown backend {:?}", args.backend));
-    let workers = args.workers.min(args.cameras).max(1);
-    let mode = match args.rate {
+    let spec =
+        registry::find_backend(&backend).unwrap_or_else(|| panic!("unknown backend {:?}", backend));
+    let workers = workers.min(cameras).max(1);
+    let mode = match rate {
         Some(rate) => ReplayMode::Paced { rate },
         None => ReplayMode::MaxSpeed,
     };
 
     println!(
         "== Replay: {} cameras x {:.1} s of {} spooled to EBST, `{}` back-end, {} workers ==\n",
-        args.cameras,
-        args.seconds,
-        args.preset.name(),
+        cameras,
+        seconds,
+        preset.name(),
         spec.name,
         workers
     );
 
     // 1. Generate and spool.
-    let fleet = FleetConfig::new(args.preset, args.cameras)
-        .with_seconds(args.seconds)
-        .with_base_seed(args.seed)
-        .generate();
-    let dir = args.dir.clone().unwrap_or_else(|| {
+    let fleet =
+        FleetConfig::new(preset, cameras).with_seconds(seconds).with_base_seed(seed).generate();
+    let dir = given_dir.clone().unwrap_or_else(|| {
         std::env::temp_dir().join(format!("ebbiot_replay_{}", std::process::id()))
     });
-    let store = spool_fleet(&dir, &fleet, StoreOptions { chunk_events: args.chunk.max(1) })
+    let store = spool_fleet(&dir, &fleet, StoreOptions { chunk_events: chunk_events.max(1) })
         .expect("spool fleet to disk");
 
     // 2. Compression report vs the flat EAER binary codec (14 B/event).
@@ -161,8 +126,8 @@ fn main() {
     );
 
     // 3. In-memory reference run (also the determinism baseline).
-    let options = FleetOptions { workers, queue_capacity: 32, chunk_events: args.chunk.max(1) };
-    let in_memory = run_fleet_backend(spec, args.preset, &fleet, &options);
+    let options = FleetOptions { workers, queue_capacity: 32, chunk_events: chunk_events.max(1) };
+    let in_memory = run_fleet_backend(spec, preset, &fleet, &options);
 
     // 4. Decode-only pass: CRC + varint decode of every chunk into a
     //    reused buffer, no engine behind it — the store's raw read
@@ -182,7 +147,7 @@ fn main() {
 
     // 5. Replay from disk through a fresh engine from resident
     //    readers.
-    let config = ebbiot_config_for(args.preset, &fleet[0]).with_frame_us(fleet[0].frame_us);
+    let config = ebbiot_config_for(preset, &fleet[0]).with_frame_us(fleet[0].frame_us);
     let mut readers = store.mapped_readers().expect("open fleet readers");
     let engine = Engine::new(
         EngineConfig { workers, queue_capacity: 32, ..EngineConfig::default() },
@@ -212,17 +177,17 @@ fn main() {
 
     // 6. Machine-readable artifact for the perf trajectory (skipped in
     //    smoke mode so CI-sized runs never clobber the tracked numbers).
-    if args.smoke {
+    if smoke {
         println!("--smoke: skipping BENCH_replay.json");
     } else {
         JsonReport::new()
             .str("experiment", "replay")
             .str("backend", spec.name)
-            .str("preset", args.preset.name())
-            .u64("cameras", args.cameras as u64)
+            .str("preset", preset.name())
+            .u64("cameras", cameras as u64)
             .u64("workers", workers as u64)
-            .f64("seconds_per_camera", args.seconds)
-            .u64("chunk_events", args.chunk as u64)
+            .f64("seconds_per_camera", seconds)
+            .u64("chunk_events", chunk_events as u64)
             .u64("events", total_events)
             .u64("ebst_bytes", ebst_bytes)
             .u64("eaer_bytes", eaer_total)
@@ -237,7 +202,7 @@ fn main() {
         println!("wrote BENCH_replay.json");
     }
 
-    if args.keep || args.dir.is_some() {
+    if flags.has("--keep") || given_dir.is_some() {
         println!("spool kept at {}", dir.display());
     } else {
         std::fs::remove_dir_all(&dir).expect("remove spool dir");

@@ -28,87 +28,57 @@ use ebbiot_bench::breakdown::{
     append_contention_fields, stage_rows, worker_rows, STAGE_HEADER, WORKER_HEADER,
 };
 use ebbiot_bench::net::{encode_session, server_factory, stream_fleet_bytes};
-use ebbiot_bench::{ebbiot_config_for, run_fleet_backend, JsonReport};
+use ebbiot_bench::{ebbiot_config_for, run_fleet_backend, Flags, JsonReport};
 use ebbiot_core::StageTelemetry;
 use ebbiot_engine::{EngineTelemetry, FleetOptions};
 use ebbiot_eval::report::render_table;
 use ebbiot_server::{scrape_stats, IngestServer, ServerConfig};
-use ebbiot_sim::{DatasetPreset, FleetConfig};
+use ebbiot_sim::FleetConfig;
 use ebbiot_store::format::{crc32, decode_chunk_payload_fast, encode_chunk_payload};
 use ebbiot_telemetry::validate_exposition;
 
-struct Args {
-    cameras: usize,
-    workers: usize,
-    seconds: f64,
-    seed: u64,
-    backend: String,
-    preset: DatasetPreset,
-    chunk: usize,
-    queue: usize,
-    archive: Option<PathBuf>,
-    smoke: bool,
-}
-
-fn parse_args(args: &[String]) -> Args {
-    let mut parsed = Args {
-        cameras: 4,
-        workers: 4,
-        seconds: 2.0,
-        seed: 42,
-        backend: "ebbiot".into(),
-        preset: DatasetPreset::Lt4,
-        chunk: 4096,
-        queue: 32,
-        archive: None,
-        smoke: false,
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = || it.next().cloned().unwrap_or_default();
-        match arg.as_str() {
-            "--cameras" => parsed.cameras = value().parse().expect("--cameras <usize>"),
-            "--workers" => parsed.workers = value().parse().expect("--workers <usize>"),
-            "--seconds" => parsed.seconds = value().parse().expect("--seconds <f64>"),
-            "--seed" => parsed.seed = value().parse().expect("--seed <u64>"),
-            "--backend" => parsed.backend = value(),
-            "--chunk" => parsed.chunk = value().parse().expect("--chunk <usize>"),
-            "--queue" => parsed.queue = value().parse().expect("--queue <usize>"),
-            "--archive" => parsed.archive = Some(PathBuf::from(value())),
-            "--smoke" => parsed.smoke = true,
-            "--preset" => {
-                parsed.preset = match value().to_uppercase().as_str() {
-                    "ENG" => DatasetPreset::Eng,
-                    "LT4" => DatasetPreset::Lt4,
-                    other => panic!("--preset must be ENG or LT4, got {other:?}"),
-                }
-            }
-            other => panic!("unknown argument {other}"),
-        }
-    }
-    parsed
-}
-
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut args = parse_args(&argv);
-    if args.smoke {
+    let flags = Flags::from_env(
+        &[
+            "--cameras",
+            "--workers",
+            "--seconds",
+            "--seed",
+            "--backend",
+            "--preset",
+            "--chunk",
+            "--queue",
+            "--archive",
+        ],
+        &["--smoke"],
+    );
+    let smoke = flags.has("--smoke");
+    let mut cameras: usize = flags.get("--cameras", 4);
+    let mut workers: usize = flags.get("--workers", 4);
+    let mut seconds: f64 = flags.get("--seconds", 2.0);
+    let seed: u64 = flags.get("--seed", 42);
+    let backend: String = flags.get("--backend", "ebbiot".into());
+    let preset = flags.preset();
+    let chunk_events: usize = flags.get("--chunk", 4096);
+    let queue: usize = flags.get("--queue", 32);
+    let archive: Option<PathBuf> = flags.opt("--archive");
+    if smoke {
         // CI-sized: exercise sockets → decode → engine → parity in a
         // couple of seconds, without touching the BENCH artifact.
-        args.cameras = args.cameras.min(2);
-        args.workers = args.workers.min(2);
-        args.seconds = args.seconds.min(0.25);
+        cameras = cameras.min(2);
+        workers = workers.min(2);
+        seconds = seconds.min(0.25);
     }
-    let spec = registry::find_backend(&args.backend)
-        .unwrap_or_else(|| panic!("unknown backend {:?}", args.backend));
-    let workers = args.workers.max(1);
-    let chunk = args.chunk.max(1);
+    let spec =
+        registry::find_backend(&backend).unwrap_or_else(|| panic!("unknown backend {:?}", backend));
+    let workers = workers.max(1);
+    let chunk = chunk_events.max(1);
 
     println!(
         "== Server: {} cameras x {:.1} s of {} over loopback EBWP, `{}` back-end, {} workers ==\n",
-        args.cameras,
-        args.seconds,
-        args.preset.name(),
+        cameras,
+        seconds,
+        preset.name(),
         spec.name,
         workers
     );
@@ -116,16 +86,14 @@ fn main() {
     // 1. Simulate the fleet (clients would normally generate per
     //    connection via FleetConfig::generate_one; the reference run
     //    needs the whole fleet anyway).
-    let fleet = FleetConfig::new(args.preset, args.cameras)
-        .with_seconds(args.seconds)
-        .with_base_seed(args.seed)
-        .generate();
-    let config = ebbiot_config_for(args.preset, &fleet[0]).with_frame_us(fleet[0].frame_us);
+    let fleet =
+        FleetConfig::new(preset, cameras).with_seconds(seconds).with_base_seed(seed).generate();
+    let config = ebbiot_config_for(preset, &fleet[0]).with_frame_us(fleet[0].frame_us);
 
     // 2. In-process reference: the engine's run_fleet on the same
     //    pipelines — the determinism baseline the server must match.
-    let options = FleetOptions { workers, queue_capacity: args.queue, chunk_events: chunk };
-    let in_memory = run_fleet_backend(spec, args.preset, &fleet, &options);
+    let options = FleetOptions { workers, queue_capacity: queue, chunk_events: chunk };
+    let in_memory = run_fleet_backend(spec, preset, &fleet, &options);
 
     // 3. Decode-only pass: encode every camera's stream into the same
     //    wire-sized EVENTS bodies the clients will send, then time
@@ -171,8 +139,8 @@ fn main() {
         "127.0.0.1:0",
         ServerConfig {
             workers,
-            queue_capacity: args.queue,
-            archive_dir: args.archive.clone(),
+            queue_capacity: queue,
+            archive_dir: archive.clone(),
             archive_options: ebbiot_store::StoreOptions::default(),
             stats_addr: Some("127.0.0.1:0".parse().expect("loopback addr")),
         },
@@ -251,7 +219,7 @@ fn main() {
     println!(
         "ingested {events} events / {frames} frames in {:.3} s over {} connections",
         elapsed.as_secs_f64(),
-        args.cameras
+        cameras
     );
     println!(
         "  decode:    {:>10.1} k ev/s  ({:.3} s wall, no sockets)",
@@ -267,7 +235,7 @@ fn main() {
         in_memory.snapshot.events_per_sec() / 1e3,
         in_memory.snapshot.elapsed.as_secs_f64()
     );
-    if let Some(dir) = &args.archive {
+    if let Some(dir) = &archive {
         let store = ebbiot_store::FleetStore::open(dir).expect("open archive");
         println!(
             "  archive:   {} cameras, {} events, {} bytes at {}",
@@ -283,18 +251,18 @@ fn main() {
 
     // 7. Machine-readable artifact for the perf trajectory (skipped in
     //    smoke mode so CI-sized runs never clobber the tracked numbers).
-    if args.smoke {
+    if smoke {
         println!("--smoke: skipping BENCH_server.json");
     } else {
         let json = JsonReport::new()
             .str("experiment", "server")
             .str("backend", spec.name)
-            .str("preset", args.preset.name())
-            .u64("cameras", args.cameras as u64)
+            .str("preset", preset.name())
+            .u64("cameras", cameras as u64)
             .u64("workers", workers as u64)
-            .f64("seconds_per_camera", args.seconds)
+            .f64("seconds_per_camera", seconds)
             .u64("chunk_events", chunk as u64)
-            .u64("queue_capacity", args.queue as u64)
+            .u64("queue_capacity", queue as u64)
             .u64("events", events)
             .u64("frames", frames)
             .f64("decode_only_events_per_sec", decode_only_rate)

@@ -4,16 +4,15 @@
 //! duration, event count and rate. Usage:
 //!
 //! ```text
-//! cargo run --release -p ebbiot-bench --bin exp_table1 [--seconds S] [--seed N] [--full]
+//! cargo run --release -p ebbiot_bench --bin exp_table1 -- [--seconds S] [--seed N] [--full]
 //! ```
 
-use ebbiot_bench::{generate_for_harness, parse_harness_args};
+use ebbiot_bench::{generate_for_harness, harness_args};
 use ebbiot_eval::report::render_table;
 use ebbiot_sim::DatasetPreset;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (seconds, seed, full) = parse_harness_args(&args);
+    let (seconds, seed, full) = harness_args();
 
     println!("== Table I: Dataset Details (paper vs simulated) ==\n");
     let mut rows = Vec::new();

@@ -2,7 +2,7 @@
 //! cost models (Eqs. 1, 2, 5-8).
 //!
 //! ```text
-//! cargo run --release -p ebbiot-bench --bin exp_text_numbers
+//! cargo run --release -p ebbiot_bench --bin exp_text_numbers
 //! ```
 
 use ebbiot_eval::report::render_table;

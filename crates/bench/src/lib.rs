@@ -13,6 +13,8 @@ pub mod accuracy;
 pub mod breakdown;
 pub mod net;
 
+use std::str::FromStr;
+
 use ebbiot_baselines::registry::{self, BackendSpec};
 use ebbiot_core::{EbbiotConfig, RegionOfExclusion};
 use ebbiot_engine::{Engine, EngineOutput, FleetOptions, FleetStream};
@@ -289,29 +291,106 @@ impl JsonReport {
     }
 }
 
-/// Parses `--seconds <f>`, `--seed <u>` and `--full` from argv, returning
-/// `(seconds_override, seed, full)`.
-#[must_use]
-pub fn parse_harness_args(args: &[String]) -> (Option<f64>, u64, bool) {
-    let mut seconds = None;
-    let mut seed = 42;
-    let mut full = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--seconds" => {
-                seconds = it.next().and_then(|v| v.parse().ok());
+/// The command-line flags of an `exp_*` binary: `--name value` options
+/// and bare `--name` switches, checked against the names the binary
+/// declares. An undeclared flag, an option without its value, or a value
+/// that does not parse is an error, never a silent default.
+#[derive(Debug, Clone)]
+pub struct Flags {
+    given: Vec<(String, Option<String>)>,
+}
+
+impl Flags {
+    /// Parses `args` (without the program name) against the binary's
+    /// `options`, which take a value, and `switches`, which do not.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the first unknown flag, or the option that
+    /// lacks its value.
+    pub fn parse(
+        args: impl IntoIterator<Item = String>,
+        options: &[&str],
+        switches: &[&str],
+    ) -> Result<Self, String> {
+        let mut given = Vec::new();
+        let mut args = args.into_iter();
+        while let Some(flag) = args.next() {
+            if switches.contains(&flag.as_str()) {
+                given.push((flag, None));
+            } else if options.contains(&flag.as_str()) {
+                let value = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
+                given.push((flag, Some(value)));
+            } else {
+                return Err(format!("unknown argument {flag}"));
             }
-            "--seed" => {
-                if let Some(v) = it.next().and_then(|v| v.parse().ok()) {
-                    seed = v;
-                }
-            }
-            "--full" => full = true,
-            _ => {}
+        }
+        Ok(Self { given })
+    }
+
+    /// [`Self::parse`] over the process's own arguments; on an error it
+    /// prints the message and exits with status 2.
+    #[must_use]
+    pub fn from_env(options: &[&str], switches: &[&str]) -> Self {
+        Self::parse(std::env::args().skip(1), options, switches).unwrap_or_else(|e| usage_error(&e))
+    }
+
+    /// Whether switch `name` was given.
+    #[must_use]
+    pub fn has(&self, name: &str) -> bool {
+        self.given.iter().any(|(flag, _)| flag == name)
+    }
+
+    /// The parsed value of option `name` (the last one given), or
+    /// `None` when it was not given.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the option and the value that does not parse.
+    pub fn value<T: FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        let raw =
+            self.given.iter().rev().find(|(flag, _)| flag == name).and_then(|(_, v)| v.as_ref());
+        let type_name = std::any::type_name::<T>().rsplit("::").next().unwrap_or_default();
+        raw.map(|v| v.parse().map_err(|_| format!("{name} expects {type_name}, got {v:?}")))
+            .transpose()
+    }
+
+    /// [`Self::value`]; on an unparseable value it prints the message and
+    /// exits with status 2.
+    #[must_use]
+    pub fn opt<T: FromStr>(&self, name: &str) -> Option<T> {
+        self.value(name).unwrap_or_else(|e| usage_error(&e))
+    }
+
+    /// [`Self::opt`], or `default` when the option was not given.
+    #[must_use]
+    pub fn get<T: FromStr>(&self, name: &str, default: T) -> T {
+        self.opt(name).unwrap_or(default)
+    }
+
+    /// The `--preset LT4|ENG` option, in either case; LT4 when not given.
+    #[must_use]
+    pub fn preset(&self) -> DatasetPreset {
+        match self.opt::<String>("--preset").map(|p| p.to_uppercase()).as_deref() {
+            None | Some("LT4") => DatasetPreset::Lt4,
+            Some("ENG") => DatasetPreset::Eng,
+            Some(other) => usage_error(&format!("--preset must be ENG or LT4, got {other:?}")),
         }
     }
-    (seconds, seed, full)
+}
+
+fn usage_error(message: &str) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(2)
+}
+
+/// The flags of the figure and table binaries, `--seconds S`, `--seed N`
+/// and `--full`, as `(seconds_override, seed, full)`; the seed defaults
+/// to 42.
+#[must_use]
+pub fn harness_args() -> (Option<f64>, u64, bool) {
+    let flags = Flags::from_env(&["--seconds", "--seed"], &["--full"]);
+    (flags.opt("--seconds"), flags.get("--seed", 42), flags.has("--full"))
 }
 
 /// Generates a recording for a preset honouring harness args: `--full`
@@ -341,16 +420,34 @@ pub fn generate_for_harness(
 mod tests {
     use super::*;
 
+    fn flags(args: &[&str]) -> Result<Flags, String> {
+        Flags::parse(args.iter().map(|a| a.to_string()), &["--seconds", "--seed"], &["--full"])
+    }
+
     #[test]
-    fn arg_parsing_defaults_and_overrides() {
-        let (s, seed, full) = parse_harness_args(&[]);
-        assert_eq!((s, seed, full), (None, 42, false));
-        let args: Vec<String> =
-            ["--seconds", "12.5", "--seed", "7", "--full"].iter().map(|s| s.to_string()).collect();
-        let (s, seed, full) = parse_harness_args(&args);
-        assert_eq!(s, Some(12.5));
-        assert_eq!(seed, 7);
-        assert!(full);
+    fn flags_parse_defaults_and_overrides() {
+        let none = flags(&[]).unwrap();
+        assert_eq!(none.value::<f64>("--seconds"), Ok(None));
+        assert_eq!(none.get("--seed", 42u64), 42);
+        assert!(!none.has("--full"));
+        let set = flags(&["--seconds", "12.5", "--seed", "3", "--full", "--seed", "7"]).unwrap();
+        assert_eq!(set.value("--seconds"), Ok(Some(12.5)));
+        assert_eq!(set.get("--seed", 42u64), 7, "the last value given wins");
+        assert!(set.has("--full"));
+    }
+
+    #[test]
+    fn flags_reject_unknown_flags_and_missing_values() {
+        assert_eq!(flags(&["--second", "1"]).unwrap_err(), "unknown argument --second");
+        assert_eq!(flags(&["--seed", "3", "--sed", "3"]).unwrap_err(), "unknown argument --sed");
+        assert_eq!(flags(&["--seed"]).unwrap_err(), "--seed needs a value");
+    }
+
+    #[test]
+    fn flags_reject_values_that_do_not_parse() {
+        let bad = flags(&["--seed", "x7", "--seconds", "1s"]).unwrap();
+        assert_eq!(bad.value::<u64>("--seed").unwrap_err(), "--seed expects u64, got \"x7\"");
+        assert!(bad.value::<f64>("--seconds").is_err());
     }
 
     #[test]

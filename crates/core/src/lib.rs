@@ -16,8 +16,8 @@
 //! * [`backend`] — the [`Tracker`] trait: the back-end plug point the
 //!   overlap tracker, the KF and EBMS baselines all implement.
 //! * [`pipeline`] — the generic streaming [`Pipeline`]: `FrontEnd` +
-//!   any `Tracker`, driven per-frame, per-recording, or by arbitrary
-//!   event chunks ([`Pipeline::push`] / [`Pipeline::finish`]).
+//!   any `Tracker`, driven per-recording or by arbitrary event chunks
+//!   ([`Pipeline::push`] / [`Pipeline::finish`]).
 //! * [`telemetry`] — opt-in per-stage duration histograms
 //!   ([`StageTelemetry`]): observation-only timing of the five Fig. 1
 //!   stages, feeding the `ebbiot_telemetry` registry (ARCHITECTURE.md §7).
@@ -37,13 +37,14 @@
 //! use ebbiot_events::{Event, SensorGeometry};
 //!
 //! let config = EbbiotConfig::paper_default(SensorGeometry::davis240());
-//! let mut pipeline = EbbiotPipeline::new(config);
+//! let mut pipeline = EbbiotPipeline::new(config.clone());
 //! // A tight cluster of events: one region proposal, one (provisional) track.
 //! let events: Vec<Event> = (0..200)
 //!     .map(|i| Event::on(60 + (i % 20) as u16, 80 + (i / 20) as u16, i))
 //!     .collect();
-//! let result = pipeline.process_frame(&events);
-//! assert_eq!(result.index, 0);
+//! let frames = pipeline.process_recording(&events, config.frame_us);
+//! assert_eq!(frames.len(), 1);
+//! assert_eq!(frames[0].num_proposals, 1);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -7,19 +7,17 @@
 //! `Pipeline<KalmanTracker>` and `Pipeline<NnEbmsTracker>` the same way,
 //! and the registry hands out type-erased `Pipeline<BoxedTracker>`.
 //!
-//! Frames can be driven three ways:
+//! Frames can be driven two ways:
 //!
-//! * [`Pipeline::process_frame`] — caller-windowed: one call per `tF`
-//!   readout interrupt;
 //! * [`Pipeline::push`] / [`Pipeline::finish`] — **streaming**: arbitrary
 //!   time-ordered event chunks; frames are emitted as window boundaries
 //!   are crossed, so a recording never needs to be resident in memory;
 //! * [`Pipeline::process_recording`] — batch: an entire time-ordered
-//!   recording, which is one `push` and one `finish`, so the streaming
-//!   windower is the only one.
+//!   recording, which is one `push` and one `finish`.
 //!
-//! All three produce identical `FrameResult` sequences for the same
-//! event stream.
+//! Both go through the crate's one windower, which cuts the stream into
+//! `tF` windows, so they produce identical `FrameResult` sequences for
+//! the same event stream.
 
 use ebbiot_events::{Event, Micros, OpsCounter, Timestamp};
 use ebbiot_frame::BoundingBox;
@@ -224,36 +222,6 @@ impl<T: Tracker> Pipeline<T> {
     #[must_use]
     pub fn backend_name(&self) -> &'static str {
         self.tracker.name()
-    }
-
-    /// Processes one frame's worth of events (the window `[k tF, (k+1) tF)`
-    /// as read out at the interrupt).
-    pub fn process_frame(&mut self, events: &[Event]) -> FrameResult {
-        let index = self.next_index;
-        self.next_index += 1;
-        let t_start = index as u64 * self.config.frame_us;
-
-        let proposals: &[BoundingBox] = match &mut self.frontend {
-            Some(frontend) => frontend.process(events),
-            None => &[],
-        };
-        let input =
-            FrameInput { index, t_start, duration: self.config.frame_us, events, proposals };
-        let tracks = match &self.telemetry {
-            Some(t) => timed(&t.tracker, || self.tracker.step(&input)),
-            None => self.tracker.step(&input),
-        };
-        self.active_tracker_sum += self.tracker.active_count() as u64;
-        self.frames_processed += 1;
-
-        FrameResult {
-            index,
-            t_start,
-            duration: self.config.frame_us,
-            tracks,
-            num_proposals: proposals.len(),
-            num_events: events.len(),
-        }
     }
 
     /// Processes a whole recording: [`Self::push`]es it in one chunk,
@@ -511,8 +479,34 @@ impl<T: Tracker> WindowedStream for Pipeline<T> {
         (&mut self.pending, &mut self.last_pushed_t)
     }
 
+    /// Processes one frame's worth of events (the window `[k tF, (k+1) tF)`
+    /// as read out at the interrupt).
     fn process_window(&mut self, events: &[Event]) -> FrameResult {
-        self.process_frame(events)
+        let index = self.next_index;
+        self.next_index += 1;
+        let t_start = index as u64 * self.config.frame_us;
+
+        let proposals: &[BoundingBox] = match &mut self.frontend {
+            Some(frontend) => frontend.process(events),
+            None => &[],
+        };
+        let input =
+            FrameInput { index, t_start, duration: self.config.frame_us, events, proposals };
+        let tracks = match &self.telemetry {
+            Some(t) => timed(&t.tracker, || self.tracker.step(&input)),
+            None => self.tracker.step(&input),
+        };
+        self.active_tracker_sum += self.tracker.active_count() as u64;
+        self.frames_processed += 1;
+
+        FrameResult {
+            index,
+            t_start,
+            duration: self.config.frame_us,
+            tracks,
+            num_proposals: proposals.len(),
+            num_events: events.len(),
+        }
     }
 }
 
@@ -541,7 +535,7 @@ mod tests {
     #[test]
     fn empty_frames_produce_empty_results() {
         let mut p = pipeline();
-        let r = p.process_frame(&[]);
+        let r = p.process_window(&[]);
         assert_eq!(r.index, 0);
         assert_eq!(r.num_proposals, 0);
         assert!(r.tracks.is_empty());
@@ -550,10 +544,10 @@ mod tests {
     #[test]
     fn solid_object_is_tracked_after_confirmation() {
         let mut p = pipeline();
-        let r0 = p.process_frame(&block_events(60, 90, 30, 15, 0));
+        let r0 = p.process_window(&block_events(60, 90, 30, 15, 0));
         assert_eq!(r0.num_proposals, 1);
         assert!(r0.tracks.is_empty(), "provisional on frame 0");
-        let r1 = p.process_frame(&block_events(63, 90, 30, 15, 66_000));
+        let r1 = p.process_window(&block_events(63, 90, 30, 15, 66_000));
         assert_eq!(r1.tracks.len(), 1);
         let tb = &r1.tracks[0];
         assert!(tb.bbox.intersection(&BoundingBox::new(60.0, 90.0, 36.0, 18.0)).is_some());
@@ -562,8 +556,8 @@ mod tests {
     #[test]
     fn frame_indices_and_times_advance() {
         let mut p = pipeline();
-        let r0 = p.process_frame(&[]);
-        let r1 = p.process_frame(&[]);
+        let r0 = p.process_window(&[]);
+        let r1 = p.process_window(&[]);
         assert_eq!((r0.index, r1.index), (0, 1));
         assert_eq!(r1.t_start, 66_000);
         assert_eq!(r1.duration, 66_000);
@@ -578,7 +572,7 @@ mod tests {
         for k in 0..40u16 {
             events.push(Event::on(10 + (k % 8) * 25, 10 + (k / 8) * 30, u64::from(k)));
         }
-        let r = p.process_frame(&events);
+        let r = p.process_window(&events);
         assert_eq!(r.num_proposals, 0, "salt noise produces no proposals");
     }
 
@@ -588,10 +582,10 @@ mod tests {
         let cfg = EbbiotConfig::paper_default(SensorGeometry::davis240()).with_roe(roe);
         let mut p = EbbiotPipeline::new(cfg);
         // A solid block inside the ROE...
-        let r = p.process_frame(&block_events(10, 10, 30, 20, 0));
+        let r = p.process_window(&block_events(10, 10, 30, 20, 0));
         assert_eq!(r.num_proposals, 0, "flickering tree masked");
         // ...and one outside it.
-        let r = p.process_frame(&block_events(120, 90, 30, 20, 66_000));
+        let r = p.process_window(&block_events(120, 90, 30, 20, 66_000));
         assert_eq!(r.num_proposals, 1);
     }
 
@@ -610,8 +604,8 @@ mod tests {
     fn ops_accumulate_and_average() {
         let mut p = pipeline();
         assert!(p.ops_per_frame().is_none());
-        let _ = p.process_frame(&block_events(60, 90, 30, 15, 0));
-        let _ = p.process_frame(&block_events(63, 90, 30, 15, 66_000));
+        let _ = p.process_window(&block_events(60, 90, 30, 15, 0));
+        let _ = p.process_window(&block_events(63, 90, 30, 15, 66_000));
         let per_frame = p.ops_per_frame().unwrap();
         // Median filter dominates: ~A*B comparisons + patch additions.
         assert!(per_frame.median.total() > 43_200);
@@ -630,7 +624,7 @@ mod tests {
         let mut p = pipeline();
         for k in 0..10 {
             let x = 40 + k * 3;
-            let _ = p.process_frame(&block_events(x, 90, 30, 15, u64::from(k) * 66_000));
+            let _ = p.process_window(&block_events(x, 90, 30, 15, u64::from(k) * 66_000));
         }
         let mean = p.mean_active_trackers();
         assert!(mean > 0.8 && mean <= 1.2, "one object tracked, mean {mean}");
@@ -639,10 +633,10 @@ mod tests {
     #[test]
     fn reset_starts_a_fresh_recording() {
         let mut p = pipeline();
-        let _ = p.process_frame(&block_events(60, 90, 30, 15, 0));
+        let _ = p.process_window(&block_events(60, 90, 30, 15, 0));
         p.reset();
         assert_eq!(p.frames_processed(), 0);
-        let r = p.process_frame(&[]);
+        let r = p.process_window(&[]);
         assert_eq!(r.index, 0);
         assert!(r.tracks.is_empty());
     }
@@ -655,7 +649,7 @@ mod tests {
             let mut events = block_events(40 + k * 3, 60, 30, 15, u64::from(k) * 66_000);
             events.extend(block_events(170 - k * 3, 120, 30, 15, u64::from(k) * 66_000 + 10));
             ebbiot_events::stream::sort_by_time(&mut events);
-            last = Some(p.process_frame(&events));
+            last = Some(p.process_window(&events));
         }
         let last = last.unwrap();
         assert_eq!(last.tracks.len(), 2);

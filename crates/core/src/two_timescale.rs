@@ -112,27 +112,6 @@ impl TwoTimescalePipeline {
         self.config.fast.frame_us * self.config.slow_factor as Micros
     }
 
-    /// Processes one fast frame of events.
-    pub fn process_frame(&mut self, events: &[Event]) -> TwoTimescaleResult {
-        let fast_result = self.fast.process_frame(events);
-        if self.recent_windows.len() == self.config.slow_factor {
-            self.recent_windows.pop_front();
-        }
-        self.recent_windows.push_back(events.to_vec());
-        self.frames_since_slow += 1;
-        if self.frames_since_slow >= self.config.slow_stride
-            && self.recent_windows.len() >= self.config.slow_factor.min(2)
-        {
-            let exposure: Vec<Event> =
-                self.recent_windows.iter().flat_map(|w| w.iter().copied()).collect();
-            let slow_result = self.slow.process_frame(&exposure);
-            self.held_slow_tracks = slow_result.tracks;
-            self.frames_since_slow = 0;
-        }
-        let slow_tracks = self.dedup(&fast_result.tracks);
-        TwoTimescaleResult { fast: fast_result, slow_tracks }
-    }
-
     /// Drops held slow tracks that duplicate a fast track.
     fn dedup(&self, fast_tracks: &[TrackBox]) -> Vec<TrackBox> {
         self.held_slow_tracks
@@ -162,10 +141,6 @@ impl TwoTimescalePipeline {
     /// results completed by this chunk (same contract as
     /// [`crate::pipeline::Pipeline::push`]).
     ///
-    /// The emitted-frame count is the fast pipeline's own frame counter,
-    /// so interleaving [`Self::process_frame`] with `push`/`finish`
-    /// stays consistent: a directly processed window counts as emitted.
-    ///
     /// # Panics
     ///
     /// Panics when events are not time-ordered (within the chunk or
@@ -179,18 +154,6 @@ impl TwoTimescalePipeline {
     /// frames covering at least `span_us`.
     pub fn finish(&mut self, span_us: Micros) -> Vec<TwoTimescaleResult> {
         window::finish(self, span_us)
-    }
-
-    /// Access to the underlying fast pipeline (ops, statistics).
-    #[must_use]
-    pub const fn fast_pipeline(&self) -> &EbbiotPipeline {
-        &self.fast
-    }
-
-    /// Access to the underlying slow pipeline.
-    #[must_use]
-    pub const fn slow_pipeline(&self) -> &EbbiotPipeline {
-        &self.slow
     }
 
     /// Captures the composite's complete mutable state: both
@@ -277,8 +240,8 @@ impl WindowedStream for TwoTimescalePipeline {
         self.config.fast.frame_us
     }
 
-    /// Fast frames emitted so far, by either drive path — the fast
-    /// pipeline's counter is the single authority.
+    /// Fast frames emitted so far — the fast pipeline's counter is the
+    /// single authority.
     fn frames_emitted(&self) -> usize {
         self.fast.frames_processed()
     }
@@ -287,8 +250,28 @@ impl WindowedStream for TwoTimescalePipeline {
         (&mut self.pending, &mut self.last_pushed_t)
     }
 
+    /// Processes one fast frame of events.
     fn process_window(&mut self, events: &[Event]) -> TwoTimescaleResult {
-        self.process_frame(events)
+        let fast_result = self.fast.process_window(events);
+        if self.recent_windows.len() == self.config.slow_factor {
+            self.recent_windows.pop_front();
+        }
+        self.recent_windows.push_back(events.to_vec());
+        self.frames_since_slow += 1;
+        if self.frames_since_slow >= self.config.slow_stride
+            && self.recent_windows.len() >= self.config.slow_factor.min(2)
+        {
+            // The exposures overlap (`slow_factor` fast frames, sliding
+            // by `slow_stride`), so the slow pipeline is fed one exposure
+            // per window directly rather than through its own windower.
+            let exposure: Vec<Event> =
+                self.recent_windows.iter().flat_map(|w| w.iter().copied()).collect();
+            let slow_result = self.slow.process_window(&exposure);
+            self.held_slow_tracks = slow_result.tracks;
+            self.frames_since_slow = 0;
+        }
+        let slow_tracks = self.dedup(&fast_result.tracks);
+        TwoTimescaleResult { fast: fast_result, slow_tracks }
     }
 }
 
@@ -320,7 +303,7 @@ mod tests {
     fn walker_invisible_to_fast_pipeline_alone() {
         let mut p = TwoTimescalePipeline::new(config());
         for k in 0..16 {
-            let r = p.process_frame(&walker_strip(k));
+            let r = p.process_window(&walker_strip(k));
             assert!(r.fast.tracks.is_empty(), "1x16 strip erased by the fast median");
         }
     }
@@ -330,7 +313,7 @@ mod tests {
         let mut p = TwoTimescalePipeline::new(config());
         let mut frames_with_slow_track = 0;
         for k in 0..48 {
-            let r = p.process_frame(&walker_strip(k));
+            let r = p.process_window(&walker_strip(k));
             if !r.slow_tracks.is_empty() {
                 frames_with_slow_track += 1;
                 let b = &r.slow_tracks[0].bbox;
@@ -349,7 +332,7 @@ mod tests {
         let mut changes = 0;
         let mut prev: Option<Vec<TrackBox>> = None;
         for k in 0..24 {
-            let r = p.process_frame(&walker_strip(k));
+            let r = p.process_window(&walker_strip(k));
             if let Some(prev_tracks) = &prev {
                 if *prev_tracks != r.slow_tracks {
                     changes += 1;
@@ -374,7 +357,7 @@ mod tests {
                     events.push(Event::on(x0 + dx, 90 + dy, k as u64 * 66_000 + u64::from(dy)));
                 }
             }
-            let r = p.process_frame(&events);
+            let r = p.process_window(&events);
             if !r.fast.tracks.is_empty() {
                 // Any slow track must not duplicate the fast one.
                 for s in &r.slow_tracks {
@@ -432,22 +415,6 @@ mod tests {
         let mut got = pushed;
         got.extend(p.finish(span));
         assert_eq!(got, expected);
-    }
-
-    #[test]
-    fn process_frame_then_push_stays_aligned() {
-        // Mixing the per-frame API with streaming must not shift or
-        // duplicate windows: a directly processed frame counts as
-        // emitted.
-        let mut mixed = TwoTimescalePipeline::new(config());
-        let r0 = mixed.process_frame(&walker_strip(0));
-        assert_eq!(r0.fast.index, 0);
-        let emitted = mixed.push(&walker_strip(1));
-        assert!(emitted.is_empty(), "frame 1 still open");
-        let rest = mixed.finish(0);
-        assert_eq!(rest.len(), 1);
-        assert_eq!(rest[0].fast.index, 1);
-        assert_eq!(rest[0].fast.num_events, walker_strip(1).len());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Event-domain noise filters.
+//! Event-domain noise filtering.
 //!
 //! NVS pixels produce spurious background-activity events even in a static
 //! scene (§II-A: "noise prevalent in such sensors invariably lead to
@@ -12,46 +12,14 @@
 //! M_NN-filt = Bt * A * B                    [bits]
 //! ```
 //!
-//! This crate implements:
-//!
-//! * [`NnFilter`] — the nearest-neighbour filter: an event is signal when
-//!   some pixel in its `p x p` neighbourhood fired within the support
-//!   window,
-//! * [`RefractoryFilter`] — drops events from a pixel within its
-//!   refractory period (a common pre-filter on real sensors),
-//! * [`polarity::PolarityFilter`] — keeps a single polarity,
-//! * [`EventFilter`] — the streaming-filter trait, plus [`FilterChain`]
-//!   for composition and [`filter_stream`] for batch use.
+//! This crate implements that filter, [`NnFilter`]: an event is signal
+//! when some pixel in its `p x p` neighbourhood fired within the support
+//! window. It sees each event once, in time order, through
+//! [`NnFilter::keep`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod chain;
 pub mod nn_filter;
-pub mod polarity;
-pub mod refractory;
 
-pub use chain::{filter_stream, FilterChain};
 pub use nn_filter::NnFilter;
-pub use refractory::RefractoryFilter;
-
-use ebbiot_events::{Event, OpsCounter};
-
-/// A streaming event filter: sees each event once, in time order, and
-/// decides whether it is signal (`true`) or noise (`false`).
-///
-/// Filters are stateful (timestamp maps etc.); [`EventFilter::reset`]
-/// clears that state for reuse across recordings.
-pub trait EventFilter {
-    /// Processes one event, returning `true` to keep it.
-    fn keep(&mut self, event: &Event) -> bool;
-
-    /// Clears internal state.
-    fn reset(&mut self);
-
-    /// Runtime op counter for this filter.
-    fn ops(&self) -> &OpsCounter;
-
-    /// Resets the op counter.
-    fn reset_ops(&mut self);
-}

@@ -13,8 +13,6 @@
 
 use ebbiot_events::{Event, OpsCounter, SensorGeometry, Timestamp};
 
-use crate::EventFilter;
-
 /// Sentinel for "pixel never fired".
 const NEVER: Timestamp = Timestamp::MAX;
 
@@ -96,7 +94,7 @@ impl NnFilter {
     }
 
     /// Overwrites one last-fire entry — the checkpoint-restore path,
-    /// used after [`EventFilter::reset`] has cleared the map.
+    /// used after [`Self::reset`] has cleared the map.
     ///
     /// # Panics
     ///
@@ -111,10 +109,10 @@ impl NnFilter {
     pub fn restore_ops(&mut self, ops: OpsCounter) {
         self.ops = ops;
     }
-}
 
-impl EventFilter for NnFilter {
-    fn keep(&mut self, event: &Event) -> bool {
+    /// Processes one event, in time order, returning `true` to keep it
+    /// as signal and `false` to drop it as noise.
+    pub fn keep(&mut self, event: &Event) -> bool {
         if !self.geometry.contains_event(event) {
             return false;
         }
@@ -150,15 +148,19 @@ impl EventFilter for NnFilter {
         supported
     }
 
-    fn reset(&mut self) {
+    /// Clears the last-fire map for reuse across recordings.
+    pub fn reset(&mut self) {
         self.last_fire.fill(NEVER);
     }
 
-    fn ops(&self) -> &OpsCounter {
+    /// Runtime op counter for this filter.
+    #[must_use]
+    pub fn ops(&self) -> &OpsCounter {
         &self.ops
     }
 
-    fn reset_ops(&mut self) {
+    /// Resets the op counter.
+    pub fn reset_ops(&mut self) {
         self.ops.reset();
     }
 }

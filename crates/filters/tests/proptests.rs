@@ -1,7 +1,7 @@
-//! Property-based tests for event-domain filters.
+//! Property-based tests for the nearest-neighbour event filter.
 
 use ebbiot_events::{stream, Event, Polarity, SensorGeometry};
-use ebbiot_filters::{filter_stream, EventFilter, FilterChain, NnFilter, RefractoryFilter};
+use ebbiot_filters::NnFilter;
 use proptest::prelude::*;
 
 const W: u16 = 64;
@@ -26,13 +26,18 @@ fn arb_stream() -> impl Strategy<Value = Vec<Event>> {
     )
 }
 
+/// The events `filter` keeps, in input order.
+fn keep_all(filter: &mut NnFilter, events: &[Event]) -> Vec<Event> {
+    events.iter().copied().filter(|e| filter.keep(e)).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
     fn filters_only_remove_events(events in arb_stream()) {
         let mut nn = NnFilter::paper_default(geometry());
-        let kept = filter_stream(&mut nn, &events);
+        let kept = keep_all(&mut nn, &events);
         prop_assert!(kept.len() <= events.len());
         // Output is a subsequence: ordered and all members of the input.
         prop_assert!(stream::is_time_ordered(&kept));
@@ -43,44 +48,12 @@ proptest! {
     }
 
     #[test]
-    fn refractory_enforces_min_gap_per_pixel(
-        events in arb_stream(),
-        gap in 1_000u64..100_000,
-    ) {
-        let mut filter = RefractoryFilter::new(geometry(), gap);
-        let kept = filter_stream(&mut filter, &events);
-        let mut last: std::collections::HashMap<(u16, u16), u64> = Default::default();
-        for e in &kept {
-            if let Some(&prev) = last.get(&e.pixel()) {
-                prop_assert!(e.t - prev >= gap, "gap violated: {} after {}", e.t, prev);
-            }
-            last.insert(e.pixel(), e.t);
-        }
-    }
-
-    #[test]
     fn nn_filter_is_deterministic_and_reset_restores_state(events in arb_stream()) {
         let mut filter = NnFilter::paper_default(geometry());
-        let first = filter_stream(&mut filter, &events);
+        let first = keep_all(&mut filter, &events);
         filter.reset();
-        let second = filter_stream(&mut filter, &events);
+        let second = keep_all(&mut filter, &events);
         prop_assert_eq!(first, second);
-    }
-
-    #[test]
-    fn chain_keeps_subset_of_each_stage(events in arb_stream()) {
-        // chain(refractory, nn) ⊆ refractory alone.
-        let mut refr_alone = RefractoryFilter::new(geometry(), 2_000);
-        let refr_kept = filter_stream(&mut refr_alone, &events);
-
-        let mut chain = FilterChain::new()
-            .with(RefractoryFilter::new(geometry(), 2_000))
-            .with(NnFilter::paper_default(geometry()));
-        let chain_kept = filter_stream(&mut chain, &events);
-        prop_assert!(chain_kept.len() <= refr_kept.len());
-        for e in &chain_kept {
-            prop_assert!(refr_kept.contains(e));
-        }
     }
 
     #[test]
@@ -117,7 +90,7 @@ proptest! {
     fn nn_ops_scale_linearly_with_events(events in arb_stream()) {
         let mut filter = NnFilter::paper_default(geometry());
         let in_bounds = events.len() as u64;
-        let _ = filter_stream(&mut filter, &events);
+        let _ = keep_all(&mut filter, &events);
         // Eq. 2: exactly (2*(p^2-1) + Bt) ops per in-bounds event.
         prop_assert_eq!(filter.ops().total(), in_bounds * 32);
     }

@@ -16,7 +16,6 @@
 //!   binary image's rows onto both axes without the count image,
 //! * [`cca`] — connected-component analysis (the paper's traditional
 //!   baseline and future-work RPN),
-//! * [`morphology`] — binary dilate/erode/open/close,
 //! * [`BoundingBox`] / [`PixelBox`] — the box geometry (incl. IoU, Eq. 9)
 //!   shared by the RPN, the trackers and the evaluator,
 //! * [`mod@reference`] — scalar per-pixel transcriptions of the hot kernels,
@@ -66,9 +65,7 @@ pub mod downsample;
 pub mod ebbi;
 pub mod histogram;
 pub mod median;
-pub mod morphology;
 pub mod reference;
-pub mod rle;
 
 pub use binary_image::BinaryImage;
 pub use boxes::{BoundingBox, PixelBox};

@@ -5,7 +5,6 @@ use ebbiot_frame::{
     cca::{connected_components, Connectivity},
     ebbi::ebbi_from_events,
     histogram::{Axis, Histogram},
-    morphology::{close, dilate, erode, open, SquareKernel},
     BinaryImage, BoundingBox, CountImage, MedianFilter, PixelBox,
 };
 use proptest::prelude::*;
@@ -74,11 +73,15 @@ proptest! {
         let mut f = MedianFilter::paper_default();
         let out = f.apply(&img);
         // Median can both remove (salt) and add (fill pepper holes), but an
-        // output pixel requires >= 5 set neighbours in the input patch, so
+        // output pixel requires >= 5 set pixels in its 3x3 input patch, so
         // it is always within a dilation of the input.
-        let grown = dilate(&img, SquareKernel::new(3));
         for (x, y) in out.set_pixels() {
-            prop_assert!(grown.get(x, y));
+            let (x, y) = (i32::from(x), i32::from(y));
+            let support = (-1..=1)
+                .flat_map(|dy| (-1..=1).map(move |dx| (x + dx, y + dy)))
+                .filter(|&(nx, ny)| img.get_padded(nx, ny))
+                .count();
+            prop_assert!(support >= 5, "({x}, {y}) has {support} set pixels in its patch");
         }
     }
 
@@ -197,26 +200,6 @@ proptest! {
         let four = connected_components(&img, Connectivity::Four, &mut ops).len();
         let eight = connected_components(&img, Connectivity::Eight, &mut ops).len();
         prop_assert!(eight <= four);
-    }
-
-    #[test]
-    fn morphology_duality_and_idempotence(pixels in arb_pixels()) {
-        let img = image_of(&pixels);
-        let k = SquareKernel::new(3);
-        // Erosion ⊆ original ⊆ dilation.
-        let er = erode(&img, k);
-        let di = dilate(&img, k);
-        for (x, y) in er.set_pixels() {
-            prop_assert!(img.get(x, y));
-        }
-        for (x, y) in img.set_pixels() {
-            prop_assert!(di.get(x, y));
-        }
-        // Opening and closing are idempotent.
-        let op = open(&img, k);
-        prop_assert_eq!(open(&op, k), op.clone());
-        let cl = close(&img, k);
-        prop_assert_eq!(close(&cl, k), cl.clone());
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Cholesky decomposition for symmetric positive-definite matrices.
 //!
-//! Kalman-filter covariance matrices are SPD by construction; Cholesky
-//! offers a cheaper, numerically safer solve than LU for the innovation
-//! covariance `S = H P H^T + R` and a convenient SPD validity check.
+//! Kalman-filter covariance matrices are SPD by construction; an
+//! attempted Cholesky factorization is the check ([`is_spd`]) that the
+//! filter's updates keep them so.
 
-use crate::{LinalgError, Matrix, Result, Vector};
+use crate::{LinalgError, Matrix, Result};
 
 /// Cholesky factorization `A = L * L^T` with `L` lower triangular.
 #[derive(Debug, Clone, Copy)]
@@ -48,52 +48,6 @@ impl<const N: usize> Cholesky<N> {
     pub fn lower(&self) -> Matrix<N, N> {
         self.l
     }
-
-    /// Solves `A * x = b` by forward then backward substitution.
-    #[must_use]
-    pub fn solve(&self, b: &Vector<N>) -> Vector<N> {
-        // Forward: L y = b.
-        let mut y = *b;
-        for r in 0..N {
-            for c in 0..r {
-                let delta = self.l[(r, c)] * y[c];
-                y[r] -= delta;
-            }
-            y[r] /= self.l[(r, r)];
-        }
-        // Backward: L^T x = y.
-        let mut x = y;
-        for r in (0..N).rev() {
-            for c in (r + 1)..N {
-                let delta = self.l[(c, r)] * x[c];
-                x[r] -= delta;
-            }
-            x[r] /= self.l[(r, r)];
-        }
-        x
-    }
-
-    /// Inverse of the factorized matrix.
-    #[must_use]
-    pub fn inverse(&self) -> Matrix<N, N> {
-        let mut inv = Matrix::<N, N>::zeros();
-        for c in 0..N {
-            let e = Vector::<N>::from_fn(|i| if i == c { 1.0 } else { 0.0 });
-            let col = self.solve(&e);
-            inv.set_column(c, &col);
-        }
-        inv
-    }
-
-    /// Determinant: the squared product of `L`'s diagonal.
-    #[must_use]
-    pub fn determinant(&self) -> f64 {
-        let mut prod = 1.0;
-        for i in 0..N {
-            prod *= self.l[(i, i)];
-        }
-        prod * prod
-    }
 }
 
 /// Returns `true` when `a` is symmetric positive definite to working
@@ -130,23 +84,6 @@ mod tests {
     }
 
     #[test]
-    fn solve_matches_lu_solve() {
-        let a = spd_matrix();
-        let b = Vector::from_column([1.0, 2.0, 3.0]);
-        let x_ch = Cholesky::new(a).unwrap().solve(&b);
-        let x_lu = a.solve(&b).unwrap();
-        assert!(x_ch.approx_eq(&x_lu, 1e-9));
-    }
-
-    #[test]
-    fn inverse_matches_lu_inverse() {
-        let a = spd_matrix();
-        let inv_ch = Cholesky::new(a).unwrap().inverse();
-        let inv_lu = a.inverse().unwrap();
-        assert!(inv_ch.approx_eq(&inv_lu, 1e-9));
-    }
-
-    #[test]
     fn rejects_non_positive_definite() {
         let a = Matrix::<2, 2>::from_rows([[1.0, 2.0], [2.0, 1.0]]); // eigenvalues 3, -1
         assert_eq!(Cholesky::new(a).unwrap_err(), LinalgError::NotPositiveDefinite);
@@ -156,14 +93,6 @@ mod tests {
     fn rejects_zero_matrix() {
         let a = Matrix::<2, 2>::zeros();
         assert!(Cholesky::new(a).is_err());
-    }
-
-    #[test]
-    fn determinant_matches_lu() {
-        let a = spd_matrix();
-        let d_ch = Cholesky::new(a).unwrap().determinant();
-        let d_lu = a.determinant();
-        assert!((d_ch - d_lu).abs() < 1e-8 * d_lu.abs());
     }
 
     #[test]

@@ -10,10 +10,10 @@
 //! * stack-allocated [`Matrix<R, C>`] with compile-time dimensions,
 //! * arithmetic (`+`, `-`, `*`, scalar ops) via operator overloading,
 //! * transpose, identity, trace, norms,
-//! * LU decomposition with partial pivoting ([`lu::Lu`]) for solving and
-//!   inversion,
-//! * Cholesky decomposition ([`cholesky::Cholesky`]) for
-//!   symmetric-positive-definite covariance matrices.
+//! * the 2x2 inverse ([`Matrix::inverse`]) the Kalman update applies to
+//!   its innovation covariance,
+//! * Cholesky decomposition ([`cholesky::Cholesky`]), which checks that
+//!   covariance matrices stay symmetric positive definite.
 //!
 //! All element storage is row-major `[[f64; C]; R]`; the types are `Copy`
 //! for the small sizes used here, which keeps the Kalman update allocation
@@ -26,7 +26,7 @@
 //!
 //! let a = Matrix::<2, 2>::from_rows([[4.0, 1.0], [2.0, 3.0]]);
 //! let b = Vector::<2>::from_column([1.0, 2.0]);
-//! let x = a.solve(&b).unwrap();
+//! let x = a.inverse().unwrap() * b;
 //! let residual = a * x - b;
 //! assert!(residual.frobenius_norm() < 1e-12);
 //! ```
@@ -35,12 +35,10 @@
 #![warn(missing_docs)]
 
 pub mod cholesky;
-pub mod lu;
 pub mod matrix;
 pub mod vector;
 
 pub use cholesky::Cholesky;
-pub use lu::Lu;
 pub use matrix::Matrix;
 pub use vector::Vector;
 

@@ -2,7 +2,7 @@
 
 use core::ops::{Add, AddAssign, Index, IndexMut, Mul, MulAssign, Neg, Sub, SubAssign};
 
-use crate::{LinalgError, Lu, Result, Vector};
+use crate::{LinalgError, Result, Vector};
 
 /// A dense `R x C` matrix of `f64` stored row-major on the stack.
 ///
@@ -61,12 +61,6 @@ impl<const R: usize, const C: usize> Matrix<R, C> {
     #[must_use]
     pub const fn cols(&self) -> usize {
         C
-    }
-
-    /// Borrow the raw row-major storage.
-    #[must_use]
-    pub const fn as_rows(&self) -> &[[f64; C]; R] {
-        &self.data
     }
 
     /// Transpose, returning a `C x R` matrix.
@@ -151,35 +145,6 @@ impl<const N: usize> Matrix<N, N> {
         (0..N).map(|i| self.data[i][i]).sum()
     }
 
-    /// Solves `self * x = b` via LU decomposition with partial pivoting.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::Singular`] if the matrix has no unique
-    /// solution to working precision.
-    pub fn solve(&self, b: &Vector<N>) -> Result<Vector<N>> {
-        Lu::new(*self)?.solve(b)
-    }
-
-    /// Matrix inverse via LU decomposition.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::Singular`] for singular matrices.
-    pub fn inverse(&self) -> Result<Self> {
-        Lu::new(*self)?.inverse()
-    }
-
-    /// Determinant via LU decomposition (0.0 for singular matrices).
-    #[must_use]
-    pub fn determinant(&self) -> f64 {
-        match Lu::new(*self) {
-            Ok(lu) => lu.determinant(),
-            Err(LinalgError::Singular) => 0.0,
-            Err(_) => unreachable!("LU only fails with Singular"),
-        }
-    }
-
     /// Symmetrizes in place: `A <- (A + A^T) / 2`.
     ///
     /// Used by the Kalman filter to keep covariance matrices symmetric in
@@ -192,6 +157,43 @@ impl<const N: usize> Matrix<N, N> {
                 self.data[c][r] = avg;
             }
         }
+    }
+}
+
+impl Matrix<2, 2> {
+    /// Inverse by Gaussian elimination with partial pivoting: the rows
+    /// are swapped when `|c| > |a|`, then each unit column is solved by
+    /// forward and back substitution. The Kalman update inverts its 2x2
+    /// innovation covariance with this.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::Singular`] when a pivot's magnitude is
+    /// below `1e-12` (absolute; the tracker's matrices are well-scaled).
+    pub fn inverse(&self) -> Result<Self> {
+        const SINGULARITY_EPS: f64 = 1e-12;
+        let swap = self.data[1][0].abs() > self.data[0][0].abs();
+        let ([p, q], [r, s]) =
+            if swap { (self.data[1], self.data[0]) } else { (self.data[0], self.data[1]) };
+        if p.abs() < SINGULARITY_EPS {
+            return Err(LinalgError::Singular);
+        }
+        let l = r / p;
+        let u = s - l * q;
+        if u.abs() < SINGULARITY_EPS {
+            return Err(LinalgError::Singular);
+        }
+        let mut inv = Self::zeros();
+        for c in 0..2 {
+            let unit = |i: usize| if i == c { 1.0 } else { 0.0 };
+            // The swapped rows take the unit column's entries with them.
+            let (e0, e1) = if swap { (unit(1), unit(0)) } else { (unit(0), unit(1)) };
+            let x1 = (e1 - l * e0) / u;
+            let x0 = (e0 - q * x1) / p;
+            inv.data[0][c] = x0;
+            inv.data[1][c] = x1;
+        }
+        Ok(inv)
     }
 }
 
@@ -382,16 +384,46 @@ mod tests {
         assert_eq!(a[(0, 1)], 3.0); // (2 + 4) / 2
     }
 
-    #[test]
-    fn determinant_of_known_matrix() {
-        let a = Matrix::<2, 2>::from_rows([[3.0, 1.0], [1.0, 2.0]]);
-        assert!((a.determinant() - 5.0).abs() < 1e-12);
+    /// Bit patterns of the 2x2 inverse, as the general LU with partial
+    /// pivoting this inverse replaced computed them; the Kalman baseline's
+    /// output depends on every bit.
+    fn inverse_bits(m: Matrix<2, 2>) -> [[u64; 2]; 2] {
+        let inv = m.inverse().unwrap();
+        [
+            [inv[(0, 0)].to_bits(), inv[(0, 1)].to_bits()],
+            [inv[(1, 0)].to_bits(), inv[(1, 1)].to_bits()],
+        ]
     }
 
     #[test]
-    fn determinant_of_singular_matrix_is_zero() {
-        let a = Matrix::<2, 2>::from_rows([[1.0, 2.0], [2.0, 4.0]]);
-        assert_eq!(a.determinant(), 0.0);
+    fn inverse_without_row_swap_keeps_its_bits() {
+        let m = Matrix::<2, 2>::from_rows([[2.5, 0.1], [0.7, 1.3]]);
+        assert_eq!(
+            inverse_bits(m),
+            [
+                [0x3fda_29dc_9420_3386, 0xbfa0_19c2_d14e_e4a1],
+                [0xbfcc_2d14_ee4a_1019, 0x3fe9_2840_670b_453b]
+            ]
+        );
+    }
+
+    #[test]
+    fn inverse_with_row_swap_keeps_its_bits() {
+        let m = Matrix::<2, 2>::from_rows([[0.3, 0.7], [0.9, 0.1]]);
+        assert_eq!(
+            inverse_bits(m),
+            [
+                [0xbfc5_5555_5555_5556, 0x3ff2_aaaa_aaaa_aaab],
+                [0x3ff8_0000_0000_0000, 0xbfe0_0000_0000_0000]
+            ]
+        );
+    }
+
+    #[test]
+    fn singular_matrix_has_no_inverse() {
+        let m = Matrix::<2, 2>::from_rows([[1.0, 2.0], [2.0, 4.0]]);
+        assert_eq!(m.inverse(), Err(LinalgError::Singular));
+        assert_eq!(Matrix::<2, 2>::zeros().inverse(), Err(LinalgError::Singular));
     }
 
     #[test]

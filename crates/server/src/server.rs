@@ -208,12 +208,6 @@ impl IngestServer {
         self.engine.snapshot()
     }
 
-    /// Reports of the sessions completed so far.
-    #[must_use]
-    pub fn session_reports(&self) -> Vec<SessionReport> {
-        lock(&self.shared.reports).clone()
-    }
-
     /// Stops accepting, waits for in-flight sessions to end (clients
     /// must disconnect or finish), drains the engine and returns the
     /// final report.

@@ -62,8 +62,8 @@ fn main() {
     let mut slow_frames_with_tracks = 0usize;
     let mut human_hits = 0usize;
     let mut total = 0usize;
-    for window in ebbiot::events::stream::FrameWindows::with_span(&events, 66_000, duration) {
-        let result = pipeline.process_frame(window.events);
+    for result in pipeline.process_recording(&events, duration) {
+        let (index, midpoint) = (result.fast.index, result.fast.t_start + result.fast.duration / 2);
         total += 1;
         if !result.fast.tracks.is_empty() {
             fast_frames_with_tracks += 1;
@@ -72,15 +72,13 @@ fn main() {
             slow_frames_with_tracks += 1;
         }
         // Does any slow track cover the pedestrian?
-        if let Some(gt) = scene.objects[1].bbox_at(window.midpoint()) {
+        if let Some(gt) = scene.objects[1].bbox_at(midpoint) {
             if result.slow_tracks.iter().any(|t| t.bbox.iou(&gt) > 0.2) {
                 human_hits += 1;
             }
         }
-        if window.index % 30 == 0
-            && (!result.fast.tracks.is_empty() || !result.slow_tracks.is_empty())
-        {
-            print!("frame {:>3}:", window.index);
+        if index % 30 == 0 && (!result.fast.tracks.is_empty() || !result.slow_tracks.is_empty()) {
+            print!("frame {index:>3}:");
             for t in &result.fast.tracks {
                 print!(" fast[{:.0},{:.0} {:.0}x{:.0}]", t.bbox.x, t.bbox.y, t.bbox.w, t.bbox.h);
             }

@@ -13,7 +13,8 @@
 # `exp_fleet --overhead` pass gates the telemetry cost: instrumented
 # sequential throughput must stay within 3% (or 10 ms absolute) of the
 # uninstrumented twin, best-of-3 — and a scheduler pass reruns the
-# jitter determinism proptest plus the oversubscription smokes.
+# jitter determinism proptest plus the oversubscription smokes. Last,
+# every example under examples/ runs once in release and must exit 0.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -30,5 +31,13 @@ cargo run --release -p ebbiot_bench --bin exp_fleet -- --overhead --cameras 4 --
 echo "== smoke: scheduler (jitter determinism + oversubscription) =="
 cargo test --release --test engine_determinism jittered_work_stealing_schedule_is_bit_identical
 cargo test --release --test engine_scheduler
+
+echo "== smoke: examples =="
+cargo build --release --examples
+for example in examples/*.rs; do
+    name="$(basename "${example}" .rs)"
+    echo "-- example: ${name}"
+    cargo run --release --example "${name}" > /dev/null
+done
 
 echo "smoke_bench: all experiments passed"

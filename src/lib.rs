@@ -97,7 +97,7 @@ pub mod prelude {
         RecordingEval,
     };
     pub use ebbiot_events::{Event, Polarity, SensorGeometry, StreamStats, Timestamp};
-    pub use ebbiot_filters::{EventFilter, FilterChain, NnFilter, RefractoryFilter};
+    pub use ebbiot_filters::NnFilter;
     pub use ebbiot_frame::{BinaryImage, BoundingBox, EbbiAccumulator, MedianFilter, PixelBox};
     pub use ebbiot_resource::{fig5_comparison, PaperParams, PipelineCost};
     pub use ebbiot_server::{

@@ -8,38 +8,48 @@ use ebbiot::prelude::*;
 use ebbiot::sim::ScenarioBuilder;
 use rand::{rngs::StdRng, SeedableRng};
 
-fn run_mot(scene: &Scene, duration: u64, seed: u64, iou: f32) -> MotAccumulator {
-    let events = DavisSimulator::new(DavisConfig::default()).simulate(
+fn simulate(scene: &Scene, duration: u64, seed: u64) -> Vec<Event> {
+    DavisSimulator::new(DavisConfig::default()).simulate(
         scene,
         duration,
         BackgroundNoise::new(0.05),
         &mut StdRng::seed_from_u64(seed),
-    );
-    let mut pipeline = EbbiotPipeline::new(EbbiotConfig::paper_default(scene.geometry));
+    )
+}
+
+/// Runs a pipeline built from `config` over `events` and scores each
+/// frame against the scene's objects, sampled at the frame's midpoint.
+fn score(scene: &Scene, events: &[Event], duration: u64, config: EbbiotConfig) -> MotAccumulator {
+    let mut pipeline = EbbiotPipeline::new(config);
     let mut mot = MotAccumulator::new();
-    for window in ebbiot::events::stream::FrameWindows::with_span(&events, 66_000, duration) {
-        let result = pipeline.process_frame(window.events);
+    for frame in pipeline.process_recording(events, duration) {
+        let midpoint = frame.t_start + frame.duration / 2;
         let gt: Vec<IdentifiedBox> = scene
             .objects
             .iter()
             .filter_map(|o| {
-                o.bbox_at(window.midpoint()).and_then(|b| {
+                o.bbox_at(midpoint).and_then(|b| {
                     let c = b.clipped_to(240.0, 180.0);
                     (c.area() > 30.0).then(|| IdentifiedBox::new(u64::from(o.id), c))
                 })
             })
             .collect();
         let pred: Vec<IdentifiedBox> =
-            result.tracks.iter().map(|t| IdentifiedBox::new(t.track_id, t.bbox)).collect();
-        mot.add_frame(&gt, &pred, iou);
+            frame.tracks.iter().map(|t| IdentifiedBox::new(t.track_id, t.bbox)).collect();
+        mot.add_frame(&gt, &pred, 0.3);
     }
     mot
+}
+
+fn run_mot(scene: &Scene, duration: u64, seed: u64) -> MotAccumulator {
+    let events = simulate(scene, duration, seed);
+    score(scene, &events, duration, EbbiotConfig::paper_default(scene.geometry))
 }
 
 #[test]
 fn single_car_has_no_identity_errors() {
     let scene = ScenarioBuilder::single_car();
-    let mot = run_mot(&scene, 5_000_000, 1, 0.3);
+    let mot = run_mot(&scene, 5_000_000, 1);
     assert_eq!(mot.id_switches(), 0);
     assert!(mot.mota() > 0.85, "MOTA {:.3}", mot.mota());
     assert!(mot.motp() > 0.5, "MOTP {:.3}", mot.motp());
@@ -48,7 +58,7 @@ fn single_car_has_no_identity_errors() {
 #[test]
 fn crossing_cars_keep_identities() {
     let scene = ScenarioBuilder::crossing_cars();
-    let mot = run_mot(&scene, 4_500_000, 2, 0.3);
+    let mot = run_mot(&scene, 4_500_000, 2);
     assert!(
         mot.id_switches() <= 4,
         "few identity errors through the crossing, got {}",
@@ -60,7 +70,7 @@ fn crossing_cars_keep_identities() {
 #[test]
 fn convoy_tracks_three_distinct_identities() {
     let scene = ScenarioBuilder::convoy();
-    let mot = run_mot(&scene, 9_000_000, 3, 0.3);
+    let mot = run_mot(&scene, 9_000_000, 3);
     assert!(mot.mota() > 0.7, "MOTA {:.3}", mot.mota());
     assert!(mot.id_switches() <= 3, "id switches {}", mot.id_switches());
 }
@@ -68,7 +78,7 @@ fn convoy_tracks_three_distinct_identities() {
 #[test]
 fn fragmenting_bus_is_one_identity() {
     let scene = ScenarioBuilder::fragmenting_bus();
-    let mot = run_mot(&scene, 9_000_000, 4, 0.3);
+    let mot = run_mot(&scene, 9_000_000, 4);
     // The coarse histograms + OT merging must hold the bus together:
     // few fragmentations and essentially no identity churn.
     assert!(mot.mota() > 0.75, "MOTA {:.3}", mot.mota());
@@ -78,34 +88,11 @@ fn fragmenting_bus_is_one_identity() {
 #[test]
 fn occlusion_lookahead_improves_crossing_mota() {
     let scene = ScenarioBuilder::crossing_cars();
-    let events = DavisSimulator::new(DavisConfig::default()).simulate(
-        &scene,
-        4_500_000,
-        BackgroundNoise::new(0.05),
-        &mut StdRng::seed_from_u64(5),
-    );
+    let events = simulate(&scene, 4_500_000, 5);
     let run = |lookahead: u32| {
         let mut cfg = EbbiotConfig::paper_default(scene.geometry);
         cfg.ot.occlusion_lookahead = lookahead;
-        let mut pipeline = EbbiotPipeline::new(cfg);
-        let mut mot = MotAccumulator::new();
-        for window in ebbiot::events::stream::FrameWindows::with_span(&events, 66_000, 4_500_000) {
-            let result = pipeline.process_frame(window.events);
-            let gt: Vec<IdentifiedBox> = scene
-                .objects
-                .iter()
-                .filter_map(|o| {
-                    o.bbox_at(window.midpoint()).and_then(|b| {
-                        let c = b.clipped_to(240.0, 180.0);
-                        (c.area() > 30.0).then(|| IdentifiedBox::new(u64::from(o.id), c))
-                    })
-                })
-                .collect();
-            let pred: Vec<IdentifiedBox> =
-                result.tracks.iter().map(|t| IdentifiedBox::new(t.track_id, t.bbox)).collect();
-            mot.add_frame(&gt, &pred, 0.3);
-        }
-        mot
+        score(&scene, &events, 4_500_000, cfg)
     };
     let with = run(2);
     let without = run(0);

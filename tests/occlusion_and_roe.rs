@@ -146,10 +146,8 @@ fn sub_pixel_humans_are_invisible_to_fast_pipeline_but_not_two_timescale() {
     // Two-timescale extension: the slow stream accumulates the walker.
     let config = TwoTimescaleConfig::paper_extension(EbbiotConfig::paper_default(geometry()));
     let mut two = TwoTimescalePipeline::new(config);
-    let mut slow_tracks = 0usize;
-    for w in ebbiot::events::stream::FrameWindows::with_span(&events, 66_000, duration) {
-        slow_tracks += two.process_frame(w.events).slow_tracks.len();
-    }
+    let slow_tracks: usize =
+        two.process_recording(&events, duration).iter().map(|r| r.slow_tracks.len()).sum();
     assert!(
         slow_tracks > fast_tracks,
         "two-timescale finds the walker (slow {slow_tracks} vs fast {fast_tracks})"

@@ -16,7 +16,7 @@ use ebbiot::baselines::{
 use ebbiot::core::{EbbiotConfig, EbbiotPipeline, FrameResult, OverlapTracker, Pipeline, TrackBox};
 use ebbiot::events::stream::FrameWindows;
 use ebbiot::events::{Event, Micros, OpsCounter};
-use ebbiot::filters::{EventFilter, NnFilter};
+use ebbiot::filters::NnFilter;
 use ebbiot::frame::{EbbiAccumulator, MedianFilter};
 use ebbiot::prelude::*;
 
