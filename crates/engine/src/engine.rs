@@ -35,9 +35,22 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Waits on `condvar`, recovering the guard like [`lock`].
-fn wait<'a, T>(condvar: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
-    condvar.wait(guard).unwrap_or_else(PoisonError::into_inner)
+/// Waits on `condvar`, recovering the guard like [`lock`], counted in
+/// `*sleepers`, which the caller's guard protects: the count rises
+/// before the wait and falls after it, both under the lock. A notifier
+/// that reads 0 under the same lock knows no thread is waiting — any
+/// later waiter re-checks its condition before it sleeps — so it may
+/// skip the wake syscall. `Condvar::wait` releases the lock atomically,
+/// so no wakeup is lost between the two.
+fn counted_wait<'a, T>(
+    condvar: &Condvar,
+    mut guard: MutexGuard<'a, T>,
+    sleepers: fn(&mut T) -> &mut usize,
+) -> MutexGuard<'a, T> {
+    *sleepers(&mut guard) += 1;
+    let mut guard = condvar.wait(guard).unwrap_or_else(PoisonError::into_inner);
+    *sleepers(&mut guard) -= 1;
+    guard
 }
 
 /// Identifies one camera stream; streams are numbered in the order they
@@ -282,6 +295,9 @@ struct StreamWork<T: Tracker> {
     /// A worker thread failed; producers and waiters must not block
     /// forever.
     failed: bool,
+    /// Threads waiting on the stream's `changed` condvar: blocked
+    /// producers, `wait_finished` and `detach_with_state`.
+    sleepers: usize,
 }
 
 impl<T: Tracker> StreamWork<T> {
@@ -305,6 +321,7 @@ impl<T: Tracker> StreamWork<T> {
             finished: false,
             detached: false,
             failed: false,
+            sleepers: 0,
         }
     }
 
@@ -361,10 +378,22 @@ struct StreamState<T: Tracker> {
 
 impl<T: Tracker> StreamState<T> {
     /// Applies a worker-side change under the stream lock, then wakes
-    /// every waiter to re-check its condition.
+    /// every waiter to re-check its condition — when there is one. Most
+    /// publishes find nobody asleep, and the wake is a syscall even then.
     fn update(&self, change: impl FnOnce(&mut StreamWork<T>)) {
-        change(&mut lock(&self.work));
-        self.changed.notify_all();
+        let mut work = lock(&self.work);
+        change(&mut work);
+        let sleeping = work.sleepers > 0;
+        drop(work);
+        if sleeping {
+            self.changed.notify_all();
+        }
+    }
+
+    /// Waits for the next [`Self::update`], counted so it wakes this
+    /// thread.
+    fn wait<'a>(&self, work: MutexGuard<'a, StreamWork<T>>) -> MutexGuard<'a, StreamWork<T>> {
+        counted_wait(&self.changed, work, |work| &mut work.sleepers)
     }
 }
 
@@ -415,6 +444,8 @@ struct SchedQueues {
     ready: usize,
     ready_high_water: usize,
     shutdown: bool,
+    /// Workers waiting on `available` for a ready stream.
+    sleepers: usize,
 }
 
 #[derive(Debug)]
@@ -441,6 +472,7 @@ impl Scheduler {
                 ready: 0,
                 ready_high_water: 0,
                 shutdown: false,
+                sleepers: 0,
             }),
             available: Condvar::new(),
             ready_gauge,
@@ -448,7 +480,9 @@ impl Scheduler {
     }
 
     /// Marks `stream` ready: into `prefer`'s deque when the last owner
-    /// is known (locality), the global injector otherwise.
+    /// is known (locality), the global injector otherwise. Wakes one
+    /// worker only if one is asleep; a busy worker finds the stream when
+    /// it next scans the queues, which it does before it sleeps.
     fn inject(&self, stream: usize, prefer: Option<usize>) {
         let mut state = lock(&self.state);
         match prefer {
@@ -458,8 +492,11 @@ impl Scheduler {
         state.ready += 1;
         state.ready_high_water = state.ready_high_water.max(state.ready);
         self.ready_gauge.set(state.ready as i64);
+        let sleeping = state.sleepers > 0;
         drop(state);
-        self.available.notify_one();
+        if sleeping {
+            self.available.notify_one();
+        }
     }
 
     /// Blocks until a ready stream is available and claims it: own
@@ -492,7 +529,7 @@ impl Scheduler {
             if state.shutdown {
                 return None;
             }
-            state = self.available.wait(state).unwrap_or_else(PoisonError::into_inner);
+            state = counted_wait(&self.available, state, |state| &mut state.sleepers);
         }
     }
 
@@ -767,7 +804,7 @@ impl<T: Tracker + Send + 'static> Engine<T> {
             if !blocking {
                 return Err(RejectedChunk(chunk));
             }
-            work = wait(&state.changed, work);
+            work = state.wait(work);
         }
         if blocking {
             state.telemetry.producer_block.add_duration(admission.elapsed());
@@ -843,7 +880,7 @@ impl<T: Tracker + Send + 'static> Engine<T> {
         assert!(work.closed, "wait_finished on {stream} before finish_stream");
         while !work.finished {
             assert!(!work.failed, "engine worker failed while {stream} awaited finish");
-            work = wait(&state.changed, work);
+            work = state.wait(work);
         }
     }
 
@@ -937,7 +974,7 @@ impl<T: Tracker + Send + 'static> Engine<T> {
                 return SessionHandoff { state: session, totals: work.totals(), frames };
             }
             assert!(!work.failed, "engine worker failed during the state hand-off");
-            work = wait(&state.changed, work);
+            work = state.wait(work);
         }
     }
 

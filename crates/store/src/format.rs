@@ -9,9 +9,11 @@
 //! direction, and nothing but tests and benches calls a reference:
 //! [`encode_chunk_payload`] (a word-store lane for every event whose
 //! `Δt` is below 2^21 µs) against [`encode_chunk_payload_reference`],
-//! [`decode_chunk_payload_fast`] (a one-load lane for every event whose
-//! three varints fit 3 bytes each and 8 together) against
-//! [`decode_chunk_payload`], and [`crc32`] against [`crc32_reference`].
+//! [`decode_chunk_payload_fast`] (a table-driven lane, keyed on a
+//! word's eight continuation bits, for every event after the first whose
+//! three varints fit 3 bytes each and 8 together, with its overflow
+//! checks hoisted out) against [`decode_chunk_payload`], and [`crc32`]
+//! (slice-by-16) against [`crc32_reference`].
 //! The hot paths — the writer, the reader, the `EBWP` EVENTS frames —
 //! use only the fast ones.
 
@@ -253,33 +255,86 @@ const fn compact3(bytes: u64) -> u64 {
     (bytes & 0x7f) | ((bytes >> 1) & (0x7f << 7)) | ((bytes >> 2) & (0x7f << 14))
 }
 
-/// The one-load lane of [`decode_chunk_payload_fast`]: decodes an
-/// event's three varints from the eight little-endian payload bytes in
-/// `word` when all three end inside it and none is longer than 3 bytes.
-/// Returns the three values and the bytes they take, or `None` (read
-/// them one at a time instead).
+/// The eight continuation bits of a little-endian payload word, bit `i`
+/// from byte `i`: one mask isolates them at bits `8i`, and one multiply
+/// gathers them into the top byte. The multiplier's set bits `7j + 7`
+/// move byte `i`'s bit to `56 + i` for `j = 7 − i`; no other pair of
+/// terms reaches the top byte or lands on a bit another term sets, so
+/// nothing carries into it.
+#[inline]
+const fn continuation_bits(word: u64) -> usize {
+    ((word >> 7 & 0x0101_0101_0101_0101).wrapping_mul(0x0102_0408_1020_4080) >> 56) as usize
+}
+
+/// How the decode lane takes one payload word apart, looked up by the
+/// word's [`continuation_bits`].
+#[derive(Clone, Copy)]
+struct LaneStep {
+    /// The byte masks of the three varints, each from its first byte.
+    masks: [u32; 3],
+    /// Bit offsets of the second and third varints in the word.
+    shifts: [u8; 2],
+    /// Bytes the three varints take; 0 when the word does not hold
+    /// three varints of at most 3 bytes each.
+    advance: u8,
+}
+
+/// The 256 [`LaneStep`]s, one per continuation-bit pattern. The first
+/// three clear bits end the three varints; a pattern takes the lane when
+/// all three end inside the word and none is longer than 3 bytes.
+const fn lane_steps() -> [LaneStep; 256] {
+    const fn bytes(n: u32) -> u32 {
+        (1 << (8 * n)) - 1
+    }
+    let mut steps = [LaneStep { masks: [0; 3], shifts: [0; 2], advance: 0 }; 256];
+    let mut bits = 0;
+    while bits < 256 {
+        // One past the last byte of each varint that ends in the word.
+        let mut ends = [0u32; 3];
+        let (mut found, mut byte) = (0, 0);
+        while byte < 8 && found < 3 {
+            if bits >> byte & 1 == 0 {
+                ends[found] = byte + 1;
+                found += 1;
+            }
+            byte += 1;
+        }
+        let [e0, e1, e2] = ends;
+        if found == 3 && e0 <= 3 && e1 - e0 <= 3 && e2 - e1 <= 3 {
+            steps[bits as usize] = LaneStep {
+                masks: [bytes(e0), bytes(e1 - e0), bytes(e2 - e1)],
+                shifts: [8 * e0 as u8, 8 * e1 as u8],
+                advance: e2 as u8,
+            };
+        }
+        bits += 1;
+    }
+    steps
+}
+
+static LANE_STEPS: [LaneStep; 256] = lane_steps();
+
+/// The lane of [`decode_chunk_payload_fast`]: decodes an event's three
+/// varints from the eight little-endian payload bytes in `word` when all
+/// three end inside it and none is longer than 3 bytes. Returns the
+/// three values and the bytes they take, or `None` (read them one at a
+/// time instead).
 ///
-/// The three lowest clear continuation bits end the three varints: two
-/// `x & (x - 1)` steps peel them off the stop mask, and their trailing
-/// zeros give each varint's end byte. With every varint at most 3 bytes
-/// long each value fits [`compact3`], so the decode has no per-byte
-/// branch. A 3-byte varint holds at most 21 bits, so no value can
-/// overflow and the result equals three [`read_varint`] calls: same
-/// values, same advance.
+/// The word's continuation bits pick a [`LaneStep`] from a 256-entry
+/// table, which gives each varint's byte mask and offset, so the decode
+/// has no per-byte branch and no bit scan. A 3-byte varint holds at most
+/// 21 bits, so no value can overflow and the result equals three
+/// [`read_varint`] calls: same values, same advance.
 #[inline]
 fn varint_triple(word: u64) -> Option<([u64; 3], usize)> {
-    let stop0 = !word & VARINT_CONT;
-    let stop1 = stop0 & stop0.wrapping_sub(1);
-    let stop2 = stop1 & stop1.wrapping_sub(1);
-    // One past each varint's last byte; 9 when it ends beyond the word.
-    let end0 = (stop0.trailing_zeros() >> 3) + 1;
-    let end1 = (stop1.trailing_zeros() >> 3) + 1;
-    let end2 = (stop2.trailing_zeros() >> 3) + 1;
-    if end2 > 8 || end0 > 3 || end1 - end0 > 3 || end2 - end1 > 3 {
+    let step = LANE_STEPS[continuation_bits(word)];
+    if step.advance == 0 {
         return None;
     }
-    let lane = |from: u32, to: u32| compact3((word >> (8 * from)) & ((1 << (8 * (to - from))) - 1));
-    Some(([lane(0, end0), lane(end0, end1), lane(end1, end2)], end2 as usize))
+    let lane = |shift: u8, mask: u32| compact3(word >> shift & u64::from(mask));
+    let [m0, m1, m2] = step.masks;
+    let [s1, s2] = step.shifts;
+    Some(([lane(0, m0), lane(s1, m1), lane(s2, m2)], usize::from(step.advance)))
 }
 
 /// Reads an event's three varints one at a time with `read`, starting at
@@ -313,12 +368,12 @@ pub const fn unzigzag(v: u64) -> i64 {
 
 // --- CRC32 -------------------------------------------------------------
 
-/// Slice-by-8 lookup tables: `CRC_TABLES[0]` is the classic one-byte
+/// Slice-by-16 lookup tables: `CRC_TABLES[0]` is the classic one-byte
 /// table; `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k`
-/// zero bytes, which is what lets eight input bytes be folded per
-/// iteration instead of one.
-const fn crc_tables() -> [[u32; 256]; 8] {
-    let mut tables = [[0u32; 256]; 8];
+/// zero bytes, which is what lets sixteen input bytes be folded per
+/// round instead of one.
+const fn crc_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -334,7 +389,7 @@ const fn crc_tables() -> [[u32; 256]; 8] {
     while i < 256 {
         let mut crc = tables[0][i];
         let mut k = 1;
-        while k < 8 {
+        while k < 16 {
             crc = tables[0][(crc & 0xff) as usize] ^ (crc >> 8);
             tables[k][i] = crc;
             k += 1;
@@ -344,40 +399,39 @@ const fn crc_tables() -> [[u32; 256]; 8] {
     tables
 }
 
-static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+static CRC_TABLES: [[u32; 256]; 16] = crc_tables();
 
 /// CRC-32 (IEEE 802.3 polynomial) of `bytes`.
 ///
-/// Folds eight bytes per table round (slice-by-8) — it runs over every
-/// chunk payload and index on both the store and wire paths, so it is
-/// hot. Bit-identical to [`crc32_reference`], which the property tests
-/// enforce.
+/// Folds sixteen bytes per table round (slice-by-16, Kounavis & Berry):
+/// the running CRC is XORed into the round's first four bytes, and byte
+/// `k` of the round is looked up in the table of `15 − k` trailing zero
+/// bytes. It runs over every chunk payload and index on both the store
+/// and wire paths, so it is hot. Bit-identical to [`crc32_reference`],
+/// which the property tests enforce at every length and alignment.
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let t = &CRC_TABLES;
     let mut crc = !0u32;
-    let mut chunks = bytes.chunks_exact(8);
-    for chunk in &mut chunks {
-        let lo = u32::from_le_bytes(chunk[0..4].try_into().expect("len 4")) ^ crc;
-        let hi = u32::from_le_bytes(chunk[4..8].try_into().expect("len 4"));
-        crc = t[7][(lo & 0xff) as usize]
-            ^ t[6][((lo >> 8) & 0xff) as usize]
-            ^ t[5][((lo >> 16) & 0xff) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xff) as usize]
-            ^ t[2][((hi >> 8) & 0xff) as usize]
-            ^ t[1][((hi >> 16) & 0xff) as usize]
-            ^ t[0][(hi >> 24) as usize];
+    let mut rounds = bytes.chunks_exact(16);
+    for round in &mut rounds {
+        let mut block: [u8; 16] = round.try_into().expect("len 16");
+        for (b, c) in block.iter_mut().zip(crc.to_le_bytes()) {
+            *b ^= c;
+        }
+        crc = block
+            .iter()
+            .zip(CRC_TABLES.iter().rev())
+            .fold(0, |acc, (&b, table)| acc ^ table[usize::from(b)]);
     }
-    for &b in chunks.remainder() {
-        crc = t[0][((crc ^ u32::from(b)) & 0xff) as usize] ^ (crc >> 8);
+    for &b in rounds.remainder() {
+        crc = CRC_TABLES[0][((crc ^ u32::from(b)) & 0xff) as usize] ^ (crc >> 8);
     }
     !crc
 }
 
 /// Byte-at-a-time CRC-32 — the obviously-correct reference the
-/// slice-by-8 [`crc32`] is property-tested against. Not used on any hot
-/// path.
+/// slice-by-16 [`crc32`] is property-tested against. Not used on any
+/// hot path.
 #[must_use]
 pub fn crc32_reference(bytes: &[u8]) -> u32 {
     let mut crc = !0u32;
@@ -567,24 +621,37 @@ pub fn decode_chunk_payload(
     Ok(())
 }
 
+/// The decode lane takes an event only while the running timestamp is
+/// at most this, so adding its `Δt` (below 2^21 µs) cannot overflow.
+const LANE_T_MAX: Timestamp = u64::MAX - (1 << 21);
+
 /// Batched, branch-light variant of [`decode_chunk_payload`]: the hot
 /// decoder behind [`ChunkReader`](crate::ChunkReader) and the `EBWP`
 /// EVENTS path.
 ///
-/// While at least [`MAX_EVENT_BYTES`] × 2 bytes remain, each event
-/// starts with one unaligned `u64` load. When its three varints all end
-/// inside those eight bytes and none is longer than 3 bytes (the modal
-/// event: `dt` below 2^21 µs and small coordinate steps), one lane
-/// decodes all three branch-free and advances once (`varint_triple`). Otherwise the three are read one at a time by
-/// unaligned loads and trailing-zero dispatch (`read_varint_word`). The
-/// payload tail falls back to the byte loop. Decodes straight into the
-/// reused `out` buffer with one upfront `reserve`.
+/// After each event decoded on the checked path, a tight lane loop takes
+/// the events that follow while at least [`MAX_EVENT_BYTES`] × 2 bytes
+/// remain. Each starts with one unaligned `u64` load; the word's eight
+/// continuation bits index a 256-entry table that gives the three
+/// varints' byte masks and offsets and the advance (`varint_triple`).
+/// Inside the lane every varint is at most 3 bytes, so `|Δx|` and `|Δy|`
+/// are below 2^20 and no coordinate sum can overflow; one compare
+/// against `LANE_T_MAX` rules out timestamp overflow, and bounds are one
+/// unsigned compare per axis. A word the table rejects, or a timestamp
+/// too close to `u64::MAX`, ends the lane.
+///
+/// The checked path takes event 0 (which must have `Δt == 0`), those
+/// words and the payload tail: varints one at a time, by unaligned loads
+/// and trailing-zero dispatch (`read_varint_word`) while the watermark
+/// holds and by the byte loop after it, with every overflow checked.
+/// Decodes straight into the reused `out` buffer with one upfront
+/// `reserve`.
 ///
 /// Bit-for-bit equivalent to the scalar reference: identical events for
 /// every valid payload and the identical error (variant, reason and
 /// position of first rejection) for every corrupt one —
 /// `tests/decode_parity.rs` proves both properties over random and
-/// hostile inputs.
+/// hostile inputs and every continuation-bit pattern.
 ///
 /// # Errors
 ///
@@ -604,28 +671,19 @@ pub fn decode_chunk_payload_fast(
     }
     out.clear();
     out.reserve(count as usize);
-    // Hoisted per-chunk constants: geometry as i64 bounds and the
-    // fast-loop watermark. Three varints cost at most 10 + 3 + 3 bytes
-    // (MAX_EVENT_BYTES), but each word read wants ≥ 8 readable bytes
-    // after a ≤ 10-byte predecessor, so 2 × MAX_EVENT_BYTES is a safe
-    // (and still tight) floor for a whole event.
-    let width = i64::from(geometry.width());
-    let height = i64::from(geometry.height());
+    // Three varints cost at most 10 + 3 + 3 bytes (MAX_EVENT_BYTES), but
+    // each word read wants ≥ 8 readable bytes after a ≤ 10-byte
+    // predecessor, so 2 × MAX_EVENT_BYTES is a safe (and still tight)
+    // floor for a whole event.
+    let words_fit = |pos: usize| payload.len() - pos >= 2 * MAX_EVENT_BYTES;
+    let (width, height) = (u64::from(geometry.width()), u64::from(geometry.height()));
     let mut pos = 0usize;
     let mut t = t_first;
     let (mut x, mut y) = (0i64, 0i64);
     let mut i = 0u32;
     while i < count {
-        let triple = if payload.len() - pos >= 2 * MAX_EVENT_BYTES {
-            let word = u64::from_le_bytes(payload[pos..pos + 8].try_into().expect("len 8"));
-            // The modal event: the whole triple from the one load.
-            varint_triple(word)
-                .map(|(values, len)| (values, pos + len))
-                .or_else(|| read_triple(payload, pos, read_varint_word))
-        } else {
-            read_triple(payload, pos, read_varint)
-        };
-        let Some(([dt, dx, dyp], next)) = triple else {
+        let read = if words_fit(pos) { read_varint_word } else { read_varint };
+        let Some(([dt, dx, dyp], next)) = read_triple(payload, pos, read) else {
             return Err(corrupt("truncated varint"));
         };
         pos = next;
@@ -635,11 +693,26 @@ pub fn decode_chunk_payload_fast(
         }
         x = x.checked_add(unzigzag(dx)).ok_or_else(|| corrupt("column delta overflow"))?;
         y = y.checked_add(unzigzag(dyp >> 1)).ok_or_else(|| corrupt("row delta overflow"))?;
-        if !((0..width).contains(&x) && (0..height).contains(&y)) {
+        if !((0..width as i64).contains(&x) && (0..height as i64).contains(&y)) {
             return Err(StoreError::OutOfBounds { chunk, x, y });
         }
         out.push(Event::new(x as u16, y as u16, t, Polarity::from_bit((dyp & 1) as u8)));
         i += 1;
+        // The lane. `x` and `y` are on the array here and each step moves
+        // them by less than 2^20, so plain adds are exact.
+        while i < count && words_fit(pos) && t <= LANE_T_MAX {
+            let word = u64::from_le_bytes(payload[pos..pos + 8].try_into().expect("len 8"));
+            let Some(([dt, dx, dyp], len)) = varint_triple(word) else { break };
+            pos += len;
+            t += dt;
+            x += unzigzag(dx);
+            y += unzigzag(dyp >> 1);
+            if x as u64 >= width || y as u64 >= height {
+                return Err(StoreError::OutOfBounds { chunk, x, y });
+            }
+            out.push(Event::new(x as u16, y as u16, t, Polarity::from_bit((dyp & 1) as u8)));
+            i += 1;
+        }
     }
     if pos != payload.len() {
         return Err(corrupt("trailing bytes after last event"));
@@ -697,9 +770,9 @@ mod tests {
     }
 
     #[test]
-    fn crc32_slice_by_8_matches_reference_across_lengths() {
+    fn crc32_slice_by_16_matches_reference_across_lengths() {
         // Every length 0..64 exercises all remainder sizes around the
-        // 8-byte folding boundary.
+        // 16-byte folding boundary, up to four full rounds.
         let bytes: Vec<u8> = (0..64u32).map(|i| (i.wrapping_mul(97) ^ (i >> 3)) as u8).collect();
         for len in 0..=bytes.len() {
             assert_eq!(crc32(&bytes[..len]), crc32_reference(&bytes[..len]), "len {len}");

@@ -107,7 +107,7 @@
 //! property test: the same bytes out of both encoders for every chunk,
 //! the same events out of every valid payload, and the same error out
 //! of every corrupt one (hostile tails, bit flips, truncation at every
-//! byte boundary, lying frame metadata). CRC-32 is slice-by-8 with a
+//! byte boundary, lying frame metadata). CRC-32 is slice-by-16 with a
 //! one-byte [`format::crc32_reference`] under the same contract.
 //!
 //! Where the payload bytes live is a [`ChunkSource`] property:

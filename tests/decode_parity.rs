@@ -4,12 +4,16 @@
 //! payload, and identical errors on every corrupt one — hostile tails,
 //! 1-byte and 10-byte varints, chunk-boundary truncation, bit flips and
 //! lying frame metadata — and at the edges of the fast decoder's lanes:
-//! a triple ending exactly at the one-load lane's eighth byte, a 4-byte
-//! varint in each position, value bits in the last byte of such long
-//! varints, a 10-byte `dt`, and events starting with
-//! exactly 32 or 31 payload bytes left, either side of the watermark
-//! where the fast loop hands over to the byte loop. The slice-by-8 CRC
-//! gets the same treatment against its one-byte-at-a-time reference.
+//! every one of the 256 continuation-bit patterns the lane's table is
+//! keyed on, a triple ending exactly at the lane word's eighth byte, a
+//! 4-byte varint in each position, value bits in the last byte of such
+//! long varints, a 10-byte `dt`, events starting with exactly 32 or 31
+//! payload bytes left, either side of the watermark where the fast loop
+//! hands over to the byte loop, timestamps within 2^21 of `u64::MAX`
+//! (where the lane hands back to the checked path), a first event with
+//! `Δt ≠ 0`, and coordinates stepping onto and one past each edge of the
+//! array. The slice-by-16 CRC gets the same treatment against its
+//! one-byte-at-a-time reference, at every length and alignment.
 //!
 //! The word-store encoder ([`encode_chunk_payload`]) is pinned the same
 //! way to its one-`write_varint`-per-value reference
@@ -23,7 +27,8 @@
 use ebbiot::events::{Event, Polarity, SensorGeometry};
 use ebbiot::store::format::{
     crc32, crc32_reference, decode_chunk_payload, decode_chunk_payload_fast, encode_chunk_payload,
-    encode_chunk_payload_reference, CHUNK_FRAME_BYTES, HEADER_FIXED_BYTES,
+    encode_chunk_payload_reference, read_varint, write_varint, zigzag, CHUNK_FRAME_BYTES,
+    HEADER_FIXED_BYTES,
 };
 use ebbiot::store::{RecordingWriter, StoreError, StoreOptions};
 use proptest::prelude::*;
@@ -281,8 +286,8 @@ proptest! {
         }
     }
 
-    // Slice-by-8 CRC == one-byte-at-a-time reference on arbitrary
-    // bytes (lengths cross the 8-byte fold boundary both ways).
+    // Slice-by-16 CRC == one-byte-at-a-time reference on arbitrary
+    // bytes (lengths cross the 16-byte fold boundary both ways).
     #[test]
     fn crc32_matches_reference(bytes in proptest::collection::vec(any::<u8>(), 0..300)) {
         prop_assert_eq!(crc32(&bytes), crc32_reference(&bytes));
@@ -519,5 +524,192 @@ fn the_encoder_matches_reference_on_one_event_and_multi_block_chunks() {
             e.t += shift;
         }
         assert_encodes_like_reference(&events, geometry);
+    }
+}
+
+/// The slice-by-16 CRC equals the reference for every length 0..=80 at
+/// every start offset 0..16 of one buffer: every remainder after the
+/// 16-byte rounds, up to five rounds, at every alignment. Payloads are
+/// checked where they lie — the reader lends them in place, and `EBWP`
+/// checks a body 24 bytes into its frame.
+#[test]
+fn crc32_matches_reference_at_every_length_and_offset() {
+    let bytes: Vec<u8> = (0..96u32).map(|i| (i.wrapping_mul(0x9E37_79B9) >> 24) as u8).collect();
+    for offset in 0..16 {
+        for len in 0..=80 {
+            let slice = &bytes[offset..offset + len];
+            assert_eq!(crc32(slice), crc32_reference(slice), "offset {offset}, len {len}");
+        }
+    }
+}
+
+/// `(count, t_last)` for a payload of whole varint triples starting at
+/// `t_first`, read with the reference varint reader; `t_last` saturates
+/// where the timestamps would overflow.
+fn frame_fields(payload: &[u8], t_first: u64) -> (u32, u64) {
+    let (mut pos, mut count, mut t) = (0, 0u32, t_first);
+    while pos < payload.len() {
+        t = t.saturating_add(read_varint(payload, &mut pos).expect("whole varints"));
+        for _ in 0..2 {
+            read_varint(payload, &mut pos).expect("whole varints");
+        }
+        count += 1;
+    }
+    (count, t)
+}
+
+/// Appends one event's three canonical varints: the time step, the
+/// column step and the row step with `polarity` in bit 0.
+fn push_event(payload: &mut Vec<u8>, dt: u64, dx: i64, dy: i64, polarity: bool) {
+    write_varint(payload, dt);
+    write_varint(payload, zigzag(dx));
+    write_varint(payload, zigzag(dy) << 1 | u64::from(polarity));
+}
+
+/// Every continuation-bit pattern of the lane's one-load word, with
+/// value bytes 0x00 (non-canonical zeros: every pattern decodes to
+/// valid events) and 0x7f (large steps: most patterns step off the
+/// array). Event 0 sits in the middle of the array and the word starts
+/// event 1 with more than 32 bytes left, where the lane takes over;
+/// zero bytes after it close any varint left open and fill the chunk
+/// with more lane events.
+#[test]
+fn every_continuation_bit_pattern_decodes_identically() {
+    let geometry = SensorGeometry::new(W, H);
+    for value in [0x00u8, 0x7f] {
+        for bits in 0..=255u8 {
+            let mut payload = Vec::new();
+            push_event(&mut payload, 0, 120, 90, true);
+            payload.extend((0..8).map(|i| value | (bits >> i & 1) << 7));
+            payload.extend([0; 36]);
+            // Whole triples only: pad with zero varints.
+            let mut varints = 0;
+            let mut pos = 0;
+            while pos < payload.len() {
+                read_varint(&payload, &mut pos).expect("the zeros close every varint");
+                varints += 1;
+            }
+            payload.extend(std::iter::repeat_n(0, (3 - varints % 3) % 3));
+            let t_first = 1_000;
+            let (count, t_last) = frame_fields(&payload, t_first);
+            assert_parity(&payload, geometry, count, t_first, t_last);
+            if value == 0 {
+                let (scalar, fast) = both(&payload, geometry, count, t_first, t_last);
+                let events = scalar.expect("zero steps stay on the array");
+                assert_eq!(events.len(), count as usize);
+                assert_eq!(fast.expect("zero steps stay on the array"), events, "bits {bits:08b}");
+            }
+        }
+    }
+}
+
+/// The lane runs only while the timestamp is at most `u64::MAX − 2^21`.
+/// Chunks starting just below, at and above that guard, with `Δt` of 1,
+/// 127 and 2^21 − 1 (the largest lane step), decode identically; the
+/// ones whose timestamps pass `u64::MAX` fail with the same "timestamp
+/// overflow" on both sides.
+#[test]
+fn timestamps_near_u64_max_leave_the_lane_and_overflow_identically() {
+    let geometry = SensorGeometry::new(W, H);
+    let guard = u64::MAX - (1 << 21);
+    for t_first in [guard - (1 << 21), guard - 1, guard, guard + 1, u64::MAX - 1_000, u64::MAX] {
+        for dt in [1u64, 127, (1 << 21) - 1] {
+            let mut payload = Vec::new();
+            push_event(&mut payload, 0, 5, 5, false);
+            for k in 0..40 {
+                push_event(&mut payload, dt, if k % 2 == 0 { 1 } else { -1 }, 0, k % 3 == 0);
+            }
+            let (count, t_last) = frame_fields(&payload, t_first);
+            let (scalar, fast) = both(&payload, geometry, count, t_first, t_last);
+            let overflows = t_first.checked_add(40 * dt).is_none();
+            match (scalar, fast) {
+                (Ok(a), Ok(b)) => {
+                    assert!(!overflows, "t_first {t_first}, dt {dt} must overflow");
+                    assert_eq!(a, b, "t_first {t_first}, dt {dt}");
+                    assert_eq!(a.last().map(|e| e.t), Some(t_last));
+                }
+                (Err(a), Err(b)) => {
+                    assert!(overflows, "t_first {t_first}, dt {dt}: {a}");
+                    assert_eq!(format!("{a:?}"), format!("{b:?}"), "t_first {t_first}, dt {dt}");
+                    assert!(a.to_string().contains("timestamp overflow"), "{a}");
+                }
+                (a, b) => panic!("acceptance diverges: scalar {a:?} vs fast {b:?}"),
+            }
+        }
+    }
+}
+
+/// A first event with `Δt ≠ 0` is rejected on the checked path before
+/// the lane starts, with one- to three-byte steps and enough bytes after
+/// it for the word loads.
+#[test]
+fn a_first_event_with_nonzero_dt_is_rejected_identically() {
+    let geometry = SensorGeometry::new(W, H);
+    for dt in [1u64, 127, 128, (1 << 21) - 1, 1 << 40] {
+        let mut payload = Vec::new();
+        push_event(&mut payload, dt, 7, 7, true);
+        for _ in 0..20 {
+            push_event(&mut payload, 1, 1, 1, false);
+        }
+        let (count, t_last) = frame_fields(&payload, 50);
+        let (scalar, fast) = both(&payload, geometry, count, 50, t_last);
+        let (a, b) = (scalar.unwrap_err(), fast.unwrap_err());
+        assert_eq!(format!("{a:?}"), format!("{b:?}"), "dt {dt}");
+        assert!(a.to_string().contains("does not start at t_first"), "{a}");
+    }
+}
+
+/// Lane steps onto column 0, row 0, the last column and the last row are
+/// accepted, and one step past any of the four edges is the same
+/// `OutOfBounds { x, y }` on both sides, on each sensor in
+/// [`GEOMETRIES`]: the lane's unsigned compare must see `-1` as off
+/// the array.
+#[test]
+fn coordinates_stepping_onto_and_past_the_edges_decode_identically() {
+    for (w, h) in GEOMETRIES {
+        let geometry = SensorGeometry::new(w, h);
+        let (w, h) = (i64::from(w), i64::from(h));
+        let (x0, y0) = (w / 2, h / 2);
+        // Onto each edge and back to the middle.
+        let edges = [(0, y0), (w - 1, y0), (x0, 0), (x0, h - 1), (0, 0), (w - 1, h - 1)];
+        let past = [(-1, y0), (w, y0), (x0, -1), (x0, h), (-1, h), (w, -1)];
+        for (k, (px, py)) in past.into_iter().enumerate() {
+            // Onto the edge next to `(px, py)`, then (or not) one past
+            // it and back, so a decoder that let the step through ends on
+            // the array, then enough lane events for the word loads.
+            let (nx, ny) = (px.clamp(0, w - 1), py.clamp(0, h - 1));
+            let build = |one_past: bool| {
+                let mut payload = Vec::new();
+                push_event(&mut payload, 0, x0, y0, false);
+                let (mut x, mut y) = (x0, y0);
+                for (ex, ey) in edges.into_iter().chain([(x0, y0), (nx, ny)]) {
+                    push_event(&mut payload, 3, ex - x, ey - y, true);
+                    (x, y) = (ex, ey);
+                }
+                if one_past {
+                    push_event(&mut payload, 1, px - nx, py - ny, true);
+                    push_event(&mut payload, 1, nx - px, ny - py, true);
+                }
+                for _ in 0..12 {
+                    push_event(&mut payload, 1, 0, 0, false);
+                }
+                payload
+            };
+            let payload = build(true);
+            let (count, t_last) = frame_fields(&payload, 0);
+            let (scalar, fast) = both(&payload, geometry, count, 0, t_last);
+            let (a, b) = (scalar.unwrap_err(), fast.unwrap_err());
+            assert_eq!(format!("{a:?}"), format!("{b:?}"), "{w}x{h}, case {k}");
+            assert!(
+                matches!(a, StoreError::OutOfBounds { chunk: 3, x, y } if (x, y) == (px, py)),
+                "{w}x{h}, case {k}: {a:?}"
+            );
+            let on_array = build(false);
+            let (count, t_last) = frame_fields(&on_array, 0);
+            let (scalar, fast) = both(&on_array, geometry, count, 0, t_last);
+            let events = scalar.expect("every step lands on the array");
+            assert_eq!(fast.expect("every step lands on the array"), events);
+            assert!(events.iter().any(|e| (i64::from(e.x), i64::from(e.y)) == (nx, ny)));
+        }
     }
 }

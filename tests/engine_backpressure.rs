@@ -3,20 +3,28 @@
 //! reorders a chunk, and the engine's `Snapshot` reports the queue-depth
 //! high-water mark. Admission counts every chunk in flight — queued or
 //! in process — and a worker failure fails blocked producers instead of
-//! stranding them.
+//! stranding them. The engine wakes only threads that sleep, and no
+//! sleeper misses its wake: a jittered capacity-1 engine with blocked
+//! producers, `wait_finished` and `detach_with_state` waiters finishes
+//! under a watchdog, bit-identical to sequential.
 
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Barrier};
+use std::time::Duration;
 
 use ebbiot_core::{
-    EbbiotConfig, EbbiotPipeline, FrameInput, OverlapTracker, Pipeline, StateError, TrackBox,
-    Tracker,
+    EbbiotConfig, EbbiotPipeline, FrameInput, FrameResult, OverlapTracker, Pipeline, StateError,
+    TrackBox, Tracker,
 };
 use ebbiot_engine::{Engine, EngineConfig, StreamId};
 use ebbiot_events::{Event, OpsCounter, SensorGeometry};
 
+fn config() -> EbbiotConfig {
+    EbbiotConfig::paper_default(SensorGeometry::davis240())
+}
+
 fn pipelines(n: usize) -> Vec<EbbiotPipeline> {
-    let config = EbbiotConfig::paper_default(SensorGeometry::davis240());
-    (0..n).map(|_| EbbiotPipeline::new(config.clone())).collect()
+    (0..n).map(|_| EbbiotPipeline::new(config())).collect()
 }
 
 /// A dense moving block in frame `f` — enough per-chunk work that a
@@ -33,7 +41,7 @@ fn frame_chunk(f: u64) -> Vec<Event> {
 
 const FRAMES: u64 = 40;
 
-fn expected() -> Vec<ebbiot_core::FrameResult> {
+fn expected() -> Vec<FrameResult> {
     let mut reference = pipelines(1).pop().unwrap();
     let mut out = Vec::new();
     for f in 0..FRAMES {
@@ -218,4 +226,86 @@ fn admission_counts_the_chunk_a_worker_is_processing() {
     let out = engine.join();
     assert_eq!(out.snapshot.streams[0].chunks_in, 2);
     assert_eq!(out.snapshot.streams[0].queue_depth, 0);
+}
+
+/// Runs `scenario` on its own thread and returns its result, failing the
+/// test if it has not finished within `deadline`: a thread that sleeps
+/// through its wake fails the test instead of hanging it.
+fn within_deadline<R: Send + 'static>(
+    deadline: Duration,
+    scenario: impl FnOnce() -> R + Send + 'static,
+) -> R {
+    let (done, finished) = mpsc::channel();
+    let handle = std::thread::spawn(move || done.send(scenario()).expect("watchdog listens"));
+    match finished.recv_timeout(deadline) {
+        Ok(result) => result,
+        Err(RecvTimeoutError::Timeout) => panic!("a thread still waits after {deadline:?}"),
+        Err(RecvTimeoutError::Disconnected) => match handle.join() {
+            Err(panic) => std::panic::resume_unwind(panic),
+            Ok(()) => unreachable!("the scenario sent its result"),
+        },
+    }
+}
+
+#[test]
+fn no_wakeup_is_lost_under_jitter_with_every_kind_of_waiter() {
+    // Streams 0..3 push every chunk then finish and `wait_finished`;
+    // stream 3 hands its session off with `detach_with_state` halfway
+    // and resumes it on a new stream. Every producer blocks on a full
+    // capacity-1 queue most of the time, and the jittered workers
+    // sleep, yield and steal at random, so the waits and wakes of the
+    // stream condvars and the scheduler interleave in many ways.
+    const STREAMS: usize = 4;
+    const HANDOFF_AT: u64 = FRAMES / 2;
+    let expected = expected();
+    for workers in 1..=3 {
+        for seed in 0..2u64 {
+            let outputs = within_deadline(Duration::from_secs(120), move || {
+                let engine = Engine::new(
+                    EngineConfig {
+                        workers,
+                        queue_capacity: 1,
+                        batch_chunks: 2,
+                        schedule_jitter: Some(seed * 31 + workers as u64),
+                    },
+                    pipelines(STREAMS),
+                );
+                let outputs: Vec<Vec<FrameResult>> = std::thread::scope(|scope| {
+                    let engine = &engine;
+                    let producers: Vec<_> = (0..STREAMS)
+                        .map(|s| {
+                            scope.spawn(move || {
+                                let mut stream = StreamId(s);
+                                let mut frames = Vec::new();
+                                for f in 0..FRAMES {
+                                    if s == STREAMS - 1 && f == HANDOFF_AT {
+                                        let handoff = engine.detach_with_state(stream);
+                                        frames.extend(handoff.frames);
+                                        let restored = Pipeline::restore(
+                                            config(),
+                                            OverlapTracker::new(config().geometry, config().ot),
+                                            &handoff.state,
+                                        )
+                                        .expect("the hand-off restores");
+                                        stream = engine.attach_with_state(restored, handoff.totals);
+                                    }
+                                    engine.push(stream, frame_chunk(f));
+                                }
+                                engine.finish_stream(stream, FRAMES * 66_000);
+                                engine.wait_finished(stream);
+                                frames.extend(engine.take_results(stream));
+                                frames
+                            })
+                        })
+                        .collect();
+                    producers.into_iter().map(|p| p.join().expect("producer finishes")).collect()
+                });
+                let _ = engine.join();
+                outputs
+            });
+            for (s, frames) in outputs.iter().enumerate() {
+                assert_eq!(frames, &expected, "workers {workers}, seed {seed}, stream {s}");
+            }
+        }
+    }
 }
