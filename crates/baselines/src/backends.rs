@@ -4,7 +4,9 @@
 //! region proposals — it filters raw events through the
 //! nearest-neighbour filter and feeds the survivors to the per-event
 //! mean-shift tracker, sampling cluster state at frame boundaries.
-//! [`NnEbmsTracker`] packages that as a [`Tracker`] back-end, so the
+//! [`NnEbmsTracker`] packages that as a [`Tracker`] back-end (events as
+//! they arrive through [`Tracker::on_events`], cluster maintenance and
+//! readout at the frame close through [`Tracker::step`]), so the
 //! generic pipeline (which skips the frame front-end for
 //! [`TrackerInput::Events`] back-ends) and the registry treat it exactly
 //! like the proposal-driven trackers.
@@ -12,7 +14,7 @@
 use ebbiot_core::{
     FrameInput, StateError, StateReader, StateWriter, TrackBox, Tracker, TrackerInput,
 };
-use ebbiot_events::{OpsCounter, SensorGeometry, Timestamp};
+use ebbiot_events::{Event, OpsCounter, SensorGeometry, Timestamp};
 use ebbiot_filters::NnFilter;
 
 use crate::ebms::{EbmsConfig, EbmsTracker};
@@ -83,14 +85,17 @@ impl Tracker for NnEbmsTracker {
         TrackerInput::Events
     }
 
-    fn step(&mut self, frame: &FrameInput<'_>) -> Vec<TrackBox> {
-        for event in frame.events {
+    fn on_events(&mut self, events: &[Event]) {
+        for event in events {
             self.events_seen += 1;
             if self.filter.keep(event) {
                 self.events_kept += 1;
                 self.tracker.process_event(event);
             }
         }
+    }
+
+    fn step(&mut self, frame: &FrameInput<'_>) -> Vec<TrackBox> {
         self.tracker.maintain(frame.t_end());
         self.frames_processed += 1;
         self.tracker
@@ -206,20 +211,15 @@ impl Tracker for NnEbmsTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ebbiot_events::Event;
 
     fn backend() -> NnEbmsTracker {
         NnEbmsTracker::new(SensorGeometry::davis240(), EbmsConfig::paper_default())
     }
 
-    fn frame_input<'a>(events: &'a [Event], index: usize) -> FrameInput<'a> {
-        FrameInput {
-            index,
-            t_start: index as u64 * 66_000,
-            duration: 66_000,
-            events,
-            proposals: &[],
-        }
+    /// Feeds one window's events, then closes frame `index`.
+    fn frame(b: &mut NnEbmsTracker, events: &[Event], index: usize) -> Vec<TrackBox> {
+        b.on_events(events);
+        b.step(&FrameInput { t_start: index as u64 * 66_000, duration: 66_000, proposals: &[] })
     }
 
     #[test]
@@ -234,7 +234,7 @@ mod tests {
         let events: Vec<Event> = (0..50)
             .map(|k| Event::on((k * 4) % 240, (k * 7) % 180, u64::from(k) * 1_000))
             .collect();
-        let tracks = b.step(&frame_input(&events, 0));
+        let tracks = frame(&mut b, &events, 0);
         assert!(tracks.is_empty());
         assert!(b.keep_fraction() < 0.2, "kept {}", b.keep_fraction());
     }
@@ -250,7 +250,7 @@ mod tests {
                 events.push(Event::on(50 + dx, 50 + dy, u64::from(dy * 10 + dx) * 20));
             }
         }
-        let _ = b.step(&frame_input(&events, 0));
+        let _ = frame(&mut b, &events, 0);
         assert!(b.keep_fraction() > 0.0);
         b.reset();
         assert_eq!(b.keep_fraction(), 0.0);

@@ -14,21 +14,17 @@ use ebbiot_frame::BoundingBox;
 
 use crate::pipeline::TrackBox;
 
-/// Everything a back-end may consume for one frame.
+/// Everything a back-end may consume when a frame closes.
 ///
 /// Proposal-driven trackers read [`FrameInput::proposals`] (the ROE
 /// filtered region proposals from the shared front-end); event-domain
-/// trackers read the raw [`FrameInput::events`] of the window instead.
+/// trackers saw the window's events in [`Tracker::on_events`].
 #[derive(Debug, Clone, Copy)]
 pub struct FrameInput<'a> {
-    /// Frame index (0-based).
-    pub index: usize,
     /// Frame start timestamp (microseconds).
     pub t_start: Timestamp,
     /// Frame duration `tF` (microseconds).
     pub duration: Micros,
-    /// The raw events of the window, time-ordered.
-    pub events: &'a [Event],
     /// Region proposals after ROE filtering (empty for event-domain
     /// back-ends, whose pipelines skip the frame front-end entirely).
     pub proposals: &'a [BoundingBox],
@@ -49,8 +45,8 @@ pub enum TrackerInput {
     /// Region proposals from the shared EBBI → median → RPN → ROE
     /// front-end.
     Proposals,
-    /// Raw window events (the back-end does its own event-domain
-    /// filtering, e.g. NN-filt+EBMS).
+    /// Raw events, as they arrive (the back-end does its own
+    /// event-domain filtering, e.g. NN-filt+EBMS).
     Events,
 }
 
@@ -64,7 +60,11 @@ pub trait Tracker {
         TrackerInput::Proposals
     }
 
-    /// Advances one frame, returning the confirmed tracks.
+    /// Consumes the open window's next events, in time order; called
+    /// only for [`TrackerInput::Events`] back-ends.
+    fn on_events(&mut self, _events: &[Event]) {}
+
+    /// Closes one frame, returning the confirmed tracks.
     fn step(&mut self, frame: &FrameInput<'_>) -> Vec<TrackBox>;
 
     /// Number of currently active (confirmed or provisional) trackers —
@@ -114,6 +114,10 @@ impl Tracker for BoxedTracker {
 
     fn input(&self) -> TrackerInput {
         (**self).input()
+    }
+
+    fn on_events(&mut self, events: &[Event]) {
+        (**self).on_events(events);
     }
 
     fn step(&mut self, frame: &FrameInput<'_>) -> Vec<TrackBox> {

@@ -10,6 +10,9 @@
 //! events ─▶ EbbiAccumulator ─▶ MedianFilter ─▶ RPN ─▶ ROE ─▶ proposals
 //! ```
 //!
+//! Events latch as they arrive ([`FrontEnd::accumulate_all`]); the `tF`
+//! interrupt reads the latch out ([`FrontEnd::close_window`]).
+//!
 //! The front-end owns **reused scratch buffers** for the EBBI readout,
 //! the denoised frame and the filtered proposal list, and the RPN owns
 //! its histograms, so a steady-state pipeline
@@ -29,7 +32,7 @@
 //! instruction count, so the resource cross-checks and the paper-number
 //! suites are unchanged by kernel optimizations.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use ebbiot_events::{Event, OpsCounter};
 use ebbiot_frame::{BinaryImage, BoundingBox, EbbiAccumulator, MedianFilter};
@@ -66,6 +69,8 @@ pub struct FrontEnd {
     proposals: Vec<BoundingBox>,
     /// Opt-in per-stage duration histograms (`None` = record nothing).
     telemetry: Option<StageTelemetry>,
+    /// Latch time of the open window's slices, added to its EBBI sample.
+    latch_time: Duration,
 }
 
 impl FrontEnd {
@@ -82,6 +87,7 @@ impl FrontEnd {
             denoised_scratch: BinaryImage::new(config.geometry),
             proposals: Vec::new(),
             telemetry: None,
+            latch_time: Duration::ZERO,
         }
     }
 
@@ -91,50 +97,89 @@ impl FrontEnd {
         self.telemetry = telemetry;
     }
 
-    /// Runs one frame's worth of events through the block chain and
-    /// returns the ROE-filtered region proposals.
+    /// Latches a slice of the open window's events into the EBBI.
+    pub fn accumulate_all(&mut self, events: &[Event]) {
+        let start = self.telemetry.is_some().then(Instant::now);
+        self.accumulator.accumulate_all(events);
+        if let Some(start) = start {
+            self.latch_time += start.elapsed();
+        }
+    }
+
+    /// ORs `image` into the open window's latch, charging one Eq. 1
+    /// write per pixel it sets.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `image` has a different geometry.
+    pub fn latch_image(&mut self, image: &BinaryImage) {
+        self.accumulator.latch_image(image);
+    }
+
+    /// The open window's latched EBBI.
+    #[must_use]
+    pub fn latch(&self) -> &BinaryImage {
+        self.accumulator.current()
+    }
+
+    /// Replaces the open window's latch with a checkpointed one that
+    /// latched `events` events, without an op charge (see
+    /// [`Self::restore_raw_ops`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `latch` has a different geometry.
+    pub fn restore_latch(&mut self, latch: &BinaryImage, events: u64) {
+        self.accumulator.restore_latch(latch, events);
+    }
+
+    /// Closes the open window: reads the EBBI out, runs it through the
+    /// block chain and returns the ROE-filtered region proposals.
     ///
     /// The returned slice borrows the front-end's internal scratch list;
     /// it is valid until the next call.
-    pub fn process(&mut self, events: &[Event]) -> &[BoundingBox] {
-        if let Some(t) = &self.telemetry {
-            // One clock read per stage boundary: each stage ends where
-            // the next begins, so four stages cost five reads.
-            let start = Instant::now();
-            self.accumulator.accumulate_all(events);
-            self.accumulator.readout_into(&mut self.ebbi_scratch);
-            let ebbi_done = Instant::now();
-            self.median.apply_into(&self.ebbi_scratch, &mut self.denoised_scratch);
-            let median_done = Instant::now();
-            let raw = self.rpn.propose_rows(&self.denoised_scratch, self.median.written_rows());
-            let rpn_done = Instant::now();
-            self.roe.filter_into(&raw, &mut self.proposals, &mut self.roe_ops);
+    pub fn close_window(&mut self) -> &[BoundingBox] {
+        // With telemetry, one clock read per stage boundary: each stage
+        // ends where the next begins, so four stages cost five reads.
+        let timed = self.telemetry.is_some();
+        let clock = || timed.then(Instant::now);
+        let start = clock();
+        self.accumulator.readout_into(&mut self.ebbi_scratch);
+        let ebbi_done = clock();
+        self.median.apply_into(&self.ebbi_scratch, &mut self.denoised_scratch);
+        let median_done = clock();
+        let raw = self.rpn.propose_rows(&self.denoised_scratch, self.median.written_rows());
+        let rpn_done = clock();
+        self.roe.filter_into(&raw, &mut self.proposals, &mut self.roe_ops);
+        if let (Some(t), Some(start), Some(ebbi_done), Some(median_done), Some(rpn_done)) =
+            (&self.telemetry, start, ebbi_done, median_done, rpn_done)
+        {
             let roe_done = Instant::now();
-            t.ebbi.record_duration(ebbi_done - start);
+            t.ebbi.record_duration(core::mem::take(&mut self.latch_time) + (ebbi_done - start));
             t.median.record_duration(median_done - ebbi_done);
             t.rpn.record_duration(rpn_done - median_done);
             t.roe.record_duration(roe_done - rpn_done);
-        } else {
-            self.accumulator.accumulate_all(events);
-            self.accumulator.readout_into(&mut self.ebbi_scratch);
-            self.median.apply_into(&self.ebbi_scratch, &mut self.denoised_scratch);
-            let raw = self.rpn.propose_rows(&self.denoised_scratch, self.median.written_rows());
-            self.roe.filter_into(&raw, &mut self.proposals, &mut self.roe_ops);
         }
         &self.proposals
     }
 
-    /// The denoised frame of the most recent [`Self::process`] call
-    /// (diagnostics and visualization).
+    /// The raw EBBI of the most recent [`Self::close_window`] call.
     #[must_use]
-    pub const fn last_denoised(&self) -> &BinaryImage {
-        &self.denoised_scratch
+    pub const fn last_ebbi(&self) -> &BinaryImage {
+        &self.ebbi_scratch
     }
 
     /// The region of exclusion in force.
     #[must_use]
     pub const fn roe(&self) -> &RegionOfExclusion {
         &self.roe
+    }
+
+    /// The denoised frame of the most recent [`Self::close_window`] call
+    /// (diagnostics and visualization).
+    #[must_use]
+    pub const fn last_denoised(&self) -> &BinaryImage {
+        &self.denoised_scratch
     }
 
     /// Per-block op counters accumulated so far (ROE ops are absorbed
@@ -179,6 +224,7 @@ impl FrontEnd {
         self.ebbi_scratch.clear();
         self.denoised_scratch.clear();
         self.proposals.clear();
+        self.latch_time = Duration::ZERO;
         self.reset_ops();
     }
 }
@@ -190,6 +236,12 @@ mod tests {
 
     fn frontend() -> FrontEnd {
         FrontEnd::new(&EbbiotConfig::paper_default(SensorGeometry::davis240()))
+    }
+
+    /// Latches one window's events, then closes it.
+    fn process<'a>(fe: &'a mut FrontEnd, events: &[Event]) -> &'a [BoundingBox] {
+        fe.accumulate_all(events);
+        fe.close_window()
     }
 
     fn block_events(x0: u16, y0: u16, w: u16, h: u16) -> Vec<Event> {
@@ -205,7 +257,7 @@ mod tests {
     #[test]
     fn solid_block_yields_one_proposal() {
         let mut fe = frontend();
-        let proposals = fe.process(&block_events(60, 90, 30, 15));
+        let proposals = process(&mut fe, &block_events(60, 90, 30, 15));
         assert_eq!(proposals.len(), 1);
         assert!(proposals[0].intersection(&BoundingBox::new(60.0, 90.0, 30.0, 15.0)).is_some());
     }
@@ -213,10 +265,10 @@ mod tests {
     #[test]
     fn scratch_reuse_does_not_leak_between_frames() {
         let mut fe = frontend();
-        assert_eq!(fe.process(&block_events(60, 90, 30, 15)).len(), 1);
+        assert_eq!(process(&mut fe, &block_events(60, 90, 30, 15)).len(), 1);
         // An empty frame afterwards: the scratch buffers must be fully
         // refreshed, producing no stale proposals.
-        assert!(fe.process(&[]).is_empty());
+        assert!(process(&mut fe, &[]).is_empty());
         assert_eq!(fe.last_denoised().count_ones(), 0);
     }
 
@@ -225,14 +277,14 @@ mod tests {
         let roe = RegionOfExclusion::new(vec![BoundingBox::new(0.0, 0.0, 120.0, 180.0)]);
         let cfg = EbbiotConfig::paper_default(SensorGeometry::davis240()).with_roe(roe);
         let mut fe = FrontEnd::new(&cfg);
-        assert!(fe.process(&block_events(10, 10, 30, 20)).is_empty());
-        assert_eq!(fe.process(&block_events(150, 90, 30, 20)).len(), 1);
+        assert!(process(&mut fe, &block_events(10, 10, 30, 20)).is_empty());
+        assert_eq!(process(&mut fe, &block_events(150, 90, 30, 20)).len(), 1);
     }
 
     #[test]
     fn ops_accumulate_per_block() {
         let mut fe = frontend();
-        let _ = fe.process(&block_events(60, 90, 30, 15));
+        let _ = process(&mut fe, &block_events(60, 90, 30, 15));
         let ops = fe.ops();
         assert!(ops.ebbi.total() > 0);
         assert!(ops.median.total() > 0);
@@ -244,8 +296,8 @@ mod tests {
     #[test]
     fn reset_clears_frame_state() {
         let mut fe = frontend();
-        let _ = fe.process(&block_events(60, 90, 30, 15));
+        let _ = process(&mut fe, &block_events(60, 90, 30, 15));
         fe.reset();
-        assert!(fe.process(&[]).is_empty());
+        assert!(process(&mut fe, &[]).is_empty());
     }
 }

@@ -17,12 +17,13 @@
 //!
 //! Both go through the crate's one windower, which cuts the stream into
 //! `tF` windows, so they produce identical `FrameResult` sequences for
-//! the same event stream.
+//! the same event stream. Events are consumed as they arrive, never
+//! buffered; a window close reads out and steps the tracker.
+
+use std::time::{Duration, Instant};
 
 use ebbiot_events::{Event, Micros, OpsCounter, Timestamp};
-use ebbiot_frame::BoundingBox;
-
-use ebbiot_telemetry::timed;
+use ebbiot_frame::{BinaryImage, BoundingBox};
 
 use crate::{
     backend::{BoxedTracker, FrameInput, Tracker, TrackerInput},
@@ -122,17 +123,20 @@ pub struct Pipeline<T: Tracker = BoxedTracker> {
     /// front-end entirely (and pay none of its cost).
     frontend: Option<FrontEnd>,
     tracker: T,
+    /// Frames emitted so far, which is also the open window's index.
     frames_processed: usize,
-    next_index: usize,
     /// Running sum of active tracker counts, for the mean-`NT` statistic.
     active_tracker_sum: u64,
-    /// Streaming state: events of the currently open window.
-    pending: Vec<Event>,
+    /// Streaming state: events the open window has consumed.
+    window_events: u64,
     /// Streaming state: timestamp of the last pushed event, for the
     /// cross-chunk ordering check.
     last_pushed_t: Option<Timestamp>,
     /// Opt-in per-stage duration telemetry (`None` = record nothing).
     telemetry: Option<StageTelemetry>,
+    /// Time an event-domain back-end spent on the open window's slices,
+    /// added to its tracker sample.
+    tracker_time: Duration,
 }
 
 /// The EBBIOT pipeline of the paper: shared front-end + overlap tracker.
@@ -173,11 +177,11 @@ impl<T: Tracker> Pipeline<T> {
             frontend,
             tracker,
             frames_processed: 0,
-            next_index: 0,
             active_tracker_sum: 0,
-            pending: Vec::new(),
+            window_events: 0,
             last_pushed_t: None,
             telemetry: None,
+            tracker_time: Duration::ZERO,
             config,
         }
     }
@@ -218,6 +222,16 @@ impl<T: Tracker> Pipeline<T> {
         self.frontend.as_ref()
     }
 
+    /// ORs `image` into the open window's latch (see
+    /// [`FrontEnd::latch_image`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics for an event-domain back-end, which has no latch.
+    pub(crate) fn latch_image(&mut self, image: &BinaryImage) {
+        self.frontend.as_mut().expect("a latch needs the front end").latch_image(image);
+    }
+
     /// The back-end's registry name.
     #[must_use]
     pub fn backend_name(&self) -> &'static str {
@@ -246,7 +260,7 @@ impl<T: Tracker> Pipeline<T> {
     /// arrives. Together with [`Self::finish`], a chunked stream produces
     /// exactly the same `FrameResult` sequence as
     /// [`Self::process_recording`] over the concatenated events — without
-    /// ever holding more than one window of events in memory.
+    /// holding any events: each slice is consumed as it arrives.
     ///
     /// ```
     /// use ebbiot_core::{EbbiotConfig, EbbiotPipeline};
@@ -365,11 +379,11 @@ impl<T: Tracker> Pipeline<T> {
             frontend: self.frontend,
             tracker: Box::new(self.tracker),
             frames_processed: self.frames_processed,
-            next_index: self.next_index,
             active_tracker_sum: self.active_tracker_sum,
-            pending: self.pending,
+            window_events: self.window_events,
             last_pushed_t: self.last_pushed_t,
             telemetry: self.telemetry,
+            tracker_time: self.tracker_time,
         }
     }
 
@@ -384,11 +398,11 @@ impl<T: Tracker> Pipeline<T> {
     }
 
     /// Captures the session's complete mutable state between two `push`
-    /// calls: frame cursors, the buffered (not yet flushed) window
-    /// events, the push watermark, the raw front-end ops counters and
-    /// the tracker's serialized state.
+    /// calls: the frame cursor, the open window's event count and EBBI
+    /// latch, the push watermark, the raw front-end ops counters and the
+    /// tracker's serialized state.
     ///
-    /// The front end carries no frame state *between* frames (every
+    /// Beyond the latch, the front end carries no frame state (every
     /// readout clears the accumulator), so this checkpoint is total:
     /// [`Pipeline::restore`] followed by pushing the remaining events
     /// yields output bit-identical to the uninterrupted run —
@@ -400,9 +414,9 @@ impl<T: Tracker> Pipeline<T> {
         crate::SessionState {
             backend: self.tracker.name().to_string(),
             frames_processed: self.frames_processed as u64,
-            next_index: self.next_index as u64,
             active_tracker_sum: self.active_tracker_sum,
-            pending: self.pending.clone(),
+            window_events: self.window_events,
+            window_latch: self.frontend.as_ref().map(|f| f.latch().clone()),
             last_pushed_t: self.last_pushed_t,
             frontend_ops: self.frontend.as_ref().map(FrontEnd::raw_ops),
             tracker: self.tracker.save_state(),
@@ -418,7 +432,9 @@ impl<T: Tracker> Pipeline<T> {
     /// # Errors
     ///
     /// [`StateError::BackendMismatch`](crate::StateError) when `tracker`
-    /// is not the back-end that saved the state, or any
+    /// is not the back-end that saved the state,
+    /// [`StateError::Invalid`](crate::StateError) when the front-end
+    /// parts do not fit the back-end or its geometry, or any
     /// [`StateError`](crate::StateError) from decoding the tracker blob.
     pub fn restore(
         config: EbbiotConfig,
@@ -433,17 +449,20 @@ impl<T: Tracker> Pipeline<T> {
         }
         let mut pipeline = Self::with_tracker(config, tracker);
         pipeline.tracker.load_state(&state.tracker)?;
-        match (&mut pipeline.frontend, &state.frontend_ops) {
-            (Some(frontend), Some(ops)) => frontend.restore_raw_ops(ops),
-            (None, None) => {}
-            _ => return Err(crate::StateError::Invalid("front-end presence mismatch")),
+        match (&mut pipeline.frontend, &state.frontend_ops, &state.window_latch) {
+            (Some(frontend), Some(ops), Some(latch))
+                if latch.geometry() == pipeline.config.geometry =>
+            {
+                frontend.restore_latch(latch, state.window_events);
+                frontend.restore_raw_ops(ops);
+            }
+            (None, None, None) => {}
+            _ => return Err(crate::StateError::Invalid("front-end state does not fit")),
         }
         pipeline.frames_processed = usize::try_from(state.frames_processed)
             .map_err(|_| crate::StateError::Invalid("frame counter exceeds usize"))?;
-        pipeline.next_index = usize::try_from(state.next_index)
-            .map_err(|_| crate::StateError::Invalid("window cursor exceeds usize"))?;
         pipeline.active_tracker_sum = state.active_tracker_sum;
-        pipeline.pending = state.pending.clone();
+        pipeline.window_events = state.window_events;
         pipeline.last_pushed_t = state.last_pushed_t;
         Ok(pipeline)
     }
@@ -457,10 +476,10 @@ impl<T: Tracker> Pipeline<T> {
         self.tracker.reset();
         self.tracker.reset_ops();
         self.frames_processed = 0;
-        self.next_index = 0;
         self.active_tracker_sum = 0;
-        self.pending.clear();
+        self.window_events = 0;
         self.last_pushed_t = None;
+        self.tracker_time = Duration::ZERO;
     }
 }
 
@@ -472,30 +491,47 @@ impl<T: Tracker> WindowedStream for Pipeline<T> {
     }
 
     fn frames_emitted(&self) -> usize {
-        self.next_index
+        self.frames_processed
     }
 
-    fn push_state(&mut self) -> (&mut Vec<Event>, &mut Option<Timestamp>) {
-        (&mut self.pending, &mut self.last_pushed_t)
+    fn window_events(&self) -> u64 {
+        self.window_events
     }
 
-    /// Processes one frame's worth of events (the window `[k tF, (k+1) tF)`
-    /// as read out at the interrupt).
-    fn process_window(&mut self, events: &[Event]) -> FrameResult {
-        let index = self.next_index;
-        self.next_index += 1;
+    fn watermark(&mut self) -> &mut Option<Timestamp> {
+        &mut self.last_pushed_t
+    }
+
+    fn accumulate(&mut self, events: &[Event]) {
+        self.window_events += events.len() as u64;
+        let Some(frontend) = &mut self.frontend else {
+            let start = self.telemetry.is_some().then(Instant::now);
+            self.tracker.on_events(events);
+            if let Some(start) = start {
+                self.tracker_time += start.elapsed();
+            }
+            return;
+        };
+        frontend.accumulate_all(events);
+    }
+
+    /// Closes the window `[k tF, (k+1) tF)` at its interrupt: reads out
+    /// the latch and steps the tracker.
+    fn close_window(&mut self) -> FrameResult {
+        let index = self.frames_processed;
         let t_start = index as u64 * self.config.frame_us;
+        let num_events = core::mem::take(&mut self.window_events) as usize;
 
         let proposals: &[BoundingBox] = match &mut self.frontend {
-            Some(frontend) => frontend.process(events),
+            Some(frontend) => frontend.close_window(),
             None => &[],
         };
-        let input =
-            FrameInput { index, t_start, duration: self.config.frame_us, events, proposals };
-        let tracks = match &self.telemetry {
-            Some(t) => timed(&t.tracker, || self.tracker.step(&input)),
-            None => self.tracker.step(&input),
-        };
+        let input = FrameInput { t_start, duration: self.config.frame_us, proposals };
+        let start = self.telemetry.is_some().then(Instant::now);
+        let tracks = self.tracker.step(&input);
+        if let (Some(t), Some(start)) = (&self.telemetry, start) {
+            t.tracker.record_duration(core::mem::take(&mut self.tracker_time) + start.elapsed());
+        }
         self.active_tracker_sum += self.tracker.active_count() as u64;
         self.frames_processed += 1;
 
@@ -505,7 +541,7 @@ impl<T: Tracker> WindowedStream for Pipeline<T> {
             duration: self.config.frame_us,
             tracks,
             num_proposals: proposals.len(),
-            num_events: events.len(),
+            num_events,
         }
     }
 }
@@ -518,6 +554,12 @@ mod tests {
 
     fn pipeline() -> EbbiotPipeline {
         EbbiotPipeline::new(EbbiotConfig::paper_default(SensorGeometry::davis240()))
+    }
+
+    /// Runs `events` through the open window, then closes it.
+    fn frame(p: &mut EbbiotPipeline, events: &[Event]) -> FrameResult {
+        p.accumulate(events);
+        p.close_window()
     }
 
     /// Events forming a dense block at the given position (one event per
@@ -535,7 +577,7 @@ mod tests {
     #[test]
     fn empty_frames_produce_empty_results() {
         let mut p = pipeline();
-        let r = p.process_window(&[]);
+        let r = frame(&mut p, &[]);
         assert_eq!(r.index, 0);
         assert_eq!(r.num_proposals, 0);
         assert!(r.tracks.is_empty());
@@ -544,10 +586,10 @@ mod tests {
     #[test]
     fn solid_object_is_tracked_after_confirmation() {
         let mut p = pipeline();
-        let r0 = p.process_window(&block_events(60, 90, 30, 15, 0));
+        let r0 = frame(&mut p, &block_events(60, 90, 30, 15, 0));
         assert_eq!(r0.num_proposals, 1);
         assert!(r0.tracks.is_empty(), "provisional on frame 0");
-        let r1 = p.process_window(&block_events(63, 90, 30, 15, 66_000));
+        let r1 = frame(&mut p, &block_events(63, 90, 30, 15, 66_000));
         assert_eq!(r1.tracks.len(), 1);
         let tb = &r1.tracks[0];
         assert!(tb.bbox.intersection(&BoundingBox::new(60.0, 90.0, 36.0, 18.0)).is_some());
@@ -556,8 +598,8 @@ mod tests {
     #[test]
     fn frame_indices_and_times_advance() {
         let mut p = pipeline();
-        let r0 = p.process_window(&[]);
-        let r1 = p.process_window(&[]);
+        let r0 = frame(&mut p, &[]);
+        let r1 = frame(&mut p, &[]);
         assert_eq!((r0.index, r1.index), (0, 1));
         assert_eq!(r1.t_start, 66_000);
         assert_eq!(r1.duration, 66_000);
@@ -572,7 +614,7 @@ mod tests {
         for k in 0..40u16 {
             events.push(Event::on(10 + (k % 8) * 25, 10 + (k / 8) * 30, u64::from(k)));
         }
-        let r = p.process_window(&events);
+        let r = frame(&mut p, &events);
         assert_eq!(r.num_proposals, 0, "salt noise produces no proposals");
     }
 
@@ -582,10 +624,10 @@ mod tests {
         let cfg = EbbiotConfig::paper_default(SensorGeometry::davis240()).with_roe(roe);
         let mut p = EbbiotPipeline::new(cfg);
         // A solid block inside the ROE...
-        let r = p.process_window(&block_events(10, 10, 30, 20, 0));
+        let r = frame(&mut p, &block_events(10, 10, 30, 20, 0));
         assert_eq!(r.num_proposals, 0, "flickering tree masked");
         // ...and one outside it.
-        let r = p.process_window(&block_events(120, 90, 30, 20, 66_000));
+        let r = frame(&mut p, &block_events(120, 90, 30, 20, 66_000));
         assert_eq!(r.num_proposals, 1);
     }
 
@@ -604,8 +646,8 @@ mod tests {
     fn ops_accumulate_and_average() {
         let mut p = pipeline();
         assert!(p.ops_per_frame().is_none());
-        let _ = p.process_window(&block_events(60, 90, 30, 15, 0));
-        let _ = p.process_window(&block_events(63, 90, 30, 15, 66_000));
+        let _ = frame(&mut p, &block_events(60, 90, 30, 15, 0));
+        let _ = frame(&mut p, &block_events(63, 90, 30, 15, 66_000));
         let per_frame = p.ops_per_frame().unwrap();
         // Median filter dominates: ~A*B comparisons + patch additions.
         assert!(per_frame.median.total() > 43_200);
@@ -624,7 +666,7 @@ mod tests {
         let mut p = pipeline();
         for k in 0..10 {
             let x = 40 + k * 3;
-            let _ = p.process_window(&block_events(x, 90, 30, 15, u64::from(k) * 66_000));
+            let _ = frame(&mut p, &block_events(x, 90, 30, 15, u64::from(k) * 66_000));
         }
         let mean = p.mean_active_trackers();
         assert!(mean > 0.8 && mean <= 1.2, "one object tracked, mean {mean}");
@@ -633,10 +675,10 @@ mod tests {
     #[test]
     fn reset_starts_a_fresh_recording() {
         let mut p = pipeline();
-        let _ = p.process_window(&block_events(60, 90, 30, 15, 0));
+        let _ = frame(&mut p, &block_events(60, 90, 30, 15, 0));
         p.reset();
         assert_eq!(p.frames_processed(), 0);
-        let r = p.process_window(&[]);
+        let r = frame(&mut p, &[]);
         assert_eq!(r.index, 0);
         assert!(r.tracks.is_empty());
     }
@@ -649,7 +691,7 @@ mod tests {
             let mut events = block_events(40 + k * 3, 60, 30, 15, u64::from(k) * 66_000);
             events.extend(block_events(170 - k * 3, 120, 30, 15, u64::from(k) * 66_000 + 10));
             ebbiot_events::stream::sort_by_time(&mut events);
-            last = Some(p.process_window(&events));
+            last = Some(frame(&mut p, &events));
         }
         let last = last.unwrap();
         assert_eq!(last.tracks.len(), 2);
@@ -805,7 +847,7 @@ mod tests {
         let expected = pipeline().process_recording(&events, span);
 
         // Cut at an arbitrary event index (not a frame boundary): the
-        // pending window rides along in the checkpoint.
+        // open window's latch rides along in the checkpoint.
         for cut in [0, 1, events.len() / 3, events.len() - 1, events.len()] {
             let mut first = pipeline();
             let mut got = first.push(&events[..cut]);
@@ -845,21 +887,19 @@ mod tests {
         let mut truncated = state.clone();
         truncated.tracker.pop();
         let tracker = OverlapTracker::new(SensorGeometry::davis240(), cfg.ot);
-        let err = Pipeline::restore(cfg, tracker, &truncated).unwrap_err();
+        let err = Pipeline::restore(cfg.clone(), tracker, &truncated).unwrap_err();
         assert_eq!(err, crate::StateError::Truncated);
-    }
 
-    #[test]
-    fn streaming_keeps_at_most_one_window_buffered() {
         let mut p = pipeline();
-        let events = streaming_fixture();
-        for chunk in events.chunks(64) {
-            let _ = p.push(chunk);
-            assert!(
-                p.pending.len() <= 64 + 30 * 15,
-                "pending window stays bounded, got {}",
-                p.pending.len()
-            );
+        let _ = p.push(&[Event::on(10, 10, 5)]);
+        let mut wrong_size = p.checkpoint();
+        wrong_size.window_latch = Some(ebbiot_frame::BinaryImage::new(SensorGeometry::dvs128()));
+        let mut missing = p.checkpoint();
+        missing.window_latch = None;
+        for bad in [wrong_size, missing] {
+            let tracker = OverlapTracker::new(SensorGeometry::davis240(), cfg.ot);
+            let err = Pipeline::restore(cfg.clone(), tracker, &bad).unwrap_err();
+            assert!(matches!(err, crate::StateError::Invalid(_)), "{err}");
         }
     }
 }

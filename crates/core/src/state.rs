@@ -4,7 +4,7 @@
 //!
 //! A [`SessionState`] is everything a [`Pipeline`](crate::Pipeline)
 //! needs to resume exactly where it stopped: the frame-boundary
-//! cursors, the buffered (not yet flushed) window events, the push
+//! cursors, the open window's event count and latched EBBI, the push
 //! watermark, the front-end ops counters and the tracker's own state as
 //! an opaque byte blob produced by
 //! [`Tracker::save_state`](crate::Tracker::save_state). The contract —
@@ -19,7 +19,8 @@
 //! Floats always cross the codec as IEEE-754 bit patterns
 //! ([`f32::to_bits`]), never as text, so restored state is bit-exact.
 
-use ebbiot_events::{Event, OpsCounter, Polarity, Timestamp};
+use ebbiot_events::{OpsCounter, Timestamp};
+use ebbiot_frame::BinaryImage;
 
 /// Everything that can go wrong restoring serialized session state.
 ///
@@ -78,19 +79,9 @@ impl StateWriter {
         Self::default()
     }
 
-    /// Appends one byte.
-    pub fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
     /// Appends a `bool` as one byte (0 or 1).
     pub fn put_bool(&mut self, v: bool) {
         self.buf.push(u8::from(v));
-    }
-
-    /// Appends a little-endian `u16`.
-    pub fn put_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a little-endian `u32`.
@@ -130,14 +121,6 @@ impl StateWriter {
     pub fn put_bytes(&mut self, bytes: &[u8]) {
         self.put_u32(u32::try_from(bytes.len()).expect("state blob fits u32"));
         self.buf.extend_from_slice(bytes);
-    }
-
-    /// Appends an [`Event`] (t, x, y, polarity bit).
-    pub fn put_event(&mut self, e: &Event) {
-        self.put_u64(e.t);
-        self.put_u16(e.x);
-        self.put_u16(e.y);
-        self.put_u8(e.polarity.bit());
     }
 
     /// The serialized bytes.
@@ -193,15 +176,6 @@ impl<'a> StateReader<'a> {
             1 => Ok(true),
             _ => Err(StateError::Invalid("boolean byte is neither 0 nor 1")),
         }
-    }
-
-    /// Reads a little-endian `u16`.
-    ///
-    /// # Errors
-    ///
-    /// [`StateError::Truncated`] past the end of input.
-    pub fn get_u16(&mut self) -> Result<u16, StateError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("len 2")))
     }
 
     /// Reads a little-endian `u32`.
@@ -268,23 +242,6 @@ impl<'a> StateReader<'a> {
         self.take(len)
     }
 
-    /// Reads an [`Event`], rejecting polarity bytes other than 0 or 1.
-    ///
-    /// # Errors
-    ///
-    /// [`StateError::Truncated`] or [`StateError::Invalid`].
-    pub fn get_event(&mut self) -> Result<Event, StateError> {
-        let t = self.get_u64()?;
-        let x = self.get_u16()?;
-        let y = self.get_u16()?;
-        let polarity = match self.get_u8()? {
-            0 => Polarity::Off,
-            1 => Polarity::On,
-            _ => Err(StateError::Invalid("polarity byte is neither 0 nor 1"))?,
-        };
-        Ok(Event::new(x, y, t, polarity))
-    }
-
     /// Bytes not yet consumed.
     #[must_use]
     pub fn remaining(&self) -> usize {
@@ -313,23 +270,25 @@ pub const FRONTEND_OPS_COUNTERS: usize = 4;
 /// A complete checkpoint of one [`Pipeline`](crate::Pipeline) session,
 /// taken between two `push` calls.
 ///
-/// The front end is stateless between frames (the EBBI accumulator is
-/// cleared by every readout), so beyond the tracker the only persistent
-/// state is cursor/bookkeeping plus the ops tallies. The `tracker` blob
+/// Between frames the front end holds only the open window's EBBI latch,
+/// so beyond the tracker the state is that latch, the cursor and the ops
+/// tallies, whose size does not depend on how busy the window is. The
+/// `tracker` blob
 /// is back-end-specific; `backend` records which back-end wrote it so a
 /// restore into the wrong tracker is rejected, not garbled.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SessionState {
     /// Registry name of the back-end that saved `tracker`.
     pub backend: String,
-    /// Frames emitted so far (equals the next flush cursor mid-stream).
+    /// Frames emitted so far, which is also the open window's index.
     pub frames_processed: u64,
-    /// Index of the next readout window to flush.
-    pub next_index: u64,
     /// Running sum of per-frame active tracker counts.
     pub active_tracker_sum: u64,
-    /// Events of the current (not yet flushed) readout window.
-    pub pending: Vec<Event>,
+    /// Events the open (not yet read out) window has consumed.
+    pub window_events: u64,
+    /// The open window's latched EBBI; `None` for event-domain back-ends,
+    /// whose tracker state holds what the window did to them.
+    pub window_latch: Option<BinaryImage>,
     /// Timestamp of the last pushed event, `None` before any push.
     pub last_pushed_t: Option<Timestamp>,
     /// Raw front-end ops tallies `[ebbi, median, rpn, roe]`; `None` for
@@ -342,24 +301,21 @@ pub struct SessionState {
 
 /// A complete checkpoint of a
 /// [`TwoTimescalePipeline`](crate::TwoTimescalePipeline): both
-/// sub-pipeline states plus the slow-path phase (window ring, stride
-/// position, held slow tracks) and the composite's own push buffer.
+/// sub-pipeline states (the fast one holds the open window and the push
+/// watermark) plus the slow-path phase (EBBI ring, stride position, held
+/// slow tracks).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TwoTimescaleState {
     /// Fast sub-pipeline state.
     pub fast: SessionState,
     /// Slow sub-pipeline state.
     pub slow: SessionState,
-    /// Recent fast-window event ring feeding the slow exposure.
-    pub recent_windows: Vec<Vec<Event>>,
+    /// The last fast frames' raw EBBIs, oldest first.
+    pub recent_ebbis: Vec<BinaryImage>,
     /// Fast frames since the slow pipeline last stepped.
     pub frames_since_slow: u64,
     /// Slow tracks held for dedup against upcoming fast frames.
     pub held_slow_tracks: Vec<crate::TrackBox>,
-    /// Events of the current (not yet flushed) fast window.
-    pub pending: Vec<Event>,
-    /// Timestamp of the last pushed event, `None` before any push.
-    pub last_pushed_t: Option<Timestamp>,
 }
 
 #[cfg(test)]
@@ -369,21 +325,16 @@ mod tests {
     #[test]
     fn writer_reader_round_trip_all_primitives() {
         let mut w = StateWriter::new();
-        w.put_u8(7);
         w.put_bool(true);
-        w.put_u16(65_000);
         w.put_u32(u32::MAX - 3);
         w.put_u64(u64::MAX - 5);
         w.put_f32(-0.0);
         w.put_f64(f64::NAN);
         w.put_ops(&OpsCounter { comparisons: 1, additions: 2, multiplications: 3, mem_writes: 4 });
-        w.put_event(&Event::off(239, 179, 123_456));
         let bytes = w.finish();
 
         let mut r = StateReader::new(&bytes);
-        assert_eq!(r.get_u8().unwrap(), 7);
         assert!(r.get_bool().unwrap());
-        assert_eq!(r.get_u16().unwrap(), 65_000);
         assert_eq!(r.get_u32().unwrap(), u32::MAX - 3);
         assert_eq!(r.get_u64().unwrap(), u64::MAX - 5);
         assert_eq!(r.get_f32().unwrap().to_bits(), (-0.0f32).to_bits(), "bit-exact negative zero");
@@ -392,7 +343,6 @@ mod tests {
             r.get_ops().unwrap(),
             OpsCounter { comparisons: 1, additions: 2, multiplications: 3, mem_writes: 4 }
         );
-        assert_eq!(r.get_event().unwrap(), Event::off(239, 179, 123_456));
         r.finish().unwrap();
     }
 
@@ -407,8 +357,6 @@ mod tests {
 
         let mut r = StateReader::new(&[2]);
         assert!(matches!(r.get_bool().unwrap_err(), StateError::Invalid(_)));
-        let mut r = StateReader::new(&[0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 2, 0, 3]);
-        assert!(matches!(r.get_event().unwrap_err(), StateError::Invalid(_)));
     }
 
     #[test]

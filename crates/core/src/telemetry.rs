@@ -6,9 +6,10 @@
 //! ARCHITECTURE.md §7). A pipeline without telemetry attached pays one
 //! `Option` branch per stage and records nothing; with it attached, each
 //! stage costs two relaxed atomic adds per frame, and the clock is read
-//! once per stage boundary: the four front-end stages share five
-//! `Instant` reads (each stage ends where the next begins) and the
-//! tracker step takes two.
+//! once per stage boundary: the four front-end stages of a window close
+//! share five `Instant` reads (each stage ends where the next begins) and
+//! the tracker step takes two. Each slice consumed before the close
+//! takes two more, added to its stage's one sample for the frame.
 //!
 //! Telemetry never feeds back into the computation: attaching it cannot
 //! change any `FrameResult`, which the determinism suites assert
@@ -31,7 +32,7 @@ pub const STAGES: [&str; 5] = ["ebbi", "median", "rpn", "roe", "tracker"];
 /// of a fleet — or registered per stream — as the caller prefers.
 #[derive(Debug, Clone)]
 pub struct StageTelemetry {
-    /// EBBI accumulate + readout.
+    /// EBBI latch of each slice as it arrived, plus the readout.
     pub ebbi: Arc<Histogram>,
     /// Median denoising.
     pub median: Arc<Histogram>,
@@ -39,7 +40,7 @@ pub struct StageTelemetry {
     pub rpn: Arc<Histogram>,
     /// Region-of-exclusion filtering.
     pub roe: Arc<Histogram>,
-    /// Tracker back-end step.
+    /// Tracker back-end step, plus an event-domain back-end's slices.
     pub tracker: Arc<Histogram>,
 }
 

@@ -12,10 +12,15 @@
 //! stride keeps consecutive slow frames overlapping, which the overlap
 //! tracker's matching rule requires. Fast-tracker boxes suppress duplicate
 //! slow-tracker boxes covering the same object.
+//!
+//! The slow EBBI is the OR of a ring of the last `slow_factor` raw fast
+//! EBBIs: bit- and op-exact against latching the exposure's events, as an
+//! EBBI latches idempotently and Eq. 1 charges each newly set pixel once.
 
 use std::collections::VecDeque;
 
 use ebbiot_events::{Event, Micros, Timestamp};
+use ebbiot_frame::BinaryImage;
 
 use crate::{
     config::EbbiotConfig,
@@ -66,14 +71,10 @@ pub struct TwoTimescalePipeline {
     config: TwoTimescaleConfig,
     fast: EbbiotPipeline,
     slow: EbbiotPipeline,
-    /// Ring of the last `slow_factor` fast windows' events.
-    recent_windows: VecDeque<Vec<Event>>,
+    /// The last `slow_factor` raw fast EBBIs, oldest first.
+    recent_ebbis: VecDeque<BinaryImage>,
     frames_since_slow: usize,
     held_slow_tracks: Vec<TrackBox>,
-    /// Streaming state: events of the currently open fast window.
-    pending: Vec<Event>,
-    /// Streaming state: timestamp of the last pushed event.
-    last_pushed_t: Option<Timestamp>,
 }
 
 impl TwoTimescalePipeline {
@@ -97,11 +98,9 @@ impl TwoTimescalePipeline {
         Self {
             fast: EbbiotPipeline::new(config.fast.clone()),
             slow: EbbiotPipeline::new(slow_cfg),
-            recent_windows: VecDeque::with_capacity(config.slow_factor),
+            recent_ebbis: VecDeque::with_capacity(config.slow_factor),
             frames_since_slow: 0,
             held_slow_tracks: Vec::new(),
-            pending: Vec::new(),
-            last_pushed_t: None,
             config,
         }
     }
@@ -157,9 +156,10 @@ impl TwoTimescalePipeline {
     }
 
     /// Captures the composite's complete mutable state: both
-    /// sub-pipeline checkpoints plus the slow-path phase (window ring,
-    /// stride position, held slow tracks) and the composite's own push
-    /// buffer. [`Self::restore`] + pushing the remaining events is
+    /// sub-pipeline checkpoints (the fast one holds the open window and
+    /// the push watermark) plus the slow-path phase (EBBI ring, stride
+    /// position, held slow tracks). [`Self::restore`] + pushing the
+    /// remaining events is
     /// bit-identical to the uninterrupted run, even for checkpoints
     /// landing between a fast and a slow frame boundary — the
     /// two-timescale proptests in `crates/core/tests/proptests.rs`
@@ -169,11 +169,9 @@ impl TwoTimescalePipeline {
         crate::TwoTimescaleState {
             fast: self.fast.checkpoint(),
             slow: self.slow.checkpoint(),
-            recent_windows: self.recent_windows.iter().cloned().collect(),
+            recent_ebbis: self.recent_ebbis.iter().cloned().collect(),
             frames_since_slow: self.frames_since_slow as u64,
             held_slow_tracks: self.held_slow_tracks.clone(),
-            pending: self.pending.clone(),
-            last_pushed_t: self.last_pushed_t,
         }
     }
 
@@ -184,7 +182,8 @@ impl TwoTimescalePipeline {
     ///
     /// Any [`StateError`](crate::StateError) from restoring either
     /// sub-pipeline, or [`StateError::Invalid`](crate::StateError) when
-    /// the window ring exceeds `slow_factor`.
+    /// the EBBI ring exceeds `slow_factor` or holds an image of another
+    /// geometry.
     ///
     /// # Panics
     ///
@@ -194,8 +193,11 @@ impl TwoTimescalePipeline {
         state: &crate::TwoTimescaleState,
     ) -> Result<Self, crate::StateError> {
         let mut pipeline = Self::new(config);
-        if state.recent_windows.len() > pipeline.config.slow_factor {
-            return Err(crate::StateError::Invalid("window ring exceeds slow_factor"));
+        if state.recent_ebbis.len() > pipeline.config.slow_factor {
+            return Err(crate::StateError::Invalid("EBBI ring exceeds slow_factor"));
+        }
+        if state.recent_ebbis.iter().any(|e| e.geometry() != pipeline.config.fast.geometry) {
+            return Err(crate::StateError::Invalid("EBBI ring geometry differs from config"));
         }
         let fast_cfg = pipeline.fast.config().clone();
         let slow_cfg = pipeline.slow.config().clone();
@@ -209,27 +211,23 @@ impl TwoTimescalePipeline {
             OverlapTracker::new(pipeline.config.fast.geometry, pipeline.config.fast.ot),
             &state.slow,
         )?;
-        pipeline.recent_windows = state.recent_windows.iter().cloned().collect();
+        pipeline.recent_ebbis = state.recent_ebbis.iter().cloned().collect();
         pipeline.frames_since_slow = usize::try_from(state.frames_since_slow)
             .map_err(|_| crate::StateError::Invalid("stride phase exceeds usize"))?;
         pipeline.held_slow_tracks = state.held_slow_tracks.clone();
-        pipeline.pending = state.pending.clone();
-        pipeline.last_pushed_t = state.last_pushed_t;
         Ok(pipeline)
     }
 
-    /// Resets both sub-pipelines and all composite state (window ring,
-    /// stride phase, held tracks, push buffer) for a new recording,
+    /// Resets both sub-pipelines and all composite state (EBBI ring,
+    /// stride phase, held tracks) for a new recording,
     /// keeping the configuration — the composite counterpart of
     /// [`Pipeline::reset`](crate::Pipeline::reset).
     pub fn reset(&mut self) {
         self.fast.reset();
         self.slow.reset();
-        self.recent_windows.clear();
+        self.recent_ebbis.clear();
         self.frames_since_slow = 0;
         self.held_slow_tracks.clear();
-        self.pending.clear();
-        self.last_pushed_t = None;
     }
 }
 
@@ -246,27 +244,41 @@ impl WindowedStream for TwoTimescalePipeline {
         self.fast.frames_processed()
     }
 
-    fn push_state(&mut self) -> (&mut Vec<Event>, &mut Option<Timestamp>) {
-        (&mut self.pending, &mut self.last_pushed_t)
+    fn window_events(&self) -> u64 {
+        self.fast.window_events()
     }
 
-    /// Processes one fast frame of events.
-    fn process_window(&mut self, events: &[Event]) -> TwoTimescaleResult {
-        let fast_result = self.fast.process_window(events);
-        if self.recent_windows.len() == self.config.slow_factor {
-            self.recent_windows.pop_front();
-        }
-        self.recent_windows.push_back(events.to_vec());
+    fn watermark(&mut self) -> &mut Option<Timestamp> {
+        self.fast.watermark()
+    }
+
+    fn accumulate(&mut self, events: &[Event]) {
+        self.fast.accumulate(events);
+    }
+
+    /// Closes one fast frame, and a slow one every `slow_stride` frames.
+    fn close_window(&mut self) -> TwoTimescaleResult {
+        let fast_result = self.fast.close_window();
+        let raw = self.fast.frontend().expect("the fast pipeline runs the front end").last_ebbi();
+        let slot = if self.recent_ebbis.len() == self.config.slow_factor {
+            let mut oldest = self.recent_ebbis.pop_front().expect("a full ring is non-empty");
+            oldest.copy_from(raw);
+            oldest
+        } else {
+            raw.clone()
+        };
+        self.recent_ebbis.push_back(slot);
         self.frames_since_slow += 1;
         if self.frames_since_slow >= self.config.slow_stride
-            && self.recent_windows.len() >= self.config.slow_factor.min(2)
+            && self.recent_ebbis.len() >= self.config.slow_factor.min(2)
         {
             // The exposures overlap (`slow_factor` fast frames, sliding
-            // by `slow_stride`), so the slow pipeline is fed one exposure
-            // per window directly rather than through its own windower.
-            let exposure: Vec<Event> =
-                self.recent_windows.iter().flat_map(|w| w.iter().copied()).collect();
-            let slow_result = self.slow.process_window(&exposure);
+            // by `slow_stride`), so the slow pipeline latches one
+            // directly rather than through its own windower.
+            for ebbi in &self.recent_ebbis {
+                self.slow.latch_image(ebbi);
+            }
+            let slow_result = self.slow.close_window();
             self.held_slow_tracks = slow_result.tracks;
             self.frames_since_slow = 0;
         }
@@ -282,6 +294,12 @@ mod tests {
 
     fn config() -> TwoTimescaleConfig {
         TwoTimescaleConfig::paper_extension(EbbiotConfig::paper_default(SensorGeometry::davis240()))
+    }
+
+    /// Runs `events` through the open fast window, then closes it.
+    fn frame(p: &mut TwoTimescalePipeline, events: &[Event]) -> TwoTimescaleResult {
+        p.accumulate(events);
+        p.close_window()
     }
 
     /// A slow walker: per fast frame it only paints a 1-px-wide strip
@@ -303,7 +321,7 @@ mod tests {
     fn walker_invisible_to_fast_pipeline_alone() {
         let mut p = TwoTimescalePipeline::new(config());
         for k in 0..16 {
-            let r = p.process_window(&walker_strip(k));
+            let r = frame(&mut p, &walker_strip(k));
             assert!(r.fast.tracks.is_empty(), "1x16 strip erased by the fast median");
         }
     }
@@ -313,7 +331,7 @@ mod tests {
         let mut p = TwoTimescalePipeline::new(config());
         let mut frames_with_slow_track = 0;
         for k in 0..48 {
-            let r = p.process_window(&walker_strip(k));
+            let r = frame(&mut p, &walker_strip(k));
             if !r.slow_tracks.is_empty() {
                 frames_with_slow_track += 1;
                 let b = &r.slow_tracks[0].bbox;
@@ -332,7 +350,7 @@ mod tests {
         let mut changes = 0;
         let mut prev: Option<Vec<TrackBox>> = None;
         for k in 0..24 {
-            let r = p.process_window(&walker_strip(k));
+            let r = frame(&mut p, &walker_strip(k));
             if let Some(prev_tracks) = &prev {
                 if *prev_tracks != r.slow_tracks {
                     changes += 1;
@@ -357,7 +375,7 @@ mod tests {
                     events.push(Event::on(x0 + dx, 90 + dy, k as u64 * 66_000 + u64::from(dy)));
                 }
             }
-            let r = p.process_window(&events);
+            let r = frame(&mut p, &events);
             if !r.fast.tracks.is_empty() {
                 // Any slow track must not duplicate the fast one.
                 for s in &r.slow_tracks {

@@ -4,11 +4,13 @@
 //! [`TwoTimescalePipeline::push`](crate::TwoTimescalePipeline::push) both
 //! cut a time-ordered event stream, arriving in arbitrary chunks, into
 //! `tF` frame windows. This module is that cut, written once and done
-//! per slice rather than per event: one order check over the chunk, one
-//! `partition_point` split per window the chunk touches, and one
-//! `extend_from_slice` of each window's events into the open-window
-//! buffer. Both pipelines' `process_recording` go through it too, so it
-//! is the only windower in the crate.
+//! per slice rather than per event: one order check over the chunk and
+//! one `partition_point` split per window the chunk touches. Each slice
+//! goes straight to the stream, which consumes it as it arrives (the
+//! EBBI back-ends latch it, NN-EBMS filters and tracks it), so nothing
+//! holds a window's events; closing a window only reads out what the
+//! stream kept. Both pipelines' `process_recording` go through it too,
+//! so it is the only windower in the crate.
 
 use ebbiot_events::{Event, Micros, Timestamp};
 
@@ -23,12 +25,19 @@ pub(crate) trait WindowedStream {
     /// Frames emitted so far, which is also the index of the open window.
     fn frames_emitted(&self) -> usize;
 
-    /// The open window's buffered events and the timestamp of the last
-    /// pushed event (the cross-chunk ordering watermark).
-    fn push_state(&mut self) -> (&mut Vec<Event>, &mut Option<Timestamp>);
+    /// How many events the open window has consumed.
+    fn window_events(&self) -> u64;
 
-    /// Processes one window's events as the next frame.
-    fn process_window(&mut self, events: &[Event]) -> Self::Frame;
+    /// The timestamp of the last pushed event (the cross-chunk ordering
+    /// watermark).
+    fn watermark(&mut self) -> &mut Option<Timestamp>;
+
+    /// Consumes the next slice of the open window's events.
+    fn accumulate(&mut self, events: &[Event]);
+
+    /// Closes the open window, emitting what it accumulated as the next
+    /// frame.
+    fn close_window(&mut self) -> Self::Frame;
 }
 
 /// Streams a chunk into `stream`, returning the frames it completes.
@@ -45,7 +54,7 @@ pub(crate) fn push<S: WindowedStream>(stream: &mut S, chunk: &[Event]) -> Vec<S:
     let frame_us = stream.frame_us();
     let window_of = |e: &Event| e.t / frame_us;
     assert!(
-        stream.push_state().1.is_none_or(|t| t <= first.t),
+        stream.watermark().is_none_or(|t| t <= first.t),
         "pushed events must be time-ordered across chunks"
     );
     // `fold` with `&`, not `all`: without an early exit the check
@@ -62,17 +71,17 @@ pub(crate) fn push<S: WindowedStream>(stream: &mut S, chunk: &[Event]) -> Vec<S:
         "event at t={} belongs to already-emitted frame {first_window}",
         first.t
     );
-    *stream.push_state().1 = Some(last.t);
+    *stream.watermark() = Some(last.t);
 
     let mut out = Vec::new();
     let mut rest = chunk;
     while let Some(head) = rest.first() {
         let window = window_of(head);
         while stream.frames_emitted() < window as usize {
-            out.push(flush(stream));
+            out.push(stream.close_window());
         }
         let n = rest.partition_point(|e| window_of(e) == window);
-        stream.push_state().0.extend_from_slice(&rest[..n]);
+        stream.accumulate(&rest[..n]);
         rest = &rest[n..];
     }
     out
@@ -81,23 +90,13 @@ pub(crate) fn push<S: WindowedStream>(stream: &mut S, chunk: &[Event]) -> Vec<S:
 /// Ends the stream: emits the open window plus trailing empty windows
 /// until at least `span_us` is covered, and clears the ordering watermark.
 pub(crate) fn finish<S: WindowedStream>(stream: &mut S, span_us: Micros) -> Vec<S::Frame> {
-    let open = usize::from(!stream.push_state().0.is_empty());
+    let open = usize::from(stream.window_events() > 0);
     let from_span = span_us.div_ceil(stream.frame_us()) as usize;
     let target = (stream.frames_emitted() + open).max(from_span);
     let mut out = Vec::new();
     while stream.frames_emitted() < target {
-        out.push(flush(stream));
+        out.push(stream.close_window());
     }
-    *stream.push_state().1 = None;
+    *stream.watermark() = None;
     out
-}
-
-/// Emits the open window as a frame, reusing the buffer's allocation.
-fn flush<S: WindowedStream>(stream: &mut S) -> S::Frame {
-    let buffer = core::mem::take(stream.push_state().0);
-    let frame = stream.process_window(&buffer);
-    let pending = stream.push_state().0;
-    *pending = buffer;
-    pending.clear();
-    frame
 }

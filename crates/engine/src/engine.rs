@@ -500,8 +500,10 @@ impl Scheduler {
     }
 
     /// Blocks until a ready stream is available and claims it: own
-    /// deque first (newest first — locality), then the injector, then a
-    /// steal from another worker's deque (oldest first). `skip_local`
+    /// deque first (locality), then the injector, then a steal from
+    /// another worker's deque. Every queue is popped oldest first, so
+    /// the stream that became ready first, which is the one a producer
+    /// filling streams in time order blocks on, waits least. `skip_local`
     /// (jitter only) demotes the own-deque check behind the steal scan,
     /// forcing migrations. Returns `None` once the engine shut down and
     /// every queue is empty.
@@ -509,7 +511,7 @@ impl Scheduler {
         let mut state = lock(&self.state);
         loop {
             if !skip_local {
-                if let Some(stream) = state.locals[worker].pop_back() {
+                if let Some(stream) = state.locals[worker].pop_front() {
                     return Some(self.claim(&mut state, stream, false));
                 }
             }
@@ -523,7 +525,7 @@ impl Scheduler {
                 }
             }
             // Jitter demoted the own deque; it must still drain.
-            if let Some(stream) = state.locals[worker].pop_back() {
+            if let Some(stream) = state.locals[worker].pop_front() {
                 return Some(self.claim(&mut state, stream, false));
             }
             if state.shutdown {
@@ -1197,6 +1199,17 @@ mod tests {
             }
         }
         events
+    }
+
+    #[test]
+    fn a_worker_claims_its_own_deque_oldest_first() {
+        let scheduler = Scheduler::new(1, Arc::new(Gauge::new()));
+        for stream in 0..3 {
+            scheduler.inject(stream, Some(0));
+        }
+        let order: Vec<usize> =
+            (0..3).map(|_| scheduler.next(0, false).expect("a stream is ready").stream).collect();
+        assert_eq!(order, [0, 1, 2]);
     }
 
     #[test]

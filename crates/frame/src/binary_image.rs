@@ -170,6 +170,22 @@ impl BinaryImage {
         was_zero
     }
 
+    /// Every word of the image, row after row.
+    #[must_use]
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
+    /// Rebuilds an image from its [`Self::words`]; `None` when the count
+    /// does not fit `geometry` or a tail bit is set.
+    #[must_use]
+    pub fn from_words(geometry: SensorGeometry, words: Vec<u64>) -> Option<Self> {
+        let words_per_row = (geometry.width() as usize).div_ceil(64);
+        let image = Self { geometry, words_per_row, words };
+        (image.words.len() == words_per_row * geometry.height() as usize && image.tail_bits_zero())
+            .then_some(image)
+    }
+
     /// Clears all pixels.
     pub fn clear(&mut self) {
         self.words.fill(0);
@@ -368,6 +384,20 @@ mod tests {
         assert_eq!(img.count_ones(), 0);
         assert_eq!(img.density(), 0.0);
         assert!(!img.get(0, 0));
+    }
+
+    #[test]
+    fn from_words_round_trips_and_rejects_bad_words() {
+        let geometry = SensorGeometry::new(70, 3);
+        let mut img = BinaryImage::new(geometry);
+        img.set(69, 2, true);
+        img.set(0, 1, true);
+        let words = img.words().to_vec();
+        assert_eq!(BinaryImage::from_words(geometry, words.clone()), Some(img));
+        assert_eq!(BinaryImage::from_words(geometry, words[1..].to_vec()), None, "word count");
+        let mut tail = words;
+        tail[1] |= 1 << 6; // pixel 70 of row 0: past the width
+        assert_eq!(BinaryImage::from_words(geometry, tail), None, "tail bit");
     }
 
     #[test]

@@ -90,6 +90,39 @@ impl EbbiAccumulator {
         self.ops.write(latched);
     }
 
+    /// Latches every set pixel of `image`, charging one Eq. 1 write per
+    /// pixel it sets. The event counter does not move.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `image` has a different geometry.
+    pub fn latch_image(&mut self, image: &BinaryImage) {
+        assert_eq!(image.geometry(), self.geometry(), "geometry mismatch in latch_image");
+        let mut latched = 0;
+        for y in 0..image.height() {
+            for (word, &set) in self.image.row_words_mut(y).iter_mut().zip(image.row_words(y)) {
+                latched += u64::from((set & !*word).count_ones());
+                *word |= set;
+            }
+        }
+        self.pixels_latched += latched;
+        self.ops.write(latched);
+    }
+
+    /// Replaces the latch with `image`, as latched by `events_seen`
+    /// events, and charges nothing: restoring a checkpointed window
+    /// restores its op tallies separately.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `image` has a different geometry.
+    pub fn restore_latch(&mut self, image: &BinaryImage, events_seen: u64) {
+        assert_eq!(image.geometry(), self.geometry(), "geometry mismatch in restore_latch");
+        self.image.copy_from(image);
+        self.events_seen = events_seen;
+        self.pixels_latched = image.count_ones() as u64;
+    }
+
     /// Number of events fed in since the last readout (the paper's `n`,
     /// with `n = beta * alpha * A * B`).
     #[must_use]
@@ -252,6 +285,34 @@ mod tests {
         acc.accumulate(&Event::on(7, 7, 0));
         assert!(acc.current().get(7, 7));
         assert_eq!(acc.events_seen(), 1, "peek does not reset");
+    }
+
+    #[test]
+    fn latching_images_charges_the_union_once() {
+        let first: Vec<_> = (0..6).map(|i| Event::on(i, 2, u64::from(i))).collect();
+        let second: Vec<_> = (3..9).map(|i| Event::off(i, 2, u64::from(i))).collect();
+        let mut by_events = EbbiAccumulator::new(geom());
+        by_events.accumulate_all(&first);
+        by_events.accumulate_all(&second);
+        let mut by_images = EbbiAccumulator::new(geom());
+        by_images.latch_image(&ebbi_from_events(geom(), &first));
+        by_images.latch_image(&ebbi_from_events(geom(), &second));
+        assert_eq!(by_images.ops(), by_events.ops());
+        assert_eq!(by_images.ops().mem_writes, 9);
+        assert_eq!(by_images.readout(), by_events.readout());
+    }
+
+    #[test]
+    fn a_restored_latch_matches_the_original_without_a_charge() {
+        let events: Vec<_> = (0..12).map(|i| Event::on(i % 5, i / 5, u64::from(i))).collect();
+        let mut original = EbbiAccumulator::new(geom());
+        original.accumulate_all(&events);
+        let mut restored = EbbiAccumulator::new(geom());
+        restored.restore_latch(original.current(), original.events_seen());
+        assert_eq!(restored.ops().total(), 0);
+        assert_eq!(restored.events_seen(), 12);
+        assert_eq!(restored.pixels_latched(), original.pixels_latched());
+        assert_eq!(restored.readout(), original.readout());
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!
 //! ```text
 //! header    magic        [u8; 4] = b"EBSS"
-//!           version      u16     = 1
+//!           version      u16     = 2
 //!           width        u16       sensor columns
 //!           height       u16       sensor rows
 //!           backend_len  u16
@@ -20,18 +20,22 @@
 //!           checkpoint_t u64       resume instant T (events t < T are in)
 //!           backend      [u8; backend_len]   UTF-8 registry name
 //!           name         [u8; name_len]      UTF-8 stream name
-//! section*  tag          [u8; 4]   b"PIPE", b"PEND", b"TRKR", in order
+//! section*  tag          [u8; 4]   b"PIPE", b"OPEN", b"TRKR", in order
 //!           len          u32       payload bytes
 //!           crc32        u32       CRC-32 (IEEE) of payload
 //!           payload      [u8; len]
 //! trailer   magic        [u8; 4] = b"EBSE"
 //! ```
 //!
-//! The three sections carry the pipeline cursors/ops (`PIPE`), the
-//! buffered events of the unflushed window (`PEND`) and the back-end's
-//! opaque [`Tracker::save_state`](ebbiot_core::Tracker::save_state)
-//! blob (`TRKR`), each encoded with the checkpoint codec of
-//! `ebbiot_core::state`. `checkpoint_t` is the caller-declared cut
+//! The three sections carry the pipeline cursors/ops (`PIPE`), the open
+//! window (`OPEN`) and the back-end's opaque
+//! [`Tracker::save_state`](ebbiot_core::Tracker::save_state) blob
+//! (`TRKR`), each encoded with the checkpoint codec of
+//! `ebbiot_core::state`. `OPEN` holds the window's `u64` event count, a
+//! `bool`, and when it is set (front-end back-ends) the latched EBBI's
+//! `u32` word count and raw row words: the sensor memory, fixed by the
+//! geometry, so a snapshot does not grow with scene activity.
+//! `checkpoint_t` is the caller-declared cut
 //! instant: a crash recovery seeks the archived `EBST` tail to it with
 //! [`ChunkReader::seek_to_time`](crate::ChunkReader::seek_to_time) and
 //! replays forward.
@@ -41,6 +45,7 @@ use std::path::Path;
 
 use ebbiot_core::{SessionState, StateError, StateReader, StateWriter, FRONTEND_OPS_COUNTERS};
 use ebbiot_events::SensorGeometry;
+use ebbiot_frame::BinaryImage;
 
 use crate::format::crc32;
 
@@ -49,13 +54,13 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"EBSS";
 /// EBSS trailer magic.
 pub const SNAPSHOT_END_MAGIC: [u8; 4] = *b"EBSE";
 /// Current EBSS format version.
-pub const SNAPSHOT_VERSION: u16 = 1;
+pub const SNAPSHOT_VERSION: u16 = 2;
+
+/// The open-window section's tag.
+const OPEN_TAG: [u8; 4] = *b"OPEN";
 
 /// Section tags, in their mandatory file order.
-const SECTION_TAGS: [[u8; 4]; 3] = [*b"PIPE", *b"PEND", *b"TRKR"];
-
-/// Bytes of one serialized pending event (t u64, x u16, y u16, bit u8).
-const EVENT_STATE_BYTES: usize = 13;
+const SECTION_TAGS: [[u8; 4]; 3] = [*b"PIPE", OPEN_TAG, *b"TRKR"];
 
 /// Everything that can go wrong reading or writing an EBSS snapshot.
 #[derive(Debug)]
@@ -68,6 +73,8 @@ pub enum SnapshotError {
     BadMagic([u8; 4]),
     /// Unsupported format version.
     UnsupportedVersion(u16),
+    /// The header declares a sensor with no columns or no rows.
+    ZeroGeometry,
     /// The backend or stream name was not valid UTF-8.
     BadName,
     /// The stream or backend name exceeds the `u16` length field.
@@ -99,6 +106,7 @@ impl core::fmt::Display for SnapshotError {
             SnapshotError::Truncated => write!(f, "input shorter than the EBSS structure"),
             SnapshotError::BadMagic(m) => write!(f, "bad EBSS magic bytes {m:?}"),
             SnapshotError::UnsupportedVersion(v) => write!(f, "unsupported EBSS version {v}"),
+            SnapshotError::ZeroGeometry => write!(f, "EBSS header declares a zero-sized sensor"),
             SnapshotError::BadName => write!(f, "snapshot name is not valid UTF-8"),
             SnapshotError::NameTooLong(n) => write!(f, "snapshot name of {n} bytes exceeds u16"),
             SnapshotError::BadSection { tag, reason } => {
@@ -158,14 +166,17 @@ pub struct SnapshotHeader {
 /// size in bytes.
 ///
 /// `checkpoint_t` is the caller's declaration of the cut instant — the
-/// writer cannot derive it from the state (mid-recording the pending
-/// window straddles the cut), so recovery code reads it back from the
-/// header instead of guessing.
+/// writer cannot derive it from the state (mid-recording the open window
+/// straddles the cut), so recovery code reads it back from the header
+/// instead of guessing. The writer refuses, before writing any byte, an
+/// open window the reader would reject.
 ///
 /// # Errors
 ///
 /// [`SnapshotError::NameTooLong`] when a name exceeds the `u16` length
-/// field, or [`SnapshotError::Io`] from the sink.
+/// field, [`SnapshotError::BadSection`] (tag `OPEN`) when the latch does
+/// not have `geometry` or holds pixels of a window with no events, or
+/// [`SnapshotError::Io`] from the sink.
 pub fn write_snapshot<W: Write>(
     out: &mut W,
     name: &str,
@@ -173,6 +184,12 @@ pub fn write_snapshot<W: Write>(
     checkpoint_t: u64,
     state: &SessionState,
 ) -> Result<u64, SnapshotError> {
+    if let Some(latch) = &state.window_latch {
+        if latch.geometry() != geometry {
+            return Err(bad_open("latch geometry differs from the header geometry"));
+        }
+        check_latch_events(state.window_events, latch)?;
+    }
     let backend = state.backend.as_bytes();
     let name = name.as_bytes();
     let backend_len =
@@ -192,15 +209,15 @@ pub fn write_snapshot<W: Write>(
     out.write_all(&header)?;
     let mut written = header.len() as u64;
 
-    let sections = [encode_pipe(state), encode_pend(state), state.tracker.clone()];
-    for (tag, payload) in SECTION_TAGS.iter().zip(&sections) {
-        let mut frame = Vec::with_capacity(12 + payload.len());
-        frame.extend_from_slice(tag);
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
+    let (pipe, open) = (encode_pipe(state), encode_open(state));
+    for (tag, payload) in SECTION_TAGS.iter().zip([&pipe, &open, &state.tracker]) {
+        let mut frame = [0u8; 12];
+        frame[..4].copy_from_slice(tag);
+        frame[4..8].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+        frame[8..].copy_from_slice(&crc32(payload).to_le_bytes());
         out.write_all(&frame)?;
-        written += frame.len() as u64;
+        out.write_all(payload)?;
+        written += (frame.len() + payload.len()) as u64;
     }
 
     out.write_all(&SNAPSHOT_END_MAGIC)?;
@@ -210,7 +227,6 @@ pub fn write_snapshot<W: Write>(
 fn encode_pipe(state: &SessionState) -> Vec<u8> {
     let mut w = StateWriter::new();
     w.put_u64(state.frames_processed);
-    w.put_u64(state.next_index);
     w.put_u64(state.active_tracker_sum);
     w.put_bool(state.last_pushed_t.is_some());
     w.put_u64(state.last_pushed_t.unwrap_or(0));
@@ -223,13 +239,18 @@ fn encode_pipe(state: &SessionState) -> Vec<u8> {
     w.finish()
 }
 
-fn encode_pend(state: &SessionState) -> Vec<u8> {
+fn encode_open(state: &SessionState) -> Vec<u8> {
     let mut w = StateWriter::new();
-    w.put_u32(state.pending.len() as u32);
-    for e in &state.pending {
-        w.put_event(e);
+    w.put_u64(state.window_events);
+    w.put_bool(state.window_latch.is_some());
+    let Some(latch) = &state.window_latch else { return w.finish() };
+    w.put_u32(latch.words().len() as u32);
+    let mut bytes = w.finish();
+    bytes.reserve_exact(latch.words().len() * 8);
+    for word in latch.words() {
+        bytes.extend_from_slice(&word.to_le_bytes());
     }
-    w.finish()
+    bytes
 }
 
 /// Decodes an EBSS snapshot from a complete byte image.
@@ -264,6 +285,9 @@ pub fn read_snapshot(bytes: &[u8]) -> Result<(SnapshotHeader, SessionState), Sna
     let name = core::str::from_utf8(cursor.take(name_len)?)
         .map_err(|_| SnapshotError::BadName)?
         .to_string();
+    if width == 0 || height == 0 {
+        return Err(SnapshotError::ZeroGeometry);
+    }
     let geometry = SensorGeometry::new(width, height);
 
     let mut payloads: [&[u8]; 3] = [&[]; 3];
@@ -289,17 +313,17 @@ pub fn read_snapshot(bytes: &[u8]) -> Result<(SnapshotHeader, SessionState), Sna
         return Err(SnapshotError::TrailingBytes);
     }
 
-    let state = decode_sections(backend, payloads)?;
+    let state = decode_sections(backend, geometry, payloads)?;
     Ok((SnapshotHeader { geometry, name, backend: state.backend.clone(), checkpoint_t }, state))
 }
 
 fn decode_sections(
     backend: String,
-    [pipe, pend, trkr]: [&[u8]; 3],
+    geometry: SensorGeometry,
+    [pipe, open, trkr]: [&[u8]; 3],
 ) -> Result<SessionState, SnapshotError> {
     let mut r = StateReader::new(pipe);
     let frames_processed = r.get_u64()?;
-    let next_index = r.get_u64()?;
     let active_tracker_sum = r.get_u64()?;
     let has_last = r.get_bool()?;
     let last_raw = r.get_u64()?;
@@ -315,32 +339,59 @@ fn decode_sections(
     };
     r.finish()?;
 
-    let mut r = StateReader::new(pend);
-    let count = r.get_u32()? as usize;
-    // Reject a lying count before decoding (and thus allocating) any
-    // events: the section must hold exactly `count` encoded events.
-    if r.remaining() != count.checked_mul(EVENT_STATE_BYTES).ok_or(SnapshotError::Truncated)? {
-        return Err(SnapshotError::BadSection {
-            tag: *b"PEND",
-            reason: "event count disagrees with the section length",
-        });
-    }
-    let mut pending = Vec::new();
-    for _ in 0..count {
-        pending.push(r.get_event()?);
-    }
-    r.finish()?;
+    let (window_events, window_latch) = decode_open(geometry, open)?;
 
     Ok(SessionState {
         backend,
         frames_processed,
-        next_index,
         active_tracker_sum,
-        pending,
+        window_events,
+        window_latch,
         last_pushed_t,
         frontend_ops,
         tracker: trkr.to_vec(),
     })
+}
+
+fn decode_open(
+    geometry: SensorGeometry,
+    open: &[u8],
+) -> Result<(u64, Option<BinaryImage>), SnapshotError> {
+    let mut r = StateReader::new(open);
+    let window_events = r.get_u64()?;
+    if !r.get_bool()? {
+        r.finish()?;
+        return Ok((window_events, None));
+    }
+    let count = r.get_u32()? as usize;
+    if count != (geometry.width() as usize).div_ceil(64) * geometry.height() as usize {
+        return Err(bad_open("latch word count does not fit the header geometry"));
+    }
+    // Check the length before reading (and so allocating) any word.
+    let word_bytes = &open[open.len() - r.remaining()..];
+    if word_bytes.len() != count * 8 {
+        return Err(bad_open("latch word count disagrees with the section length"));
+    }
+    let words = word_bytes
+        .chunks_exact(8)
+        .map(|b| u64::from_le_bytes(b.try_into().expect("len 8")))
+        .collect();
+    let latch = BinaryImage::from_words(geometry, words)
+        .ok_or_else(|| bad_open("latched bit set past the sensor width"))?;
+    check_latch_events(window_events, &latch)?;
+    Ok((window_events, Some(latch)))
+}
+
+fn bad_open(reason: &'static str) -> SnapshotError {
+    SnapshotError::BadSection { tag: OPEN_TAG, reason }
+}
+
+/// A window with no events cannot have latched a pixel.
+fn check_latch_events(window_events: u64, latch: &BinaryImage) -> Result<(), SnapshotError> {
+    if window_events == 0 && latch.count_ones() > 0 {
+        return Err(bad_open("latched pixels in a window with no events"));
+    }
+    Ok(())
 }
 
 /// Reads and decodes an EBSS snapshot file.
@@ -385,15 +436,18 @@ impl<'a> Cursor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ebbiot_events::{Event, OpsCounter};
+    use ebbiot_events::OpsCounter;
 
     fn sample_state() -> SessionState {
+        let mut latch = BinaryImage::new(SensorGeometry::new(64, 48));
+        latch.set(10, 20, true);
+        latch.set(63, 47, true);
         SessionState {
             backend: "ebbiot".into(),
             frames_processed: 12,
-            next_index: 12,
             active_tracker_sum: 30,
-            pending: vec![Event::on(10, 20, 800_123), Event::off(11, 20, 800_200)],
+            window_events: 3,
+            window_latch: Some(latch),
             last_pushed_t: Some(800_200),
             frontend_ops: Some([
                 OpsCounter { comparisons: 1, additions: 2, multiplications: 3, mem_writes: 4 },
@@ -426,9 +480,9 @@ mod tests {
         let state = SessionState {
             backend: "nn-ebms".into(),
             frames_processed: 0,
-            next_index: 0,
             active_tracker_sum: 0,
-            pending: Vec::new(),
+            window_events: 0,
+            window_latch: None,
             last_pushed_t: None,
             frontend_ops: None,
             tracker: Vec::new(),
@@ -443,7 +497,7 @@ mod tests {
     fn wrong_magic_version_and_trailer_are_rejected() {
         let state = sample_state();
         let mut bytes = Vec::new();
-        write_snapshot(&mut bytes, "cam01", SensorGeometry::new(8, 8), 5, &state).unwrap();
+        write_snapshot(&mut bytes, "cam01", SensorGeometry::new(64, 48), 5, &state).unwrap();
 
         let mut bad = bytes.clone();
         bad[0] = b'X';
@@ -467,7 +521,7 @@ mod tests {
     fn section_corruption_fails_the_crc() {
         let state = sample_state();
         let mut bytes = Vec::new();
-        write_snapshot(&mut bytes, "cam01", SensorGeometry::new(8, 8), 5, &state).unwrap();
+        write_snapshot(&mut bytes, "cam01", SensorGeometry::new(64, 48), 5, &state).unwrap();
         // Flip a byte in the middle (inside some section payload).
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x40;
@@ -479,8 +533,8 @@ mod tests {
 
     #[test]
     fn error_display_names_the_section() {
-        let e = SnapshotError::SectionCrcMismatch { tag: *b"PEND" };
-        assert!(e.to_string().contains("PEND"), "{e}");
+        let e = SnapshotError::SectionCrcMismatch { tag: *b"OPEN" };
+        assert!(e.to_string().contains("OPEN"), "{e}");
         assert!(SnapshotError::State(StateError::Truncated).to_string().contains("truncated"));
     }
 }
