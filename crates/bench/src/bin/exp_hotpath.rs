@@ -32,29 +32,40 @@
 //! - `encode`: the word-store EBST chunk encoder against the one
 //!   `write_varint` per value reference, on the same full chunks, in
 //!   ns/event.
+//! - `telemetry`: a sequential `ebbiot` pass over each camera with the
+//!   per-stage timers attached (`with_stage_telemetry`) against the
+//!   same pass without them, in µs per camera.
 //!
 //! Reports ns per frame (per event for `decode` and `encode`, per byte
 //! for `crc`) and the speedup over the reference per fleet, writes
 //! `BENCH_hotpath.json`, and **asserts** the median kernel is at least
-//! 3x faster than the scalar reference on both fleets. The codec rows
-//! time each side
-//! in five alternating slices and keep the fastest, so a change in the
-//! host's speed hits both sides. Parity (bits, op counts, decoded
-//! events, encoded bytes) is asserted on every captured frame and
-//! chunk before timing starts. `--smoke` shrinks the fleets and the
+//! 3x faster than the scalar reference on both fleets, and that stage
+//! telemetry costs at most 3% of sequential throughput (or 10 ms
+//! absolute over a whole fleet pass) on both fleets. The codec and
+//! telemetry rows time each side in five alternating slices and keep
+//! the fastest, so a change in the host's speed hits both sides. Parity
+//! (bits, op counts, decoded events, encoded bytes, instrumented
+//! tracker output) is asserted on every captured frame, chunk and
+//! camera before timing starts. `--smoke` shrinks the fleets and the
 //! timing budget to CI size and skips the JSON artifact while still
-//! asserting parity and the floor.
+//! asserting parity and both budgets.
 
 use std::time::{Duration, Instant};
 
-use ebbiot_bench::{tracker_box_tiling, Flags, FleetFrames, JsonReport, CHUNK_EVENTS};
+use ebbiot_baselines::registry;
+use ebbiot_bench::{
+    ebbiot_config_for, run_fleet_sequential, tracker_box_tiling, Flags, FleetFrames, JsonReport,
+    CHUNK_EVENTS,
+};
+use ebbiot_core::StageTelemetry;
 use ebbiot_events::{Event, OpsCounter, SensorGeometry};
 use ebbiot_frame::{reference, Axis, BinaryImage, EbbiAccumulator, Histogram, MedianFilter, Run};
-use ebbiot_sim::DatasetPreset;
+use ebbiot_sim::{DatasetPreset, FleetConfig, SimulatedRecording};
 use ebbiot_store::format::{
     crc32, crc32_reference, decode_chunk_payload, decode_chunk_payload_fast, encode_chunk_payload,
     encode_chunk_payload_reference, read_varint, MAX_EVENT_BYTES,
 };
+use ebbiot_telemetry::Registry;
 
 /// The paper's RPN scale factors `(s1, s2)` and run threshold.
 const SCALE: (u16, u16) = (6, 3);
@@ -218,6 +229,59 @@ fn assert_parity(frames: &FleetFrames) {
     }
 }
 
+/// Stage telemetry's cost on one fleet: plain and stage-instrumented
+/// sequential `ebbiot` passes, camera by camera, timed in alternating
+/// slices. Asserts the instrumented output is bit-identical to the
+/// plain one first, prints the row and adds
+/// `telemetry_overhead_pct_<label>` to the report. Returns the
+/// overhead in percent (clamped at 0: a negative delta only means the
+/// instrumented side got the luckier slice) and the instrumented
+/// pass's extra seconds over the whole fleet.
+fn measure_telemetry(
+    label: &str,
+    preset: DatasetPreset,
+    fleet: &[SimulatedRecording],
+    budget: Duration,
+    report: JsonReport,
+) -> (JsonReport, f64, f64) {
+    let spec = registry::find_backend("ebbiot").expect("registered");
+    let config = ebbiot_config_for(preset, &fleet[0]).with_frame_us(fleet[0].frame_us);
+    let stage = StageTelemetry::register(&Registry::new());
+    let instrumented = |rec: &SimulatedRecording| {
+        spec.build(config.clone())
+            .with_stage_telemetry(stage.clone())
+            .process_recording(&rec.events, rec.duration_us)
+    };
+    assert_eq!(
+        fleet.iter().map(instrumented).collect::<Vec<_>>(),
+        run_fleet_sequential(spec, preset, fleet),
+        "stage telemetry changed sequential output"
+    );
+    let (inst_ns, plain_ns) = fastest_alternating(
+        budget,
+        fleet,
+        |rec| {
+            std::hint::black_box(instrumented(rec));
+        },
+        |rec| {
+            std::hint::black_box(
+                spec.build(config.clone()).process_recording(&rec.events, rec.duration_us),
+            );
+        },
+    );
+    let pct = (100.0 * (inst_ns - plain_ns) / plain_ns).max(0.0);
+    let extra_s = (inst_ns - plain_ns) * fleet.len() as f64 / 1e9;
+    println!(
+        "{:<20} on {:>13.1} µs/cam     off {:>13.1} µs/cam     overhead {pct:>6.2}% \
+         ({:+.3} ms per fleet pass)",
+        "stage telemetry",
+        inst_ns / 1e3,
+        plain_ns / 1e3,
+        extra_s * 1e3
+    );
+    (report.f64(&format!("telemetry_overhead_pct_{label}"), pct), pct, extra_s)
+}
+
 /// Times every kernel pair on one fleet's frames, printing a table and
 /// adding `<label>_*` fields to the report. Returns the median speedup.
 fn measure(
@@ -344,7 +408,6 @@ fn measure(
             .f64(&format!("{label}_{key}_speedup"), scalar / word);
     }
     println!("decode lane share {:.1}% of {} full chunks", lane_share * 100.0, chunks.len());
-    println!();
     (report, median_ref / median_word)
 }
 
@@ -365,12 +428,18 @@ fn main() {
         .u64("cameras", cameras as u64)
         .f64("seconds_per_camera", seconds);
     let mut median_speedups = Vec::new();
+    let mut overheads = Vec::new();
     for (label, preset) in [("lt4", DatasetPreset::Lt4), ("eng", DatasetPreset::Eng)] {
-        let frames = FleetFrames::capture(preset, cameras, seconds, seed);
+        let fleet =
+            FleetConfig::new(preset, cameras).with_seconds(seconds).with_base_seed(seed).generate();
+        let frames = FleetFrames::capture(&fleet);
         assert_parity(&frames);
         let (next, median_speedup) = measure(label, &frames, budget, report);
+        let (next, pct, extra_s) = measure_telemetry(label, preset, &fleet, budget, next);
+        println!();
         report = next;
         median_speedups.push((label, median_speedup));
+        overheads.push((label, pct, extra_s));
     }
     let floor_held = median_speedups.iter().all(|&(_, s)| s >= 3.0);
 
@@ -391,4 +460,13 @@ fn main() {
         "word-parallel median must be >= 3x the scalar reference on every fleet, measured \
          {median_speedups:?}"
     );
+    for (label, pct, extra_s) in overheads {
+        assert!(
+            pct <= 3.0 || extra_s <= 0.010,
+            "{label}: stage telemetry cost {pct:.2}% of sequential throughput, {:.2} ms over a \
+             fleet pass (budget 3% or 10 ms)",
+            extra_s * 1e3
+        );
+    }
+    println!("stage telemetry within budget (<= 3% or <= 10 ms per fleet pass) on every fleet");
 }

@@ -10,17 +10,18 @@
 #![warn(missing_docs)]
 
 pub mod accuracy;
-pub mod breakdown;
 pub mod net;
 
 use std::str::FromStr;
+use std::sync::Arc;
 
 use ebbiot_baselines::registry::{self, BackendSpec};
-use ebbiot_core::{EbbiotConfig, RegionOfExclusion};
+use ebbiot_core::{EbbiotConfig, RegionOfExclusion, StageTelemetry};
 use ebbiot_engine::{Engine, EngineOutput, FleetOptions, FleetStream};
 use ebbiot_eval::{sweep_thresholds, RecordingEval};
 use ebbiot_frame::BoundingBox;
 use ebbiot_sim::{DatasetPreset, SimulatedRecording};
+use ebbiot_telemetry::Registry;
 
 /// Per-frame tracker boxes, the evaluator's input shape.
 pub type FrameBoxes = Vec<Vec<BoundingBox>>;
@@ -131,9 +132,38 @@ pub fn run_fleet_backend(
     Engine::run_fleet(pipelines, &streams, options)
 }
 
-/// Sequentially processes the same fleet, one camera after another —
-/// the single-core baseline `exp_fleet` compares the engine against.
-/// Returns per-camera frame results in the same shape as
+/// Like [`run_fleet_backend`], but with the full telemetry story
+/// attached: the engine registers its contention metrics in `registry`
+/// and every pipeline records per-stage durations into one shared
+/// [`StageTelemetry`] (returned alongside the run). Worker, scheduler
+/// and queue-wait numbers are read back from `registry` after the run.
+/// Output is still bit-for-bit the sequential result — telemetry
+/// observes, never steers.
+#[must_use]
+pub fn run_fleet_backend_instrumented(
+    spec: &BackendSpec,
+    preset: DatasetPreset,
+    fleet: &[SimulatedRecording],
+    options: &FleetOptions,
+    registry: &Arc<Registry>,
+) -> (EngineOutput, StageTelemetry) {
+    assert!(!fleet.is_empty(), "fleet needs at least one camera");
+    let config = ebbiot_config_for(preset, &fleet[0]).with_frame_us(fleet[0].frame_us);
+    let stage = StageTelemetry::register(registry);
+    let pipelines = spec
+        .build_fleet(&config, fleet.len())
+        .into_iter()
+        .map(|p| p.with_stage_telemetry(stage.clone()))
+        .collect();
+    let streams: Vec<FleetStream<'_>> =
+        fleet.iter().map(|r| FleetStream { events: &r.events, span_us: r.duration_us }).collect();
+    let run = Engine::run_fleet_with_registry(pipelines, &streams, options, Arc::clone(registry));
+    (run, stage)
+}
+
+/// Sequentially processes the same fleet, one camera after another:
+/// the single-core reference the engine's output must equal bit for
+/// bit. Returns per-camera frame results in the same shape as
 /// [`EngineOutput::streams`].
 #[must_use]
 pub fn run_fleet_sequential(
@@ -159,8 +189,8 @@ pub const CHUNK_EVENTS: usize = 1_024;
 /// input), with the rows the median wrote. Empty frames are kept,
 /// because the workload has them too. Also holds each camera's events
 /// cut into [`CHUNK_EVENTS`]-event chunks, the decoder's input on
-/// replay. Shared by `exp_hotpath` and the `kernels` criterion bench so
-/// kernels are timed on workload data, not on a synthetic density.
+/// replay. `exp_hotpath` times its kernels on these, so they run on
+/// workload data, not on a synthetic density.
 #[derive(Debug, Clone)]
 pub struct FleetFrames {
     /// Each frame's event window, camera by camera, in frame order.
@@ -178,14 +208,9 @@ pub struct FleetFrames {
 }
 
 impl FleetFrames {
-    /// Simulates a `cameras`-strong `preset` fleet of `seconds` per
-    /// camera from `seed` and captures its frames.
+    /// Captures the frames of a simulated camera fleet.
     #[must_use]
-    pub fn capture(preset: DatasetPreset, cameras: usize, seconds: f64, seed: u64) -> Self {
-        let fleet = ebbiot_sim::FleetConfig::new(preset, cameras)
-            .with_seconds(seconds)
-            .with_base_seed(seed)
-            .generate();
+    pub fn capture(fleet: &[SimulatedRecording]) -> Self {
         let (windows, ebbis): (Vec<_>, Vec<_>) = fleet
             .iter()
             .flat_map(|rec| {

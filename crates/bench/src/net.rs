@@ -56,19 +56,7 @@ pub fn stream_camera(
 
 /// Encodes a complete client session — HELLO, `chunk_events`-sized
 /// EVENTS frames, FINISH — into one wire-ready byte buffer.
-///
-/// Splitting encoding from transmission lets benchmarks price the two
-/// separately: a real sensor encodes on-device, so server ingest
-/// throughput is measured against pre-encoded bytes
-/// ([`stream_session_bytes`]), not against a client racing to varint-
-/// encode on the same host.
-///
-/// # Panics
-///
-/// Panics when `events` is not time-ordered (clients frame validated
-/// streams) or `chunk_events` is zero.
-#[must_use]
-pub fn encode_session(
+fn encode_session(
     name: &str,
     geometry: SensorGeometry,
     span_us: Micros,
@@ -89,15 +77,7 @@ pub fn encode_session(
 
 /// Streams a pre-encoded session ([`encode_session`]) to the server
 /// and returns everything it sent back.
-///
-/// # Errors
-///
-/// Returns the first connection, protocol or server-reported error.
-///
-/// # Panics
-///
-/// Panics when the client reader thread cannot be spawned.
-pub fn stream_session_bytes(
+fn stream_session_bytes(
     addr: SocketAddr,
     name: &str,
     bytes: &[u8],
@@ -176,34 +156,6 @@ pub fn stream_fleet(
                     )
                 })
             })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("client thread panicked")).collect()
-    });
-    runs.into_iter().collect()
-}
-
-/// Streams a fleet of pre-encoded sessions ([`encode_session`], one
-/// buffer per camera in camera order) concurrently — the timed half of
-/// [`stream_fleet`] with client-side encoding already paid.
-///
-/// # Errors
-///
-/// Returns the first camera's error (by camera order).
-///
-/// # Panics
-///
-/// Panics when `sessions` and `fleet` differ in length.
-pub fn stream_fleet_bytes(
-    addr: SocketAddr,
-    fleet: &[ebbiot_sim::SimulatedRecording],
-    sessions: &[Vec<u8>],
-) -> Result<Vec<ClientRun>, WireError> {
-    assert_eq!(fleet.len(), sessions.len(), "one pre-encoded session per camera");
-    let runs: Vec<Result<ClientRun, WireError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = fleet
-            .iter()
-            .zip(sessions)
-            .map(|(rec, bytes)| scope.spawn(move || stream_session_bytes(addr, &rec.name, bytes)))
             .collect();
         handles.into_iter().map(|h| h.join().expect("client thread panicked")).collect()
     });

@@ -54,12 +54,6 @@ impl EbbiotConfig {
         self.frame_us = frame_us;
         self
     }
-
-    /// Frame rate in Hz implied by `frame_us` (the paper's ~15 Hz).
-    #[must_use]
-    pub fn frame_rate_hz(&self) -> f64 {
-        1e6 / self.frame_us as f64
-    }
 }
 
 #[cfg(test)]
@@ -80,12 +74,6 @@ mod tests {
     }
 
     #[test]
-    fn frame_rate_is_about_15_hz() {
-        let c = EbbiotConfig::paper_default(SensorGeometry::davis240());
-        assert!((c.frame_rate_hz() - 15.15).abs() < 0.1);
-    }
-
-    #[test]
     fn builders_override_fields() {
         let c = EbbiotConfig::paper_default(SensorGeometry::davis240())
             .with_frame_us(100_000)
@@ -94,7 +82,6 @@ mod tests {
             )]));
         assert_eq!(c.frame_us, 100_000);
         assert_eq!(c.roe.regions().len(), 1);
-        assert!((c.frame_rate_hz() - 10.0).abs() < 1e-9);
     }
 
     #[test]

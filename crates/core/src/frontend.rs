@@ -169,12 +169,6 @@ impl FrontEnd {
         &self.ebbi_scratch
     }
 
-    /// The region of exclusion in force.
-    #[must_use]
-    pub const fn roe(&self) -> &RegionOfExclusion {
-        &self.roe
-    }
-
     /// The denoised frame of the most recent [`Self::close_window`] call
     /// (diagnostics and visualization).
     #[must_use]

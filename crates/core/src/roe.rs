@@ -13,37 +13,23 @@ use ebbiot_frame::BoundingBox;
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RegionOfExclusion {
     regions: Vec<BoundingBox>,
-    /// A proposal is dropped when more than this fraction of its area lies
-    /// inside some excluded region.
-    overlap_threshold: f32,
 }
 
 impl RegionOfExclusion {
-    /// Default overlap threshold: half the proposal inside the ROE.
+    /// A proposal is dropped when more than this fraction of its area
+    /// lies inside some excluded region: half.
     pub const DEFAULT_THRESHOLD: f32 = 0.5;
 
     /// Creates an empty ROE (excludes nothing).
     #[must_use]
     pub fn none() -> Self {
-        Self { regions: Vec::new(), overlap_threshold: Self::DEFAULT_THRESHOLD }
+        Self { regions: Vec::new() }
     }
 
-    /// Creates a ROE from regions with the default threshold.
+    /// Creates a ROE from regions.
     #[must_use]
     pub fn new(regions: Vec<BoundingBox>) -> Self {
-        Self { regions, overlap_threshold: Self::DEFAULT_THRESHOLD }
-    }
-
-    /// Overrides the overlap threshold, builder style.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the threshold is outside `(0, 1]`.
-    #[must_use]
-    pub fn with_threshold(mut self, threshold: f32) -> Self {
-        assert!(threshold > 0.0 && threshold <= 1.0, "threshold must be in (0, 1]");
-        self.overlap_threshold = threshold;
-        self
+        Self { regions }
     }
 
     /// The excluded regions.
@@ -59,7 +45,7 @@ impl RegionOfExclusion {
             // Overlap test: ~4 comparisons + area ratio.
             ops.compare(4);
             ops.multiply(2);
-            if proposal.overlap_fraction(region) > self.overlap_threshold {
+            if proposal.overlap_fraction(region) > Self::DEFAULT_THRESHOLD {
                 return true;
             }
         }
@@ -119,12 +105,11 @@ mod tests {
     #[test]
     fn threshold_is_respected() {
         let region = BoundingBox::new(0.0, 0.0, 10.0, 10.0);
-        // Proposal has 40% of its area inside the region.
-        let proposal = BoundingBox::new(6.0, 0.0, 10.0, 10.0);
-        let loose = RegionOfExclusion::new(vec![region]).with_threshold(0.5);
-        assert!(!loose.excludes(&proposal, &mut ops()));
-        let strict = RegionOfExclusion::new(vec![region]).with_threshold(0.3);
-        assert!(strict.excludes(&proposal, &mut ops()));
+        let roe = RegionOfExclusion::new(vec![region]);
+        // 40% of the first proposal's area is inside the region, 60% of
+        // the second's.
+        assert!(!roe.excludes(&BoundingBox::new(6.0, 0.0, 10.0, 10.0), &mut ops()));
+        assert!(roe.excludes(&BoundingBox::new(4.0, 0.0, 10.0, 10.0), &mut ops()));
     }
 
     #[test]
@@ -144,12 +129,6 @@ mod tests {
         let proposal = BoundingBox::new(5.0, 0.0, 10.0, 10.0);
         let roe = RegionOfExclusion::new(vec![region]);
         assert!(!roe.excludes(&proposal, &mut ops()), "> not >=");
-    }
-
-    #[test]
-    #[should_panic(expected = "threshold")]
-    fn zero_threshold_panics() {
-        let _ = RegionOfExclusion::none().with_threshold(0.0);
     }
 
     #[test]

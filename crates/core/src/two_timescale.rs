@@ -105,12 +105,6 @@ impl TwoTimescalePipeline {
         }
     }
 
-    /// The slow exposure length in microseconds.
-    #[must_use]
-    pub fn slow_frame_us(&self) -> Micros {
-        self.config.fast.frame_us * self.config.slow_factor as Micros
-    }
-
     /// Drops held slow tracks that duplicate a fast track.
     fn dedup(&self, fast_tracks: &[TrackBox]) -> Vec<TrackBox> {
         self.held_slow_tracks
@@ -309,12 +303,6 @@ mod tests {
         let x0 = 100 + frame as u16; // ~1 px/frame drift of the strip
         let t0 = frame as u64 * 66_000;
         (0..16u16).map(|dy| Event::on(x0, 80 + dy, t0 + u64::from(dy))).collect()
-    }
-
-    #[test]
-    fn slow_frame_duration_is_multiplied() {
-        let p = TwoTimescalePipeline::new(config());
-        assert_eq!(p.slow_frame_us(), 528_000);
     }
 
     #[test]

@@ -128,13 +128,6 @@ pub struct StreamSnapshot {
     pub queue_depth: usize,
     /// Highest queue depth observed since start.
     pub queue_high_water: usize,
-    /// The worker that most recently owned the stream (`None` until the
-    /// first acquisition). Ownership is exclusive but **not** static:
-    /// streams migrate to whichever worker is free.
-    pub last_owner: Option<usize>,
-    /// Times the stream's ownership moved to a *different* worker than
-    /// its previous acquisition (0 means it never changed hands).
-    pub migrations: u64,
     /// Whether the stream's `finish` has been processed.
     pub finished: bool,
     /// Whether the stream was detached (its pipeline dropped and its
@@ -144,7 +137,7 @@ pub struct StreamSnapshot {
 
 /// Point-in-time view of the engine, from [`Engine::snapshot`] or
 /// [`EngineOutput::snapshot`]: the per-stream bookkeeping the stream
-/// mutexes hold, plus the scheduler's ready high-water mark.
+/// mutexes hold.
 ///
 /// Everything the engine counts in its [`Registry`] is read there, not
 /// copied here: worker busy/acquire/idle/wall time, chunks and steals
@@ -160,21 +153,8 @@ pub struct Snapshot {
     /// `worker="{workers - 1}"` series and no others; registering a
     /// handle for any other index would create an empty series.
     pub workers: usize,
-    /// Most streams ever simultaneously ready and awaiting a worker.
-    pub ready_high_water: usize,
     /// Per-stream statistics, indexed by [`StreamId`].
     pub streams: Vec<StreamSnapshot>,
-}
-
-/// `count / elapsed`, with a zero-duration run reported as 0 instead of
-/// NaN or a nonsense near-infinite rate.
-fn rate(count: u64, elapsed: Duration) -> f64 {
-    let secs = elapsed.as_secs_f64();
-    if secs > 0.0 {
-        count as f64 / secs
-    } else {
-        0.0
-    }
 }
 
 impl Snapshot {
@@ -196,18 +176,16 @@ impl Snapshot {
         self.streams.iter().map(|s| s.active_trackers).sum()
     }
 
-    /// Aggregate event throughput since start, events/second (0 for a
-    /// zero-duration run).
+    /// Aggregate event throughput since start, events/second: 0 for a
+    /// zero-duration run, not NaN or a near-infinite rate.
     #[must_use]
     pub fn events_per_sec(&self) -> f64 {
-        rate(self.events_in(), self.elapsed)
-    }
-
-    /// Aggregate frame throughput since start, frames/second (0 for a
-    /// zero-duration run).
-    #[must_use]
-    pub fn frames_per_sec(&self) -> f64 {
-        rate(self.frames_out(), self.elapsed)
+        let secs = self.elapsed.as_secs_f64();
+        if secs > 0.0 {
+            self.events_in() as f64 / secs
+        } else {
+            0.0
+        }
     }
 
     /// Deepest queue high-water mark across streams.
@@ -266,11 +244,9 @@ struct StreamWork<T: Tracker> {
     /// `Some` whenever no worker is running the stream; the owning
     /// worker takes it for the duration of a batch.
     pipeline: Option<Pipeline<T>>,
-    /// Worker of the most recent acquisition (also the injection
-    /// affinity hint: new work prefers the deque of the last owner).
+    /// Worker of the most recent acquisition, the injection affinity
+    /// hint: new work prefers the deque of the last owner.
     last_owner: Option<usize>,
-    /// Acquisitions whose worker differed from the previous one.
-    migrations: u64,
     /// Chunks admitted but not yet processed: queued in `jobs`, or
     /// drained into a worker's batch and still waiting their turn or
     /// in progress. Admission is bounded by `queue_capacity`.
@@ -308,7 +284,6 @@ impl<T: Tracker> StreamWork<T> {
             active_trackers: pipeline.active_trackers(),
             pipeline: Some(pipeline),
             last_owner: None,
-            migrations: 0,
             in_flight: 0,
             high_water: 0,
             events_in: totals.events_in,
@@ -442,7 +417,6 @@ struct SchedQueues {
     locals: Vec<VecDeque<usize>>,
     /// Streams currently ready (in the injector or any deque).
     ready: usize,
-    ready_high_water: usize,
     shutdown: bool,
     /// Workers waiting on `available` for a ready stream.
     sleepers: usize,
@@ -470,7 +444,6 @@ impl Scheduler {
                 injector: VecDeque::new(),
                 locals: (0..workers).map(|_| VecDeque::new()).collect(),
                 ready: 0,
-                ready_high_water: 0,
                 shutdown: false,
                 sleepers: 0,
             }),
@@ -490,7 +463,6 @@ impl Scheduler {
             _ => state.injector.push_back(stream),
         }
         state.ready += 1;
-        state.ready_high_water = state.ready_high_water.max(state.ready);
         self.ready_gauge.set(state.ready as i64);
         let sleeping = state.sleepers > 0;
         drop(state);
@@ -545,10 +517,6 @@ impl Scheduler {
     fn shutdown(&self) {
         lock(&self.state).shutdown = true;
         self.available.notify_all();
-    }
-
-    fn ready_high_water(&self) -> usize {
-        lock(&self.state).ready_high_water
     }
 }
 
@@ -987,7 +955,6 @@ impl<T: Tracker + Send + 'static> Engine<T> {
         Snapshot {
             elapsed: self.started.elapsed(),
             workers: self.config.workers,
-            ready_high_water: self.scheduler.ready_high_water(),
             streams: self
                 .streams
                 .all()
@@ -1004,8 +971,6 @@ impl<T: Tracker + Send + 'static> Engine<T> {
                         active_trackers: work.active_trackers,
                         queue_depth: work.in_flight,
                         queue_high_water: work.high_water,
-                        last_owner: work.last_owner,
-                        migrations: work.migrations,
                         finished: work.finished,
                         detached: work.detached,
                     }
@@ -1102,12 +1067,7 @@ fn worker_loop<T: Tracker>(
             let mut work = lock(&state.work);
             debug_assert_eq!(work.sched, Sched::Queued, "acquired stream must be queued");
             work.sched = Sched::Running;
-            if work.last_owner != Some(worker) {
-                if work.last_owner.is_some() {
-                    work.migrations += 1;
-                }
-                work.last_owner = Some(worker);
-            }
+            work.last_owner = Some(worker);
             let take = work.jobs.len().min(batch_chunks);
             batch.extend(work.jobs.drain(..take));
             work.pipeline.take()
@@ -1271,7 +1231,7 @@ mod tests {
             engine.push(StreamId(0), block_events(40 + 3 * k as u16, k * 66_000));
         }
         engine.finish_stream(StreamId(0), 7 * 66_000);
-        let out = engine.join();
+        let _ = engine.join();
         let batches = telemetry.batch_size.count();
         assert!(batches >= 1, "at least one acquisition");
         assert!(batches <= 7, "never more acquisitions than jobs (6 chunks + finish): {batches}");
@@ -1279,9 +1239,6 @@ mod tests {
         assert!(telemetry.batch_size.max_bound() >= 1);
         let steals = WorkerTelemetry::register(telemetry.registry(), 0).steals.get();
         assert_eq!(steals, 0, "one worker cannot steal from itself");
-        assert!(out.snapshot.ready_high_water >= 1);
-        assert_eq!(out.snapshot.streams[0].last_owner, Some(0));
-        assert_eq!(out.snapshot.streams[0].migrations, 0, "one worker, no migrations");
     }
 
     #[test]
@@ -1352,8 +1309,6 @@ mod tests {
         snap.elapsed = Duration::ZERO;
         assert!(snap.events_in() > 0, "events were accepted");
         assert_eq!(snap.events_per_sec(), 0.0, "zero-duration rate is 0, not inf/NaN");
-        assert_eq!(snap.frames_per_sec(), 0.0);
-        assert!(snap.events_per_sec().is_finite() && snap.frames_per_sec().is_finite());
         engine.finish_stream(StreamId(0), 66_000);
         let _ = engine.join();
     }

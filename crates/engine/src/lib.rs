@@ -21,12 +21,13 @@
 //!   stream's own [`Pipeline`](ebbiot_core::Pipeline);
 //! * an **output collector** that keeps every stream's `FrameResult`s in
 //!   emission order, indexed by stream;
-//! * per-stream and aggregate **stats** (events/s, frames/s, active
-//!   trackers, queue depth high-water) through [`Engine::snapshot`], and
-//!   worker time, steals, batch sizes and queue wait in the engine's
-//!   telemetry registry ([`telemetry`]), read nowhere else;
-//! * [`Engine::run_fleet`], the batteries-included entry point the
-//!   `exp_fleet` experiment binary drives.
+//! * per-stream and aggregate **stats** (events and frames, events/s,
+//!   active trackers, queue depth high-water) through
+//!   [`Engine::snapshot`], and worker time, steals, batch sizes and
+//!   queue wait in the engine's telemetry registry ([`telemetry`]), read
+//!   nowhere else;
+//! * [`Engine::run_fleet`], the batteries-included entry point for
+//!   in-memory recordings, which the determinism suites drive.
 //!
 //! The engine is source-agnostic: `run_fleet` feeds it from in-memory
 //! recordings, `ebbiot_store`'s `Replayer` drives the same

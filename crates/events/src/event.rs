@@ -103,17 +103,6 @@ impl Event {
         let dy = self.y.abs_diff(other.y);
         dx.max(dy)
     }
-
-    /// Returns a copy shifted in time by `delta_us` (saturating at zero).
-    #[must_use]
-    pub fn shifted_by(&self, delta_us: i64) -> Self {
-        let t = if delta_us >= 0 {
-            self.t.saturating_add(delta_us as u64)
-        } else {
-            self.t.saturating_sub(delta_us.unsigned_abs())
-        };
-        Self { t, ..*self }
-    }
 }
 
 #[cfg(test)]
@@ -161,14 +150,6 @@ mod tests {
         assert_eq!(a.chebyshev_distance(&b), 3);
         assert_eq!(b.chebyshev_distance(&a), 3);
         assert_eq!(a.chebyshev_distance(&a), 0);
-    }
-
-    #[test]
-    fn shifted_by_moves_forward_and_backward() {
-        let e = Event::on(0, 0, 1_000);
-        assert_eq!(e.shifted_by(500).t, 1_500);
-        assert_eq!(e.shifted_by(-500).t, 500);
-        assert_eq!(e.shifted_by(-2_000).t, 0, "saturates at zero");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! * [`Event`] and [`Polarity`] — the fundamental datatypes,
 //! * [`SensorGeometry`] — the `A x B` pixel array (240x180 for DAVIS240),
 //! * [`stream`] — ordering checks, windowing into fixed `tF` frames
-//!   (the paper's interrupt-driven readout of Fig. 2), rate metering,
+//!   (the paper's interrupt-driven readout of Fig. 2),
 //! * [`codec`] — a compact binary AER codec and a human-readable text
 //!   codec for recordings,
 //! * [`stats`] — summary statistics used to regenerate Table I.

@@ -2,7 +2,7 @@
 
 use std::collections::HashSet;
 
-use crate::{Event, Micros, Polarity, SensorGeometry};
+use crate::{Event, Micros, Polarity};
 
 /// Summary statistics of an event recording.
 ///
@@ -70,28 +70,6 @@ impl StreamStats {
             self.num_events as f64 / span
         }
     }
-
-    /// Mean events per frame of duration `frame_us`.
-    #[must_use]
-    pub fn mean_events_per_frame(&self, frame_us: Micros) -> f64 {
-        self.mean_rate_hz() * frame_us as f64 / 1e6
-    }
-
-    /// Fraction of ON events.
-    #[must_use]
-    pub fn on_fraction(&self) -> f64 {
-        if self.num_events == 0 {
-            0.0
-        } else {
-            self.num_on as f64 / self.num_events as f64
-        }
-    }
-
-    /// Fraction of the sensor array that fired at least once.
-    #[must_use]
-    pub fn pixel_coverage(&self, geometry: SensorGeometry) -> f64 {
-        self.distinct_pixels as f64 / geometry.num_pixels() as f64
-    }
 }
 
 impl core::fmt::Display for StreamStats {
@@ -119,7 +97,6 @@ mod tests {
         assert_eq!(s.num_events, 0);
         assert_eq!(s.span_us(), 0);
         assert_eq!(s.mean_rate_hz(), 0.0);
-        assert_eq!(s.on_fraction(), 0.0);
         assert_eq!(s.distinct_pixels, 0);
     }
 
@@ -130,7 +107,6 @@ mod tests {
         assert_eq!(s.num_events, 3);
         assert_eq!(s.num_on, 2);
         assert_eq!(s.num_off, 1);
-        assert!((s.on_fraction() - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -152,15 +128,6 @@ mod tests {
         let s = StreamStats::from_events(&events);
         assert_eq!(s.span_us(), 1_000_000);
         assert!((s.mean_rate_hz() - 1001.0).abs() < 1e-9);
-        assert!((s.mean_events_per_frame(66_000) - 1001.0 * 0.066).abs() < 1e-9);
-    }
-
-    #[test]
-    fn pixel_coverage_is_relative_to_geometry() {
-        let events = vec![Event::on(0, 0, 0), Event::on(1, 1, 1)];
-        let s = StreamStats::from_events(&events);
-        let g = SensorGeometry::new(2, 2);
-        assert!((s.pixel_coverage(g) - 0.5).abs() < 1e-12);
     }
 
     #[test]

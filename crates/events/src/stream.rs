@@ -1,4 +1,4 @@
-//! Event-stream utilities: ordering, windowing, rate metering.
+//! Event-stream utilities: ordering and windowing.
 //!
 //! The central abstraction is [`FrameWindows`], which slices a time-ordered
 //! event slice into consecutive `tF`-long windows. This models the paper's
@@ -160,48 +160,6 @@ impl<'a> Iterator for FrameWindows<'a> {
 
 impl ExactSizeIterator for FrameWindows<'_> {}
 
-/// Exponentially weighted event-rate meter (events per second).
-///
-/// Used by duty-cycle modelling and by the simulator's self-checks. The
-/// meter is updated once per window with the window's event count.
-#[derive(Debug, Clone)]
-pub struct RateMeter {
-    alpha: f64,
-    rate_hz: f64,
-    initialized: bool,
-}
-
-impl RateMeter {
-    /// Creates a meter with smoothing factor `alpha` in `(0, 1]`; larger
-    /// values react faster.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `alpha` is outside `(0, 1]`.
-    #[must_use]
-    pub fn new(alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
-        Self { alpha, rate_hz: 0.0, initialized: false }
-    }
-
-    /// Records a window containing `count` events over `duration_us`.
-    pub fn record(&mut self, count: usize, duration_us: Micros) {
-        let instant = count as f64 / (duration_us as f64 / 1e6);
-        if self.initialized {
-            self.rate_hz += self.alpha * (instant - self.rate_hz);
-        } else {
-            self.rate_hz = instant;
-            self.initialized = true;
-        }
-    }
-
-    /// The smoothed rate in events/second (0.0 before the first record).
-    #[must_use]
-    pub const fn rate_hz(&self) -> f64 {
-        self.rate_hz
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -318,21 +276,5 @@ mod tests {
     fn unordered_input_panics() {
         let events = vec![ev(5), ev(1)];
         let _ = FrameWindows::new(&events, 1_000);
-    }
-
-    #[test]
-    fn rate_meter_converges_to_constant_rate() {
-        let mut meter = RateMeter::new(0.5);
-        for _ in 0..32 {
-            meter.record(660, 66_000); // 10_000 ev/s
-        }
-        assert!((meter.rate_hz() - 10_000.0).abs() < 1.0);
-    }
-
-    #[test]
-    fn rate_meter_first_sample_initializes_directly() {
-        let mut meter = RateMeter::new(0.01);
-        meter.record(100, 100_000); // 1000 ev/s
-        assert!((meter.rate_hz() - 1_000.0).abs() < 1e-9);
     }
 }

@@ -26,7 +26,8 @@
 //! Server output is **bit-for-bit identical** to processing the same
 //! events in-process with `Engine::run_fleet` — enforced by
 //! `tests/server_parity.rs` at the workspace root for every registered
-//! back-end, and smoke-tested by the `exp_server` experiment binary.
+//! back-end. The same suite scrapes a live STATS listener during
+//! ingestion.
 //!
 //! # The `EBWP` wire protocol (version 1)
 //!

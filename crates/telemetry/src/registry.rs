@@ -249,7 +249,7 @@ fn is_valid_name(name: &str) -> bool {
 
 /// Parses a text exposition, returning the number of sample lines.
 ///
-/// This is the STATS-scrape assertion used by `exp_server` and CI: every
+/// This is the STATS-scrape assertion of the server parity suite: every
 /// line must be a `# TYPE`/`# HELP` comment or a
 /// `name[{label="v",…}] value` sample with a numeric value (`+Inf`
 /// bucket bounds included).

@@ -2,13 +2,15 @@
 //! replayed through the concurrent engine must produce tracker output
 //! **bit-for-bit identical** to PR 2's in-memory `run_fleet` — for
 //! every registered back-end — while the readers hold at most one
-//! chunk per stream in memory. Also pins `seek_to_time` semantics:
+//! chunk per stream in memory, and the spool must be smaller than the
+//! flat `EAER` codec's output. Also pins `seek_to_time` semantics:
 //! resuming mid-recording equals a fresh read filtered to the seek
 //! instant.
 
 use std::path::PathBuf;
 
 use ebbiot::engine::{EngineConfig, FleetOptions};
+use ebbiot::events::codec::{EVENT_RECORD_BYTES, HEADER_BYTES};
 use ebbiot::prelude::*;
 use ebbiot::store::fleet::StoredCamera;
 
@@ -33,6 +35,15 @@ fn spooled_fleet_replay_is_bit_identical_to_in_memory_for_all_backends() {
     let store = spool_fleet(&dir, &fleet, StoreOptions::default().with_chunk_events(CHUNK_EVENTS))
         .expect("spool fleet");
     assert_eq!(store.cameras(), CAMERAS);
+    // The spool is smaller than the flat EAER codec would write: a
+    // header plus a fixed-size record per event, per camera.
+    let eaer_bytes: usize =
+        fleet.iter().map(|r| HEADER_BYTES + r.events.len() * EVENT_RECORD_BYTES).sum();
+    assert!(
+        store.total_bytes() < eaer_bytes as u64,
+        "EBST {} bytes vs EAER {eaer_bytes} bytes",
+        store.total_bytes()
+    );
 
     let config = EbbiotConfig::paper_default(fleet[0].geometry).with_frame_us(fleet[0].frame_us);
     for spec in BACKENDS {

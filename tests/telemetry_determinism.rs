@@ -19,8 +19,7 @@ use std::sync::Arc;
 
 use ebbiot::engine::FleetOptions;
 use ebbiot::prelude::*;
-use ebbiot_bench::breakdown::run_fleet_backend_instrumented;
-use ebbiot_bench::run_fleet_sequential;
+use ebbiot_bench::{run_fleet_backend_instrumented, run_fleet_sequential};
 use ebbiot_engine::{EngineTelemetry, StreamTelemetry, WorkerTelemetry};
 
 const CAMERAS: usize = 16;
