@@ -15,23 +15,20 @@
 //! - `ebbi`: the batched EBBI latch (`accumulate_all`, then
 //!   `readout_into`) against the one-event-at-a-time `accumulate` loop
 //!   (then the same readout), on the event windows;
-//! - `median`: the 3x3 median on raw EBBIs;
+//! - `median`: the 3x3 median on raw EBBIs, given each frame's set-pixel
+//!   count as the front end's latch hands it over;
 //! - `rpn`: the region proposer's projection of the median's rows
 //!   straight into `H_X`/`H_Y` plus the run search on both, against the
 //!   count-image downsample, the two projections and the same runs, on
 //!   denoised frames;
 //! - `count_in_box`: box counting over tracker-sized boxes on denoised
 //!   frames, what the trackers read;
-//! - `decode`: the fast EBST chunk decoder against the scalar reference
-//!   decoder, on the encoded full chunks, in ns/event. `lane_share` is
-//!   the share of events the decoder's table-driven lane takes: every
-//!   event after the first that starts with at least 32 payload bytes
-//!   left and whose three varints fit 3 bytes each and 8 together.
+//! - `decode` and `encode`: the bit-packed EBST chunk codec on the
+//!   fleet's full chunks, in ns/event, timed against each other (the
+//!   codec has one implementation, so these rows have no reference);
+//!   the report adds the payload's bytes per event;
 //! - `crc`: the slice-by-16 CRC-32 against the one-byte-at-a-time
 //!   reference, over the same chunks' payloads, in ns/byte.
-//! - `encode`: the word-store EBST chunk encoder against the one
-//!   `write_varint` per value reference, on the same full chunks, in
-//!   ns/event.
 //! - `telemetry`: a sequential `ebbiot` pass over each camera with the
 //!   per-stage timers attached (`with_stage_telemetry`) against the
 //!   same pass without them, in µs per camera.
@@ -41,7 +38,7 @@
 //! `BENCH_hotpath.json`, and **asserts** the median kernel is at least
 //! 3x faster than the scalar reference on both fleets, and that stage
 //! telemetry costs at most 3% of sequential throughput (or 10 ms
-//! absolute over a whole fleet pass) on both fleets. The codec and
+//! absolute over a whole fleet pass) on both fleets. The codec, CRC and
 //! telemetry rows time each side in five alternating slices and keep
 //! the fastest, so a change in the host's speed hits both sides. Parity
 //! (bits, op counts, decoded events, encoded bytes, instrumented
@@ -61,10 +58,7 @@ use ebbiot_core::StageTelemetry;
 use ebbiot_events::{Event, OpsCounter, SensorGeometry};
 use ebbiot_frame::{reference, Axis, BinaryImage, EbbiAccumulator, Histogram, MedianFilter, Run};
 use ebbiot_sim::{DatasetPreset, FleetConfig, SimulatedRecording};
-use ebbiot_store::format::{
-    crc32, crc32_reference, decode_chunk_payload, decode_chunk_payload_fast, encode_chunk_payload,
-    encode_chunk_payload_reference, read_varint, MAX_EVENT_BYTES,
-};
+use ebbiot_store::format::{crc32, crc32_reference, decode_chunk_payload, encode_chunk_payload};
 use ebbiot_telemetry::Registry;
 
 /// The paper's RPN scale factors `(s1, s2)` and run threshold.
@@ -90,33 +84,17 @@ impl EncodedChunk {
         Self { payload, count, t_first, t_last, geometry }
     }
 
-    fn decode(&self, out: &mut Vec<Event>, fast: bool) {
-        let decoder = if fast { decode_chunk_payload_fast } else { decode_chunk_payload };
-        decoder(out, &self.payload, 0, self.geometry, self.count, self.t_first, self.t_last)
-            .expect("the chunk was encoded from valid events");
-    }
-
-    /// Events the decoder's lane takes: every event after the first
-    /// that starts with at least `2 * MAX_EVENT_BYTES` payload bytes left
-    /// and whose three varints take at most 3 bytes each and at most 8
-    /// together. (The lane's timestamp guard, `u64::MAX − 2^21`, is far
-    /// above any recorded time.)
-    fn lane_events(&self) -> usize {
-        let mut pos = 0;
-        (0..self.count)
-            .filter(|&i| {
-                let words_fit = self.payload.len() - pos >= 2 * MAX_EVENT_BYTES;
-                let lens = [(); 3].map(|()| {
-                    let start = pos;
-                    read_varint(&self.payload, &mut pos).expect("valid varint");
-                    pos - start
-                });
-                i > 0
-                    && words_fit
-                    && lens.iter().all(|&len| len <= 3)
-                    && lens.iter().sum::<usize>() <= 8
-            })
-            .count()
+    fn decode(&self, out: &mut Vec<Event>) {
+        decode_chunk_payload(
+            out,
+            &self.payload,
+            0,
+            self.geometry,
+            self.count,
+            self.t_first,
+            self.t_last,
+        )
+        .expect("the chunk was encoded from valid events");
     }
 }
 
@@ -212,20 +190,19 @@ fn assert_parity(frames: &FleetFrames) {
         assert_eq!(scratch, reference::median(ebbi, 3, &mut ref_ops), "median parity");
         assert_eq!(*f.ops(), ref_ops, "median op parity");
         assert_eq!(f.written_rows(), rows, "median row list");
+        let mut counted = MedianFilter::paper_default();
+        counted.apply_counted_into(ebbi, ebbi.count_ones() as u64, &mut scratch);
+        assert_eq!((&scratch, counted.ops()), (denoised, &ref_ops), "counted median parity");
         let (mut ops, mut ref_ops) = (OpsCounter::new(), OpsCounter::new());
         let _ = rpn_word(denoised, rows, (&mut hx, &mut hy), &mut ops);
         let (ref_hx, ref_hy) = rpn_reference(denoised, &mut ref_ops);
         assert_eq!((&hx, &hy), (&ref_hx, &ref_hy), "projection parity");
         assert_eq!(ops, ref_ops, "projection + runs op parity");
     }
-    let (mut decoded, mut reference) = (Vec::new(), Vec::new());
+    let mut decoded = Vec::new();
     for (events, chunk) in full_chunks(frames) {
-        encode_chunk_payload_reference(&mut reference, events);
-        assert_eq!(chunk.payload, reference, "encode parity");
-        chunk.decode(&mut decoded, true);
-        assert_eq!(decoded, events, "fast decode parity");
-        chunk.decode(&mut decoded, false);
-        assert_eq!(decoded, events, "reference decode parity");
+        chunk.decode(&mut decoded);
+        assert_eq!(decoded, events, "codec round trip");
     }
 }
 
@@ -322,8 +299,10 @@ fn measure(
 
     let mut ops = OpsCounter::new();
     let mut filter = MedianFilter::paper_default();
-    let median_word =
-        ns_per_frame(budget, &frames.ebbis, |img| filter.apply_into(img, &mut scratch));
+    let counted: Vec<_> = frames.ebbis.iter().map(|img| (img, img.count_ones() as u64)).collect();
+    let median_word = ns_per_frame(budget, &counted, |&(img, set_pixels)| {
+        filter.apply_counted_into(img, set_pixels, &mut scratch);
+    });
     let median_ref = ns_per_frame(budget, &frames.ebbis, |img| {
         reference::median_into(img, 3, &mut scratch, &mut ops);
     });
@@ -345,17 +324,17 @@ fn measure(
         std::hint::black_box(boxes.iter().map(|b| reference::count_in_box(img, b)).sum::<usize>());
     });
 
-    let (events, chunks): (Vec<&[Event]>, Vec<EncodedChunk>) = full_chunks(frames).unzip();
-    let lane_share = chunks.iter().map(EncodedChunk::lane_events).sum::<usize>() as f64
-        / (chunks.len() * CHUNK_EVENTS) as f64;
-    let (mut decoded, mut decoded_ref) = (Vec::new(), Vec::new());
-    let (decode_word, decode_ref) = fastest_alternating(
+    let chunks: Vec<(&[Event], EncodedChunk)> = full_chunks(frames).collect();
+    let (mut decoded, mut payload) = (Vec::new(), Vec::new());
+    let (decode_ns, encode_ns) = fastest_alternating(
         budget,
         &chunks,
-        |c| c.decode(&mut decoded, true),
-        |c| c.decode(&mut decoded_ref, false),
+        |(_, c)| c.decode(&mut decoded),
+        |(e, _)| encode_chunk_payload(&mut payload, e),
     );
-    let payloads: Vec<&[u8]> = chunks.iter().map(|c| c.payload.as_slice()).collect();
+    let per_event = |ns_per_chunk: f64| ns_per_chunk / CHUNK_EVENTS as f64;
+    let (decode_ns, encode_ns) = (per_event(decode_ns), per_event(encode_ns));
+    let payloads: Vec<&[u8]> = chunks.iter().map(|(_, c)| c.payload.as_slice()).collect();
     let (crc_word, crc_ref) = fastest_alternating(
         budget,
         &payloads,
@@ -368,24 +347,12 @@ fn measure(
     );
     let mean_bytes = payloads.iter().map(|p| p.len()).sum::<usize>() as f64 / payloads.len() as f64;
     let (crc_word, crc_ref) = (crc_word / mean_bytes, crc_ref / mean_bytes);
-    let (mut payload, mut payload_ref) = (Vec::new(), Vec::new());
-    let (encode_word, encode_ref) = fastest_alternating(
-        budget,
-        &events,
-        |e| encode_chunk_payload(&mut payload, e),
-        |e| encode_chunk_payload_reference(&mut payload_ref, e),
-    );
-    let per_event = |ns_per_chunk: f64| ns_per_chunk / CHUNK_EVENTS as f64;
-    let (decode_word, decode_ref) = (per_event(decode_word), per_event(decode_ref));
-    let (encode_word, encode_ref) = (per_event(encode_word), per_event(encode_ref));
 
     let rows = [
         ("ebbi", "EBBI latch + readout", "frame", ebbi_word, ebbi_ref),
         ("median", "median 3x3 (EBBI)", "frame", median_word, median_ref),
         ("rpn", "RPN rows + runs", "frame", rpn_word_ns, rpn_ref_ns),
         ("count_in_box", "count_in_box x64", "frame", count_word, count_ref),
-        ("decode", "EBST chunk decode", "event", decode_word, decode_ref),
-        ("encode", "EBST chunk encode", "event", encode_word, encode_ref),
         ("crc", "CRC-32 of payloads", "byte", crc_word, crc_ref),
     ];
     report = report
@@ -395,7 +362,8 @@ fn measure(
         .f64(&format!("{label}_denoised_empty_row_share"), empty_rows)
         .u64(&format!("{label}_decode_chunks"), chunks.len() as u64)
         .f64(&format!("{label}_payload_bytes_per_event"), mean_bytes / CHUNK_EVENTS as f64)
-        .f64(&format!("{label}_decode_lane_share"), lane_share);
+        .f64(&format!("{label}_decode_ns_per_event"), decode_ns)
+        .f64(&format!("{label}_encode_ns_per_event"), encode_ns);
     for (key, name, unit, word, scalar) in rows {
         println!(
             "{name:<20} word {word:>10.1} ns/{unit:<5}   scalar {scalar:>11.1} ns/{unit:<5}   \
@@ -407,7 +375,13 @@ fn measure(
             .f64(&format!("{label}_{key}_reference_ns_per_{unit}"), scalar)
             .f64(&format!("{label}_{key}_speedup"), scalar / word);
     }
-    println!("decode lane share {:.1}% of {} full chunks", lane_share * 100.0, chunks.len());
+    println!(
+        "{:<20} decode {decode_ns:>8.1} ns/event   encode {encode_ns:>9.1} ns/event   \
+         {:.2} B/event over {} full chunks",
+        "EBST chunk codec",
+        mean_bytes / CHUNK_EVENTS as f64,
+        chunks.len()
+    );
     (report, median_ref / median_word)
 }
 

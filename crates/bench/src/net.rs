@@ -11,7 +11,6 @@
 
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::time::{Duration, Instant};
 
 use ebbiot_core::FrameResult;
 use ebbiot_events::{Event, Micros, SensorGeometry};
@@ -26,8 +25,6 @@ pub struct ClientRun {
     pub frames: Vec<FrameResult>,
     /// The server's session summary.
     pub finished: Finished,
-    /// Wall-clock duration of the whole session.
-    pub elapsed: Duration,
 }
 
 /// Streams `events` to the `EBWP` server at `addr` as one session,
@@ -82,7 +79,6 @@ fn stream_session_bytes(
     name: &str,
     bytes: &[u8],
 ) -> Result<ClientRun, WireError> {
-    let started = Instant::now();
     let connection = TcpStream::connect(addr).map_err(WireError::Io)?;
     connection.set_nodelay(true).map_err(WireError::Io)?;
 
@@ -108,7 +104,7 @@ fn stream_session_bytes(
         (Err(read_err), _) => return Err(read_err),
         (Ok(_), Err(write_err)) => return Err(write_err),
     };
-    Ok(ClientRun { frames, finished, elapsed: started.elapsed() })
+    Ok(ClientRun { frames, finished })
 }
 
 fn collect_responses(connection: TcpStream) -> Result<(Vec<FrameResult>, Finished), WireError> {

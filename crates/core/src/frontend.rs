@@ -144,9 +144,10 @@ impl FrontEnd {
         let timed = self.telemetry.is_some();
         let clock = || timed.then(Instant::now);
         let start = clock();
+        let latched = self.accumulator.pixels_latched();
         self.accumulator.readout_into(&mut self.ebbi_scratch);
         let ebbi_done = clock();
-        self.median.apply_into(&self.ebbi_scratch, &mut self.denoised_scratch);
+        self.median.apply_counted_into(&self.ebbi_scratch, latched, &mut self.denoised_scratch);
         let median_done = clock();
         let raw = self.rpn.propose_rows(&self.denoised_scratch, self.median.written_rows());
         let rpn_done = clock();
@@ -285,6 +286,35 @@ mod tests {
         assert!(ops.rpn.total() > 0);
         fe.reset_ops();
         assert_eq!(fe.ops().median.total(), 0);
+    }
+
+    #[test]
+    fn the_median_is_charged_as_if_it_counted_the_ebbi_itself() {
+        // The front end hands the median the latch's own pixel count.
+        // However the window was latched (repeated events, a latched
+        // image, a restored latch), the charge equals that of a median
+        // that counts the EBBI's pixels itself.
+        let geometry = SensorGeometry::davis240();
+        let mut repeated = block_events(60, 90, 30, 15);
+        repeated.extend(block_events(70, 0, 5, 3));
+        repeated.extend(block_events(60, 90, 30, 15));
+        let mut image = BinaryImage::new(geometry);
+        for (x, y) in [(0, 0), (5, 5), (6, 5), (239, 179), (239, 0)] {
+            image.set(x, y, true);
+        }
+        let mut fe = frontend();
+        for window in 0..3 {
+            fe.reset_ops();
+            match window {
+                0 => fe.accumulate_all(&repeated),
+                1 => fe.latch_image(&image),
+                _ => fe.restore_latch(&image, 5),
+            }
+            let _ = fe.close_window();
+            let mut median = MedianFilter::paper_default();
+            median.apply_into(fe.last_ebbi(), &mut BinaryImage::new(geometry));
+            assert_eq!(fe.ops().median, *median.ops());
+        }
     }
 
     #[test]

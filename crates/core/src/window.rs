@@ -80,7 +80,10 @@ pub(crate) fn push<S: WindowedStream>(stream: &mut S, chunk: &[Event]) -> Vec<S:
         while stream.frames_emitted() < window as usize {
             out.push(stream.close_window());
         }
-        let n = rest.partition_point(|e| window_of(e) == window);
+        // Every remaining event has `t >= start`, so the subtraction
+        // cannot wrap, and `start <= head.t` cannot overflow.
+        let start = window * frame_us;
+        let n = rest.partition_point(|e| e.t - start < frame_us);
         stream.accumulate(&rest[..n]);
         rest = &rest[n..];
     }

@@ -120,8 +120,6 @@ pub struct StreamSnapshot {
     pub chunks_in: u64,
     /// Frames emitted by the stream's pipeline so far.
     pub frames_out: u64,
-    /// Confirmed track boxes reported so far.
-    pub tracks_out: u64,
     /// Active (confirmed or provisional) trackers after the last chunk.
     pub active_trackers: usize,
     /// Chunks currently queued or in processing.
@@ -256,7 +254,6 @@ struct StreamWork<T: Tracker> {
     events_in: u64,
     chunks_in: u64,
     frames_out: u64,
-    tracks_out: u64,
     active_trackers: usize,
     /// Frames emitted and not yet drained, in emission order.
     results: Vec<FrameResult>,
@@ -289,7 +286,6 @@ impl<T: Tracker> StreamWork<T> {
             events_in: totals.events_in,
             chunks_in: totals.chunks_in,
             frames_out: totals.frames_out,
-            tracks_out: totals.tracks_out,
             results: Vec::new(),
             handoff: None,
             closed: false,
@@ -305,7 +301,6 @@ impl<T: Tracker> StreamWork<T> {
             events_in: self.events_in,
             chunks_in: self.chunks_in,
             frames_out: self.frames_out,
-            tracks_out: self.tracks_out,
         }
     }
 
@@ -318,7 +313,6 @@ impl<T: Tracker> StreamWork<T> {
         active_trackers: usize,
     ) {
         self.frames_out += frames.len() as u64;
-        self.tracks_out += frames.iter().map(|f| f.tracks.len() as u64).sum::<u64>();
         self.active_trackers = active_trackers;
         self.results.extend(frames);
         telemetry.collector_buffered.record(self.results.len() as u64);
@@ -532,8 +526,6 @@ pub struct StreamTotals {
     pub chunks_in: u64,
     /// Frames emitted by the pipeline.
     pub frames_out: u64,
-    /// Confirmed track boxes reported.
-    pub tracks_out: u64,
 }
 
 /// Everything [`Engine::detach_with_state`] hands back: the checkpoint,
@@ -967,7 +959,6 @@ impl<T: Tracker + Send + 'static> Engine<T> {
                         events_in: work.events_in,
                         chunks_in: work.chunks_in,
                         frames_out: work.frames_out,
-                        tracks_out: work.tracks_out,
                         active_trackers: work.active_trackers,
                         queue_depth: work.in_flight,
                         queue_high_water: work.high_water,

@@ -17,16 +17,20 @@
 //! majority test `count > 4` becomes one boolean expression over those
 //! planes.
 //!
-//! A pre-pass reads each input row once and yields its popcount and a
-//! *pair flag*: whether some pixel of the row has a horizontal count
+//! A pre-pass reads each input row once and yields its *pair flag*:
+//! whether some pixel of the row has a horizontal count
 //! (itself plus its left and right neighbours) of 2 or more, which holds
 //! exactly when the row has two set pixels at distance 1 or 2, across
 //! word boundaries too. A patch count is the sum of three horizontal
 //! counts, so an output row whose three input rows are all unflagged
 //! has patch counts of at most 3 and cannot reach the majority of 5:
 //! only rows within 1 of a flagged row are computed, and only rows
-//! within 2 of one get horizontal planes. The popcounts give the Eq. 1
-//! additions in closed form (ARCHITECTURE.md §1.1 derives it).
+//! within 2 of one get horizontal planes. The image's set-pixel count,
+//! the popcounts of its first and last rows and its border-column bits
+//! give the Eq. 1 additions in closed form (ARCHITECTURE.md §1.1 derives
+//! it). A caller that already knows the set-pixel count (the EBBI latch
+//! counts the pixels it sets) passes it to
+//! [`MedianFilter::apply_counted_into`], and no per-word popcount runs.
 //!
 //! Both paths record the increasing list of output rows they wrote a set
 //! pixel to ([`MedianFilter::written_rows`]): exactly the non-empty rows
@@ -88,7 +92,8 @@ fn horizontal_planes(row: &[u64], ones: &mut [u64], twos: &mut [u64]) {
 }
 
 /// The 3x3 pre-pass: one sweep over the input rows that lists the
-/// flagged rows in `paired_rows` and returns the Eq. 1 addition charge.
+/// flagged rows in `paired_rows` and returns the Eq. 1 addition charge,
+/// given `set_pixels`, the number of set pixels of `input`.
 ///
 /// Row `y` is flagged when some pixel has a horizontal count of 2 or
 /// more, i.e. when two set pixels lie at distance 1 or 2: each word is
@@ -101,17 +106,20 @@ fn horizontal_planes(row: &[u64], ones: &mut [u64], twos: &mut [u64]) {
 /// the left/right border column (1 for a one-pixel-wide image), and `ny`
 /// likewise for rows. Row by row that is
 /// `ny(y) * (3 * pop(row y) - bit(0, y) - bit(w - 1, y))`, which holds
-/// for `w = 1` too (the single pixel is both border columns).
-fn pair_prepass3(input: &BinaryImage, paired_rows: &mut Vec<u16>) -> u64 {
+/// for `w = 1` too (the single pixel is both border columns). Summed
+/// over the rows, with `P` set pixels in all, it is
+/// `3 * (3P - pop(row 0) - pop(row h - 1)) - Σ ny(y) * edges(y)`, which
+/// holds for `h = 1` too (`ny = 1`, and the one row is both border rows),
+/// so only the two border rows are counted.
+fn pair_prepass3(input: &BinaryImage, set_pixels: u64, paired_rows: &mut Vec<u16>) -> u64 {
     let height = input.height();
     let last_bit = u32::from(input.width() - 1) & 63;
     paired_rows.clear();
-    let mut total = 0u64;
+    let mut edge_charge = 0u64;
     for y in 0..height {
         let row = input.row_words(y);
-        let (mut before, mut pop, mut pair) = (0u64, 0u64, 0u64);
+        let (mut before, mut pair) = (0u64, 0u64);
         for &c in row {
-            pop += u64::from(c.count_ones());
             pair |= c & (((c << 1) | (before >> 63)) | ((c << 2) | (before >> 62)));
             before = c;
         }
@@ -120,9 +128,10 @@ fn pair_prepass3(input: &BinaryImage, paired_rows: &mut Vec<u16>) -> u64 {
         }
         let edges = (row[0] & 1) + ((before >> last_bit) & 1);
         let ny = 3 - u64::from(y == 0) - u64::from(y == height - 1);
-        total += ny * (3 * pop - edges);
+        edge_charge += ny * edges;
     }
-    total
+    let pop = |y| input.row_words(y).iter().map(|w| u64::from(w.count_ones())).sum::<u64>();
+    3 * (3 * set_pixels - pop(0) - pop(height - 1)) - edge_charge
 }
 
 impl MedianFilter {
@@ -183,12 +192,30 @@ impl MedianFilter {
     ///
     /// Panics when `out` has a different geometry.
     pub fn apply_into(&mut self, input: &BinaryImage, out: &mut BinaryImage) {
+        self.apply_counted_into(input, input.count_ones() as u64, out);
+    }
+
+    /// [`Self::apply_into`] for a caller that already knows `set_pixels`,
+    /// the number of set pixels of `input`: the streaming front-end takes
+    /// it from the EBBI latch, which counts every pixel it sets. The 3x3
+    /// kernel's Eq. 1 addition charge then needs no per-word popcount.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `out` has a different geometry.
+    pub fn apply_counted_into(
+        &mut self,
+        input: &BinaryImage,
+        set_pixels: u64,
+        out: &mut BinaryImage,
+    ) {
         assert_eq!(input.geometry(), out.geometry(), "geometry mismatch in apply_into");
+        debug_assert_eq!(set_pixels, input.count_ones() as u64, "wrong set-pixel count");
         out.clear();
         self.scratch.written_rows.clear();
         self.ops.compare(input.geometry().num_pixels() as u64);
         if self.patch == 3 {
-            self.apply3_words(input, out);
+            self.apply3_words(input, set_pixels, out);
         } else {
             self.apply_sliding(input, out);
         }
@@ -202,13 +229,13 @@ impl MedianFilter {
     /// zero), in increasing order, and each builds the planes of its
     /// three input rows unless an earlier output row of this frame has:
     /// so exactly the rows within 2 of a listed row get planes.
-    fn apply3_words(&mut self, input: &BinaryImage, out: &mut BinaryImage) {
+    fn apply3_words(&mut self, input: &BinaryImage, set_pixels: u64, out: &mut BinaryImage) {
         let wpr = input.words_per_row();
         let height = usize::from(input.height());
         let tail = input.tail_mask();
 
         let scr = &mut self.scratch;
-        self.ops.add(pair_prepass3(input, &mut scr.paired_rows));
+        self.ops.add(pair_prepass3(input, set_pixels, &mut scr.paired_rows));
         let len = (height + 2) * wpr;
         for plane in [&mut scr.ones, &mut scr.twos] {
             plane.resize(len, 0);

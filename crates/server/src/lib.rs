@@ -29,7 +29,7 @@
 //! back-end. The same suite scrapes a live STATS listener during
 //! ingestion.
 //!
-//! # The `EBWP` wire protocol (version 1)
+//! # The `EBWP` wire protocol (version 2)
 //!
 //! All integers are little-endian. A connection is a sequence of
 //! *frames*, each a 5-byte envelope followed by a payload:
@@ -41,12 +41,13 @@
 //! Client → server frames:
 //!
 //! ```text
-//! HELLO  (0x01)  magic [u8;4] = "EBWP" | version u16 = 1
+//! HELLO  (0x01)  magic [u8;4] = "EBWP" | version u16 = 2
 //!                | width u16 | height u16 | name_len u16
 //!                | span_us u64 | name [u8; name_len]
 //!                (same 20-byte layout as an EBST file header)
 //! EVENTS (0x02)  count u32 | t_first u64 | t_last u64 | crc32 u32
-//!                | body: EBST delta-varint chunk payload
+//!                | body: EBST bit-packed chunk payload
+//!                (count ≤ MAX_CHUNK_EVENTS = 2^20)
 //! FLUSH  (0x03)  (empty) — request the tracker frames available so far
 //! FINISH (0x04)  span_us u64 — end of stream, authoritative span
 //! ```
@@ -69,12 +70,15 @@
 //! A session is `HELLO (EVENTS | FLUSH)* FINISH`; the server may send
 //! TRACKS frames after any client frame and always ends a successful
 //! session with FINISHED. EVENTS bodies reuse the `EBST` chunk codec
-//! byte-for-byte ([`ebbiot_store::format::encode_chunk_payload`]):
-//! `varint(Δt)`, `varint(zigzag(Δx))`,
-//! `varint(zigzag(Δy) << 1 | polarity)` against a per-chunk predecessor
-//! — so a stored chunk and a wire chunk are the same bytes, protected
-//! by the same CRC-32 and validated by the same decoder. Chunks must be
-//! mutually time-ordered (`t_first ≥` previous `t_last`); violations,
+//! byte-for-byte ([`ebbiot_store::format::encode_chunk_payload`]): three
+//! width bytes `wt ≤ 64`, `wx ≤ 17`, `1 ≤ wy ≤ 18`, then per event
+//! `Δt`, `zigzag(Δx)` and `zigzag(Δy) << 1 | polarity` against a
+//! per-chunk predecessor in `wt + wx + wy` bits of one little-endian bit
+//! stream, zero-padded to a byte — so a stored chunk and a wire chunk
+//! are the same bytes, protected by the same CRC-32 and validated by the
+//! same decoder. A version-1 HELLO (delta-varint bodies) is refused as
+//! [`WireError::UnsupportedVersion`]. Chunks must be mutually
+//! time-ordered (`t_first ≥` previous `t_last`); violations,
 //! CRC mismatches, out-of-geometry events and state-machine violations
 //! all close the connection with an ERROR frame — the serving engine is
 //! never panicked by network input.
@@ -82,15 +86,15 @@
 //! The EVENTS receive path is zero-copy: [`FrameReader`] keeps one
 //! payload buffer per connection, reads each frame into it, and hands
 //! the session an [`EventsRef`] **borrowing** those bytes — the CRC
-//! check and the varint decode
-//! ([`ebbiot_store::format::decode_chunk_payload_fast`]) run directly
+//! check and the decode
+//! ([`ebbiot_store::format::decode_chunk_payload`]) run directly
 //! out of the connection buffer into the `Vec<Event>` that is then
 //! moved into the engine. No per-frame allocation, no intermediate
 //! copy of wire bytes or events.
 //!
-//! The field-by-field specification (with byte offsets and varint /
-//! zigzag rules) also lives in `ARCHITECTURE.md` at the workspace root,
-//! next to the `EBST` on-disk format it shares its chunk codec with.
+//! The field-by-field specification (with byte offsets and the packing
+//! and zigzag rules) also lives in `ARCHITECTURE.md` at the workspace
+//! root, next to the `EBST` on-disk format it shares its chunk codec with.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

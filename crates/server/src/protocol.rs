@@ -11,19 +11,20 @@ use std::io::{self, Read, Write};
 use ebbiot_core::{FrameResult, TrackBox};
 use ebbiot_events::{Event, Micros, SensorGeometry};
 use ebbiot_frame::BoundingBox;
-use ebbiot_store::format::{crc32, decode_chunk_payload_fast, encode_chunk_payload};
+use ebbiot_store::format::{crc32, decode_chunk_payload, encode_chunk_payload};
 use ebbiot_store::StoreError;
 
 /// Magic bytes opening a HELLO payload.
 pub const MAGIC: [u8; 4] = *b"EBWP";
-/// Current protocol version.
-pub const VERSION: u16 = 1;
+/// Current protocol version. Version 1 EVENTS bodies were delta-varint
+/// coded; its HELLO is rejected as [`WireError::UnsupportedVersion`].
+pub const VERSION: u16 = 2;
 /// Size of the frame envelope (kind byte + payload length).
 pub const ENVELOPE_BYTES: usize = 5;
 /// Size of the HELLO payload before the stream name — deliberately the
 /// same 20-byte layout as an `EBST` file header, with the magic swapped.
 pub const HELLO_FIXED_BYTES: usize = 20;
-/// Size of the EVENTS payload before the delta-varint body.
+/// Size of the EVENTS payload before the bit-packed body.
 pub const EVENTS_FIXED_BYTES: usize = 24;
 /// Size of a FINISHED payload.
 pub const FINISHED_BYTES: usize = 20;
@@ -166,7 +167,7 @@ pub struct Hello {
 
 /// One EVENTS frame: an `EBST`-encoded chunk of time-ordered events.
 ///
-/// The body is exactly the store's delta-varint chunk payload
+/// The body is exactly the store's bit-packed chunk payload
 /// ([`ebbiot_store::format::encode_chunk_payload`]), so bytes spooled
 /// to disk and bytes sent over a socket share one codec (and one set of
 /// corruption checks).
@@ -178,17 +179,21 @@ pub struct EventsChunk {
     pub t_first: u64,
     /// Timestamp of the last event.
     pub t_last: u64,
-    /// Delta-varint body; its CRC-32 was already verified on read.
+    /// Bit-packed body; its CRC-32 was already verified on read.
     pub body: Vec<u8>,
 }
 
 impl EventsChunk {
-    /// Encodes a non-empty, time-ordered slice of events.
+    /// Encodes a non-empty, time-ordered slice of at most
+    /// [`MAX_CHUNK_EVENTS`] events.
     ///
     /// # Panics
     ///
-    /// Panics when `events` is empty or not time-ordered — clients
-    /// chunk a validated stream, they never frame arbitrary input.
+    /// Panics when `events` is empty, longer than [`MAX_CHUNK_EVENTS`]
+    /// or not time-ordered — clients chunk a validated stream, they
+    /// never frame arbitrary input.
+    ///
+    /// [`MAX_CHUNK_EVENTS`]: ebbiot_store::format::MAX_CHUNK_EVENTS
     #[must_use]
     pub fn encode(events: &[Event]) -> Self {
         assert!(!events.is_empty(), "EVENTS chunks are never empty");
@@ -203,9 +208,12 @@ impl EventsChunk {
     }
 
     /// Decodes and validates the body against `geometry` into `out`
-    /// (cleared first): CRC was checked on read; this checks varint
-    /// integrity, the event count, the `t_first`/`t_last` window and
-    /// pixel bounds.
+    /// (cleared first): CRC was checked on read; this checks the event
+    /// count against [`MAX_CHUNK_EVENTS`] before allocating, the field
+    /// widths, the body length and padding, the `t_first`/`t_last`
+    /// window and pixel bounds.
+    ///
+    /// [`MAX_CHUNK_EVENTS`]: ebbiot_store::format::MAX_CHUNK_EVENTS
     ///
     /// # Errors
     ///
@@ -216,21 +224,13 @@ impl EventsChunk {
         out: &mut Vec<Event>,
         geometry: SensorGeometry,
     ) -> Result<(), WireError> {
-        decode_chunk_payload_fast(
-            out,
-            &self.body,
-            0,
-            geometry,
-            self.count,
-            self.t_first,
-            self.t_last,
-        )?;
+        decode_chunk_payload(out, &self.body, 0, geometry, self.count, self.t_first, self.t_last)?;
         Ok(())
     }
 }
 
 /// A borrowed view of one EVENTS frame: the fixed fields plus the
-/// delta-varint body **still sitting in the [`FrameReader`]'s read
+/// bit-packed body **still sitting in the [`FrameReader`]'s read
 /// buffer**. Its CRC-32 was verified in place on read; no byte of the
 /// body was copied to produce this view.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -241,7 +241,7 @@ pub struct EventsRef<'a> {
     pub t_first: u64,
     /// Timestamp of the last event.
     pub t_last: u64,
-    /// Delta-varint body, borrowed from the connection read buffer.
+    /// Bit-packed body, borrowed from the connection read buffer.
     pub body: &'a [u8],
 }
 
@@ -259,15 +259,7 @@ impl EventsRef<'_> {
         out: &mut Vec<Event>,
         geometry: SensorGeometry,
     ) -> Result<(), WireError> {
-        decode_chunk_payload_fast(
-            out,
-            self.body,
-            0,
-            geometry,
-            self.count,
-            self.t_first,
-            self.t_last,
-        )?;
+        decode_chunk_payload(out, self.body, 0, geometry, self.count, self.t_first, self.t_last)?;
         Ok(())
     }
 
@@ -869,7 +861,7 @@ mod tests {
         let mut bytes = Vec::new();
         write_frame(&mut bytes, &Frame::Events(EventsChunk::encode(&sample_events()))).unwrap();
         let n = bytes.len();
-        bytes[n - 1] ^= 0x40; // flip a bit in the varint body
+        bytes[n - 1] ^= 0x40; // flip a bit in the packed body
         let err = read_frame(&mut io::Cursor::new(bytes)).unwrap_err();
         assert!(matches!(err, WireError::ChunkCrcMismatch), "{err}");
     }
@@ -916,11 +908,14 @@ mod tests {
 
         let mut bytes = Vec::new();
         write_frame(&mut bytes, &hello).unwrap();
-        bytes[ENVELOPE_BYTES + 4] = 9; // unsupported version
-        assert!(matches!(
-            read_frame(&mut io::Cursor::new(bytes)).unwrap_err(),
-            WireError::UnsupportedVersion(9)
-        ));
+        for version in [1, 9] {
+            // Version 1 framed delta-varint EVENTS bodies.
+            bytes[ENVELOPE_BYTES + 4] = version;
+            assert!(matches!(
+                read_frame(&mut io::Cursor::new(bytes.clone())).unwrap_err(),
+                WireError::UnsupportedVersion(v) if v == u16::from(version)
+            ));
+        }
     }
 
     #[test]

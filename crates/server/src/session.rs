@@ -284,7 +284,7 @@ impl Session {
                 return Err(WireError::OutOfOrder { prev_t_last: prev, t_first: chunk.t_first });
             }
         }
-        // Decode validates varint integrity, count/window consistency
+        // Decode validates the packing, count/window consistency
         // and pixel bounds against the HELLO geometry. Only validated,
         // time-ordered events ever reach the engine — a hostile client
         // must not be able to panic a shared worker. The Vec moves into

@@ -1,21 +1,14 @@
-//! The `EBST` wire format: constants, varint/zigzag coding, CRC32 and
-//! the chunk payload codec.
+//! The `EBST` wire format: constants, zigzag coding, CRC32 and the
+//! bit-packed chunk payload codec.
 //!
 //! See the [crate docs](crate) for the full layout specification. This
 //! module owns everything byte-level; the [`writer`](crate::writer) and
 //! [`reader`](crate::reader) modules only frame and stream it.
 //!
-//! The codec has a fast and a reference implementation in each
-//! direction, and nothing but tests and benches calls a reference:
-//! [`encode_chunk_payload`] (a word-store lane for every event whose
-//! `Δt` is below 2^21 µs) against [`encode_chunk_payload_reference`],
-//! [`decode_chunk_payload_fast`] (a table-driven lane, keyed on a
-//! word's eight continuation bits, for every event after the first whose
-//! three varints fit 3 bytes each and 8 together, with its overflow
-//! checks hoisted out) against [`decode_chunk_payload`], and [`crc32`]
-//! (slice-by-16) against [`crc32_reference`].
-//! The hot paths — the writer, the reader, the `EBWP` EVENTS frames —
-//! use only the fast ones.
+//! The chunk codec is one encoder, [`encode_chunk_payload`], and one
+//! decoder, [`decode_chunk_payload`], behind the writer, the reader and
+//! the `EBWP` EVENTS frames alike. [`crc32`] (slice-by-16) keeps the
+//! one-byte [`crc32_reference`] it is tested and benchmarked against.
 
 use ebbiot_events::{Event, Polarity, SensorGeometry, Timestamp};
 
@@ -23,8 +16,9 @@ use ebbiot_events::{Event, Polarity, SensorGeometry, Timestamp};
 pub const MAGIC: [u8; 4] = *b"EBST";
 /// Magic bytes closing the footer (read backwards from EOF).
 pub const END_MAGIC: [u8; 4] = *b"EBSX";
-/// Current format version.
-pub const VERSION: u16 = 1;
+/// Current format version. Version 1 chunks were delta-varint coded;
+/// its files are rejected as [`StoreError::UnsupportedVersion`].
+pub const VERSION: u16 = 2;
 /// Size of the fixed header prefix (magic, version, width, height,
 /// name length, span), excluding the variable-length stream name.
 pub const HEADER_FIXED_BYTES: usize = 20;
@@ -36,10 +30,19 @@ pub const INDEX_ENTRY_BYTES: usize = 28;
 /// Size of the trailing footer (total events, index offset, chunk
 /// count, index CRC32, end magic).
 pub const FOOTER_BYTES: usize = 28;
-/// Upper bound on encoded bytes per event (worst-case varints for the
-/// timestamp delta plus both coordinate deltas); used to reject
-/// nonsensical payload lengths before allocating.
-pub const MAX_EVENT_BYTES: usize = 10 + 3 + 3;
+/// Most events one chunk may hold. Readers and the `EBWP` decoder
+/// check a chunk's count against it before allocating anything, so one
+/// chunk never costs more than 16 MiB of decoded events; the writer and
+/// `EVENTS` encoder never frame a larger one.
+pub const MAX_CHUNK_EVENTS: usize = 1 << 20;
+/// Bytes of field widths opening every chunk payload.
+pub const WIDTH_BYTES: usize = 3;
+/// The widest field widths a payload may declare, `[wt, wx, wy]`: `Δt`
+/// is a `u64`, and for `u16` coordinates `zigzag(Δx) < 2^17` and
+/// `zigzag(Δy) << 1 | p < 2^18`.
+pub const MAX_WIDTHS: [u8; 3] = [64, 17, 18];
+/// The most bits one packed event can take (the sum of [`MAX_WIDTHS`]).
+pub const MAX_EVENT_BITS: usize = 64 + 17 + 18;
 
 /// Everything that can go wrong reading or writing a store.
 #[derive(Debug)]
@@ -168,193 +171,10 @@ pub struct StoreHeader {
     pub name: String,
 }
 
-// --- varint / zigzag ---------------------------------------------------
+// --- zigzag -----------------------------------------------------------
 
-/// Appends `v` as a little-endian base-128 varint (LEB128, ≤ 10 bytes).
-pub fn write_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-/// Reads a varint from `buf` at `*pos`, advancing `*pos`.
-///
-/// Returns `None` on a truncated or over-long (> 10 byte) encoding.
-#[must_use]
-pub fn read_varint(buf: &[u8], pos: &mut usize) -> Option<u64> {
-    let mut value = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let byte = *buf.get(*pos)?;
-        *pos += 1;
-        if shift == 63 && byte > 1 {
-            return None; // would overflow u64
-        }
-        value |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return Some(value);
-        }
-        shift += 7;
-        if shift > 63 {
-            return None;
-        }
-    }
-}
-
-/// Continuation-bit mask over eight little-endian varint bytes.
-const VARINT_CONT: u64 = 0x8080_8080_8080_8080;
-
-/// Branch-light varint read via one unaligned little-endian `u64` load
-/// and trailing-zero dispatch on the continuation bits. The caller must
-/// guarantee **at least 8 readable bytes** at `*pos`; varints longer
-/// than 8 bytes (values ≥ 2^56) fall back to [`read_varint`], which
-/// also owns the overflow/over-length rejection.
-///
-/// Bit-for-bit equivalent to [`read_varint`] whenever both apply: same
-/// `Some`/`None` outcome, same value, same `*pos` advance — the decode
-/// parity suite depends on that.
-#[inline]
-fn read_varint_word(buf: &[u8], pos: &mut usize) -> Option<u64> {
-    let p = *pos;
-    let word = u64::from_le_bytes(buf[p..p + 8].try_into().expect("len 8"));
-    let stops = !word & VARINT_CONT;
-    if stops == 0 {
-        // 9- or 10-byte encoding (or corruption): rare, let the byte
-        // loop handle it together with its overflow checks.
-        return read_varint(buf, pos);
-    }
-    // First byte with a clear continuation bit ends the varint.
-    let len = (stops.trailing_zeros() >> 3) + 1; // 1..=8
-    let keep = word & (u64::MAX >> (64 - 8 * len));
-    // Strip the continuation bits: byte i contributes its low 7 bits at
-    // bit position 7*i, i.e. (keep >> 8i & 0x7f) << 7i == keep >> i
-    // masked to the 7-bit lane. Constant 8 ops, no per-byte branch.
-    let value = (keep & 0x7f)
-        | ((keep >> 1) & (0x7f << 7))
-        | ((keep >> 2) & (0x7f << 14))
-        | ((keep >> 3) & (0x7f << 21))
-        | ((keep >> 4) & (0x7f << 28))
-        | ((keep >> 5) & (0x7f << 35))
-        | ((keep >> 6) & (0x7f << 42))
-        | ((keep >> 7) & (0x7f << 49));
-    *pos = p + len as usize;
-    Some(value)
-}
-
-/// Packs the low 7 bits of each of up to three little-endian varint
-/// bytes: byte `i` contributes bits `8i..8i + 7` at position `7i`, and
-/// the continuation bits fall out of the three lane masks.
-#[inline]
-const fn compact3(bytes: u64) -> u64 {
-    (bytes & 0x7f) | ((bytes >> 1) & (0x7f << 7)) | ((bytes >> 2) & (0x7f << 14))
-}
-
-/// The eight continuation bits of a little-endian payload word, bit `i`
-/// from byte `i`: one mask isolates them at bits `8i`, and one multiply
-/// gathers them into the top byte. The multiplier's set bits `7j + 7`
-/// move byte `i`'s bit to `56 + i` for `j = 7 − i`; no other pair of
-/// terms reaches the top byte or lands on a bit another term sets, so
-/// nothing carries into it.
-#[inline]
-const fn continuation_bits(word: u64) -> usize {
-    ((word >> 7 & 0x0101_0101_0101_0101).wrapping_mul(0x0102_0408_1020_4080) >> 56) as usize
-}
-
-/// How the decode lane takes one payload word apart, looked up by the
-/// word's [`continuation_bits`].
-#[derive(Clone, Copy)]
-struct LaneStep {
-    /// The byte masks of the three varints, each from its first byte.
-    masks: [u32; 3],
-    /// Bit offsets of the second and third varints in the word.
-    shifts: [u8; 2],
-    /// Bytes the three varints take; 0 when the word does not hold
-    /// three varints of at most 3 bytes each.
-    advance: u8,
-}
-
-/// The 256 [`LaneStep`]s, one per continuation-bit pattern. The first
-/// three clear bits end the three varints; a pattern takes the lane when
-/// all three end inside the word and none is longer than 3 bytes.
-const fn lane_steps() -> [LaneStep; 256] {
-    const fn bytes(n: u32) -> u32 {
-        (1 << (8 * n)) - 1
-    }
-    let mut steps = [LaneStep { masks: [0; 3], shifts: [0; 2], advance: 0 }; 256];
-    let mut bits = 0;
-    while bits < 256 {
-        // One past the last byte of each varint that ends in the word.
-        let mut ends = [0u32; 3];
-        let (mut found, mut byte) = (0, 0);
-        while byte < 8 && found < 3 {
-            if bits >> byte & 1 == 0 {
-                ends[found] = byte + 1;
-                found += 1;
-            }
-            byte += 1;
-        }
-        let [e0, e1, e2] = ends;
-        if found == 3 && e0 <= 3 && e1 - e0 <= 3 && e2 - e1 <= 3 {
-            steps[bits as usize] = LaneStep {
-                masks: [bytes(e0), bytes(e1 - e0), bytes(e2 - e1)],
-                shifts: [8 * e0 as u8, 8 * e1 as u8],
-                advance: e2 as u8,
-            };
-        }
-        bits += 1;
-    }
-    steps
-}
-
-static LANE_STEPS: [LaneStep; 256] = lane_steps();
-
-/// The lane of [`decode_chunk_payload_fast`]: decodes an event's three
-/// varints from the eight little-endian payload bytes in `word` when all
-/// three end inside it and none is longer than 3 bytes. Returns the
-/// three values and the bytes they take, or `None` (read them one at a
-/// time instead).
-///
-/// The word's continuation bits pick a [`LaneStep`] from a 256-entry
-/// table, which gives each varint's byte mask and offset, so the decode
-/// has no per-byte branch and no bit scan. A 3-byte varint holds at most
-/// 21 bits, so no value can overflow and the result equals three
-/// [`read_varint`] calls: same values, same advance.
-#[inline]
-fn varint_triple(word: u64) -> Option<([u64; 3], usize)> {
-    let step = LANE_STEPS[continuation_bits(word)];
-    if step.advance == 0 {
-        return None;
-    }
-    let lane = |shift: u8, mask: u32| compact3(word >> shift & u64::from(mask));
-    let [m0, m1, m2] = step.masks;
-    let [s1, s2] = step.shifts;
-    Some(([lane(0, m0), lane(s1, m1), lane(s2, m2)], usize::from(step.advance)))
-}
-
-/// Reads an event's three varints one at a time with `read`, starting at
-/// `pos`, and returns them with the position after them; `None` when a
-/// read fails. Taking `pos` by value keeps the decode loop's own cursor
-/// out of memory.
-#[inline]
-fn read_triple(
-    payload: &[u8],
-    mut pos: usize,
-    read: fn(&[u8], &mut usize) -> Option<u64>,
-) -> Option<([u64; 3], usize)> {
-    let dt = read(payload, &mut pos)?;
-    let dx = read(payload, &mut pos)?;
-    let dyp = read(payload, &mut pos)?;
-    Some(([dt, dx, dyp], pos))
-}
-
-/// Maps a signed delta onto an unsigned varint-friendly value
-/// (0, -1, 1, -2, … → 0, 1, 2, 3, …).
+/// Maps a signed delta onto an unsigned value that is small when the
+/// delta's magnitude is (0, -1, 1, -2, … → 0, 1, 2, 3, …).
 #[must_use]
 pub const fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
@@ -443,130 +263,209 @@ pub fn crc32_reference(bytes: &[u8]) -> u32 {
 
 // --- chunk payload codec ----------------------------------------------
 
-/// Time deltas below this take the encoder's word-store lane: their
-/// varint is at most 3 bytes long, like every coordinate varint.
-const LANE_DT_LIMIT: u64 = 1 << 21;
+/// Payload bytes of `count` packed events of `event_bits` bits each: the
+/// width bytes, then the bit stream rounded up to whole bytes.
+#[must_use]
+pub const fn payload_len(count: usize, event_bits: usize) -> usize {
+    WIDTH_BYTES + (count * event_bits).div_ceil(8)
+}
 
-/// Bytes the encoder gathers in its stack block before appending them
-/// to the output in one copy.
-const ENCODE_BLOCK_BYTES: usize = 1024;
+/// Events whose fields fit this many bits are read with one `u64` load:
+/// an event starts at most 7 bits into its first byte.
+const ONE_LOAD_BITS: usize = 57;
 
-/// The LEB128 encoding of `v < 2^21` as a little-endian word, and its
-/// length in bytes: the three 7-bit groups spread to bytes 0..3
-/// branch-free, with the continuation bits set by two compares.
-#[inline]
-fn varint3(v: u64) -> (u64, usize) {
-    debug_assert!(v < LANE_DT_LIMIT, "{v} needs more than 3 varint bytes");
-    let (two, three) = (u64::from(v >= 1 << 7), u64::from(v >= 1 << 14));
-    let groups = (v & 0x7f) | (v << 1 & 0x7f00) | (v << 2 & 0x7f_0000);
-    (groups | two << 7 | three << 15, 1 + (two + three) as usize)
+/// Each event's three packed fields against its predecessor: `Δt`,
+/// `zigzag(Δx)` and `zigzag(Δy) << 1 | polarity`. `events` must be
+/// non-empty and time-ordered.
+fn deltas(events: &[Event]) -> impl Iterator<Item = [u64; 3]> + '_ {
+    let mut prev = (events[0].t, 0i64, 0i64);
+    events.iter().map(move |e| {
+        let (x, y) = (i64::from(e.x), i64::from(e.y));
+        let fields = [
+            e.t - prev.0,
+            zigzag(x - prev.1),
+            zigzag(y - prev.2) << 1 | u64::from(e.polarity.bit()),
+        ];
+        prev = (e.t, x, y);
+        fields
+    })
+}
+
+/// The mask of a field `width` bits wide (`width ≤ 64`).
+const fn field_mask(width: u8) -> u64 {
+    ((1u128 << width) - 1) as u64
 }
 
 /// Encodes one chunk's events into `out` (cleared first).
 ///
-/// Within a chunk the stream is delta-coded against a running
-/// predecessor: the timestamp delta (from `t_first` for the first
-/// event) as a plain varint, the column delta zigzagged, and the row
-/// delta zigzagged with the polarity bit packed into bit 0. Chunks are
-/// therefore self-contained — decoding needs nothing but the frame's
-/// `t_first`.
-///
-/// The hot encoder behind [`RecordingWriter`](crate::RecordingWriter)
-/// and the `EBWP` EVENTS frames. For `u16` coordinates, `zigzag(Δx)` is
-/// below 2^17 and `zigzag(Δy) << 1 | p` below 2^18, so both always fit
-/// 3 varint bytes. When `Δt` is below 2^21 µs too, the event takes the
-/// word-store lane: each value is spread to its varint bytes branch-free
-/// (`varint3`) and the event is stored with two unaligned 8-byte writes
-/// into a stack block, which is appended to `out` about once per KiB.
-/// A longer gap takes [`write_varint`]. The bytes are exactly those of
-/// [`encode_chunk_payload_reference`], which `tests/decode_parity.rs`
-/// checks.
+/// Each event becomes three fields against a running predecessor: the
+/// timestamp delta (from `t_first` for the first event), the zigzagged
+/// column delta, and the zigzagged row delta with the polarity bit in
+/// bit 0. Chunks are therefore self-contained: decoding needs nothing
+/// but the frame's `t_first`. A first pass ORs each field over the chunk
+/// and picks the fewest bits that hold it, `[wt, wx, wy]`, with `wy ≥ 1`
+/// so the polarity bit is always stored. The payload is those three
+/// width bytes, then every event's `wt + wx + wy` bits (`Δt` lowest)
+/// appended to a little-endian bit stream, zero-padded to a whole byte.
 ///
 /// # Panics
 ///
-/// Panics when `events` is empty or not time-ordered — the writer
-/// validates both before framing a chunk.
+/// Panics when `events` is empty, longer than [`MAX_CHUNK_EVENTS`] or
+/// not time-ordered — the writer validates all three before framing a
+/// chunk.
 pub fn encode_chunk_payload(out: &mut Vec<u8>, events: &[Event]) {
+    assert!(!events.is_empty(), "chunks are never empty");
+    assert!(
+        events.len() <= MAX_CHUNK_EVENTS,
+        "a chunk of {} events exceeds MAX_CHUNK_EVENTS",
+        events.len()
+    );
+    // `fold` with `&`, not `all`: without an early exit the check
+    // vectorises.
+    assert!(
+        events.windows(2).fold(true, |ordered, pair| ordered & (pair[0].t <= pair[1].t)),
+        "chunk events must be time-ordered"
+    );
+    let used = deltas(events).fold([0u64; 3], |or, f| [or[0] | f[0], or[1] | f[1], or[2] | f[2]]);
+    let bits_of = |v: u64| (64 - v.leading_zeros()) as u8;
+    let widths = [bits_of(used[0]), bits_of(used[1]), bits_of(used[2]).max(1)];
+    let [wt, wx, _] = widths.map(u32::from);
+    let event_bits: usize = widths.iter().map(|&w| usize::from(w)).sum();
+    let len = payload_len(events.len(), event_bits);
     out.clear();
-    let mut prev_t = events.first().expect("chunks are never empty").t;
-    let (mut prev_x, mut prev_y) = (0i64, 0i64);
-    // Room for one lane event's second 8-byte write past the watermark.
-    let mut block = [0u8; ENCODE_BLOCK_BYTES + 16];
-    let mut len = 0;
-    for e in events {
-        assert!(e.t >= prev_t, "chunk events must be time-ordered");
-        let dt = e.t - prev_t;
-        let dx = zigzag(i64::from(e.x) - prev_x);
-        let dyp = zigzag(i64::from(e.y) - prev_y) << 1 | u64::from(e.polarity.bit());
-        if dt < LANE_DT_LIMIT {
-            let (t_bytes, t_len) = varint3(dt);
-            let (x_bytes, x_len) = varint3(dx);
-            let (y_bytes, y_len) = varint3(dyp);
-            // At most 6 bytes of `dt` and `dx`, then `dyp` right after
-            // them, over the first write's zero tail.
-            block[len..len + 8].copy_from_slice(&(t_bytes | x_bytes << (8 * t_len)).to_le_bytes());
-            let at = len + t_len + x_len;
-            block[at..at + 8].copy_from_slice(&y_bytes.to_le_bytes());
-            len = at + y_len;
-            if len >= ENCODE_BLOCK_BYTES {
-                out.extend_from_slice(&block[..len]);
-                len = 0;
-            }
-        } else {
-            encode_long_gap(out, &block[..len], [dt, dx, dyp]);
-            len = 0;
+    // 16 bytes of slack for the last event's whole-accumulator store.
+    out.resize(len + 16, 0);
+    out[..WIDTH_BYTES].copy_from_slice(&widths);
+    let shifts = [wt, wt + wx];
+    if event_bits < ONE_LOAD_BITS {
+        pack::<false>(out, events, shifts, event_bits);
+    } else {
+        pack::<true>(out, events, shifts, event_bits);
+    }
+    out.truncate(len);
+}
+
+/// Appends every event's fields, at `shifts` within `event_bits`, to the
+/// bit stream that starts after the width bytes of `out`, which has 16
+/// bytes of slack past the stream's end. An accumulator holds the bits
+/// of the byte not yet complete (fewer than 8), each event is ORed in
+/// above them and the accumulator is stored whole; the cursor then moves
+/// past the bytes now complete. Events of fewer than [`ONE_LOAD_BITS`]
+/// bits go through a `u64` and an 8-byte store, `WIDE` ones through a
+/// `u128` and a 16-byte store.
+#[inline(always)]
+fn pack<const WIDE: bool>(out: &mut [u8], events: &[Event], shifts: [u32; 2], event_bits: usize) {
+    let (mut pos, mut pending) = (WIDTH_BYTES, 0usize);
+    let [s1, s2] = shifts;
+    if WIDE {
+        let mut acc = 0u128;
+        for [dt, dx, dyp] in deltas(events) {
+            acc |= (u128::from(dt) | u128::from(dx) << s1 | u128::from(dyp) << s2) << pending;
+            out[pos..pos + 16].copy_from_slice(&acc.to_le_bytes());
+            pending += event_bits;
+            (pos, acc, pending) = (pos + pending / 8, acc >> (pending & !7), pending % 8);
         }
-        prev_t = e.t;
-        prev_x = i64::from(e.x);
-        prev_y = i64::from(e.y);
+    } else {
+        let mut acc = 0u64;
+        for [dt, dx, dyp] in deltas(events) {
+            acc |= (dt | dx << s1 | dyp << s2) << pending;
+            out[pos..pos + 8].copy_from_slice(&acc.to_le_bytes());
+            pending += event_bits;
+            (pos, acc, pending) = (pos + pending / 8, acc >> (pending & !7), pending % 8);
+        }
     }
-    out.extend_from_slice(&block[..len]);
 }
 
-/// The rare event of [`encode_chunk_payload`] whose `dt` needs more than
-/// 3 varint bytes: appends the block gathered so far, then the event's
-/// three varints. Kept out of line so the lane's loop keeps its state in
-/// registers.
+/// A chunk's validated bit stream: whole events of `event_bits` bits
+/// each, `stream_bits` in all, every field at its shift under its mask.
+struct BitStream<'a> {
+    data: &'a [u8],
+    stream_bits: usize,
+    event_bits: usize,
+    shifts: [u32; 2],
+    masks: [u64; 3],
+}
+
+impl BitStream<'_> {
+    /// The three fields of the event at `bit`. Events of at most
+    /// [`ONE_LOAD_BITS`] take one unaligned `u64` load, a shift and three
+    /// masks; `WIDE` events (a `Δt` of about 2^40 µs or more) one 16-byte
+    /// load, which holds their at most 99 bits at any offset. The last
+    /// events of a chunk may lie within one load of its end; they read a
+    /// zero-padded copy of the tail.
+    #[inline(always)]
+    fn fields<const WIDE: bool>(&self, bit: usize) -> [u64; 3] {
+        let (byte, shift) = (bit / 8, bit % 8);
+        let ([s1, s2], [m0, m1, m2]) = (self.shifts, self.masks);
+        if WIDE {
+            let word = match self.data.get(byte..byte + 16) {
+                Some(bytes) => u128::from_le_bytes(bytes.try_into().expect("len 16")),
+                None => padded_tail(&self.data[byte..]),
+            } >> shift;
+            [word as u64 & m0, (word >> s1) as u64 & m1, (word >> s2) as u64 & m2]
+        } else {
+            let word = match self.data.get(byte..byte + 8) {
+                Some(bytes) => u64::from_le_bytes(bytes.try_into().expect("len 8")),
+                None => padded_tail(&self.data[byte..]) as u64,
+            } >> shift;
+            [word & m0, word >> s1 & m1, word >> s2 & m2]
+        }
+    }
+
+    /// Unpacks every event into `out` from `t_first` on, checking each
+    /// timestamp add and pixel bound, and returns the last timestamp.
+    /// The fields' widths bound each coordinate step below 2^17, so the
+    /// running coordinates cannot overflow, and one unsigned compare per
+    /// axis rejects both sides of the array.
+    fn unpack_into<const WIDE: bool>(
+        &self,
+        out: &mut Vec<Event>,
+        chunk: usize,
+        geometry: SensorGeometry,
+        t_first: Timestamp,
+    ) -> Result<Timestamp, StoreError> {
+        let (width, height) = (u64::from(geometry.width()), u64::from(geometry.height()));
+        let mut t = t_first;
+        let (mut x, mut y) = (0i64, 0i64);
+        for bit in (0..self.stream_bits).step_by(self.event_bits) {
+            let [dt, dx, dyp] = self.fields::<WIDE>(bit);
+            t = t
+                .checked_add(dt)
+                .ok_or(StoreError::CorruptChunk { chunk, reason: "timestamp overflow" })?;
+            x += unzigzag(dx);
+            y += unzigzag(dyp >> 1);
+            if x as u64 >= width || y as u64 >= height {
+                return Err(StoreError::OutOfBounds { chunk, x, y });
+            }
+            out.push(Event::new(x as u16, y as u16, t, Polarity::from_bit((dyp & 1) as u8)));
+        }
+        Ok(t)
+    }
+}
+
+/// The at most 15 last bytes of a stream, zero-extended to 16.
 #[cold]
-#[inline(never)]
-fn encode_long_gap(out: &mut Vec<u8>, gathered: &[u8], values: [u64; 3]) {
-    out.extend_from_slice(gathered);
-    for v in values {
-        write_varint(out, v);
-    }
+fn padded_tail(tail: &[u8]) -> u128 {
+    let mut bytes = [0u8; 16];
+    bytes[..tail.len()].copy_from_slice(tail);
+    u128::from_le_bytes(bytes)
 }
 
-/// One [`write_varint`] call per value — the obviously-correct reference
-/// the word-store [`encode_chunk_payload`] is tested and benchmarked
-/// against, byte for byte. Not used on any hot path.
+/// Decodes a chunk payload into `out` (cleared first), validating it
+/// against `geometry` and the frame's `count`, `t_first` and `t_last`.
 ///
-/// # Panics
-///
-/// Exactly those of [`encode_chunk_payload`].
-pub fn encode_chunk_payload_reference(out: &mut Vec<u8>, events: &[Event]) {
-    out.clear();
-    let mut prev_t = events.first().expect("chunks are never empty").t;
-    let (mut prev_x, mut prev_y) = (0i64, 0i64);
-    for e in events {
-        assert!(e.t >= prev_t, "chunk events must be time-ordered");
-        write_varint(out, e.t - prev_t);
-        write_varint(out, zigzag(i64::from(e.x) - prev_x));
-        write_varint(out, zigzag(i64::from(e.y) - prev_y) << 1 | u64::from(e.polarity.bit()));
-        prev_t = e.t;
-        prev_x = i64::from(e.x);
-        prev_y = i64::from(e.y);
-    }
-}
-
-/// Decodes a chunk payload into `out` (cleared first), validating
-/// bounds against `geometry` and consistency with the frame's `count`,
-/// `t_first` and `t_last`.
-///
-/// This is the **scalar reference decoder** — one byte-loop varint at a
-/// time, kept deliberately simple. Hot paths (the store reader and the
-/// `EBWP` EVENTS path) use [`decode_chunk_payload_fast`], which is
-/// property-tested bit-exact against this function, accepted payloads
-/// and rejected ones alike.
+/// The hot decoder behind [`ChunkReader`](crate::ChunkReader) and the
+/// `EBWP` EVENTS path. Before anything is allocated it rejects a `count`
+/// over [`MAX_CHUNK_EVENTS`], a payload too short for its width bytes,
+/// a width over [`MAX_WIDTHS`] or a zero `wy`, a payload whose length is
+/// not exactly [`payload_len`] of `count` events, non-zero padding bits
+/// and a first event with `Δt ≠ 0`. Then it unpacks every event: one
+/// `u64` load, a shift and three masks per event when the three fields
+/// take at most 57 bits, one 16-byte load otherwise, with no table and
+/// no data-dependent length. Per event it checks the timestamp add for
+/// overflow and the pixel bounds; the last event must end at `t_last`.
+/// Decodes straight into the reused `out` buffer with one upfront
+/// `reserve`.
 ///
 /// # Errors
 ///
@@ -582,141 +481,42 @@ pub fn decode_chunk_payload(
     t_last: Timestamp,
 ) -> Result<(), StoreError> {
     let corrupt = |reason| StoreError::CorruptChunk { chunk, reason };
-    // Each event costs at least 3 payload bytes (three one-byte
-    // varints), so an attacker-controlled `count` far beyond the
-    // payload is corruption — reject it *before* reserving memory for
-    // it.
-    if (payload.len() as u64) < u64::from(count) * 3 {
-        return Err(corrupt("payload too short for event count"));
-    }
     out.clear();
-    out.reserve(count as usize);
-    let mut pos = 0usize;
-    let mut t = t_first;
-    let (mut x, mut y) = (0i64, 0i64);
-    for i in 0..count {
-        let dt = read_varint(payload, &mut pos).ok_or_else(|| corrupt("truncated varint"))?;
-        let dx = read_varint(payload, &mut pos).ok_or_else(|| corrupt("truncated varint"))?;
-        let dyp = read_varint(payload, &mut pos).ok_or_else(|| corrupt("truncated varint"))?;
-        t = t.checked_add(dt).ok_or_else(|| corrupt("timestamp overflow"))?;
-        if i == 0 && dt != 0 {
-            return Err(corrupt("first event does not start at t_first"));
-        }
-        x = x.checked_add(unzigzag(dx)).ok_or_else(|| corrupt("column delta overflow"))?;
-        y = y.checked_add(unzigzag(dyp >> 1)).ok_or_else(|| corrupt("row delta overflow"))?;
-        let polarity = Polarity::from_bit((dyp & 1) as u8);
-        let on_array = (0..i64::from(geometry.width())).contains(&x)
-            && (0..i64::from(geometry.height())).contains(&y);
-        if !on_array {
-            return Err(StoreError::OutOfBounds { chunk, x, y });
-        }
-        out.push(Event::new(x as u16, y as u16, t, polarity));
+    let count = count as usize;
+    if count > MAX_CHUNK_EVENTS {
+        return Err(corrupt("event count exceeds MAX_CHUNK_EVENTS"));
     }
-    if pos != payload.len() {
-        return Err(corrupt("trailing bytes after last event"));
+    let Some((&widths, data)) = payload.split_first_chunk::<WIDTH_BYTES>() else {
+        return Err(corrupt("payload shorter than its field widths"));
+    };
+    if widths.iter().zip(MAX_WIDTHS).any(|(&w, max)| w > max) || widths[2] == 0 {
+        return Err(corrupt("field width out of range"));
     }
-    if t != t_last {
-        return Err(corrupt("last event does not end at t_last"));
+    let event_bits: usize = widths.iter().map(|&w| usize::from(w)).sum();
+    if payload.len() != payload_len(count, event_bits) {
+        return Err(corrupt("payload length does not match event count and widths"));
     }
-    Ok(())
-}
-
-/// The decode lane takes an event only while the running timestamp is
-/// at most this, so adding its `Δt` (below 2^21 µs) cannot overflow.
-const LANE_T_MAX: Timestamp = u64::MAX - (1 << 21);
-
-/// Batched, branch-light variant of [`decode_chunk_payload`]: the hot
-/// decoder behind [`ChunkReader`](crate::ChunkReader) and the `EBWP`
-/// EVENTS path.
-///
-/// After each event decoded on the checked path, a tight lane loop takes
-/// the events that follow while at least [`MAX_EVENT_BYTES`] × 2 bytes
-/// remain. Each starts with one unaligned `u64` load; the word's eight
-/// continuation bits index a 256-entry table that gives the three
-/// varints' byte masks and offsets and the advance (`varint_triple`).
-/// Inside the lane every varint is at most 3 bytes, so `|Δx|` and `|Δy|`
-/// are below 2^20 and no coordinate sum can overflow; one compare
-/// against `LANE_T_MAX` rules out timestamp overflow, and bounds are one
-/// unsigned compare per axis. A word the table rejects, or a timestamp
-/// too close to `u64::MAX`, ends the lane.
-///
-/// The checked path takes event 0 (which must have `Δt == 0`), those
-/// words and the payload tail: varints one at a time, by unaligned loads
-/// and trailing-zero dispatch (`read_varint_word`) while the watermark
-/// holds and by the byte loop after it, with every overflow checked.
-/// Decodes straight into the reused `out` buffer with one upfront
-/// `reserve`.
-///
-/// Bit-for-bit equivalent to the scalar reference: identical events for
-/// every valid payload and the identical error (variant, reason and
-/// position of first rejection) for every corrupt one —
-/// `tests/decode_parity.rs` proves both properties over random and
-/// hostile inputs and every continuation-bit pattern.
-///
-/// # Errors
-///
-/// Exactly those of [`decode_chunk_payload`].
-pub fn decode_chunk_payload_fast(
-    out: &mut Vec<Event>,
-    payload: &[u8],
-    chunk: usize,
-    geometry: SensorGeometry,
-    count: u32,
-    t_first: Timestamp,
-    t_last: Timestamp,
-) -> Result<(), StoreError> {
-    let corrupt = |reason| StoreError::CorruptChunk { chunk, reason };
-    if (payload.len() as u64) < u64::from(count) * 3 {
-        return Err(corrupt("payload too short for event count"));
+    let stream_bits = count * event_bits;
+    if !stream_bits.is_multiple_of(8) && data[stream_bits / 8] >> (stream_bits % 8) != 0 {
+        return Err(corrupt("non-zero padding bits"));
     }
-    out.clear();
-    out.reserve(count as usize);
-    // Three varints cost at most 10 + 3 + 3 bytes (MAX_EVENT_BYTES), but
-    // each word read wants ≥ 8 readable bytes after a ≤ 10-byte
-    // predecessor, so 2 × MAX_EVENT_BYTES is a safe (and still tight)
-    // floor for a whole event.
-    let words_fit = |pos: usize| payload.len() - pos >= 2 * MAX_EVENT_BYTES;
-    let (width, height) = (u64::from(geometry.width()), u64::from(geometry.height()));
-    let mut pos = 0usize;
-    let mut t = t_first;
-    let (mut x, mut y) = (0i64, 0i64);
-    let mut i = 0u32;
-    while i < count {
-        let read = if words_fit(pos) { read_varint_word } else { read_varint };
-        let Some(([dt, dx, dyp], next)) = read_triple(payload, pos, read) else {
-            return Err(corrupt("truncated varint"));
-        };
-        pos = next;
-        t = t.checked_add(dt).ok_or_else(|| corrupt("timestamp overflow"))?;
-        if i == 0 && dt != 0 {
-            return Err(corrupt("first event does not start at t_first"));
-        }
-        x = x.checked_add(unzigzag(dx)).ok_or_else(|| corrupt("column delta overflow"))?;
-        y = y.checked_add(unzigzag(dyp >> 1)).ok_or_else(|| corrupt("row delta overflow"))?;
-        if !((0..width as i64).contains(&x) && (0..height as i64).contains(&y)) {
-            return Err(StoreError::OutOfBounds { chunk, x, y });
-        }
-        out.push(Event::new(x as u16, y as u16, t, Polarity::from_bit((dyp & 1) as u8)));
-        i += 1;
-        // The lane. `x` and `y` are on the array here and each step moves
-        // them by less than 2^20, so plain adds are exact.
-        while i < count && words_fit(pos) && t <= LANE_T_MAX {
-            let word = u64::from_le_bytes(payload[pos..pos + 8].try_into().expect("len 8"));
-            let Some(([dt, dx, dyp], len)) = varint_triple(word) else { break };
-            pos += len;
-            t += dt;
-            x += unzigzag(dx);
-            y += unzigzag(dyp >> 1);
-            if x as u64 >= width || y as u64 >= height {
-                return Err(StoreError::OutOfBounds { chunk, x, y });
-            }
-            out.push(Event::new(x as u16, y as u16, t, Polarity::from_bit((dyp & 1) as u8)));
-            i += 1;
-        }
+    let [wt, wx, wy] = widths;
+    let stream = BitStream {
+        data,
+        stream_bits,
+        event_bits,
+        shifts: [u32::from(wt), u32::from(wt) + u32::from(wx)],
+        masks: [field_mask(wt), field_mask(wx), field_mask(wy)],
+    };
+    if count > 0 && stream.fields::<true>(0)[0] != 0 {
+        return Err(corrupt("first event does not start at t_first"));
     }
-    if pos != payload.len() {
-        return Err(corrupt("trailing bytes after last event"));
-    }
+    out.reserve(count);
+    let t = if event_bits <= ONE_LOAD_BITS {
+        stream.unpack_into::<false>(out, chunk, geometry, t_first)?
+    } else {
+        stream.unpack_into::<true>(out, chunk, geometry, t_first)?
+    };
     if t != t_last {
         return Err(corrupt("last event does not end at t_last"));
     }
@@ -726,30 +526,7 @@ pub fn decode_chunk_payload_fast(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn varint_round_trips_boundary_values() {
-        for v in [0u64, 1, 127, 128, 300, u64::from(u32::MAX), u64::MAX] {
-            let mut buf = Vec::new();
-            write_varint(&mut buf, v);
-            let mut pos = 0;
-            assert_eq!(read_varint(&buf, &mut pos), Some(v));
-            assert_eq!(pos, buf.len());
-        }
-    }
-
-    #[test]
-    fn varint_rejects_truncation_and_overflow() {
-        let mut pos = 0;
-        assert_eq!(read_varint(&[0x80], &mut pos), None, "continuation with no next byte");
-        let mut pos = 0;
-        assert_eq!(read_varint(&[0xff; 11], &mut pos), None, "over-long encoding");
-        let mut pos = 0;
-        // 10th byte with a value that would push past 64 bits.
-        let mut buf = vec![0xff; 9];
-        buf.push(0x02);
-        assert_eq!(read_varint(&buf, &mut pos), None, "u64 overflow");
-    }
+    use ebbiot_events::codec::EVENT_RECORD_BYTES;
 
     #[test]
     fn zigzag_is_involutive_and_small_for_small_magnitudes() {
@@ -779,86 +556,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn varint_word_read_matches_byte_loop() {
-        // Boundary values at every varint length, padded so the word
-        // loader always has 8 readable bytes.
-        for v in [
-            0u64,
-            1,
-            127,
-            128,
-            16_383,
-            16_384,
-            (1 << 28) - 1,
-            1 << 35,
-            (1 << 56) - 1,
-            (1 << 56),
-            u64::MAX,
-        ] {
-            let mut buf = Vec::new();
-            write_varint(&mut buf, v);
-            buf.resize(buf.len() + 10, 0x55);
-            let (mut fast_pos, mut slow_pos) = (0usize, 0usize);
-            assert_eq!(read_varint_word(&buf, &mut fast_pos), Some(v));
-            assert_eq!(read_varint(&buf, &mut slow_pos), Some(v));
-            assert_eq!(fast_pos, slow_pos, "value {v}");
-        }
-        // Non-canonical (padded) encodings decode identically too.
-        let buf = [0x80, 0x80, 0x00, 0, 0, 0, 0, 0, 0, 0];
-        let (mut fast_pos, mut slow_pos) = (0usize, 0usize);
-        assert_eq!(read_varint_word(&buf, &mut fast_pos), Some(0));
-        assert_eq!(read_varint(&buf, &mut slow_pos), Some(0));
-        assert_eq!(fast_pos, slow_pos);
-    }
-
-    #[test]
-    fn varint_triple_matches_three_byte_loop_reads() {
-        // Every length mix of 1..=4-byte varints (4 bytes never fits the
-        // lane), padded with continuation bytes so a triple that spills
-        // past the word is seen as one.
-        let widths = [0u64, 127, 128, (1 << 14) - 1, 1 << 14, (1 << 21) - 1, 1 << 21];
-        for &a in &widths {
-            for &b in &widths {
-                for &c in &widths {
-                    let mut buf = Vec::new();
-                    for v in [a, b, c] {
-                        write_varint(&mut buf, v);
-                    }
-                    let fits = buf.len() <= 8 && [a, b, c].iter().all(|&v| v < 1 << 21);
-                    buf.resize(16, 0xff);
-                    let word = u64::from_le_bytes(buf[..8].try_into().unwrap());
-                    let mut pos = 0;
-                    let slow = [(); 3].map(|()| read_varint(&buf, &mut pos).unwrap());
-                    match varint_triple(word) {
-                        Some((values, len)) => {
-                            assert!(fits, "{a} {b} {c}");
-                            assert_eq!((values, len), (slow, pos), "{a} {b} {c}");
-                        }
-                        None => assert!(!fits, "{a} {b} {c} should take the lane"),
-                    }
-                }
-            }
-        }
-        // Non-canonical 3-byte zeros decode like the byte loop too.
-        let word = u64::from_le_bytes([0x80, 0x80, 0x00, 0x81, 0x00, 0x05, 0xff, 0xff]);
-        assert_eq!(varint_triple(word), Some(([0, 1, 5], 6)));
-    }
-
-    #[test]
-    fn varint3_matches_write_varint_below_2_pow_21() {
-        // Both sides of every length step, and a stride through the rest.
-        let edges = [0u64, 1, 127, 128, 129, (1 << 14) - 1, 1 << 14, (1 << 21) - 2, (1 << 21) - 1];
-        for v in edges.into_iter().chain((0..1 << 21).step_by(997)) {
-            let mut buf = Vec::new();
-            write_varint(&mut buf, v);
-            let (bytes, len) = varint3(v);
-            assert_eq!(len, buf.len(), "value {v}");
-            assert_eq!(&bytes.to_le_bytes()[..len], &buf[..], "value {v}");
-            assert_eq!(bytes >> (8 * len), 0, "value {v} spills past its length");
-        }
-    }
-
     fn sample() -> Vec<Event> {
         vec![
             Event::on(10, 20, 1_000),
@@ -868,11 +565,25 @@ mod tests {
         ]
     }
 
+    fn decode(
+        payload: &[u8],
+        geometry: SensorGeometry,
+        events: &[Event],
+    ) -> Result<(), StoreError> {
+        let (count, t_first, t_last) =
+            (events.len() as u32, events[0].t, events[events.len() - 1].t);
+        decode_chunk_payload(&mut Vec::new(), payload, 3, geometry, count, t_first, t_last)
+    }
+
     #[test]
     fn chunk_payload_round_trips() {
         let events = sample();
         let mut payload = Vec::new();
         encode_chunk_payload(&mut payload, &events);
+        // Δt up to 64,995 takes 16 bits, zigzag(Δx) up to 478 takes 9 and
+        // zigzag(Δy) << 1 | p up to 716 takes 10.
+        assert_eq!(payload[..WIDTH_BYTES], [16, 9, 10]);
+        assert_eq!(payload.len(), payload_len(events.len(), 35));
         let mut decoded = Vec::new();
         decode_chunk_payload(
             &mut decoded,
@@ -885,8 +596,26 @@ mod tests {
         )
         .unwrap();
         assert_eq!(decoded, events);
-        // Dense traffic-like deltas stay far below the flat 14 B/event.
-        assert!(payload.len() < events.len() * 8, "{} bytes", payload.len());
+    }
+
+    #[test]
+    fn the_widest_events_stay_under_the_flat_codecs_bytes_per_event() {
+        // A 2^63 µs gap and full-array steps on a u16::MAX-square sensor
+        // take every field to its widest: 99 bits per event.
+        let far = 1u64 << 63;
+        let corners = [(0, 0, 0), (u16::MAX - 1, u16::MAX - 1, far), (0, 0, far)];
+        let events: Vec<Event> = corners.iter().map(|&(x, y, t)| Event::on(x, y, t)).collect();
+        let mut payload = Vec::new();
+        encode_chunk_payload(&mut payload, &events);
+        assert_eq!(payload[..WIDTH_BYTES], MAX_WIDTHS);
+        assert_eq!(payload.len(), payload_len(3, MAX_EVENT_BITS));
+        let geometry = SensorGeometry::new(u16::MAX, u16::MAX);
+        decode(&payload, geometry, &events).unwrap();
+        // From three events on, even that beats EAER's 14 B/event.
+        for count in (3..=MAX_CHUNK_EVENTS).step_by(997).chain([MAX_CHUNK_EVENTS]) {
+            let per_event = payload_len(count, MAX_EVENT_BITS) as f64 / count as f64;
+            assert!(per_event < EVENT_RECORD_BYTES as f64, "{count} events: {per_event} B/event");
+        }
     }
 
     #[test]
@@ -894,18 +623,9 @@ mod tests {
         let events = sample();
         let mut payload = Vec::new();
         encode_chunk_payload(&mut payload, &events);
-        let mut decoded = Vec::new();
-        let err = decode_chunk_payload(
-            &mut decoded,
-            &payload,
-            3,
-            SensorGeometry::new(8, 8), // smaller array than encoded for
-            events.len() as u32,
-            events[0].t,
-            events.last().unwrap().t,
-        )
-        .unwrap_err();
-        assert!(matches!(err, StoreError::OutOfBounds { chunk: 3, .. }), "{err}");
+        // A smaller array than the events were encoded for.
+        let err = decode(&payload, SensorGeometry::new(8, 8), &events).unwrap_err();
+        assert!(matches!(err, StoreError::OutOfBounds { chunk: 3, x: 10, y: 20 }), "{err}");
     }
 
     #[test]
@@ -914,46 +634,37 @@ mod tests {
         let mut payload = Vec::new();
         encode_chunk_payload(&mut payload, &events);
         let geometry = SensorGeometry::davis240();
-        let (n, t0, t1) = (events.len() as u32, events[0].t, events.last().unwrap().t);
-        let mut decoded = Vec::new();
-
-        let err = decode_chunk_payload(
-            &mut decoded,
-            &payload[..payload.len() - 1],
-            0,
-            geometry,
-            n,
-            t0,
-            t1,
-        )
-        .unwrap_err();
-        assert!(matches!(err, StoreError::CorruptChunk { .. }), "{err}");
-
+        let err = decode(&payload[..payload.len() - 1], geometry, &events).unwrap_err();
+        assert!(
+            matches!(err, StoreError::CorruptChunk { reason, .. }
+                if reason.contains("length")),
+            "{err}"
+        );
         let mut trailing = payload.clone();
         trailing.push(0);
-        let err =
-            decode_chunk_payload(&mut decoded, &trailing, 0, geometry, n, t0, t1).unwrap_err();
-        assert!(matches!(err, StoreError::CorruptChunk { reason, .. }
-                if reason.contains("trailing")));
+        let err = decode(&trailing, geometry, &events).unwrap_err();
+        assert!(
+            matches!(err, StoreError::CorruptChunk { reason, .. }
+                if reason.contains("length")),
+            "{err}"
+        );
     }
 
     #[test]
     fn decode_rejects_absurd_event_counts_before_allocating() {
-        // A corrupt frame can claim u32::MAX events with a tiny
-        // payload; that must be an error, not a ~68 GB reserve.
+        // A corrupt frame can claim u32::MAX events; that must be an
+        // error, not a ~68 GB reserve.
         let mut decoded = Vec::new();
-        let err = decode_chunk_payload(
-            &mut decoded,
-            &[0, 0, 0],
-            0,
-            SensorGeometry::davis240(),
-            u32::MAX,
-            0,
-            0,
-        )
-        .unwrap_err();
-        assert!(matches!(err, StoreError::CorruptChunk { reason, .. }
-                if reason.contains("too short")));
+        let geometry = SensorGeometry::davis240();
+        for count in [u32::MAX, MAX_CHUNK_EVENTS as u32 + 1] {
+            let err = decode_chunk_payload(&mut decoded, &[0, 0, 1], 0, geometry, count, 0, 0)
+                .unwrap_err();
+            assert!(
+                matches!(err, StoreError::CorruptChunk { reason, .. }
+                    if reason.contains("MAX_CHUNK_EVENTS")),
+                "{err}"
+            );
+        }
         assert_eq!(decoded.capacity(), 0, "nothing was reserved");
     }
 

@@ -32,7 +32,7 @@
 //! `ARCHITECTURE.md` at the workspace root, next to the `EBWP` wire
 //! protocol that reuses its chunk payload codec.
 //!
-//! # The `EBST` format (version 1)
+//! # The `EBST` format (version 2)
 //!
 //! All integers are little-endian. The file is header, then chunks,
 //! then a seek index, then a fixed-size footer (so readers find the
@@ -40,13 +40,13 @@
 //!
 //! ```text
 //! header   magic     [u8; 4] = b"EBST"
-//!          version   u16     = 1
+//!          version   u16     = 2
 //!          width     u16       sensor columns
 //!          height    u16       sensor rows
 //!          name_len  u16
 //!          span_us   u64       nominal recording span (0 = unknown)
 //!          name      [u8; name_len]   UTF-8 stream name
-//! chunk*   count     u32       events in chunk (> 0)
+//! chunk*   count     u32       events in chunk (1..=MAX_CHUNK_EVENTS)
 //!          t_first   u64       timestamp of first event
 //!          t_last    u64       timestamp of last event
 //!          len       u32       payload bytes
@@ -60,55 +60,58 @@
 //!          magic     [u8; 4] = b"EBSX"
 //! ```
 //!
-//! Chunk payloads are **delta-coded varints**, one triple per event
+//! A chunk payload is **bit-packed deltas**: three fields per event
 //! against a running predecessor (reset per chunk, so every chunk
 //! decodes standalone — that is what makes seeking chunk-granular):
 //!
-//! * `varint(t - prev_t)` — timestamps are non-decreasing, so the
-//!   delta is unsigned; `prev_t` starts at the chunk's `t_first`;
-//! * `varint(zigzag(x - prev_x))` — column delta, `prev_x` starts 0;
-//! * `varint(zigzag(y - prev_y) << 1 | polarity)` — row delta with the
-//!   polarity bit packed into bit 0, `prev_y` starts 0.
+//! * `Δt = t - prev_t` — timestamps are non-decreasing, so the delta is
+//!   unsigned; `prev_t` starts at the chunk's `t_first`, so the first
+//!   event's `Δt` is 0;
+//! * `zigzag(x - prev_x)` — column delta, `prev_x` starts 0;
+//! * `zigzag(y - prev_y) << 1 | polarity` — row delta with the polarity
+//!   bit packed into bit 0, `prev_y` starts 0.
 //!
-//! Varints are LEB128 (7 value bits per byte, high bit = continue);
 //! zigzag folds signed deltas to unsigned (0, -1, 1, -2 → 0, 1, 2, 3).
-//! Simulated traffic lands near 4 bytes/event versus the flat `EAER`
-//! codec's 14, and decoding validates CRC, bounds, ordering and span,
-//! so corruption is detected rather than tracked.
+//! The payload opens with three width bytes `wt ≤ 64`, `wx ≤ 17` and
+//! `1 ≤ wy ≤ 18` (the polarity bit is always stored), the fewest bits
+//! that hold each field over the chunk (frame-of-reference packing,
+//! as in Lemire & Boytsov, 2015). Then come `count` events of
+//! `wt + wx + wy` bits each, `Δt` in the lowest bits, as one
+//! little-endian bit stream zero-padded to a whole byte, so
+//! `len = 3 + ceil(count · (wt + wx + wy) / 8)` exactly. Simulated
+//! traffic lands near 3.5–3.8 bytes/event, and even the widest events
+//! (99 bits) beat the flat `EAER` codec's 14 from three events a chunk
+//! on. Decoding validates CRC, the count against
+//! [`format::MAX_CHUNK_EVENTS`] (before anything is allocated), the
+//! widths, the exact length, zero padding, the first `Δt`, timestamp
+//! overflow, bounds and span, so corruption is detected rather than
+//! tracked. Version 1 files (delta-varint chunks) are rejected as
+//! [`StoreError::UnsupportedVersion`].
 //!
-//! # The codec fast paths
+//! # The codec
 //!
 //! Encoding is what a sensor node pays to frame its events, and
-//! decoding is the store's hot loop, so each direction of the chunk
-//! codec has two implementations in [`format`](mod@format):
+//! decoding is the store's hot loop. [`format`](mod@format) has one
+//! implementation of each, behind the writer, the reader and the
+//! `EBWP` EVENTS frames alike:
 //!
-//! * [`format::encode_chunk_payload_reference`] — one byte-loop varint
-//!   write per value, the encoder's oracle;
-//! * [`format::encode_chunk_payload`] — the production encoder. Both
-//!   coordinate varints of an event always fit 3 bytes (`zigzag(Δx) <
-//!   2^17`, `zigzag(Δy) << 1 | p < 2^18` for `u16` coordinates), so
-//!   whenever `Δt < 2^21` an event's three values are spread to their
-//!   varint bytes branch-free and stored with two unaligned 8-byte
-//!   writes into a stack block that is appended to the output about
-//!   once per KiB; longer gaps take the byte loop;
-//! * [`format::decode_chunk_payload`] — the byte-at-a-time **scalar
-//!   reference** the rejection rules are written against;
-//! * [`format::decode_chunk_payload_fast`] — the production decoder:
-//!   while ≥ 32 bytes remain, each event starts with one unaligned
-//!   `u64` load. When the three varints all end inside it and none is
-//!   longer than 3 bytes, one lane finds their ends from the three
-//!   lowest stop bits and decodes all three branch-free. Otherwise each
-//!   varint is read by its own load (continuation bits isolated with
-//!   one mask, length from `trailing_zeros`, 7-bit groups extracted
-//!   branch-free), with the scalar loop handling 9/10-byte varints and
-//!   the payload tail.
+//! * [`format::encode_chunk_payload`] — one pass ORs each field over the
+//!   chunk to pick the widths, a second packs every event through a
+//!   `u128` accumulator stored whole into the output;
+//! * [`format::decode_chunk_payload`] — every event whose three fields
+//!   fit 57 bits takes one unaligned `u64` load, a shift and three
+//!   masks, with no table and no data-dependent length; wider events (a
+//!   `Δt` of about 2^40 µs or more) take one 16-byte load. Per event it
+//!   checks the timestamp add and one unsigned compare per axis.
 //!
-//! The root `tests/decode_parity.rs` pins each pair together by
-//! property test: the same bytes out of both encoders for every chunk,
-//! the same events out of every valid payload, and the same error out
-//! of every corrupt one (hostile tails, bit flips, truncation at every
-//! byte boundary, lying frame metadata). CRC-32 is slice-by-16 with a
-//! one-byte [`format::crc32_reference`] under the same contract.
+//! The root `tests/decode_parity.rs` pins both to a bit-at-a-time model
+//! of the format by property test: the same bytes out of both encoders
+//! for every chunk, the same events out of every valid payload, and the
+//! same error out of every corrupt one (truncation and bit flips at
+//! every byte, lying frame metadata, random bit streams under every
+//! width triple), plus one crafted payload per rejection rule. CRC-32 is
+//! slice-by-16 with a one-byte [`format::crc32_reference`] under the
+//! same contract.
 //!
 //! Where the payload bytes live is a [`ChunkSource`] property:
 //! streamed sources (`BufReader`) copy each payload into a reused

@@ -9,8 +9,8 @@ use std::path::Path;
 use ebbiot_events::{codec::Recording, Event, Micros, SensorGeometry, Timestamp};
 
 use crate::format::{
-    crc32, decode_chunk_payload_fast, ChunkMeta, StoreError, StoreHeader, CHUNK_FRAME_BYTES,
-    END_MAGIC, FOOTER_BYTES, HEADER_FIXED_BYTES, INDEX_ENTRY_BYTES, MAGIC, MAX_EVENT_BYTES,
+    crc32, decode_chunk_payload, ChunkMeta, StoreError, StoreHeader, CHUNK_FRAME_BYTES, END_MAGIC,
+    FOOTER_BYTES, HEADER_FIXED_BYTES, INDEX_ENTRY_BYTES, MAGIC, MAX_CHUNK_EVENTS, MAX_EVENT_BITS,
     VERSION,
 };
 
@@ -383,7 +383,13 @@ impl<R: ChunkSource> ChunkReader<R> {
         if count != meta.count || t_first != meta.t_first || t_last != meta.t_last {
             return Err(corrupt("chunk frame disagrees with index"));
         }
-        if payload_len as u64 > u64::from(count) * MAX_EVENT_BYTES as u64 {
+        // Both bounds hold before the payload is read into scratch or
+        // decoded: a chunk costs at most MAX_CHUNK_EVENTS events and the
+        // payload its widest events would take.
+        if count as usize > MAX_CHUNK_EVENTS {
+            return Err(corrupt("event count exceeds MAX_CHUNK_EVENTS"));
+        }
+        if payload_len > crate::format::payload_len(count as usize, MAX_EVENT_BITS) {
             return Err(corrupt("payload length exceeds event bound"));
         }
         // Resident sources lend the payload in place; streamed ones
@@ -398,15 +404,7 @@ impl<R: ChunkSource> ChunkReader<R> {
         if crc32(payload) != payload_crc {
             return Err(StoreError::ChunkCrcMismatch { chunk });
         }
-        decode_chunk_payload_fast(
-            out,
-            payload,
-            chunk,
-            self.header.geometry,
-            count,
-            t_first,
-            t_last,
-        )?;
+        decode_chunk_payload(out, payload, chunk, self.header.geometry, count, t_first, t_last)?;
         if let Some(resume) = self.resume_from.take() {
             let skip = out.partition_point(|e| e.t < resume);
             out.drain(..skip);

@@ -7,14 +7,15 @@ use std::path::Path;
 use ebbiot_events::{codec::Recording, Event, Micros, SensorGeometry, Timestamp};
 
 use crate::format::{
-    crc32, encode_chunk_payload, ChunkMeta, StoreError, END_MAGIC, MAGIC, VERSION,
+    crc32, encode_chunk_payload, ChunkMeta, StoreError, END_MAGIC, MAGIC, MAX_CHUNK_EVENTS, VERSION,
 };
 
 /// Store tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoreOptions {
     /// Events per chunk — the seek granularity and the most a reader
-    /// ever holds in memory per stream. Clamped to at least 1.
+    /// ever holds in memory per stream. Clamped to
+    /// `1..=`[`MAX_CHUNK_EVENTS`].
     pub chunk_events: usize,
 }
 
@@ -57,7 +58,7 @@ impl StoreSummary {
 }
 
 /// Streams time-ordered events into an `EBST` sink, framing them into
-/// delta-coded chunks and appending the seek index on
+/// bit-packed chunks and appending the seek index on
 /// [`RecordingWriter::finish`].
 ///
 /// The writer is append-only (`W: Write` suffices — no seeking): the
@@ -139,7 +140,7 @@ impl<W: Write> RecordingWriter<W> {
         Ok(Self {
             sink,
             geometry,
-            options: StoreOptions { chunk_events: options.chunk_events.max(1) },
+            options: StoreOptions { chunk_events: options.chunk_events.clamp(1, MAX_CHUNK_EVENTS) },
             offset: (crate::format::HEADER_FIXED_BYTES + name.len()) as u64,
             pending: Vec::new(),
             payload: Vec::new(),
@@ -353,6 +354,20 @@ mod tests {
             bytes.len(),
             crate::format::HEADER_FIXED_BYTES + 1 + crate::format::FOOTER_BYTES
         );
+    }
+
+    #[test]
+    fn chunks_never_exceed_max_chunk_events() {
+        let geom = SensorGeometry::new(4, 4);
+        let options = StoreOptions::default().with_chunk_events(usize::MAX);
+        let mut w = RecordingWriter::new(Vec::new(), geom, "big", 0, options).unwrap();
+        let events = vec![Event::on(1, 1, 7); MAX_CHUNK_EVENTS + 1];
+        w.push_events(&events).unwrap();
+        let (bytes, summary) = w.finish().unwrap();
+        assert_eq!(summary.chunks, 2, "one full chunk and one of a single event");
+        let first = crate::format::HEADER_FIXED_BYTES + "big".len();
+        let count = u32::from_le_bytes(bytes[first..first + 4].try_into().unwrap());
+        assert_eq!(count as usize, MAX_CHUNK_EVENTS);
     }
 
     #[test]

@@ -255,7 +255,7 @@ fn failed_sessions_never_leak_engine_streams() {
     assert!(snapshot.streams.iter().all(|s| s.detached), "all sessions detached: {snapshot:?}");
 }
 
-/// Two events 17,600 s apart in one 39-byte EVENTS frame close 266,667
+/// Two events 17,600 s apart in one 44-byte EVENTS frame close 266,667
 /// empty 66 ms windows: 9.6 MB of TRACKS, more than one frame may carry.
 /// The session answers in as many TRACKS frames as the cap needs, and
 /// the client reads every result back, in order.
@@ -265,7 +265,9 @@ fn a_reply_larger_than_one_frame_is_split_across_tracks_frames() {
     let t_last = 17_600_000_000;
     let events = [Event::on(1, 1, 0), Event::off(14, 14, t_last)];
     let events_frame = encode_frames(&[Frame::Events(EventsChunk::encode(&events))]);
-    assert_eq!(events_frame.len(), 39);
+    // Envelope 5, fixed fields 24, width bytes 3, and two events of
+    // 35 + 5 + 6 bits.
+    assert_eq!(events_frame.len(), 44);
     let mut bytes =
         encode_frames(&[Frame::Hello(Hello { geometry, span_us: 0, name: "gap".into() })]);
     bytes.extend(events_frame);
