@@ -47,7 +47,8 @@
 //! assert_eq!(frames[0].num_proposals, 1);
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 pub mod backend;

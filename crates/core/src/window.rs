@@ -14,6 +14,9 @@
 
 use ebbiot_events::{Event, Micros, Timestamp};
 
+#[cfg(target_arch = "x86_64")]
+mod avx2;
+
 /// A stream that [`push`] and [`finish`] can window.
 pub(crate) trait WindowedStream {
     /// What processing one window produces.
@@ -57,12 +60,7 @@ pub(crate) fn push<S: WindowedStream>(stream: &mut S, chunk: &[Event]) -> Vec<S:
         stream.watermark().is_none_or(|t| t <= first.t),
         "pushed events must be time-ordered across chunks"
     );
-    // `fold` with `&`, not `all`: without an early exit the check
-    // vectorises.
-    assert!(
-        chunk.windows(2).fold(true, |ordered, pair| ordered & (pair[0].t <= pair[1].t)),
-        "pushed events must be time-ordered within a chunk"
-    );
+    assert!(time_ordered(chunk), "pushed events must be time-ordered within a chunk");
     // The chunk is sorted, so only its first event can fall in a window
     // that is already emitted.
     let first_window = window_of(first);
@@ -90,6 +88,25 @@ pub(crate) fn push<S: WindowedStream>(stream: &mut S, chunk: &[Event]) -> Vec<S:
     out
 }
 
+/// Whether `chunk`'s timestamps never decrease, on the AVX2 build of
+/// [`time_ordered_fold`] when the CPU has AVX2 and the baseline build
+/// otherwise.
+fn time_ordered(chunk: &[Event]) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(ordered) = avx2::time_ordered(chunk) {
+        return ordered;
+    }
+    time_ordered_fold(chunk)
+}
+
+/// The order check itself: `fold` with `&`, not `all`, so that without
+/// an early exit the compares vectorise. Always inlined, so that the
+/// AVX2 instance compiles its own copy with AVX2 enabled.
+#[inline(always)]
+fn time_ordered_fold(chunk: &[Event]) -> bool {
+    chunk.windows(2).fold(true, |ordered, pair| ordered & (pair[0].t <= pair[1].t))
+}
+
 /// Ends the stream: emits the open window plus trailing empty windows
 /// until at least `span_us` is covered, and clears the ordering watermark.
 pub(crate) fn finish<S: WindowedStream>(stream: &mut S, span_us: Micros) -> Vec<S::Frame> {
@@ -102,4 +119,37 @@ pub(crate) fn finish<S: WindowedStream>(stream: &mut S, span_us: Micros) -> Vec<
     }
     *stream.watermark() = None;
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The order check's answer on both builds, asserting they agree.
+    fn both_instances(chunk: &[Event]) -> bool {
+        let fold = time_ordered_fold(chunk);
+        #[cfg(target_arch = "x86_64")]
+        if let Some(avx2) = avx2::time_ordered(chunk) {
+            assert_eq!(avx2, fold, "AVX2 and baseline order checks disagree on {chunk:?}");
+        }
+        assert_eq!(time_ordered(chunk), fold);
+        fold
+    }
+
+    #[test]
+    fn order_check_instances_agree_on_every_length_and_inversion() {
+        for len in 0..=33u64 {
+            let ordered: Vec<Event> = (0..len).map(|i| Event::on(1, 2, 1_000 + 3 * i)).collect();
+            assert!(both_instances(&ordered), "ordered chunk of {len}");
+            let equal: Vec<Event> = (0..len).map(|i| Event::on(i as u16, 2, 77)).collect();
+            assert!(both_instances(&equal), "equal timestamps, {len} events");
+            // One inversion at every index (so at every index mod 8):
+            // event `i` steps back one microsecond below event `i - 1`.
+            for i in 1..len as usize {
+                let mut inverted = ordered.clone();
+                inverted[i].t = inverted[i - 1].t - 1;
+                assert!(!both_instances(&inverted), "inversion at {i} of {len}");
+            }
+        }
+    }
 }

@@ -55,7 +55,8 @@
 //! assert!(denoised.count_ones() <= ebbi.count_ones());
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 pub mod binary_image;

@@ -38,6 +38,23 @@
 //! costs one OR per output word. The region proposer projects only those
 //! rows; any superset would give it the same histograms.
 //!
+//! # The AVX2 instance
+//!
+//! A row of at most 256 px (DAVIS240, DVS128) is at most four words,
+//! one 256-bit register. On an x86-64 CPU with AVX2 and POPCNT the 3x3
+//! filter runs such frames on the `avx2` submodule: the same pre-pass,
+//! planes and majority, one row per instruction, with the cross-word
+//! carries taken from a lane permute. The CPU alone selects it at run
+//! time ([`MedianFilter::instance`] names the choice); every other host
+//! and every wider sensor (DAVIS346) runs the word kernel above. Both
+//! write the same image and `written_rows` and charge Eq. 1 identically,
+//! and the word kernel, reachable directly through
+//! [`MedianFilter::apply_word_counted_into`], is the AVX2 instance's
+//! oracle in the unit tests below. The crate denies `unsafe_code` and
+//! allows it on that submodule alone, for the call into its
+//! `#[target_feature]` kernel after detection and for the loads and
+//! stores of one row's words.
+//!
 //! Other odd patch sizes fall back to a sliding column-count scan
 //! (per-column vertical sums updated incrementally, horizontal window
 //! slid across each row). Both paths are bit-exact against
@@ -46,9 +63,21 @@
 //! per-pixel op counts of Eq. 1 — the physical layout never changes the
 //! paper's accounting.
 
-use ebbiot_events::OpsCounter;
+use ebbiot_events::{OpsCounter, SensorGeometry};
 
 use crate::BinaryImage;
+
+#[cfg(target_arch = "x86_64")]
+mod avx2;
+
+// Whether the AVX2 instance runs rows of `words_per_row` words here:
+// never off x86-64.
+#[cfg(target_arch = "x86_64")]
+use avx2::usable as avx2_usable;
+#[cfg(not(target_arch = "x86_64"))]
+fn avx2_usable(_words_per_row: usize) -> bool {
+    false
+}
 
 /// Binary median filter with odd patch size `p` (the paper uses `p = 3`).
 #[derive(Debug, Clone)]
@@ -99,18 +128,6 @@ fn horizontal_planes(row: &[u64], ones: &mut [u64], twos: &mut [u64]) {
 /// more, i.e. when two set pixels lie at distance 1 or 2: each word is
 /// ANDed with itself shifted left by 1 and by 2, with the bits shifted
 /// in from the word before, so pairs straddling a word boundary count.
-///
-/// The addition charge is closed-form. Summing the patch counts of every
-/// output pixel counts each set input pixel `(x, y)` once per patch that
-/// covers it: `nx(x) * ny(y)` patches, where `nx` is 3 inside and 2 on
-/// the left/right border column (1 for a one-pixel-wide image), and `ny`
-/// likewise for rows. Row by row that is
-/// `ny(y) * (3 * pop(row y) - bit(0, y) - bit(w - 1, y))`, which holds
-/// for `w = 1` too (the single pixel is both border columns). Summed
-/// over the rows, with `P` set pixels in all, it is
-/// `3 * (3P - pop(row 0) - pop(row h - 1)) - Σ ny(y) * edges(y)`, which
-/// holds for `h = 1` too (`ny = 1`, and the one row is both border rows),
-/// so only the two border rows are counted.
 fn pair_prepass3(input: &BinaryImage, set_pixels: u64, paired_rows: &mut Vec<u16>) -> u64 {
     let height = input.height();
     let last_bit = u32::from(input.width() - 1) & 63;
@@ -130,8 +147,26 @@ fn pair_prepass3(input: &BinaryImage, set_pixels: u64, paired_rows: &mut Vec<u16
         let ny = 3 - u64::from(y == 0) - u64::from(y == height - 1);
         edge_charge += ny * edges;
     }
+    addition_charge(input, set_pixels, edge_charge)
+}
+
+/// The closed-form Eq. 1 addition charge of the 3x3 median, given the
+/// image's `set_pixels` and `edge_charge = Σ ny(y) * edges(y)`, where
+/// `edges(y)` counts the set pixels among row `y`'s two border columns.
+///
+/// Summing the patch counts of every output pixel counts each set input
+/// pixel `(x, y)` once per patch that covers it: `nx(x) * ny(y)`
+/// patches, where `nx` is 3 inside and 2 on the left/right border
+/// column (1 for a one-pixel-wide image), and `ny` likewise for rows.
+/// Row by row that is `ny(y) * (3 * pop(row y) - edges(y))`, which
+/// holds for `w = 1` too (the single pixel is both border columns).
+/// Summed over the rows, with `P` set pixels in all, it is
+/// `3 * (3P - pop(row 0) - pop(row h - 1)) - edge_charge`, which holds
+/// for `h = 1` too (`ny = 1`, and the one row is both border rows), so
+/// only the two border rows are counted.
+fn addition_charge(input: &BinaryImage, set_pixels: u64, edge_charge: u64) -> u64 {
     let pop = |y| input.row_words(y).iter().map(|w| u64::from(w.count_ones())).sum::<u64>();
-    3 * (3 * set_pixels - pop(0) - pop(height - 1)) - edge_charge
+    3 * (3 * set_pixels - pop(0) - pop(input.height() - 1)) - edge_charge
 }
 
 impl MedianFilter {
@@ -209,16 +244,70 @@ impl MedianFilter {
         set_pixels: u64,
         out: &mut BinaryImage,
     ) {
-        assert_eq!(input.geometry(), out.geometry(), "geometry mismatch in apply_into");
-        debug_assert_eq!(set_pixels, input.count_ones() as u64, "wrong set-pixel count");
-        out.clear();
-        self.scratch.written_rows.clear();
-        self.ops.compare(input.geometry().num_pixels() as u64);
+        self.begin(input, set_pixels, out);
+        if self.patch != 3 {
+            self.apply_sliding(input, out);
+            return;
+        }
+        #[cfg(target_arch = "x86_64")]
+        {
+            let Scratch { paired_rows, written_rows, .. } = &mut self.scratch;
+            if let Some((additions, writes)) =
+                avx2::median3(input, set_pixels, out, paired_rows, written_rows)
+            {
+                self.ops.add(additions);
+                self.ops.write(writes);
+                return;
+            }
+        }
+        self.apply3_words(input, set_pixels, out);
+    }
+
+    /// [`Self::apply_counted_into`] on the portable word kernel, whatever
+    /// the CPU supports: the instance that hosts without AVX2 and rows
+    /// wider than 256 px run, and the oracle of the AVX2 instance. It
+    /// writes the same image, rows and op counts; benchmarks time it
+    /// beside the dispatched kernel.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `out` has a different geometry.
+    pub fn apply_word_counted_into(
+        &mut self,
+        input: &BinaryImage,
+        set_pixels: u64,
+        out: &mut BinaryImage,
+    ) {
+        self.begin(input, set_pixels, out);
         if self.patch == 3 {
             self.apply3_words(input, set_pixels, out);
         } else {
             self.apply_sliding(input, out);
         }
+    }
+
+    /// The kernel instance [`Self::apply_counted_into`] runs on this host
+    /// for frames of `geometry`: `"avx2"` for the 3x3 filter on rows of
+    /// at most 256 px when the CPU has AVX2 and POPCNT, `"word"` for the
+    /// 3x3 filter otherwise, and `"sliding"` for other patch sizes.
+    #[must_use]
+    pub fn instance(&self, geometry: SensorGeometry) -> &'static str {
+        let words_per_row = usize::from(geometry.width()).div_ceil(64);
+        match self.patch {
+            3 if avx2_usable(words_per_row) => "avx2",
+            3 => "word",
+            _ => "sliding",
+        }
+    }
+
+    /// The common start of every `apply`: checks the geometry, clears
+    /// `out` and the row list, and charges one comparison per pixel.
+    fn begin(&mut self, input: &BinaryImage, set_pixels: u64, out: &mut BinaryImage) {
+        assert_eq!(input.geometry(), out.geometry(), "geometry mismatch in apply_into");
+        debug_assert_eq!(set_pixels, input.count_ones() as u64, "wrong set-pixel count");
+        out.clear();
+        self.scratch.written_rows.clear();
+        self.ops.compare(input.geometry().num_pixels() as u64);
     }
 
     /// Bit-sliced carry-save 3x3 kernel: 64 patch counts per word triple.
@@ -379,6 +468,7 @@ mod tests {
     use super::*;
     use crate::PixelBox;
     use ebbiot_events::SensorGeometry;
+    use proptest::prelude::*;
 
     fn image(w: u16, h: u16) -> BinaryImage {
         BinaryImage::new(SensorGeometry::new(w, h))
@@ -505,6 +595,99 @@ mod tests {
         img.set(7, 7, true);
         let out = MedianFilter::new(1).apply(&img);
         assert_eq!(out, img);
+    }
+
+    /// Runs the word kernel, and the dispatched kernel (the AVX2 instance
+    /// where the host has it), on `img`, asserting both give the scalar
+    /// reference's image and op counts, list exactly the non-empty output
+    /// rows, and agree with each other bit for bit.
+    fn assert_instances_agree(img: &BinaryImage) {
+        let mut ref_ops = OpsCounter::new();
+        let expected = crate::reference::median(img, 3, &mut ref_ops);
+        let expected_rows: Vec<u16> = (0..expected.height())
+            .filter(|&y| expected.row_words(y).iter().any(|&w| w != 0))
+            .collect();
+        let set_pixels = img.count_ones() as u64;
+        let (mut word, mut dispatched) = (MedianFilter::new(3), MedianFilter::new(3));
+        let mut word_out = image(img.width(), img.height());
+        let mut out = word_out.clone();
+        word.apply_word_counted_into(img, set_pixels, &mut word_out);
+        dispatched.apply_counted_into(img, set_pixels, &mut out);
+        let geometry = img.geometry();
+        assert_eq!(word_out, expected, "word kernel vs reference at {geometry}");
+        assert_eq!(*word.ops(), ref_ops, "word kernel op counts at {geometry}");
+        assert_eq!(word.written_rows(), expected_rows, "word kernel rows at {geometry}");
+        assert!(word_out.tail_bits_zero());
+        let instance = dispatched.instance(geometry);
+        assert_eq!(out, word_out, "{instance} vs word kernel at {geometry}");
+        assert_eq!(dispatched.ops(), word.ops(), "{instance} op counts at {geometry}");
+        assert_eq!(dispatched.written_rows(), word.written_rows(), "{instance} rows at {geometry}");
+    }
+
+    /// A `w x h` frame: `pixels` (taken modulo the geometry), plus pairs
+    /// straddling every word boundary the width has: at distance 1 on
+    /// row `pair_row`, and at distance 2 on the next two rows (wrapping),
+    /// one ending on the boundary's first bit and one across it.
+    fn frame(w: u16, h: u16, pixels: &[(u16, u16)], pair_row: u16) -> BinaryImage {
+        let mut img = image(w, h);
+        for &(x, y) in pixels {
+            img.set(x % w, y % h, true);
+        }
+        for b in (64..w).step_by(64) {
+            for (dy, pair) in [(0, [b - 1, b]), (1, [b - 2, b]), (2, [b - 1, b + 1])] {
+                for x in pair.into_iter().filter(|&x| x < w) {
+                    img.set(x, (pair_row + dy) % h, true);
+                }
+            }
+        }
+        img
+    }
+
+    #[test]
+    fn instances_agree_on_empty_and_full_frames_of_every_width() {
+        for w in 1..=256 {
+            for h in [1, 2, 3, 5] {
+                let mut img = image(w, h);
+                assert_instances_agree(&img);
+                img.fill_box(&PixelBox::new(0, 0, w, h));
+                assert_instances_agree(&img);
+            }
+        }
+    }
+
+    #[test]
+    fn instances_agree_on_pairs_across_every_word_boundary() {
+        for w in [63, 64, 65, 66, 127, 128, 129, 130, 191, 192, 193, 194, 240, 255, 256] {
+            for pair_row in 0..4 {
+                assert_instances_agree(&frame(w, 4, &[], pair_row));
+                assert_instances_agree(&frame(w, 9, &[(w / 2, 4)], pair_row));
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn instances_agree_on_random_frames_of_widths_1_to_256(
+            w in 1u16..257,
+            h in 1u16..14,
+            pixels in proptest::collection::vec((0u16..1024, 0u16..1024), 0..160),
+            pair_row in 0u16..16,
+        ) {
+            assert_instances_agree(&frame(w, h, &pixels, pair_row));
+        }
+
+        #[test]
+        fn instances_agree_on_taller_denser_frames_at_64_65_128_240_256(
+            wi in 0usize..5,
+            h in 1u16..40,
+            pixels in proptest::collection::vec((0u16..1024, 0u16..1024), 0..400),
+            pair_row in 0u16..40,
+        ) {
+            let w = [64, 65, 128, 240, 256][wi];
+            assert_instances_agree(&frame(w, h, &pixels, pair_row));
+        }
     }
 
     #[test]
