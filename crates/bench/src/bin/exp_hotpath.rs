@@ -27,11 +27,14 @@
 //! - `count_in_box`: box counting over tracker-sized boxes on denoised
 //!   frames, what the trackers read;
 //! - `decode` and `encode`: the bit-packed EBST chunk codec on the
-//!   fleet's full chunks, in ns/event, timed against each other (the
-//!   codec has one implementation, so these rows have no reference);
-//!   the report adds the payload's bytes per event;
-//! - `crc`: the slice-by-16 CRC-32 against the one-byte-at-a-time
-//!   reference, over the same chunks' payloads, in ns/byte.
+//!   fleet's full chunks, in ns/event; the decoder instance the CPU
+//!   selects (AVX-512 where available) is timed against the portable
+//!   scalar decoder every other host runs, in alternating slices with
+//!   the encoder; the report adds the payload's bytes per event;
+//! - `crc`: the CRC-32 instance the CPU selects (carry-less multiply
+//!   where available), the portable slice-by-16 kernel and the
+//!   one-byte-at-a-time reference, over the same chunks' payloads, in
+//!   ns/byte.
 //! - `telemetry`: a sequential `ebbiot` pass over each camera with the
 //!   per-stage timers attached (`with_stage_telemetry`) against the
 //!   same pass without them, in µs per camera.
@@ -39,20 +42,22 @@
 //! Reports ns per frame (per event for `decode` and `encode`, per byte
 //! for `crc`) and the speedup over the reference per fleet, writes
 //! `BENCH_hotpath.json`, and **asserts** the median kernel is at least
-//! 3x faster than the scalar reference on both fleets, that on an AVX2
-//! host the AVX2 instance takes at most 0.6x the word kernel's time on
-//! both fleets (full runs only: a smoke run's slices are too short to
-//! resolve it), and that stage
-//! telemetry costs at most 3% of sequential throughput (or 10 ms
-//! absolute over a whole fleet pass) on both fleets. The codec, CRC and
-//! telemetry rows time each side in five alternating slices and keep
-//! the fastest, so a change in the host's speed hits both sides. Parity
-//! (bits, op counts, decoded events, encoded bytes, instrumented
-//! tracker output) is asserted on every captured frame, chunk and
-//! camera before timing starts, for the dispatched and the word median
-//! alike. `--smoke` shrinks the fleets and the timing budget to CI size
-//! and skips the JSON artifact while still asserting parity, the 3x
-//! median floor and the telemetry budget.
+//! 3x faster than the scalar reference on both fleets, that on a host
+//! that selects them the AVX2 median takes at most 0.6x the word
+//! kernel's time, the AVX-512 decoder at most 0.6x the scalar decoder's
+//! and the carry-less-multiply CRC at most 0.3x slice-by-16's, on both
+//! fleets (full runs only: a smoke run's slices are too short to resolve
+//! them), and that stage telemetry costs at most 3% of sequential
+//! throughput (or 10 ms absolute over a whole fleet pass) on both
+//! fleets. The median, codec, CRC and telemetry rows time their sides in
+//! five alternating slices and keep each side's fastest, so a change in
+//! the host's speed hits every side. Parity (bits, op counts, decoded
+//! events, encoded bytes, instrumented tracker output) is asserted on
+//! every captured frame, chunk and camera before timing starts, for the
+//! dispatched and the portable instance of each kernel alike. `--smoke`
+//! shrinks the fleets and the timing budget to CI size and skips the
+//! JSON artifact while still asserting parity, the 3x median floor and
+//! the telemetry budget.
 
 use std::time::{Duration, Instant};
 
@@ -65,7 +70,11 @@ use ebbiot_core::StageTelemetry;
 use ebbiot_events::{Event, OpsCounter, SensorGeometry};
 use ebbiot_frame::{reference, Axis, BinaryImage, EbbiAccumulator, Histogram, MedianFilter, Run};
 use ebbiot_sim::{DatasetPreset, FleetConfig, SimulatedRecording};
-use ebbiot_store::format::{crc32, crc32_reference, decode_chunk_payload, encode_chunk_payload};
+use ebbiot_store::format::{
+    crc32, crc32_reference, crc32_slice_by_16, crc_instance, decode_chunk_payload,
+    decode_chunk_payload_scalar, decode_instance, encode_chunk_payload,
+};
+use ebbiot_store::StoreError;
 use ebbiot_telemetry::Registry;
 
 /// The paper's RPN scale factors `(s1, s2)` and run threshold.
@@ -91,19 +100,25 @@ impl EncodedChunk {
         Self { payload, count, t_first, t_last, geometry }
     }
 
+    /// Decodes the chunk on the instance the CPU selects.
     fn decode(&self, out: &mut Vec<Event>) {
-        decode_chunk_payload(
-            out,
-            &self.payload,
-            0,
-            self.geometry,
-            self.count,
-            self.t_first,
-            self.t_last,
-        )
-        .expect("the chunk was encoded from valid events");
+        self.decode_with(decode_chunk_payload, out);
+    }
+
+    /// Decodes the chunk on the portable scalar decoder.
+    fn decode_scalar(&self, out: &mut Vec<Event>) {
+        self.decode_with(decode_chunk_payload_scalar, out);
+    }
+
+    fn decode_with(&self, decoder: Decoder, out: &mut Vec<Event>) {
+        decoder(out, &self.payload, 0, self.geometry, self.count, self.t_first, self.t_last)
+            .expect("the chunk was encoded from valid events");
     }
 }
+
+/// The signature both chunk decoders share.
+type Decoder =
+    fn(&mut Vec<Event>, &[u8], usize, SensorGeometry, u32, u64, u64) -> Result<(), StoreError>;
 
 /// The full chunks of a fleet, with their events.
 fn full_chunks(frames: &FleetFrames) -> impl Iterator<Item = (&[Event], EncodedChunk)> {
@@ -155,22 +170,23 @@ fn ns_per_frame<T>(budget: Duration, frames: &[T], mut f: impl FnMut(&T)) -> f64
     }
 }
 
-/// Times `word` and `reference` over `items` in alternating slices of
-/// the budget, returning each side's fastest slice in ns per item. The
-/// per-event codec rows differ by a few nanoseconds, less than this
-/// host's speed swings between spells, so both sides must see the same
-/// spells.
-fn fastest_alternating<T>(
+/// Times every side over `items` in alternating slices of the budget,
+/// returning each side's fastest slice in ns per item. The per-event
+/// codec rows differ by a few nanoseconds, less than this host's speed
+/// swings between spells, so every side must see the same spells.
+fn fastest_alternating<T, const N: usize>(
     budget: Duration,
     items: &[T],
-    mut word: impl FnMut(&T),
-    mut reference: impl FnMut(&T),
-) -> (f64, f64) {
+    mut sides: [&mut dyn FnMut(&T); N],
+) -> [f64; N] {
     const SLICES: u32 = 5;
-    (0..SLICES).fold((f64::INFINITY, f64::INFINITY), |(w, r), _| {
-        let w = w.min(ns_per_frame(budget / SLICES, items, &mut word));
-        (w, r.min(ns_per_frame(budget / SLICES, items, &mut reference)))
-    })
+    let mut fastest = [f64::INFINITY; N];
+    for _ in 0..SLICES {
+        for (best, side) in fastest.iter_mut().zip(&mut sides) {
+            *best = best.min(ns_per_frame(budget / SLICES, items, side));
+        }
+    }
+    fastest
 }
 
 /// Asserts every kernel agrees with its scalar reference, op counts
@@ -214,6 +230,10 @@ fn assert_parity(frames: &FleetFrames) {
     for (events, chunk) in full_chunks(frames) {
         chunk.decode(&mut decoded);
         assert_eq!(decoded, events, "codec round trip");
+        chunk.decode_scalar(&mut decoded);
+        assert_eq!(decoded, events, "scalar codec round trip");
+        assert_eq!(crc32(&chunk.payload), crc32_slice_by_16(&chunk.payload), "CRC parity");
+        assert_eq!(crc32(&chunk.payload), crc32_reference(&chunk.payload), "CRC parity");
     }
 }
 
@@ -245,17 +265,19 @@ fn measure_telemetry(
         run_fleet_sequential(spec, preset, fleet),
         "stage telemetry changed sequential output"
     );
-    let (inst_ns, plain_ns) = fastest_alternating(
+    let [inst_ns, plain_ns] = fastest_alternating(
         budget,
         fleet,
-        |rec| {
-            std::hint::black_box(instrumented(rec));
-        },
-        |rec| {
-            std::hint::black_box(
-                spec.build(config.clone()).process_recording(&rec.events, rec.duration_us),
-            );
-        },
+        [
+            &mut |rec| {
+                std::hint::black_box(instrumented(rec));
+            },
+            &mut |rec| {
+                std::hint::black_box(
+                    spec.build(config.clone()).process_recording(&rec.events, rec.duration_us),
+                );
+            },
+        ],
     );
     let pct = (100.0 * (inst_ns - plain_ns) / plain_ns).max(0.0);
     let extra_s = (inst_ns - plain_ns) * fleet.len() as f64 / 1e9;
@@ -270,13 +292,33 @@ fn measure_telemetry(
     (report.f64(&format!("telemetry_overhead_pct_{label}"), pct), pct, extra_s)
 }
 
-/// The median's speed on one fleet: the instance the CPU selected, and
-/// its speedup over the scalar reference and over the portable word
-/// kernel.
-struct MedianSpeed {
-    instance: &'static str,
-    over_reference: f64,
-    over_word: f64,
+/// Each dispatched kernel's speed on one fleet: the median's speedup
+/// over the scalar reference, and the time each dispatched kernel takes
+/// as a share of its portable instance's, with the instance the CPU
+/// selected.
+struct KernelSpeed {
+    median_over_reference: f64,
+    instances: [Instance; 3],
+}
+
+/// One dispatched kernel against its portable instance.
+struct Instance {
+    kernel: &'static str,
+    /// What the CPU selected.
+    selected: &'static str,
+    /// The portable instance's name: the gate applies only when the CPU
+    /// selected another one.
+    portable: &'static str,
+    /// Dispatched time over portable time.
+    ratio: f64,
+    /// The largest `ratio` a full run accepts.
+    gate: f64,
+}
+
+impl Instance {
+    fn held(&self) -> bool {
+        self.selected == self.portable || self.ratio <= self.gate
+    }
 }
 
 /// Times every kernel pair on one fleet's frames, printing a table and
@@ -286,7 +328,7 @@ fn measure(
     frames: &FleetFrames,
     budget: Duration,
     mut report: JsonReport,
-) -> (JsonReport, MedianSpeed) {
+) -> (JsonReport, KernelSpeed) {
     let geometry = frames.ebbis[0].geometry();
     let density =
         |set: &[BinaryImage]| set.iter().map(BinaryImage::density).sum::<f64>() / set.len() as f64;
@@ -323,13 +365,15 @@ fn measure(
     let counted: Vec<_> = frames.ebbis.iter().map(|img| (img, img.count_ones() as u64)).collect();
     let mut word_scratch = BinaryImage::new(geometry);
     let mut word_filter = MedianFilter::paper_default();
-    let (median_dispatched, median_word) = fastest_alternating(
+    let [median_dispatched, median_word] = fastest_alternating(
         budget,
         &counted,
-        |&(img, set_pixels)| filter.apply_counted_into(img, set_pixels, &mut scratch),
-        |&(img, set_pixels)| {
-            word_filter.apply_word_counted_into(img, set_pixels, &mut word_scratch);
-        },
+        [
+            &mut |&(img, set_pixels)| filter.apply_counted_into(img, set_pixels, &mut scratch),
+            &mut |&(img, set_pixels)| {
+                word_filter.apply_word_counted_into(img, set_pixels, &mut word_scratch);
+            },
+        ],
     );
     let median_ref = ns_per_frame(budget, &frames.ebbis, |img| {
         reference::median_into(img, 3, &mut scratch, &mut ops);
@@ -353,35 +397,42 @@ fn measure(
     });
 
     let chunks: Vec<(&[Event], EncodedChunk)> = full_chunks(frames).collect();
-    let (mut decoded, mut payload) = (Vec::new(), Vec::new());
-    let (decode_ns, encode_ns) = fastest_alternating(
+    let (mut decoded, mut scalar_decoded, mut payload) = (Vec::new(), Vec::new(), Vec::new());
+    let per_chunk = fastest_alternating(
         budget,
         &chunks,
-        |(_, c)| c.decode(&mut decoded),
-        |(e, _)| encode_chunk_payload(&mut payload, e),
+        [
+            &mut |(_, c): &(&[Event], EncodedChunk)| c.decode(&mut decoded),
+            &mut |(_, c): &(&[Event], EncodedChunk)| c.decode_scalar(&mut scalar_decoded),
+            &mut |(e, _): &(&[Event], EncodedChunk)| encode_chunk_payload(&mut payload, e),
+        ],
     );
-    let per_event = |ns_per_chunk: f64| ns_per_chunk / CHUNK_EVENTS as f64;
-    let (decode_ns, encode_ns) = (per_event(decode_ns), per_event(encode_ns));
+    let [decode_ns, decode_scalar_ns, encode_ns] = per_chunk.map(|ns| ns / CHUNK_EVENTS as f64);
     let payloads: Vec<&[u8]> = chunks.iter().map(|(_, c)| c.payload.as_slice()).collect();
-    let (crc_word, crc_ref) = fastest_alternating(
+    let mean_bytes = payloads.iter().map(|p| p.len()).sum::<usize>() as f64 / payloads.len() as f64;
+    let [crc_dispatched, crc_slice_by_16, crc_ref] = fastest_alternating(
         budget,
         &payloads,
-        |p| {
-            std::hint::black_box(crc32(p));
-        },
-        |p| {
-            std::hint::black_box(crc32_reference(p));
-        },
-    );
-    let mean_bytes = payloads.iter().map(|p| p.len()).sum::<usize>() as f64 / payloads.len() as f64;
-    let (crc_word, crc_ref) = (crc_word / mean_bytes, crc_ref / mean_bytes);
+        [
+            &mut |p: &&[u8]| {
+                std::hint::black_box(crc32(p));
+            },
+            &mut |p: &&[u8]| {
+                std::hint::black_box(crc32_slice_by_16(p));
+            },
+            &mut |p: &&[u8]| {
+                std::hint::black_box(crc32_reference(p));
+            },
+        ],
+    )
+    .map(|ns| ns / mean_bytes);
 
     let rows = [
         ("ebbi", "EBBI latch + readout", "frame", ebbi_word, ebbi_ref),
         ("median", "median 3x3 (EBBI)", "frame", median_dispatched, median_ref),
         ("rpn", "RPN rows + runs", "frame", rpn_word_ns, rpn_ref_ns),
         ("count_in_box", "count_in_box x64", "frame", count_word, count_ref),
-        ("crc", "CRC-32 of payloads", "byte", crc_word, crc_ref),
+        ("crc", "CRC-32 of payloads", "byte", crc_dispatched, crc_ref),
     ];
     report = report
         .u64(&format!("{label}_frames"), frames.ebbis.len() as u64)
@@ -392,6 +443,9 @@ fn measure(
         .f64(&format!("{label}_payload_bytes_per_event"), mean_bytes / CHUNK_EVENTS as f64)
         .f64(&format!("{label}_decode_ns_per_event"), decode_ns)
         .f64(&format!("{label}_encode_ns_per_event"), encode_ns)
+        .str(&format!("{label}_decode_instance"), decode_instance())
+        .f64(&format!("{label}_decode_scalar_ns_per_event"), decode_scalar_ns)
+        .f64(&format!("{label}_crc_slice_by_16_ns_per_byte"), crc_slice_by_16)
         .str(&format!("{label}_median_instance"), instance)
         .f64(&format!("{label}_median_scalar_ns_per_frame"), median_word);
     for (key, name, unit, word, scalar) in rows {
@@ -405,12 +459,20 @@ fn measure(
             .f64(&format!("{label}_{key}_reference_ns_per_{unit}"), scalar)
             .f64(&format!("{label}_{key}_speedup"), scalar / word);
     }
-    println!(
-        "{:<20} {instance:<5} {median_dispatched:>9.1} ns/frame   word {median_word:>12.1} \
-         ns/frame   ratio {:>9.2}x",
-        "median 3x3 instance",
-        median_dispatched / median_word
-    );
+    let instances = [
+        ("median 3x3", instance, "word", "frame", median_dispatched, median_word, 0.6),
+        ("decode", decode_instance(), "scalar", "event", decode_ns, decode_scalar_ns, 0.6),
+        ("CRC-32", crc_instance(), "slice-by-16", "byte", crc_dispatched, crc_slice_by_16, 0.3),
+    ]
+    .map(|(kernel, selected, portable, unit, dispatched, scalar, gate)| {
+        println!(
+            "{:<20} {selected:<11} {dispatched:>7.2} ns/{unit:<5} {portable:<11} \
+             {scalar:>7.2} ns/{unit:<5} ratio {:>5.2}x",
+            format!("{kernel} instance"),
+            dispatched / scalar
+        );
+        Instance { kernel, selected, portable, ratio: dispatched / scalar, gate }
+    });
     println!(
         "{:<20} decode {decode_ns:>8.1} ns/event   encode {encode_ns:>9.1} ns/event   \
          {:.2} B/event over {} full chunks",
@@ -418,12 +480,7 @@ fn measure(
         mean_bytes / CHUNK_EVENTS as f64,
         chunks.len()
     );
-    let speed = MedianSpeed {
-        instance,
-        over_reference: median_ref / median_dispatched,
-        over_word: median_word / median_dispatched,
-    };
-    (report, speed)
+    (report, KernelSpeed { median_over_reference: median_ref / median_dispatched, instances })
 }
 
 fn main() {
@@ -442,25 +499,24 @@ fn main() {
         .u64("seed", seed)
         .u64("cameras", cameras as u64)
         .f64("seconds_per_camera", seconds);
-    let mut median_speedups = Vec::new();
+    let mut speeds = Vec::new();
     let mut overheads = Vec::new();
     for (label, preset) in [("lt4", DatasetPreset::Lt4), ("eng", DatasetPreset::Eng)] {
         let fleet =
             FleetConfig::new(preset, cameras).with_seconds(seconds).with_base_seed(seed).generate();
         let frames = FleetFrames::capture(&fleet);
         assert_parity(&frames);
-        let (next, median_speed) = measure(label, &frames, budget, report);
+        let (next, speed) = measure(label, &frames, budget, report);
         let (next, pct, extra_s) = measure_telemetry(label, preset, &fleet, budget, next);
         println!();
         report = next;
-        median_speedups.push((label, median_speed));
+        speeds.push((label, speed));
         overheads.push((label, pct, extra_s));
     }
-    let floor_held = median_speedups.iter().all(|(_, s)| s.over_reference >= 3.0);
+    let floor_held = speeds.iter().all(|(_, s)| s.median_over_reference >= 3.0);
     // Checked in full runs only: a smoke run's 10 ms slices are too
     // short to resolve a 2x ratio against host noise.
-    let instance_gain_held = smoke
-        || median_speedups.iter().all(|(_, s)| s.instance != "avx2" || s.over_word >= 1.0 / 0.6);
+    let instance_held = |k: usize| smoke || speeds.iter().all(|(_, s)| s.instances[k].held());
 
     // Skipped in smoke mode so CI-sized runs never clobber the tracked
     // numbers.
@@ -468,8 +524,11 @@ fn main() {
         println!("--smoke: skipping BENCH_hotpath.json");
     } else {
         report
+            .str("crc_instance", crc_instance())
             .bool("median_speedup_at_least_3x", floor_held)
-            .bool("median_instance_at_most_0_6x_word", instance_gain_held)
+            .bool("median_instance_at_most_0_6x_word", instance_held(0))
+            .bool("decode_instance_at_most_0_6x_scalar", instance_held(1))
+            .bool("crc_instance_at_most_0_3x_slice_by_16", instance_held(2))
             .write(std::path::Path::new("BENCH_hotpath.json"))
             .expect("write BENCH_hotpath.json");
         println!("wrote BENCH_hotpath.json");
@@ -478,14 +537,17 @@ fn main() {
     assert!(
         floor_held,
         "word-parallel median must be >= 3x the scalar reference on every fleet, measured {:?}",
-        median_speedups.iter().map(|(l, s)| (l, s.over_reference)).collect::<Vec<_>>()
+        speeds.iter().map(|(l, s)| (l, s.median_over_reference)).collect::<Vec<_>>()
     );
-    assert!(
-        instance_gain_held,
-        "the AVX2 median must take <= 0.6x the word kernel's time on every fleet, measured \
-         speedups {:?}",
-        median_speedups.iter().map(|(l, s)| (l, s.over_word)).collect::<Vec<_>>()
-    );
+    for k in 0..3 {
+        let measured: Vec<_> = speeds.iter().map(|(l, s)| (l, s.instances[k].ratio)).collect();
+        let Instance { kernel, selected, portable, gate, .. } = speeds[0].1.instances[k];
+        assert!(
+            instance_held(k),
+            "the {selected} {kernel} must take <= {gate}x the {portable} instance's time on \
+             every fleet, measured ratios {measured:?}"
+        );
+    }
     for (label, pct, extra_s) in overheads {
         assert!(
             pct <= 3.0 || extra_s <= 0.010,

@@ -6,7 +6,12 @@ use crate::Timestamp;
 ///
 /// The paper's convention: `p_i = 1` (ON) when the light intensity rises
 /// beyond the pixel threshold, `p_i = -1` (OFF) when it falls below it.
+///
+/// One byte in memory, ON as 0 and OFF as 1 (declaration order, which
+/// the derived `Ord` also follows), so a vectorised decoder can store
+/// whole [`Event`]s.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[repr(u8)]
 pub enum Polarity {
     /// Intensity increased beyond the threshold (`p = +1`).
     On,
@@ -58,7 +63,12 @@ impl Polarity {
 /// Matches the paper's `e_i = (x_i, y_i, t_i, p_i)`. Field order in memory
 /// puts the timestamp first so the derived `Ord` sorts streams temporally,
 /// with (x, y, polarity) as deterministic tie-breakers.
+///
+/// The layout is fixed (`#[repr(C)]`, 16 bytes): `t` at byte 0, `x` at 8,
+/// `y` at 10, the polarity byte at 12 and three bytes of padding, so a
+/// vectorised decoder can store whole events as two `u64` words each.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[repr(C)]
 pub struct Event {
     /// Microsecond timestamp `t_i`.
     pub t: Timestamp,

@@ -13,7 +13,7 @@ use ebbiot_engine::{Engine, EngineConfig, Snapshot};
 use ebbiot_store::{FleetArchiver, StoreOptions};
 use ebbiot_telemetry::Registry;
 
-use crate::protocol::{write_frame, Frame, FrameReader, FrameRef, WireError};
+use crate::protocol::{write_frame, Frame, FrameReader, FrameRef, WireError, ENVELOPE_BYTES};
 use crate::session::{PipelineFactory, Session, SessionSummary};
 use crate::stats::{ServerTelemetry, StatsServer};
 
@@ -272,15 +272,19 @@ fn accept_loop(
     }
 }
 
+/// Bytes each connection reads ahead: a client's burst of EVENTS frames
+/// arrives in few reads, and the replies to all of it in few writes.
+const READ_BUFFER_BYTES: usize = 64 << 10;
+
 /// Runs one connection to completion: frames in, responses out, an
 /// ERROR frame (best effort) on the way down.
 fn serve_connection(connection: TcpStream, mut session: Session) -> SessionReport {
     let peer = connection.peer_addr().map_or_else(|_| "unknown".to_string(), |a| a.to_string());
-    let result = drive(&connection, &mut session);
+    let mut writer = BufWriter::new(&connection);
+    let result = drive(&connection, &mut writer, &mut session);
     if let Err(err) = &result {
-        // Tell the client why before hanging up; the socket may already
-        // be gone, so ignore failures.
-        let mut writer = BufWriter::new(&connection);
+        // Tell the client why, after any replies still buffered, before
+        // hanging up; the socket may already be gone, so ignore failures.
         let _ = write_frame(&mut writer, &Frame::Error(err.to_string()));
         let _ = writer.flush();
         session.abort();
@@ -292,28 +296,54 @@ fn serve_connection(connection: TcpStream, mut session: Session) -> SessionRepor
     }
 }
 
-fn drive(connection: &TcpStream, session: &mut Session) -> Result<(), WireError> {
+/// Reads frames through a [`READ_BUFFER_BYTES`] buffer and writes the
+/// session's replies to `writer`, which it flushes only after a FLUSH or
+/// FINISH, or before a read that can block: when the read buffer holds
+/// less than one whole frame. Replies to frames that were already
+/// buffered go out together.
+fn drive(
+    connection: &TcpStream,
+    writer: &mut BufWriter<&TcpStream>,
+    session: &mut Session,
+) -> Result<(), WireError> {
     connection.set_nodelay(true).map_err(WireError::Io)?;
-    let mut reader = BufReader::new(connection);
-    let mut writer = BufWriter::new(connection);
+    let mut reader = BufReader::with_capacity(READ_BUFFER_BYTES, connection);
     // One payload buffer for the whole connection: EVENTS chunks are
     // CRC-checked and decoded straight out of it (`Session::on_events`),
     // never copied into an intermediate Vec.
     let mut frames = FrameReader::new();
     loop {
-        let responses = match frames.read_from(&mut reader)? {
-            Some(FrameRef::Events(chunk)) => session.on_events(&chunk)?,
-            Some(FrameRef::Control(frame)) => session.on_frame(frame)?,
+        if !holds_whole_frame(reader.buffer()) {
+            writer.flush().map_err(WireError::Io)?;
+        }
+        let (responses, asked) = match frames.read_from(&mut reader)? {
+            Some(FrameRef::Events(chunk)) => (session.on_events(&chunk)?, false),
+            Some(FrameRef::Control(frame)) => {
+                let asked = matches!(frame, Frame::Flush | Frame::Finish { .. });
+                (session.on_frame(frame)?, asked)
+            }
             // EOF: fine after FINISH (we already returned), an error in
             // the middle of a session.
             None => return Err(WireError::Truncated),
         };
         for response in &responses {
-            write_frame(&mut writer, response).map_err(WireError::Io)?;
+            write_frame(writer, response).map_err(WireError::Io)?;
         }
-        writer.flush().map_err(WireError::Io)?;
+        if asked {
+            writer.flush().map_err(WireError::Io)?;
+        }
         if session.is_finished() {
             return Ok(());
         }
     }
+}
+
+/// Whether `buffered` starts with a whole frame: its envelope and every
+/// payload byte the envelope declares.
+fn holds_whole_frame(buffered: &[u8]) -> bool {
+    let Some((envelope, payload)) = buffered.split_first_chunk::<ENVELOPE_BYTES>() else {
+        return false;
+    };
+    let len = u32::from_le_bytes(envelope[1..].try_into().expect("len 4"));
+    payload.len() as u64 >= u64::from(len)
 }

@@ -7,10 +7,30 @@
 //!
 //! The chunk codec is one encoder, [`encode_chunk_payload`], and one
 //! decoder, [`decode_chunk_payload`], behind the writer, the reader and
-//! the `EBWP` EVENTS frames alike. [`crc32`] (slice-by-16) keeps the
-//! one-byte [`crc32_reference`] it is tested and benchmarked against.
+//! the `EBWP` EVENTS frames alike.
+//!
+//! Two read-side kernels have a second, x86-64 instance that the CPU
+//! alone selects at run time (`is_x86_feature_detected!`), as the 3x3
+//! median's AVX2 instance in `ebbiot_frame` is selected:
+//!
+//! * the unpack inside [`decode_chunk_payload`] runs eight events per
+//!   step on AVX-512F/BW/VBMI (the `avx512` submodule), with
+//!   [`decode_chunk_payload_scalar`] as its fallback and oracle;
+//! * [`crc32`] folds by carry-less multiply on PCLMULQDQ (the `clmul`
+//!   submodule), with [`crc32_slice_by_16`] as its fallback and the
+//!   one-byte [`crc32_reference`] as the oracle of both.
+//!
+//! [`decode_instance`] and [`crc_instance`] name what this host runs.
+//! The crate denies `unsafe_code`; those two submodules alone allow it,
+//! to call `#[target_feature]` functions after detecting the feature and
+//! for their vector loads and stores.
 
 use ebbiot_events::{Event, Polarity, SensorGeometry, Timestamp};
+
+#[cfg(target_arch = "x86_64")]
+mod avx512;
+#[cfg(target_arch = "x86_64")]
+mod clmul;
 
 /// Magic bytes opening an `EBST` file.
 pub const MAGIC: [u8; 4] = *b"EBST";
@@ -223,15 +243,55 @@ static CRC_TABLES: [[u32; 256]; 16] = crc_tables();
 
 /// CRC-32 (IEEE 802.3 polynomial) of `bytes`.
 ///
-/// Folds sixteen bytes per table round (slice-by-16, Kounavis & Berry):
-/// the running CRC is XORed into the round's first four bytes, and byte
-/// `k` of the round is looked up in the table of `15 − k` trailing zero
-/// bytes. It runs over every chunk payload and index on both the store
-/// and wire paths, so it is hot. Bit-identical to [`crc32_reference`],
-/// which the property tests enforce at every length and alignment.
+/// It runs over every chunk payload, index and snapshot section on both
+/// the store and wire paths, so it is hot. On x86-64 CPUs with
+/// PCLMULQDQ it folds four 128-bit lanes by carry-less multiply (Gopal
+/// et al., Intel, 2009); elsewhere, and for inputs under 64 bytes, it is
+/// [`crc32_slice_by_16`]. [`crc_instance`] names the one this host runs.
+/// Both are bit-identical to [`crc32_reference`], which the tests
+/// enforce at every length and alignment.
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
+    #[cfg(target_arch = "x86_64")]
+    if let Some(crc) = clmul::update(!0, bytes) {
+        return !crc;
+    }
+    crc32_slice_by_16(bytes)
+}
+
+/// [`crc32`] on the portable slice-by-16 kernel, whatever the CPU
+/// supports: the instance hosts without PCLMULQDQ run, the oracle of the
+/// carry-less-multiply one, and what benchmarks time it against.
+#[must_use]
+pub fn crc32_slice_by_16(bytes: &[u8]) -> u32 {
+    !crc_update_slice_by_16(!0, bytes)
+}
+
+/// The CRC instance [`crc32`] runs on this host for inputs of 64 bytes
+/// and more: `"pclmulqdq"` when the CPU has it, `"slice-by-16"`
+/// otherwise.
+#[must_use]
+pub fn crc_instance() -> &'static str {
+    if clmul_usable() {
+        "pclmulqdq"
+    } else {
+        "slice-by-16"
+    }
+}
+
+// Whether the carry-less-multiply CRC runs here: never off x86-64.
+#[cfg(target_arch = "x86_64")]
+use clmul::usable as clmul_usable;
+#[cfg(not(target_arch = "x86_64"))]
+fn clmul_usable() -> bool {
+    false
+}
+
+/// Advances the CRC register `crc` (not inverted) over `bytes`, sixteen
+/// bytes per table round (slice-by-16, Kounavis & Berry): the register
+/// is XORed into the round's first four bytes, and byte `k` of the round
+/// is looked up in the table of `15 − k` trailing zero bytes.
+fn crc_update_slice_by_16(mut crc: u32, bytes: &[u8]) -> u32 {
     let mut rounds = bytes.chunks_exact(16);
     for round in &mut rounds {
         let mut block: [u8; 16] = round.try_into().expect("len 16");
@@ -246,11 +306,11 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     for &b in rounds.remainder() {
         crc = CRC_TABLES[0][((crc ^ u32::from(b)) & 0xff) as usize] ^ (crc >> 8);
     }
-    !crc
+    crc
 }
 
-/// Byte-at-a-time CRC-32 — the obviously-correct reference the
-/// slice-by-16 [`crc32`] is property-tested against. Not used on any
+/// Byte-at-a-time CRC-32 — the obviously-correct reference both
+/// instances of [`crc32`] are property-tested against. Not used on any
 /// hot path.
 #[must_use]
 pub fn crc32_reference(bytes: &[u8]) -> u32 {
@@ -376,11 +436,11 @@ fn pack<const WIDE: bool>(out: &mut [u8], events: &[Event], shifts: [u32; 2], ev
     }
 }
 
-/// A chunk's validated bit stream: whole events of `event_bits` bits
-/// each, `stream_bits` in all, every field at its shift under its mask.
+/// A chunk's validated bit stream: `count` whole events of `event_bits`
+/// bits each, every field at its shift under its mask.
 struct BitStream<'a> {
     data: &'a [u8],
-    stream_bits: usize,
+    count: usize,
     event_bits: usize,
     shifts: [u32; 2],
     masks: [u64; 3],
@@ -414,10 +474,25 @@ impl BitStream<'_> {
 
     /// Unpacks every event into `out` from `t_first` on, checking each
     /// timestamp add and pixel bound, and returns the last timestamp.
-    /// The fields' widths bound each coordinate step below 2^17, so the
-    /// running coordinates cannot overflow, and one unsigned compare per
-    /// axis rejects both sides of the array.
-    fn unpack_into<const WIDE: bool>(
+    fn unpack_into(
+        &self,
+        out: &mut Vec<Event>,
+        chunk: usize,
+        geometry: SensorGeometry,
+        t_first: Timestamp,
+    ) -> Result<Timestamp, StoreError> {
+        if self.event_bits <= ONE_LOAD_BITS {
+            self.unpack_from::<false>(out, chunk, geometry, t_first)
+        } else {
+            self.unpack_from::<true>(out, chunk, geometry, t_first)
+        }
+    }
+
+    /// [`Self::unpack_into`] for one load width. The fields' widths bound
+    /// each coordinate step below 2^17, so the running coordinates cannot
+    /// overflow, and one unsigned compare per axis rejects both sides of
+    /// the array.
+    fn unpack_from<const WIDE: bool>(
         &self,
         out: &mut Vec<Event>,
         chunk: usize,
@@ -427,7 +502,7 @@ impl BitStream<'_> {
         let (width, height) = (u64::from(geometry.width()), u64::from(geometry.height()));
         let mut t = t_first;
         let (mut x, mut y) = (0i64, 0i64);
-        for bit in (0..self.stream_bits).step_by(self.event_bits) {
+        for bit in (0..self.count * self.event_bits).step_by(self.event_bits) {
             let [dt, dx, dyp] = self.fields::<WIDE>(bit);
             t = t
                 .checked_add(dt)
@@ -459,13 +534,18 @@ fn padded_tail(tail: &[u8]) -> u128 {
 /// over [`MAX_CHUNK_EVENTS`], a payload too short for its width bytes,
 /// a width over [`MAX_WIDTHS`] or a zero `wy`, a payload whose length is
 /// not exactly [`payload_len`] of `count` events, non-zero padding bits
-/// and a first event with `Δt ≠ 0`. Then it unpacks every event: one
-/// `u64` load, a shift and three masks per event when the three fields
-/// take at most 57 bits, one 16-byte load otherwise, with no table and
-/// no data-dependent length. Per event it checks the timestamp add for
-/// overflow and the pixel bounds; the last event must end at `t_last`.
-/// Decodes straight into the reused `out` buffer with one upfront
-/// `reserve`.
+/// and a first event with `Δt ≠ 0`. Then it unpacks every event, checking
+/// each timestamp add for overflow and each pixel against the bounds;
+/// the last event must end at `t_last`. Decodes straight into the reused
+/// `out` buffer with one upfront `reserve`.
+///
+/// On x86-64 CPUs with AVX-512F/BW/VBMI, chunks whose events take at
+/// most 57 bits are unpacked eight events per step with no table and no
+/// per-event branch; a chunk in which any event fails a check is decoded
+/// again by [`decode_chunk_payload_scalar`], so every error and what
+/// `out` holds after it are the scalar decoder's. Everywhere else this
+/// is [`decode_chunk_payload_scalar`]. [`decode_instance`] names the
+/// instance this host runs.
 ///
 /// # Errors
 ///
@@ -480,6 +560,80 @@ pub fn decode_chunk_payload(
     t_first: Timestamp,
     t_last: Timestamp,
 ) -> Result<(), StoreError> {
+    let stream = begin_decode(out, payload, chunk, count)?;
+    let t = match unpack_vectorised(out, &stream, geometry, t_first) {
+        Some(t) => t,
+        None => stream.unpack_into(out, chunk, geometry, t_first)?,
+    };
+    end_decode(chunk, t, t_last)
+}
+
+/// [`decode_chunk_payload`] on the portable scalar unpacker, whatever
+/// the CPU supports: the instance other hosts and wide events run, the
+/// oracle of the AVX-512 one, and what benchmarks time it against. Same
+/// checks, same events, same errors.
+///
+/// Per event it takes one unaligned `u64` load, a shift and three masks
+/// when the three fields take at most 57 bits, one 16-byte load
+/// otherwise, and pushes the event after its checks, so on an error
+/// `out` holds the events before the failing one.
+///
+/// # Errors
+///
+/// As [`decode_chunk_payload`].
+pub fn decode_chunk_payload_scalar(
+    out: &mut Vec<Event>,
+    payload: &[u8],
+    chunk: usize,
+    geometry: SensorGeometry,
+    count: u32,
+    t_first: Timestamp,
+    t_last: Timestamp,
+) -> Result<(), StoreError> {
+    let stream = begin_decode(out, payload, chunk, count)?;
+    let t = stream.unpack_into(out, chunk, geometry, t_first)?;
+    end_decode(chunk, t, t_last)
+}
+
+/// The unpack instance [`decode_chunk_payload`] runs on this host for
+/// chunks of events of at most 57 bits: `"avx512vbmi"` when the CPU has
+/// AVX-512F, BW and VBMI, `"scalar"` otherwise. Wider events always take
+/// the scalar unpacker.
+#[must_use]
+pub fn decode_instance() -> &'static str {
+    if avx512_usable() {
+        "avx512vbmi"
+    } else {
+        "scalar"
+    }
+}
+
+// The AVX-512 unpacker and whether it runs here: never off x86-64.
+#[cfg(target_arch = "x86_64")]
+use avx512::{unpack_into as unpack_vectorised, usable as avx512_usable};
+#[cfg(not(target_arch = "x86_64"))]
+fn avx512_usable() -> bool {
+    false
+}
+#[cfg(not(target_arch = "x86_64"))]
+fn unpack_vectorised(
+    _out: &mut Vec<Event>,
+    _stream: &BitStream<'_>,
+    _geometry: SensorGeometry,
+    _t_first: Timestamp,
+) -> Option<Timestamp> {
+    None
+}
+
+/// The start both decoders share: clears `out`, runs every check that
+/// precedes allocation and the first event's `Δt`, and reserves room for
+/// `count` events.
+fn begin_decode<'a>(
+    out: &mut Vec<Event>,
+    payload: &'a [u8],
+    chunk: usize,
+    count: u32,
+) -> Result<BitStream<'a>, StoreError> {
     let corrupt = |reason| StoreError::CorruptChunk { chunk, reason };
     out.clear();
     let count = count as usize;
@@ -503,7 +657,7 @@ pub fn decode_chunk_payload(
     let [wt, wx, wy] = widths;
     let stream = BitStream {
         data,
-        stream_bits,
+        count,
         event_bits,
         shifts: [u32::from(wt), u32::from(wt) + u32::from(wx)],
         masks: [field_mask(wt), field_mask(wx), field_mask(wy)],
@@ -512,13 +666,16 @@ pub fn decode_chunk_payload(
         return Err(corrupt("first event does not start at t_first"));
     }
     out.reserve(count);
-    let t = if event_bits <= ONE_LOAD_BITS {
-        stream.unpack_into::<false>(out, chunk, geometry, t_first)?
-    } else {
-        stream.unpack_into::<true>(out, chunk, geometry, t_first)?
-    };
+    Ok(stream)
+}
+
+/// The end both decoders share: the last event must end at `t_last`.
+fn end_decode(chunk: usize, t: Timestamp, t_last: Timestamp) -> Result<(), StoreError> {
     if t != t_last {
-        return Err(corrupt("last event does not end at t_last"));
+        return Err(StoreError::CorruptChunk {
+            chunk,
+            reason: "last event does not end at t_last",
+        });
     }
     Ok(())
 }
@@ -527,6 +684,7 @@ pub fn decode_chunk_payload(
 mod tests {
     use super::*;
     use ebbiot_events::codec::EVENT_RECORD_BYTES;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
 
     #[test]
     fn zigzag_is_involutive_and_small_for_small_magnitudes() {
@@ -546,13 +704,205 @@ mod tests {
         assert_eq!(crc32_reference(b"123456789"), 0xCBF4_3926);
     }
 
+    fn random_bytes(seed: u64, len: usize) -> Vec<u8> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..len).map(|_| rng.random::<u64>() as u8).collect()
+    }
+
     #[test]
-    fn crc32_slice_by_16_matches_reference_across_lengths() {
-        // Every length 0..64 exercises all remainder sizes around the
-        // 16-byte folding boundary, up to four full rounds.
-        let bytes: Vec<u8> = (0..64u32).map(|i| (i.wrapping_mul(97) ^ (i >> 3)) as u8).collect();
-        for len in 0..=bytes.len() {
-            assert_eq!(crc32(&bytes[..len]), crc32_reference(&bytes[..len]), "len {len}");
+    fn instances_agree_on_crc_at_every_length_and_offset() {
+        // Lengths 0..=256 cross the 64-byte threshold of the four-lane
+        // fold, every whole-block remainder after it and every tail; the
+        // offsets 0..=63 every alignment of the loads. Slice-by-16 is
+        // checked against the one-byte reference on the same slices.
+        let bytes = random_bytes(1, 64 + 256);
+        for offset in 0..64 {
+            for len in 0..=256 {
+                let slice = &bytes[offset..offset + len];
+                let scalar = crc32_slice_by_16(slice);
+                assert_eq!(crc32(slice), scalar, "offset {offset}, len {len}");
+                assert_eq!(scalar, crc32_reference(slice), "offset {offset}, len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn instances_agree_on_a_4_mib_crc() {
+        let bytes = random_bytes(2, 4 << 20);
+        assert_eq!(crc32(&bytes), crc32_slice_by_16(&bytes));
+        assert_eq!(crc32(&bytes[1..]), crc32_reference(&bytes[1..]));
+    }
+
+    /// Packs `fields` under `widths` one bit at a time, as the format
+    /// specifies, into a payload with its width bytes.
+    fn pack_fields(widths: [u8; 3], fields: &[[u64; 3]]) -> Vec<u8> {
+        let event_bits = widths.iter().map(|&w| usize::from(w)).sum();
+        let mut payload = widths.to_vec();
+        payload.resize(payload_len(fields.len(), event_bits), 0);
+        let mut bit = 8 * WIDTH_BYTES;
+        for (&value, width) in fields.iter().flatten().zip(widths.iter().cycle()) {
+            for k in 0..u32::from(*width) {
+                payload[bit / 8] |= ((value >> k & 1) as u8) << (bit % 8);
+                bit += 1;
+            }
+        }
+        payload
+    }
+
+    /// The fields of `count` valid events under `widths` on `geometry`:
+    /// random values of every magnitude the widths allow, with a step
+    /// that would leave the array or wrap the timestamp replaced by 0.
+    fn valid_fields(
+        rng: &mut StdRng,
+        widths: [u8; 3],
+        count: usize,
+        geometry: SensorGeometry,
+        t_first: Timestamp,
+    ) -> Vec<[u64; 3]> {
+        let [wt, wx, wy] = widths;
+        let mut field =
+            |width: u8| rng.random::<u64>() & field_mask(width) >> (rng.random::<u32>() % 64);
+        let (mut t, mut x, mut y) = (t_first, 0i64, 0i64);
+        let step = |pos: &mut i64, z: u64, limit: u16| {
+            let next = *pos + unzigzag(z);
+            if (0..i64::from(limit)).contains(&next) {
+                *pos = next;
+                z
+            } else {
+                0
+            }
+        };
+        (0..count)
+            .map(|i| {
+                let dt = if i == 0 { 0 } else { field(wt) };
+                let dt = if t.checked_add(dt).is_some() { dt } else { 0 };
+                t += dt;
+                let dx = step(&mut x, field(wx), geometry.width());
+                let dy = step(&mut y, field(wy - 1), geometry.height());
+                [dt, dx, dy << 1 | field(1)]
+            })
+            .collect()
+    }
+
+    /// Decodes `payload` on both instances, asserts the same result and
+    /// the same `out`, and returns the scalar result and `out.len()`.
+    fn assert_instances_agree(
+        payload: &[u8],
+        geometry: SensorGeometry,
+        count: usize,
+        t_first: Timestamp,
+        t_last: Timestamp,
+    ) -> (Result<(), StoreError>, usize) {
+        let (mut dispatched, mut scalar) = (vec![Event::on(1, 1, 1)], Vec::new());
+        let count = count as u32;
+        let a = decode_chunk_payload(&mut dispatched, payload, 5, geometry, count, t_first, t_last);
+        let b =
+            decode_chunk_payload_scalar(&mut scalar, payload, 5, geometry, count, t_first, t_last);
+        let context = format!("widths {:?}, {count} events", &payload[..WIDTH_BYTES]);
+        assert_eq!(format!("{a:?}"), format!("{b:?}"), "{context}");
+        assert_eq!(dispatched, scalar, "{context}");
+        (b, scalar.len())
+    }
+
+    /// Builds a valid chunk of `count` events under `widths` and checks
+    /// that both instances decode it identically.
+    fn check_valid_chunk(rng: &mut StdRng, widths: [u8; 3], count: usize) {
+        let geometry = SensorGeometry::new(u16::MAX, u16::MAX);
+        let t_first = rng.random::<u64>() >> rng.random_range(0..64u32);
+        let fields = valid_fields(rng, widths, count, geometry, t_first);
+        let t_last = t_first + fields.iter().map(|f| f[0]).sum::<u64>();
+        let payload = pack_fields(widths, &fields);
+        let (decoded, _) = assert_instances_agree(&payload, geometry, count, t_first, t_last);
+        assert!(decoded.is_ok(), "widths {widths:?}, {count} events: {decoded:?}");
+    }
+
+    #[test]
+    fn instances_agree_on_every_width_triple() {
+        let mut rng = StdRng::seed_from_u64(3);
+        for wt in 0..=MAX_WIDTHS[0] {
+            for wx in 0..=MAX_WIDTHS[1] {
+                for wy in 1..=MAX_WIDTHS[2] {
+                    // No tail, a one-event tail, a seven-event tail.
+                    for count in [1, 8, 9, 23] {
+                        check_valid_chunk(&mut rng, [wt, wx, wy], count);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn instances_agree_on_chunk_lengths_1_to_40() {
+        let mut rng = StdRng::seed_from_u64(4);
+        // LT4- and ENG-like chunks, the narrowest and the widest events of
+        // each instance, and fields at every maximum.
+        let triples = [
+            [16, 9, 10],
+            [12, 8, 9],
+            [0, 0, 1],
+            [56, 0, 1],
+            [22, 17, 18],
+            [23, 17, 18],
+            MAX_WIDTHS,
+        ];
+        for widths in triples {
+            for count in 1..=40 {
+                check_valid_chunk(&mut rng, widths, count);
+            }
+        }
+    }
+
+    #[test]
+    fn instances_agree_on_blocks_whose_window_runs_past_the_payload() {
+        // Block k starts on byte k * event_bits and loads 64 bytes, masked
+        // when fewer remain: every event width the AVX-512 unpacker takes,
+        // at lengths up to 80, puts full and partial blocks at every
+        // distance from the payload's end.
+        let mut rng = StdRng::seed_from_u64(5);
+        for event_bits in 1..=ONE_LOAD_BITS as u8 {
+            let wx = (event_bits - 1).min(MAX_WIDTHS[1]);
+            let widths = [event_bits - 1 - wx, wx, 1];
+            for count in 1..=80 {
+                check_valid_chunk(&mut rng, widths, count);
+            }
+        }
+    }
+
+    #[test]
+    fn instances_agree_on_a_violation_in_every_lane() {
+        // Valid events up to one that leaves the array on either axis or
+        // wraps the timestamp, in each lane of the third block (27 events)
+        // and of a seven-event tail block (31 events).
+        let geometry = SensorGeometry::davis240();
+        let widths = [12, 17, 18];
+        let mut rng = StdRng::seed_from_u64(6);
+        for bad in 16..31 {
+            for violation in ["x", "y", "t"] {
+                let count = if bad < 24 { 27 } else { 31 };
+                let mut fields = valid_fields(&mut rng, widths, count, geometry, 0);
+                let before = &fields[..bad];
+                let x: i64 = before.iter().map(|f| unzigzag(f[1])).sum();
+                let y: i64 = before.iter().map(|f| unzigzag(f[2] >> 1)).sum();
+                let mut t_first = 1_000;
+                match violation {
+                    "x" => fields[bad][1] = zigzag(i64::from(geometry.width()) - x),
+                    "y" => fields[bad][2] = zigzag(-1 - y) << 1,
+                    _ => {
+                        t_first = u64::MAX - before.iter().map(|f| f[0]).sum::<u64>() - 100;
+                        fields[bad][0] = 4_095;
+                    }
+                }
+                let payload = pack_fields(widths, &fields);
+                let t_last = t_first.wrapping_add(fields.iter().map(|f| f[0]).sum());
+                let (result, decoded) =
+                    assert_instances_agree(&payload, geometry, count, t_first, t_last);
+                let expected = if violation == "t" { "overflow" } else { "OutOfBounds" };
+                assert!(
+                    format!("{result:?}").contains(expected),
+                    "{violation} at {bad}: {result:?}"
+                );
+                assert_eq!(decoded, bad, "{violation} violation at event {bad}");
+            }
         }
     }
 

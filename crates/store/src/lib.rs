@@ -98,20 +98,24 @@
 //! * [`format::encode_chunk_payload`] — one pass ORs each field over the
 //!   chunk to pick the widths, a second packs every event through a
 //!   `u128` accumulator stored whole into the output;
-//! * [`format::decode_chunk_payload`] — every event whose three fields
-//!   fit 57 bits takes one unaligned `u64` load, a shift and three
-//!   masks, with no table and no data-dependent length; wider events (a
-//!   `Δt` of about 2^40 µs or more) take one 16-byte load. Per event it
-//!   checks the timestamp add and one unsigned compare per axis.
+//! * [`format::decode_chunk_payload`] — on x86-64 CPUs with
+//!   AVX-512F/BW/VBMI, eight events of at most 57 bits per step;
+//!   elsewhere, and as its oracle, [`format::decode_chunk_payload_scalar`]:
+//!   every event whose three fields fit 57 bits takes one unaligned
+//!   `u64` load, a shift and three masks, with no table and no
+//!   data-dependent length; wider events (a `Δt` of about 2^40 µs or
+//!   more) take one 16-byte load. Per event both check the timestamp add
+//!   and one unsigned compare per axis, with the same errors.
 //!
 //! The root `tests/decode_parity.rs` pins both to a bit-at-a-time model
 //! of the format by property test: the same bytes out of both encoders
 //! for every chunk, the same events out of every valid payload, and the
 //! same error out of every corrupt one (truncation and bit flips at
 //! every byte, lying frame metadata, random bit streams under every
-//! width triple), plus one crafted payload per rejection rule. CRC-32 is
-//! slice-by-16 with a one-byte [`format::crc32_reference`] under the
-//! same contract.
+//! width triple), plus one crafted payload per rejection rule. CRC-32
+//! folds by carry-less multiply on CPUs with PCLMULQDQ and is
+//! slice-by-16 elsewhere, with a one-byte [`format::crc32_reference`]
+//! under the same contract.
 //!
 //! Where the payload bytes live is a [`ChunkSource`] property:
 //! streamed sources (`BufReader`) copy each payload into a reused
@@ -149,7 +153,8 @@
 //! # Ok::<(), ebbiot_store::StoreError>(())
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 pub mod archive;
@@ -170,22 +175,11 @@ pub use snapshot::{
 };
 pub use writer::{encode_recording, RecordingWriter, StoreOptions, StoreSummary};
 
-use ebbiot_events::codec::Recording;
-
-/// Decodes `EBST` bytes back into an in-memory [`Recording`] — the
-/// lossless interop inverse of [`encode_recording`].
-///
-/// # Errors
-///
-/// Returns the first format or corruption error.
-pub fn decode_recording(bytes: &[u8]) -> Result<Recording, StoreError> {
-    ChunkReader::new(std::io::Cursor::new(bytes))?.read_recording()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ebbiot_events::{codec, Event, SensorGeometry};
+    use ebbiot_events::codec::{self, Recording};
+    use ebbiot_events::{Event, SensorGeometry};
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
     /// Random time-ordered in-bounds stream, the codec interop fixture.
@@ -211,6 +205,11 @@ mod tests {
         Recording { geometry, events }
     }
 
+    /// Decodes `EBST` bytes back into an in-memory [`Recording`].
+    fn read_back(bytes: &[u8]) -> Result<Recording, StoreError> {
+        ChunkReader::new(std::io::Cursor::new(bytes))?.read_recording()
+    }
+
     #[test]
     fn recording_interop_is_lossless_both_ways() {
         for seed in 0..5u64 {
@@ -219,7 +218,7 @@ mod tests {
             let eaer = codec::encode_binary(rec.geometry, &rec.events);
             let from_eaer = codec::decode_binary(&eaer).unwrap();
             let ebst = encode_recording(&from_eaer, "interop", 0, StoreOptions::default()).unwrap();
-            let back = decode_recording(&ebst).unwrap();
+            let back = read_back(&ebst).unwrap();
             assert_eq!(back, rec, "seed {seed}");
         }
     }
@@ -236,6 +235,6 @@ mod tests {
     fn empty_recording_interop_round_trips() {
         let rec = Recording { geometry: SensorGeometry::new(10, 10), events: Vec::new() };
         let ebst = encode_recording(&rec, "empty", 5, StoreOptions::default()).unwrap();
-        assert_eq!(decode_recording(&ebst).unwrap(), rec);
+        assert_eq!(read_back(&ebst).unwrap(), rec);
     }
 }

@@ -321,12 +321,6 @@ impl<R: ChunkSource> ChunkReader<R> {
         self.total_events
     }
 
-    /// Total chunks in the recording.
-    #[must_use]
-    pub fn num_chunks(&self) -> usize {
-        self.index.len()
-    }
-
     /// Index metadata of the next chunk [`ChunkReader::next_chunk`]
     /// would decode, or `None` at end of stream. Peeking costs no I/O —
     /// replay schedulers use it to pick the stream with the earliest
@@ -505,7 +499,9 @@ mod tests {
             assert_eq!(reader.span_us(), 123);
             assert_eq!(reader.name(), "unit");
             assert_eq!(reader.num_events(), 1_000);
-            assert_eq!(reader.num_chunks(), 1_000usize.div_ceil(chunk_events));
+            let chunks = std::iter::from_fn(|| reader.next_chunk().unwrap().map(<[_]>::len));
+            assert_eq!(chunks.count(), 1_000usize.div_ceil(chunk_events));
+            reader.rewind();
             let rec = reader.read_recording().unwrap();
             assert_eq!(rec.events, original, "chunk size {chunk_events}");
         }

@@ -156,12 +156,6 @@ impl<W: Write> RecordingWriter<W> {
         self.geometry
     }
 
-    /// Events accepted so far (including any still buffered).
-    #[must_use]
-    pub const fn events_written(&self) -> u64 {
-        self.total_events + self.pending.len() as u64
-    }
-
     /// Appends a time-ordered slice of events, flushing full chunks to
     /// the sink as they fill. At most one chunk of events is ever
     /// buffered.
@@ -316,7 +310,6 @@ mod tests {
             Event::on(4, 1, 30),
         ];
         w.push_events(&events).unwrap();
-        assert_eq!(w.events_written(), 4);
         let (bytes, summary) = w.finish().unwrap();
         assert_eq!(summary.events, 4);
         assert_eq!(summary.chunks, 2);

@@ -255,3 +255,63 @@ fn stats_endpoint_serves_live_metrics_during_ingestion() {
         "stats listener is down after shutdown"
     );
 }
+
+#[test]
+fn a_synchronous_client_gets_its_tracks_after_each_flush() {
+    use ebbiot_server::{read_frame, write_frame, EventsChunk, Frame, Hello};
+    use std::net::TcpStream;
+    use std::time::Duration;
+
+    // A client that sends EVENTS then FLUSH and waits for a reply
+    // before it sends anything more: the server must not hold its
+    // replies back for input that will never come. The read timeout
+    // turns a server that does into a failure instead of a hang.
+    let fleet = fleet();
+    let config = serving_config(&fleet);
+    let spec = registry::find_backend("ebbiot").unwrap();
+    let server = IngestServer::bind(
+        "127.0.0.1:0",
+        ServerConfig { workers: 1, queue_capacity: 8, ..ServerConfig::default() },
+        server_factory(spec, config),
+    )
+    .expect("bind server");
+    let camera = &fleet[0];
+    let mut connection = TcpStream::connect(server.local_addr()).unwrap();
+    connection.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+    let hello =
+        Hello { geometry: camera.geometry, span_us: camera.duration_us, name: camera.name.clone() };
+    write_frame(&mut connection, &Frame::Hello(hello)).unwrap();
+    let mut frames = Vec::new();
+    let mut collect = |reply: Frame| match reply {
+        Frame::Tracks(tracks) => frames.extend(tracks),
+        other => panic!("expected TRACKS, got {other:?}"),
+    };
+    for chunk in camera.events.chunks(2048) {
+        write_frame(&mut connection, &Frame::Events(EventsChunk::encode(chunk))).unwrap();
+        write_frame(&mut connection, &Frame::Flush).unwrap();
+        // Every FLUSH is answered by at least one TRACKS frame, so one
+        // read per step never waits on the client.
+        let reply = read_frame(&mut connection).expect("a reply before the read timeout");
+        collect(reply.expect("the server hung up"));
+    }
+    write_frame(&mut connection, &Frame::Finish { span_us: camera.duration_us }).unwrap();
+    loop {
+        match read_frame(&mut connection).expect("replies to FINISH").expect("FINISHED") {
+            Frame::Finished(done) => {
+                assert_eq!(done.frames, frames.len() as u64);
+                break;
+            }
+            reply => collect(reply),
+        }
+    }
+    let expected = run_fleet_backend(
+        spec,
+        DatasetPreset::Lt4,
+        &fleet[..1],
+        &FleetOptions { workers: 1, queue_capacity: 8, chunk_events: 2048 },
+    );
+    assert_eq!(frames, expected.streams[0]);
+    drop(connection);
+    let report = server.shutdown();
+    assert!(report.sessions.iter().all(|s| s.error.is_none()), "{report:?}");
+}
