@@ -2,8 +2,8 @@
 //! output collector.
 //!
 //! Scheduling granularity is the *stream*, not the chunk: a stream with
-//! queued work is a schedulable unit that exactly one worker owns at a
-//! time. A worker acquiring a stream drains a **batch** of queued jobs
+//! queued work is a schedulable unit that exactly one executor owns at a
+//! time. An executor acquiring a stream drains a **batch** of queued jobs
 //! in one go (amortizing the wake/hand-off cost that used to dominate
 //! per-chunk dispatch) and a stream may migrate to whichever worker is
 //! free next — a global injector plus per-worker deques with stealing
@@ -12,13 +12,22 @@
 //! steal schedule: jobs sit in one FIFO queue per stream, ownership is
 //! exclusive, and results land in the stream's own ordered buffer.
 //!
+//! Executors are the workers and **helping callers**: a caller that
+//! would sleep until a worker makes progress (a producer at capacity,
+//! `wait_finished`, `detach_with_state`, `join`) first claims a ready
+//! stream through the same `Queued → Running` transition and runs one
+//! batch of it, the help-first policy of work stealing. It sleeps only
+//! when no stream is ready.
+//!
 //! Each stream keeps all of its state — job queue, admission count,
 //! counters, results and the hand-off slot — under one mutex with one
 //! condvar, so a chunk costs one stream lock on the producer side and
 //! one on the worker side, and a snapshot reads each stream
 //! consistently.
 
+use std::any::Any;
 use std::collections::VecDeque;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -74,17 +83,18 @@ pub struct EngineConfig {
     /// so heterogeneous cameras balance across the pool.
     pub workers: usize,
     /// Per-stream bound on chunks in flight (queued + processing); the
-    /// router blocks or rejects producers beyond it.
+    /// router holds (see [`Engine::push`]) or rejects producers beyond it.
     pub queue_capacity: usize,
-    /// Maximum queued jobs a worker drains per stream acquisition
+    /// Maximum queued jobs an executor drains per stream acquisition
     /// (clamped to at least 1). Larger batches amortize scheduler
     /// hand-off cost; the queue capacity still bounds latency.
     pub batch_chunks: usize,
     /// Test-only scheduling perturbation: a seed that makes workers
     /// randomly yield, micro-sleep and skip their local deque (forcing
-    /// steals and migrations). Output is bit-identical regardless —
-    /// the determinism proptests drive this. `None` (the default)
-    /// costs nothing.
+    /// steals and migrations), and makes random blocking calls run a
+    /// ready batch first even when they would not block (forcing helps).
+    /// Output is bit-identical regardless — the determinism proptests
+    /// drive this. `None` (the default) costs nothing.
     pub schedule_jitter: Option<u64>,
 }
 
@@ -213,13 +223,14 @@ enum Sched {
     Idle,
     /// Has queued jobs; sits in the injector or one worker's deque.
     Queued,
-    /// Exactly one worker holds the stream (and its pipeline).
+    /// Exactly one executor — a worker or a helping caller — holds the
+    /// stream (and its pipeline).
     Running,
 }
 
 /// One unit of per-stream work, queued in submission order. The queue
 /// itself is the FIFO that makes the schedule invisible: whichever
-/// worker owns the stream drains jobs in exactly this order.
+/// executor owns the stream drains jobs in exactly this order.
 enum WorkItem {
     /// A chunk plus its enqueue instant, stamped by the router so the
     /// owning worker can measure enqueue→dequeue latency.
@@ -234,19 +245,21 @@ enum WorkItem {
 /// Everything one stream owns, guarded by its single mutex: the FIFO
 /// job queue and ownership state, the admission count, the router and
 /// collector counters, the ordered output buffer and (between
-/// acquisitions) the pipeline. Exactly one worker may hold `Running` —
+/// acquisitions) the pipeline. Exactly one executor may hold `Running` —
 /// and thus the pipeline — at a time.
 struct StreamWork<T: Tracker> {
     jobs: VecDeque<WorkItem>,
     sched: Sched,
-    /// `Some` whenever no worker is running the stream; the owning
-    /// worker takes it for the duration of a batch.
+    /// `Some` whenever no executor is running the stream; the owner
+    /// takes it for the duration of a batch. `None` for good once the
+    /// stream is detached or a batch of it panicked.
     pipeline: Option<Pipeline<T>>,
-    /// Worker of the most recent acquisition, the injection affinity
-    /// hint: new work prefers the deque of the last owner.
+    /// Worker of the most recent acquisition (`None` after a helping
+    /// caller's), the injection affinity hint: new work prefers the
+    /// deque of the last owning worker, else the injector.
     last_owner: Option<usize>,
     /// Chunks admitted but not yet processed: queued in `jobs`, or
-    /// drained into a worker's batch and still waiting their turn or
+    /// drained into an executor's batch and still waiting their turn or
     /// in progress. Admission is bounded by `queue_capacity`.
     in_flight: usize,
     /// Highest `in_flight` observed.
@@ -265,8 +278,9 @@ struct StreamWork<T: Tracker> {
     finished: bool,
     /// The pipeline was dropped and the slot retired.
     detached: bool,
-    /// A worker thread failed; producers and waiters must not block
-    /// forever.
+    /// A batch panicked (on a worker or a helping caller); producers
+    /// and waiters must not block forever, and the stream is never
+    /// scheduled again.
     failed: bool,
     /// Threads waiting on the stream's `changed` condvar: blocked
     /// producers, `wait_finished` and `detach_with_state`.
@@ -339,14 +353,14 @@ impl<T: Tracker> core::fmt::Debug for StreamWork<T> {
 #[derive(Debug)]
 struct StreamState<T: Tracker> {
     work: Mutex<StreamWork<T>>,
-    /// Signalled whenever a worker completes a job or fails.
+    /// Signalled whenever an executor completes a job or a batch fails.
     changed: Condvar,
     /// Queue-wait and producer-block counters, labelled by camera.
     telemetry: StreamTelemetry,
 }
 
 impl<T: Tracker> StreamState<T> {
-    /// Applies a worker-side change under the stream lock, then wakes
+    /// Applies an executor-side change under the stream lock, then wakes
     /// every waiter to re-check its condition — when there is one. Most
     /// publishes find nobody asleep, and the wake is a syscall even then.
     fn update(&self, change: impl FnOnce(&mut StreamWork<T>)) {
@@ -427,7 +441,7 @@ struct Scheduler {
 /// One successful stream acquisition from the scheduler.
 struct Acquired {
     stream: usize,
-    /// Taken from another worker's deque.
+    /// Taken by a worker from another worker's deque.
     stolen: bool,
 }
 
@@ -465,40 +479,62 @@ impl Scheduler {
         }
     }
 
-    /// Blocks until a ready stream is available and claims it: own
-    /// deque first (locality), then the injector, then a steal from
-    /// another worker's deque. Every queue is popped oldest first, so
-    /// the stream that became ready first, which is the one a producer
-    /// filling streams in time order blocks on, waits least. `skip_local`
-    /// (jitter only) demotes the own-deque check behind the steal scan,
-    /// forcing migrations. Returns `None` once the engine shut down and
-    /// every queue is empty.
+    /// Blocks until a ready stream is available and claims it for
+    /// `worker` (see [`Self::pop`]). Returns `None` once the engine shut
+    /// down and every queue is empty.
     fn next(&self, worker: usize, skip_local: bool) -> Option<Acquired> {
         let mut state = lock(&self.state);
         loop {
-            if !skip_local {
-                if let Some(stream) = state.locals[worker].pop_front() {
-                    return Some(self.claim(&mut state, stream, false));
-                }
-            }
-            if let Some(stream) = state.injector.pop_front() {
-                return Some(self.claim(&mut state, stream, false));
-            }
-            let workers = state.locals.len();
-            for victim in (worker + 1..workers).chain(0..worker) {
-                if let Some(stream) = state.locals[victim].pop_front() {
-                    return Some(self.claim(&mut state, stream, true));
-                }
-            }
-            // Jitter demoted the own deque; it must still drain.
-            if let Some(stream) = state.locals[worker].pop_front() {
-                return Some(self.claim(&mut state, stream, false));
+            if let Some(acquired) = self.pop(&mut state, Some(worker), skip_local) {
+                return Some(acquired);
             }
             if state.shutdown {
                 return None;
             }
             state = counted_wait(&self.available, state, |state| &mut state.sleepers);
         }
+    }
+
+    /// Claims a ready stream for a helping caller without waiting, and
+    /// returns its index; `None` when no stream is ready.
+    fn try_next(&self) -> Option<usize> {
+        self.pop(&mut lock(&self.state), None, false).map(|acquired| acquired.stream)
+    }
+
+    /// Claims a ready stream, `None` when none is ready. A worker looks
+    /// in its own deque first (locality), then the injector, then steals
+    /// from another worker's deque. A helping caller (`worker` is
+    /// `None`) has no deque: it takes from the injector, then from the
+    /// workers' deques in index order, and its takes are not counted as
+    /// steals. Every queue is popped oldest first, so the stream that
+    /// became ready first, which is the one a producer filling streams
+    /// in time order blocks on, waits least. `skip_local` (jitter only)
+    /// demotes the own-deque check behind the steal scan, forcing
+    /// migrations.
+    fn pop(
+        &self,
+        state: &mut SchedQueues,
+        worker: Option<usize>,
+        skip_local: bool,
+    ) -> Option<Acquired> {
+        if let Some(stream) =
+            worker.filter(|_| !skip_local).and_then(|w| state.locals[w].pop_front())
+        {
+            return Some(self.claim(state, stream, false));
+        }
+        if let Some(stream) = state.injector.pop_front() {
+            return Some(self.claim(state, stream, false));
+        }
+        let workers = state.locals.len();
+        let (after, before) = worker.map_or((0, 0), |w| (w + 1, w));
+        for victim in (after..workers).chain(0..before) {
+            if let Some(stream) = state.locals[victim].pop_front() {
+                return Some(self.claim(state, stream, worker.is_some()));
+            }
+        }
+        // Jitter demoted the own deque; it must still drain.
+        let stream = worker.and_then(|w| state.locals[w].pop_front())?;
+        Some(self.claim(state, stream, false))
     }
 
     fn claim(&self, state: &mut SchedQueues, stream: usize, stolen: bool) -> Acquired {
@@ -543,24 +579,24 @@ pub struct SessionHandoff {
     pub frames: Vec<FrameResult>,
 }
 
-/// Marks every stream `failed` when a worker thread unwinds, so
+/// Marks every stream `failed` when a worker thread unwinds outside a
+/// batch (a batch's own panic is contained by [`Core::run_batch`]), so
 /// producers blocked on a full queue (and callers blocked in
 /// [`Engine::wait_finished`] or [`Engine::detach_with_state`]) fail
 /// fast instead of hanging forever.
-struct PoisonOnPanic<T: Tracker>(Arc<StreamTable<T>>);
+struct PoisonOnPanic<'a, T: Tracker>(&'a Core<T>);
 
-impl<T: Tracker> Drop for PoisonOnPanic<T> {
+impl<T: Tracker> Drop for PoisonOnPanic<'_, T> {
     fn drop(&mut self) {
         if std::thread::panicking() {
-            for stream in self.0.all() {
-                stream.update(|work| work.failed = true);
-            }
+            self.0.fail_streams();
         }
     }
 }
 
 /// SplitMix64 — the jitter source for schedule perturbation (test-only;
 /// deterministic per seed so failures reproduce).
+#[derive(Debug)]
 struct SplitMix(u64);
 
 impl SplitMix {
@@ -585,13 +621,29 @@ impl SplitMix {
 /// example.
 #[derive(Debug)]
 pub struct Engine<T: Tracker + Send + 'static = BoxedTracker> {
-    scheduler: Arc<Scheduler>,
+    core: Arc<Core<T>>,
     workers: Vec<JoinHandle<()>>,
-    streams: Arc<StreamTable<T>>,
     config: EngineConfig,
     started: Instant,
+    /// Forces helps on random blocking calls (jitter only).
+    jitter: Option<Mutex<SplitMix>>,
+}
+
+/// What the worker threads and helping callers share: the streams, the
+/// ready set, the instruments, and the first panic a batch raised.
+#[derive(Debug)]
+struct Core<T: Tracker> {
+    streams: StreamTable<T>,
+    scheduler: Scheduler,
     /// Engine-wide contention instruments (always on — per-chunk cost).
     telemetry: EngineTelemetry,
+    /// The lane a helping caller charges its spells to: worker 0's.
+    helper_lane: WorkerTelemetry,
+    /// Most jobs an executor drains per acquisition (at least 1).
+    batch_chunks: usize,
+    /// The payload of the first batch that panicked, re-raised by
+    /// [`Engine::join`].
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
 }
 
 impl<T: Tracker + Send + 'static> Engine<T> {
@@ -631,33 +683,33 @@ impl<T: Tracker + Send + 'static> Engine<T> {
         let workers =
             if pipelines.is_empty() { config.workers } else { config.workers.min(pipelines.len()) };
         let config = EngineConfig { workers, ..config };
-        let streams: Arc<StreamTable<T>> = Arc::new(StreamTable::default());
         let telemetry = EngineTelemetry::register(registry);
-        let scheduler =
-            Arc::new(Scheduler::new(config.workers, Arc::clone(&telemetry.ready_streams)));
+        let core = Arc::new(Core {
+            streams: StreamTable::default(),
+            scheduler: Scheduler::new(config.workers, Arc::clone(&telemetry.ready_streams)),
+            helper_lane: WorkerTelemetry::register(telemetry.registry(), 0),
+            telemetry,
+            batch_chunks: config.batch_chunks.max(1),
+            panic: Mutex::new(None),
+        });
 
         let mut worker_handles = Vec::with_capacity(config.workers);
         for w in 0..config.workers {
-            let streams = Arc::clone(&streams);
-            let scheduler = Arc::clone(&scheduler);
-            let stats = WorkerTelemetry::register(telemetry.registry(), w);
-            let shared = telemetry.clone();
-            let batch = config.batch_chunks.max(1);
+            let core = Arc::clone(&core);
             let jitter = config.schedule_jitter;
             let handle = std::thread::Builder::new()
                 .name(format!("ebbiot-worker-{w}"))
-                .spawn(move || worker_loop(w, &scheduler, &streams, &shared, &stats, batch, jitter))
+                .spawn(move || worker_loop(w, &core, jitter))
                 .expect("spawn engine worker");
             worker_handles.push(handle);
         }
 
         let engine = Self {
-            scheduler,
+            core,
             workers: worker_handles,
-            streams,
             config,
             started: Instant::now(),
-            telemetry,
+            jitter: config.schedule_jitter.map(|seed| Mutex::new(SplitMix(seed ^ 2))),
         };
         for pipeline in pipelines {
             let _ = engine.attach(pipeline);
@@ -667,21 +719,21 @@ impl<T: Tracker + Send + 'static> Engine<T> {
 
     /// The engine's contention instruments (histograms readable live).
     #[must_use]
-    pub const fn telemetry(&self) -> &EngineTelemetry {
-        &self.telemetry
+    pub fn telemetry(&self) -> &EngineTelemetry {
+        &self.core.telemetry
     }
 
     /// The registry the engine's metrics live in.
     #[must_use]
     pub fn registry(&self) -> &Arc<Registry> {
-        self.telemetry.registry()
+        self.core.telemetry.registry()
     }
 
     /// Number of stream slots ever allocated (attached streams are
     /// counted even after [`Engine::detach`] — ids are not reused).
     #[must_use]
     pub fn num_streams(&self) -> usize {
-        self.streams.len()
+        self.core.streams.len()
     }
 
     /// Number of worker threads actually spawned (the configured count,
@@ -714,51 +766,86 @@ impl<T: Tracker + Send + 'static> Engine<T> {
     /// `attach`.
     pub fn attach_with_state(&self, pipeline: Pipeline<T>, totals: StreamTotals) -> StreamId {
         // The slots write lock orders id allocation.
-        let mut slots = self.streams.slots.write().unwrap_or_else(PoisonError::into_inner);
+        let mut slots = self.core.streams.slots.write().unwrap_or_else(PoisonError::into_inner);
         let id = StreamId(slots.len());
         slots.push(Arc::new(StreamState {
             work: Mutex::new(StreamWork::new(pipeline, totals)),
             changed: Condvar::new(),
-            telemetry: StreamTelemetry::register(self.telemetry.registry(), &id.to_string()),
+            telemetry: StreamTelemetry::register(self.core.telemetry.registry(), &id.to_string()),
         }));
         id
     }
 
     fn state(&self, stream: StreamId) -> Arc<StreamState<T>> {
-        self.streams.get(stream.0).unwrap_or_else(|| {
-            panic!("unknown stream {stream}: engine has {} streams", self.streams.len())
+        self.core.streams.get(stream.0).unwrap_or_else(|| {
+            panic!("unknown stream {stream}: engine has {} streams", self.core.streams.len())
         })
     }
 
     /// Appends a job to the locked stream's FIFO queue and releases the
     /// lock, then marks the stream ready (waking a worker) when it was
     /// idle. A stream already queued or running will see the job when
-    /// its owner re-checks the queue after the current batch.
+    /// its owner re-checks the queue after the current batch; a failed
+    /// stream is never scheduled again.
     fn enqueue(&self, stream: StreamId, mut work: MutexGuard<'_, StreamWork<T>>, item: WorkItem) {
         work.jobs.push_back(item);
-        if work.sched == Sched::Idle {
+        if work.sched == Sched::Idle && !work.failed {
             work.sched = Sched::Queued;
             let prefer = work.last_owner;
             drop(work);
-            self.scheduler.inject(stream.0, prefer);
+            self.core.scheduler.inject(stream.0, prefer);
+        }
+    }
+
+    /// Where a blocking call would sleep until `state` changes: claims a
+    /// ready stream and runs one batch of it instead, then returns the
+    /// re-taken lock so the caller re-checks its condition. Sleeps on
+    /// the stream's condvar only when no stream is ready. The claim is
+    /// tried under the stream lock, so an update to this stream cannot
+    /// slip in between a failed claim and the sleep.
+    fn help_or_wait<'a>(
+        &self,
+        state: &'a StreamState<T>,
+        work: MutexGuard<'a, StreamWork<T>>,
+    ) -> MutexGuard<'a, StreamWork<T>> {
+        match self.core.scheduler.try_next() {
+            Some(stream) => {
+                drop(work);
+                self.core.run_helped(stream);
+                lock(&state.work)
+            }
+            None => state.wait(work),
+        }
+    }
+
+    /// Jitter (tests only): on a random half of blocking calls, runs one
+    /// ready batch first, whether or not the call would block.
+    fn jitter_help(&self) {
+        if let Some(rng) = &self.jitter {
+            if lock(rng).next() % 2 == 0 {
+                self.core.help();
+            }
         }
     }
 
     /// Admits one chunk under the stream lock: while the stream has
-    /// `queue_capacity` chunks in flight, a `blocking` producer waits
-    /// for a worker to complete one and a non-blocking one gets the
-    /// chunk back.
+    /// `queue_capacity` chunks in flight, a `blocking` producer helps or
+    /// waits until one completes, and a non-blocking one gets the chunk
+    /// back (it never helps).
     fn admit(
         &self,
         stream: StreamId,
         chunk: Vec<Event>,
         blocking: bool,
     ) -> Result<(), RejectedChunk> {
+        if blocking {
+            self.jitter_help();
+        }
         let state = self.state(stream);
         let admission = Instant::now();
         let mut work = lock(&state.work);
         loop {
-            assert!(!work.failed, "engine worker failed; stream queue will never drain");
+            assert!(!work.failed, "an engine batch panicked; stream queue will never drain");
             assert!(!work.closed, "push to {stream} after finish_stream");
             if work.in_flight < self.config.queue_capacity {
                 break;
@@ -766,7 +853,7 @@ impl<T: Tracker + Send + 'static> Engine<T> {
             if !blocking {
                 return Err(RejectedChunk(chunk));
             }
-            work = state.wait(work);
+            work = self.help_or_wait(&state, work);
         }
         if blocking {
             state.telemetry.producer_block.add_duration(admission.elapsed());
@@ -775,20 +862,22 @@ impl<T: Tracker + Send + 'static> Engine<T> {
         work.high_water = work.high_water.max(work.in_flight);
         work.chunks_in += 1;
         work.events_in += chunk.len() as u64;
-        self.telemetry.queue_depth.record(work.in_flight as u64);
+        self.core.telemetry.queue_depth.record(work.in_flight as u64);
         self.enqueue(stream, work, WorkItem::Chunk(chunk, Instant::now()));
         Ok(())
     }
 
-    /// Routes a time-ordered chunk of events to `stream`, blocking while
-    /// the stream's queue is at capacity (back-pressure). Chunks pushed
-    /// by one producer are processed in push order; nothing is ever
+    /// Routes a time-ordered chunk of events to `stream`, holding the
+    /// caller while the stream's queue is at capacity (back-pressure).
+    /// Meanwhile the caller runs ready batches of any stream (its own
+    /// included) and sleeps only when none is ready. Chunks pushed by
+    /// one producer are processed in push order; nothing is ever
     /// dropped.
     ///
     /// # Panics
     ///
     /// Panics on an unknown stream, after [`Self::finish_stream`], or
-    /// when a worker has failed.
+    /// when a batch has panicked (on a worker or on a helping caller).
     pub fn push(&self, stream: StreamId, chunk: Vec<Event>) {
         let admitted = self.admit(stream, chunk, true);
         debug_assert!(admitted.is_ok(), "a blocking push is never rejected");
@@ -804,7 +893,7 @@ impl<T: Tracker + Send + 'static> Engine<T> {
     /// # Panics
     ///
     /// Panics on an unknown stream, after [`Self::finish_stream`], or
-    /// when a worker has failed.
+    /// when a batch has panicked.
     pub fn try_push(&self, stream: StreamId, chunk: Vec<Event>) -> Result<(), RejectedChunk> {
         self.admit(stream, chunk, false)
     }
@@ -816,8 +905,8 @@ impl<T: Tracker + Send + 'static> Engine<T> {
     ///
     /// # Panics
     ///
-    /// Panics on an unknown stream, on a second `finish_stream` for the
-    /// same stream, or when a worker has failed.
+    /// Panics on an unknown stream or on a second `finish_stream` for
+    /// the same stream.
     pub fn finish_stream(&self, stream: StreamId, span_us: Micros) {
         let state = self.state(stream);
         let mut work = lock(&state.work);
@@ -826,23 +915,25 @@ impl<T: Tracker + Send + 'static> Engine<T> {
         self.enqueue(stream, work, WorkItem::Finish(span_us));
     }
 
-    /// Blocks until the worker has processed `stream`'s finish job, so
-    /// every frame the stream will ever emit is available to
-    /// [`Self::take_results`]. Must be called after
-    /// [`Self::finish_stream`].
+    /// Returns once `stream`'s finish job has been processed, so every
+    /// frame the stream will ever emit is available to
+    /// [`Self::take_results`]. Until then the caller runs ready batches
+    /// (its own stream's included) and sleeps only when none is ready.
+    /// Must be called after [`Self::finish_stream`].
     ///
     /// # Panics
     ///
     /// Panics on an unknown stream, when `finish_stream` was never
-    /// called for it (the wait could block forever), or when a worker
-    /// has failed.
+    /// called for it (the wait could block forever), or when a batch
+    /// has panicked.
     pub fn wait_finished(&self, stream: StreamId) {
+        self.jitter_help();
         let state = self.state(stream);
         let mut work = lock(&state.work);
         assert!(work.closed, "wait_finished on {stream} before finish_stream");
         while !work.finished {
-            assert!(!work.failed, "engine worker failed while {stream} awaited finish");
-            work = state.wait(work);
+            assert!(!work.failed, "an engine batch panicked while {stream} awaited finish");
+            work = self.help_or_wait(&state, work);
         }
     }
 
@@ -887,7 +978,7 @@ impl<T: Tracker + Send + 'static> Engine<T> {
     ///
     /// Panics on an unknown stream, when the stream has not finished
     /// (call [`Self::finish_stream`] then [`Self::wait_finished`]
-    /// first), on a second detach, or when a worker has failed.
+    /// first) or on a second detach.
     pub fn detach(&self, stream: StreamId) -> Vec<FrameResult> {
         let state = self.state(stream);
         let mut work = lock(&state.work);
@@ -899,11 +990,12 @@ impl<T: Tracker + Send + 'static> Engine<T> {
         remaining
     }
 
-    /// Checkpoints and retires a **running** stream: blocks until the
-    /// owning worker has drained every chunk already pushed, then
-    /// freezes the pipeline into a
-    /// [`SessionState`] and returns it with
-    /// the stream's totals and undrained frames. No `finish_stream`
+    /// Checkpoints and retires a **running** stream: once the owning
+    /// executor has drained every chunk already pushed, it freezes the
+    /// pipeline into a [`SessionState`], which this call returns with
+    /// the stream's totals and undrained frames. Until then the caller
+    /// runs ready batches (its own stream's included) and sleeps only
+    /// when none is ready. No `finish_stream`
     /// happens — the open window rides along inside the state, so a
     /// later [`Self::attach_with_state`] (same engine, another engine,
     /// or another process via an `EBSS` snapshot) resumes bit-
@@ -911,16 +1003,16 @@ impl<T: Tracker + Send + 'static> Engine<T> {
     ///
     /// Race-freedom comes from the per-stream FIFO job queue: the
     /// hand-off job is enqueued behind every accepted chunk, so
-    /// whichever worker owns the stream checkpoints only after all of
+    /// whichever executor owns the stream checkpoints only after all of
     /// them — and no chunk can arrive after it (the slot is closed to
-    /// producers first). Which worker that is doesn't matter.
+    /// producers first). Which executor that is doesn't matter.
     ///
     /// # Panics
     ///
     /// Panics on an unknown stream, after [`Self::finish_stream`] (a
     /// finished stream has nothing live to hand over — use
-    /// [`Self::detach`]), on a second detach, or when a worker has
-    /// failed.
+    /// [`Self::detach`]), on a second detach, or when a batch has
+    /// panicked.
     pub fn detach_with_state(&self, stream: StreamId) -> SessionHandoff {
         let state = self.state(stream);
         let mut work = lock(&state.work);
@@ -929,14 +1021,15 @@ impl<T: Tracker + Send + 'static> Engine<T> {
         work.closed = true;
         work.detached = true;
         self.enqueue(stream, work, WorkItem::DetachWithState);
+        self.jitter_help();
         let mut work = lock(&state.work);
         loop {
             if let Some(session) = work.handoff.take() {
                 let frames = std::mem::take(&mut work.results);
                 return SessionHandoff { state: session, totals: work.totals(), frames };
             }
-            assert!(!work.failed, "engine worker failed during the state hand-off");
-            work = state.wait(work);
+            assert!(!work.failed, "an engine batch panicked during the state hand-off");
+            work = self.help_or_wait(&state, work);
         }
     }
 
@@ -948,6 +1041,7 @@ impl<T: Tracker + Send + 'static> Engine<T> {
             elapsed: self.started.elapsed(),
             workers: self.config.workers,
             streams: self
+                .core
                 .streams
                 .all()
                 .iter()
@@ -970,27 +1064,37 @@ impl<T: Tracker + Send + 'static> Engine<T> {
         }
     }
 
-    /// Shuts the engine down: signals the scheduler, waits for the
-    /// workers to drain every queued job, and returns every stream's
-    /// re-sequenced frame output plus a final [`Snapshot`]. Streams
-    /// already drained through [`Self::take_results`] /
-    /// [`Self::detach`] contribute only their untaken frames (usually
-    /// none).
+    /// Shuts the engine down: signals the scheduler, drains every
+    /// queued job — the caller runs ready batches beside the workers
+    /// until none is left, then waits for the workers to exit — and
+    /// returns every stream's re-sequenced frame output plus a final
+    /// [`Snapshot`]. Streams already drained through
+    /// [`Self::take_results`] / [`Self::detach`] contribute only their
+    /// untaken frames (usually none).
     ///
     /// # Panics
     ///
-    /// Re-raises a worker panic (e.g. out-of-order events pushed to a
-    /// stream) on the caller.
+    /// Re-raises the first panic of a batch (e.g. out-of-order events
+    /// pushed to a stream), whichever executor ran it, on the caller.
     #[must_use]
     pub fn join(mut self) -> EngineOutput {
-        self.scheduler.shutdown();
+        self.core.scheduler.shutdown();
+        while self.core.help() {}
         for worker in self.workers.drain(..) {
             if let Err(panic) = worker.join() {
-                std::panic::resume_unwind(panic);
+                panic::resume_unwind(panic);
             }
         }
-        let streams =
-            self.streams.all().iter().map(|s| std::mem::take(&mut lock(&s.work).results)).collect();
+        if let Some(payload) = lock(&self.core.panic).take() {
+            panic::resume_unwind(payload);
+        }
+        let streams = self
+            .core
+            .streams
+            .all()
+            .iter()
+            .map(|s| std::mem::take(&mut lock(&s.work).results))
+            .collect();
         EngineOutput { streams, snapshot: self.snapshot() }
     }
 }
@@ -1000,30 +1104,164 @@ impl<T: Tracker + Send + 'static> Drop for Engine<T> {
     /// path) must not strand its workers in the scheduler wait: signal
     /// shutdown so they drain whatever is queued and exit detached.
     fn drop(&mut self) {
-        self.scheduler.shutdown();
+        self.core.scheduler.shutdown();
     }
 }
 
-fn worker_loop<T: Tracker>(
-    worker: usize,
-    scheduler: &Scheduler,
-    streams: &Arc<StreamTable<T>>,
-    telemetry: &EngineTelemetry,
-    stats: &WorkerTelemetry,
-    batch_chunks: usize,
-    jitter: Option<u64>,
-) {
-    let _poison_guard = PoisonOnPanic(Arc::clone(streams));
+impl<T: Tracker> Core<T> {
+    /// Claims a ready stream for a helping caller and runs one batch of
+    /// it. Returns `false` when no stream was ready.
+    fn help(&self) -> bool {
+        let Some(stream) = self.scheduler.try_next() else {
+            return false;
+        };
+        self.run_helped(stream);
+        true
+    }
+
+    /// Runs one batch of a stream a helping caller claimed, charged to
+    /// [`Self::helper_lane`]: acquire and busy time as a worker's, and
+    /// the spell's length to both `wall` and `helped`, so the lane's
+    /// `busy + acquire + idle == wall` stays exact.
+    fn run_helped(&self, stream: usize) {
+        let lane = &self.helper_lane;
+        let picked = Instant::now();
+        let done = self.run_batch(stream, None, lane, &mut Vec::new(), picked);
+        let spell = done - picked;
+        lane.wall.add_duration(spell);
+        lane.helped.add_duration(spell);
+    }
+
+    /// Runs one batch of a claimed stream for its executor — `owner` is
+    /// the worker, or `None` for a helping caller — through `batch`
+    /// (empty scratch), charging `lane` with acquire time from `picked`
+    /// and busy time to the returned instant.
+    ///
+    /// A panicking job is contained here: the stream is released with
+    /// no pipeline and no jobs and is never scheduled again, every
+    /// stream is marked failed (waking blocked producers and waiters
+    /// into their failure panics), and the payload is kept for
+    /// [`Engine::join`] to re-raise.
+    fn run_batch(
+        &self,
+        stream: usize,
+        owner: Option<usize>,
+        lane: &WorkerTelemetry,
+        batch: &mut Vec<WorkItem>,
+        picked: Instant,
+    ) -> Instant {
+        let state = self.streams.get(stream).expect("scheduled stream exists");
+
+        // Acquire: take exclusive ownership, drain one batch of jobs
+        // and lift the pipeline out (it travels with the batch).
+        let mut pipeline = {
+            let mut work = lock(&state.work);
+            debug_assert_eq!(work.sched, Sched::Queued, "acquired stream must be queued");
+            work.sched = Sched::Running;
+            work.last_owner = owner;
+            let take = work.jobs.len().min(self.batch_chunks);
+            batch.extend(work.jobs.drain(..take));
+            work.pipeline.take()
+        };
+        self.telemetry.batch_size.record(batch.len() as u64);
+        let dequeued = Instant::now();
+        lane.acquire.add_duration(dequeued - picked);
+
+        // Each job's outcome is published under one stream lock, which
+        // also wakes producers and waiters. A chunk leaves `in_flight`
+        // only once its frames are visible, and frames land before
+        // `finished` flips, so `wait_finished` → `take_results` sees
+        // every frame the stream will ever emit.
+        let ran = panic::catch_unwind(AssertUnwindSafe(|| {
+            for job in batch.drain(..) {
+                match job {
+                    WorkItem::Chunk(chunk, enqueued) => {
+                        let wait = dequeued.saturating_duration_since(enqueued);
+                        self.telemetry.queue_wait.record_duration(wait);
+                        state.telemetry.queue_wait.add_duration(wait);
+                        lane.chunks.inc();
+                        let p = pipeline.as_mut().expect("owned stream has a pipeline");
+                        let frames = p.push(&chunk);
+                        let active = p.active_trackers();
+                        state.update(|work| {
+                            work.publish(&self.telemetry, frames, active);
+                            work.in_flight -= 1;
+                        });
+                    }
+                    WorkItem::Finish(span_us) => {
+                        let p = pipeline.as_mut().expect("owned stream has a pipeline");
+                        let frames = p.finish(span_us);
+                        let active = p.active_trackers();
+                        state.update(|work| {
+                            work.publish(&self.telemetry, frames, active);
+                            work.finished = true;
+                        });
+                    }
+                    WorkItem::Detach => {
+                        pipeline = None;
+                    }
+                    WorkItem::DetachWithState => {
+                        let session =
+                            pipeline.take().expect("owned stream has a pipeline").checkpoint();
+                        state.update(|work| work.handoff = Some(session));
+                    }
+                }
+            }
+        }));
+
+        // Release: park the pipeline and, if more jobs arrived while
+        // this batch ran, mark the stream ready again — in the owning
+        // worker's deque, for locality (idle peers can still steal it),
+        // or the injector after a helping caller's batch.
+        let requeue = {
+            let mut work = lock(&state.work);
+            if ran.is_err() {
+                pipeline = None;
+                work.jobs.clear();
+                work.failed = true;
+            }
+            work.pipeline = pipeline;
+            if work.jobs.is_empty() {
+                work.sched = Sched::Idle;
+                false
+            } else {
+                work.sched = Sched::Queued;
+                true
+            }
+        };
+        if requeue {
+            self.scheduler.inject(stream, owner);
+        }
+        if let Err(payload) = ran {
+            lock(&self.panic).get_or_insert(payload);
+            self.fail_streams();
+        }
+        let done = Instant::now();
+        lane.busy.add_duration(done - dequeued);
+        done
+    }
+
+    /// Marks every stream failed, waking whoever waits on one.
+    fn fail_streams(&self) {
+        for stream in self.streams.all() {
+            stream.update(|work| work.failed = true);
+        }
+    }
+}
+
+fn worker_loop<T: Tracker>(worker: usize, core: &Core<T>, jitter: Option<u64>) {
+    let _poison_guard = PoisonOnPanic(core);
+    let lane = WorkerTelemetry::register(core.telemetry.registry(), worker);
     let mut rng =
         jitter.map(|seed| SplitMix(seed ^ (worker as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 1));
     // Worker-local scratch, reused across every batch drain: the job
     // buffer never reallocates once grown to the batch limit.
-    let mut batch: Vec<WorkItem> = Vec::with_capacity(batch_chunks);
+    let mut batch: Vec<WorkItem> = Vec::with_capacity(core.batch_chunks);
     // Telescoping time accounting: every nanosecond between `started`
     // and exit is attributed to exactly one of idle (waiting for a
     // ready stream), acquire (claiming ownership + draining the batch)
     // or busy (processing jobs), so busy + acquire + idle == wall
-    // *exactly*.
+    // *exactly*. Helping callers' spells on lane 0 add to all sides.
     let started = Instant::now();
     let mut mark = started;
     loop {
@@ -1039,94 +1277,18 @@ fn worker_loop<T: Tracker>(
                 std::thread::sleep(Duration::from_micros(roll % 200));
             }
         }
-        let Some(acquired) = scheduler.next(worker, skip_local) else {
+        let Some(acquired) = core.scheduler.next(worker, skip_local) else {
             let now = Instant::now();
-            stats.idle.add_duration(now - mark);
-            stats.wall.add_duration(now - started);
+            lane.idle.add_duration(now - mark);
+            lane.wall.add_duration(now - started);
             break;
         };
         let picked = Instant::now();
-        stats.idle.add_duration(picked - mark);
+        lane.idle.add_duration(picked - mark);
         if acquired.stolen {
-            stats.steals.inc();
+            lane.steals.inc();
         }
-        let state = streams.get(acquired.stream).expect("scheduled stream exists");
-
-        // Acquire: take exclusive ownership, drain one batch of jobs
-        // and lift the pipeline out (it travels with the batch).
-        let mut pipeline = {
-            let mut work = lock(&state.work);
-            debug_assert_eq!(work.sched, Sched::Queued, "acquired stream must be queued");
-            work.sched = Sched::Running;
-            work.last_owner = Some(worker);
-            let take = work.jobs.len().min(batch_chunks);
-            batch.extend(work.jobs.drain(..take));
-            work.pipeline.take()
-        };
-        telemetry.batch_size.record(batch.len() as u64);
-        let dequeued = Instant::now();
-        stats.acquire.add_duration(dequeued - picked);
-
-        // Each job's outcome is published under one stream lock, which
-        // also wakes producers and waiters. A chunk leaves `in_flight`
-        // only once its frames are visible, and frames land before
-        // `finished` flips, so `wait_finished` → `take_results` sees
-        // every frame the stream will ever emit.
-        for job in batch.drain(..) {
-            match job {
-                WorkItem::Chunk(chunk, enqueued) => {
-                    let wait = dequeued.saturating_duration_since(enqueued);
-                    telemetry.queue_wait.record_duration(wait);
-                    state.telemetry.queue_wait.add_duration(wait);
-                    stats.chunks.inc();
-                    let p = pipeline.as_mut().expect("owned stream has a pipeline");
-                    let frames = p.push(&chunk);
-                    let active = p.active_trackers();
-                    state.update(|work| {
-                        work.publish(telemetry, frames, active);
-                        work.in_flight -= 1;
-                    });
-                }
-                WorkItem::Finish(span_us) => {
-                    let p = pipeline.as_mut().expect("owned stream has a pipeline");
-                    let frames = p.finish(span_us);
-                    let active = p.active_trackers();
-                    state.update(|work| {
-                        work.publish(telemetry, frames, active);
-                        work.finished = true;
-                    });
-                }
-                WorkItem::Detach => {
-                    pipeline = None;
-                }
-                WorkItem::DetachWithState => {
-                    let session =
-                        pipeline.take().expect("owned stream has a pipeline").checkpoint();
-                    state.update(|work| work.handoff = Some(session));
-                }
-            }
-        }
-
-        // Release: park the pipeline and, if more jobs arrived while
-        // this batch ran, mark the stream ready again (own deque, for
-        // locality — idle peers can still steal it).
-        let requeue = {
-            let mut work = lock(&state.work);
-            work.pipeline = pipeline.take();
-            if work.jobs.is_empty() {
-                work.sched = Sched::Idle;
-                false
-            } else {
-                work.sched = Sched::Queued;
-                true
-            }
-        };
-        if requeue {
-            scheduler.inject(acquired.stream, Some(worker));
-        }
-        let done = Instant::now();
-        stats.busy.add_duration(done - dequeued);
-        mark = done;
+        mark = core.run_batch(acquired.stream, Some(worker), &lane, &mut batch, picked);
     }
 }
 
@@ -1161,6 +1323,23 @@ mod tests {
         let order: Vec<usize> =
             (0..3).map(|_| scheduler.next(0, false).expect("a stream is ready").stream).collect();
         assert_eq!(order, [0, 1, 2]);
+    }
+
+    #[test]
+    fn a_helper_takes_the_injector_then_every_deque_and_never_steals() {
+        let scheduler = Scheduler::new(2, Arc::new(Gauge::new()));
+        scheduler.inject(0, Some(1));
+        scheduler.inject(1, Some(0));
+        scheduler.inject(2, None);
+        let claims: Vec<(usize, bool)> = (0..3)
+            .map(|_| {
+                let acquired =
+                    scheduler.pop(&mut lock(&scheduler.state), None, false).expect("ready");
+                (acquired.stream, acquired.stolen)
+            })
+            .collect();
+        assert_eq!(claims, [(2, false), (1, false), (0, false)]);
+        assert!(scheduler.try_next().is_none(), "a helper never waits");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! workspace is offline/vendored):
 //!
 //! * a [`StreamId`]-keyed **router** that appends incoming event chunks
-//!   to per-stream bounded FIFO queues, with blocking ([`Engine::push`])
+//!   to per-stream bounded FIFO queues, with holding ([`Engine::push`])
 //!   or rejecting ([`Engine::try_push`]) back-pressure once a stream has
 //!   [`EngineConfig::queue_capacity`] chunks in flight — counted under
 //!   the same per-stream lock that queues the job;
@@ -18,7 +18,12 @@
 //!   unit exactly one worker owns at a time, drains a *batch* of queued
 //!   chunks per acquisition, and migrates to whichever worker is free;
 //! * a **worker pool** that acquires ready streams and drives each
-//!   stream's own [`Pipeline`](ebbiot_core::Pipeline);
+//!   stream's own [`Pipeline`](ebbiot_core::Pipeline), joined by
+//!   **helping callers**: a call that would sleep until a worker makes
+//!   progress (`push` at capacity, [`Engine::wait_finished`],
+//!   [`Engine::detach_with_state`], [`Engine::join`]) claims a ready
+//!   stream and runs one batch of it instead, so the producer's core
+//!   does tracking work while it waits;
 //! * an **output collector** that keeps every stream's `FrameResult`s in
 //!   emission order, indexed by stream;
 //! * per-stream and aggregate **stats** (events and frames, events/s,
@@ -51,11 +56,12 @@
 //! and any steal schedule. Three properties combine to give this:
 //!
 //! 1. **Exclusive ownership** — a ready stream is acquired by exactly
-//!    one worker at a time; ownership may *migrate* between
+//!    one executor at a time: a worker or a helping caller, both through
+//!    the same `Queued → Running` claim. Ownership may *migrate* between
 //!    acquisitions, but only one thread ever advances a given pipeline,
 //!    so there is no intra-stream racing to be ordered.
 //! 2. **Per-stream FIFO queues** — each stream's jobs sit in one FIFO
-//!    queue drained in submission order by whichever worker owns the
+//!    queue drained in submission order by whichever executor owns the
 //!    stream, and the chunked streaming `Pipeline` is itself proven
 //!    chunking-invariant (`push`/`finish` ≡ `process_recording`, see
 //!    the core crate's parity tests).
@@ -64,13 +70,14 @@
 //!    cross-stream completion order (the only thing scheduling can
 //!    affect) never shows up in the output.
 //!
-//! Which worker drains which batch, and how often streams change hands,
-//! is therefore invisible — `tests/engine_determinism.rs` at the
+//! Which executor drains which batch, and how often streams change
+//! hands, is therefore invisible — `tests/engine_determinism.rs` at the
 //! workspace root checks exactly this: a 16-camera fleet on 1, 2 and 8
 //! workers against sequential `process_recording`, for every registered
 //! back-end, plus a proptest that perturbs the schedule with
-//! [`EngineConfig::schedule_jitter`] (random yields, micro-sleeps and
-//! forced steals) and random attach/detach interleavings.
+//! [`EngineConfig::schedule_jitter`] (random yields, micro-sleeps,
+//! forced steals and forced helps) and random attach/detach
+//! interleavings.
 //!
 //! # Example
 //!

@@ -10,11 +10,12 @@
 //! in-process reader see the same values. Four views cover the
 //! contention story (ARCHITECTURE.md §7):
 //!
-//! * **per worker** ([`WorkerTelemetry`]) — busy / acquire / idle /
+//! * **per worker lane** ([`WorkerTelemetry`]) — busy / acquire / idle /
 //!   wall time, chunk counts and steals, accounted with telescoping
 //!   timestamps so that `busy + acquire + idle == wall` holds *exactly*
 //!   at worker exit (the determinism suite asserts equality, not a
-//!   tolerance);
+//!   tolerance); lane 0 also carries helping callers' batches, their
+//!   time counted in `helped`;
 //! * **per chunk** — enqueue→dequeue latency and queue-depth
 //!   distributions, plus collector reorder-buffer occupancy;
 //! * **per stream** ([`StreamTelemetry`]) — cumulative queue wait and
@@ -79,13 +80,20 @@ impl EngineTelemetry {
     }
 }
 
-/// One worker thread's time accounting.
+/// One worker lane's time accounting.
 ///
 /// Every nanosecond of the worker's life is attributed to exactly one of
 /// `busy` (processing jobs), `acquire` (claiming stream ownership and
 /// draining a batch) or `idle` (waiting for a ready stream), and `wall`
 /// is stamped once at exit — so after [`crate::Engine::join`],
 /// `busy + acquire + idle == wall` exactly.
+///
+/// Lane 0 also carries every helping caller's spells (a producer, a
+/// waiter or `join` running a ready batch instead of sleeping): a spell's
+/// acquire and busy time are charged exactly as a worker's, and its
+/// length is added to `wall` and to `helped`. The identity therefore
+/// holds on every lane, and `helped` shows the callers' share of lane
+/// 0's `wall`.
 #[derive(Debug, Clone)]
 pub struct WorkerTelemetry {
     /// Nanoseconds spent processing jobs.
@@ -98,8 +106,12 @@ pub struct WorkerTelemetry {
     pub wall: Arc<Counter>,
     /// Chunks processed (finish jobs excluded).
     pub chunks: Arc<Counter>,
-    /// Stream acquisitions taken from another worker's deque.
+    /// Stream acquisitions taken from another worker's deque (never
+    /// counted for helping callers).
     pub steals: Arc<Counter>,
+    /// Nanoseconds of helping callers' spells charged to this lane
+    /// (nonzero on lane 0 only), already included in `wall`.
+    pub helped: Arc<Counter>,
 }
 
 impl WorkerTelemetry {
@@ -115,6 +127,7 @@ impl WorkerTelemetry {
             wall: registry.counter("ebbiot_engine_worker_wall_nanoseconds_total", labels),
             chunks: registry.counter("ebbiot_engine_worker_chunks_total", labels),
             steals: registry.counter("ebbiot_engine_worker_steals_total", labels),
+            helped: registry.counter("ebbiot_engine_worker_helped_nanoseconds_total", labels),
         }
     }
 }
@@ -125,7 +138,8 @@ impl WorkerTelemetry {
 pub struct StreamTelemetry {
     /// Total nanoseconds this stream's chunks sat queued.
     pub queue_wait: Arc<Counter>,
-    /// Total nanoseconds producers spent in blocking admission.
+    /// Total nanoseconds producers spent in blocking admission,
+    /// including the batches they ran while held there.
     pub producer_block: Arc<Counter>,
 }
 

@@ -6,8 +6,6 @@
 //!   `Relaxed` atomics; recording a sample never takes a lock.
 //! - [`Registry`] — names + labels instruments idempotently and renders
 //!   a Prometheus-style text exposition ([`Registry::render`]).
-//! - [`SpanTimer`] / [`timed`] — scope timers that drop-record elapsed
-//!   nanoseconds into a histogram or counter.
 //! - [`validate_exposition`] — the scrape-side parser CI asserts with.
 //!
 //! Histograms use fixed log2 buckets ([`BUCKETS`] of them): recording is
@@ -25,8 +23,6 @@
 
 mod metrics;
 mod registry;
-mod span;
 
 pub use metrics::{Counter, Gauge, Histogram, BUCKETS};
 pub use registry::{validate_exposition, MetricKind, Registry};
-pub use span::{timed, SpanTimer};

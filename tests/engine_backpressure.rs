@@ -3,11 +3,16 @@
 //! reorders a chunk, and the engine's `Snapshot` reports the queue-depth
 //! high-water mark. Admission counts every chunk in flight — queued or
 //! in process — and a worker failure fails blocked producers instead of
-//! stranding them. The engine wakes only threads that sleep, and no
+//! stranding them. A producer held at capacity runs ready batches
+//! itself, charged to worker lane 0 with the accounting still exact,
+//! and a batch that panics on the producer fails it and resurfaces
+//! from `join`. The engine wakes only threads that sleep, and no
 //! sleeper misses its wake: a jittered capacity-1 engine with blocked
 //! producers, `wait_finished` and `detach_with_state` waiters finishes
 //! under a watchdog, bit-identical to sequential.
 
+use std::any::Any;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
@@ -16,7 +21,7 @@ use ebbiot_core::{
     EbbiotConfig, EbbiotPipeline, FrameInput, FrameResult, OverlapTracker, Pipeline, StateError,
     TrackBox, Tracker,
 };
-use ebbiot_engine::{Engine, EngineConfig, StreamId};
+use ebbiot_engine::{Engine, EngineConfig, StreamId, WorkerTelemetry};
 use ebbiot_events::{Event, OpsCounter, SensorGeometry};
 
 fn config() -> EbbiotConfig {
@@ -226,6 +231,100 @@ fn admission_counts_the_chunk_a_worker_is_processing() {
     let out = engine.join();
     assert_eq!(out.snapshot.streams[0].chunks_in, 2);
     assert_eq!(out.snapshot.streams[0].queue_depth, 0);
+}
+
+/// A one-worker, capacity-1 engine whose stream 1 parks its worker in
+/// the first `step` on `barrier`, and whose stream 0 (same back-end,
+/// never parking) is left to whoever else runs batches: the producer.
+fn engine_with_a_parked_worker(barrier: &Arc<Barrier>) -> Engine<ParkingTracker> {
+    let engine = Engine::new(
+        EngineConfig { workers: 1, queue_capacity: 1, ..EngineConfig::default() },
+        vec![
+            Pipeline::with_tracker(config(), ParkingTracker(None)),
+            Pipeline::with_tracker(config(), ParkingTracker(Some(Arc::clone(barrier)))),
+        ],
+    );
+    // The second event closes frame 0, whose tracker step parks.
+    engine.push(StreamId(1), vec![Event::on(10, 10, 0), Event::on(10, 10, 70_000)]);
+    barrier.wait();
+    engine
+}
+
+#[test]
+fn helped_batches_keep_lane_accounting_exact() {
+    // An engine that does not help would leave this producer asleep
+    // beside its parked worker: the watchdog fails that.
+    let (out, lane) = within_deadline(Duration::from_secs(60), || {
+        let barrier = Arc::new(Barrier::new(2));
+        let engine = engine_with_a_parked_worker(&barrier);
+        // With the only worker parked, every push after the first finds
+        // stream 0 full and runs its queued chunk on this thread.
+        for f in 0..FRAMES {
+            engine.push(StreamId(0), frame_chunk(f));
+        }
+        barrier.wait();
+        engine.finish_stream(StreamId(0), FRAMES * 66_000);
+        engine.finish_stream(StreamId(1), 3 * 66_000);
+        let lane = WorkerTelemetry::register(engine.registry(), 0);
+        (engine.join(), lane)
+    });
+
+    let mut reference = Pipeline::with_tracker(config(), ParkingTracker(None));
+    let mut expected = Vec::new();
+    for f in 0..FRAMES {
+        expected.extend(reference.push(&frame_chunk(f)));
+    }
+    expected.extend(reference.finish(FRAMES * 66_000));
+    assert_eq!(out.streams[0], expected, "helped batches are bit-identical");
+
+    assert_eq!(
+        lane.busy.get() + lane.acquire.get() + lane.idle.get(),
+        lane.wall.get(),
+        "busy + acquire + idle == wall on the lane helpers are charged to"
+    );
+    let chunks_in: u64 = out.snapshot.streams.iter().map(|s| s.chunks_in).sum();
+    assert_eq!(lane.chunks.get(), chunks_in, "the one lane counts every chunk, helped or not");
+    assert!(lane.helped.get() > 0, "the producer ran batches");
+    assert!(lane.helped.get() <= lane.wall.get(), "helped spells are part of the lane's wall");
+}
+
+/// The text of a panic payload.
+fn panic_text(payload: Box<dyn Any + Send>) -> String {
+    match payload.downcast::<String>() {
+        Ok(text) => *text,
+        Err(payload) => payload.downcast_ref::<&str>().expect("a text panic").to_string(),
+    }
+}
+
+#[test]
+fn a_producer_that_runs_a_panicking_batch_fails_and_join_reraises_it() {
+    let (producer, joined) = within_deadline(Duration::from_secs(60), || {
+        let barrier = Arc::new(Barrier::new(2));
+        let engine = engine_with_a_parked_worker(&barrier);
+        engine.push(StreamId(0), vec![Event::on(10, 10, 70_000)]);
+        let producer = panic::catch_unwind(AssertUnwindSafe(|| {
+            // Stream 0 is full: this push runs the chunk above, then is
+            // admitted with an out-of-order chunk…
+            engine.push(StreamId(0), vec![Event::on(10, 10, 0)]);
+            // …which this push runs, and the batch panics.
+            engine.push(StreamId(0), vec![Event::on(10, 10, 140_000)]);
+        }));
+        let producer = panic_text(producer.expect_err("the helping producer fails"));
+        assert!(WorkerTelemetry::register(engine.registry(), 0).helped.get() > 0);
+        assert_eq!(
+            engine.snapshot().streams[0].queue_depth,
+            1,
+            "the chunk that panicked never completed"
+        );
+        barrier.wait();
+        let joined = panic::catch_unwind(AssertUnwindSafe(move || engine.join()));
+        (producer, panic_text(joined.expect_err("join re-raises the batch's panic")))
+    });
+    assert!(
+        producer.contains("stream queue will never drain"),
+        "the producer fails on the failed stream, not with the batch's panic: {producer:?}"
+    );
+    assert!(joined.contains("time-ordered"), "join re-raised {joined:?}");
 }
 
 /// Runs `scenario` on its own thread and returns its result, failing the
