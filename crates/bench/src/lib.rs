@@ -81,24 +81,6 @@ pub fn run_backend_named(
     registry::find_backend(name).map(|spec| run_backend(spec, preset, rec))
 }
 
-/// Runs the EBBIOT pipeline over a recording, returning per-frame boxes.
-#[must_use]
-pub fn run_ebbiot(preset: DatasetPreset, rec: &SimulatedRecording) -> FrameBoxes {
-    run_backend_named("ebbiot", preset, rec).expect("registered")
-}
-
-/// Runs the EBBI + Kalman-filter baseline.
-#[must_use]
-pub fn run_ebbi_kf(preset: DatasetPreset, rec: &SimulatedRecording) -> FrameBoxes {
-    run_backend_named("ebbi-kf", preset, rec).expect("registered")
-}
-
-/// Runs the NN-filt + EBMS baseline.
-#[must_use]
-pub fn run_nn_ebms(preset: DatasetPreset, rec: &SimulatedRecording) -> FrameBoxes {
-    run_backend_named("nn-ebms", preset, rec).expect("registered")
-}
-
 /// Extracts per-frame ground-truth boxes from a recording.
 #[must_use]
 pub fn gt_boxes(rec: &SimulatedRecording) -> FrameBoxes {
@@ -487,12 +469,10 @@ mod tests {
     fn pipelines_produce_frame_aligned_outputs() {
         let rec = generate_for_harness(DatasetPreset::Lt4, Some(2.0), 3, false, 2.0);
         let gt = gt_boxes(&rec);
-        let eb = run_ebbiot(DatasetPreset::Lt4, &rec);
-        let kf = run_ebbi_kf(DatasetPreset::Lt4, &rec);
-        let ms = run_nn_ebms(DatasetPreset::Lt4, &rec);
-        assert_eq!(gt.len(), eb.len());
-        assert_eq!(gt.len(), kf.len());
-        assert_eq!(gt.len(), ms.len());
+        for name in ["ebbiot", "ebbi-kf", "nn-ebms"] {
+            let boxes = run_backend_named(name, DatasetPreset::Lt4, &rec).expect("registered");
+            assert_eq!(gt.len(), boxes.len(), "{name}");
+        }
     }
 
     #[test]

@@ -170,13 +170,6 @@ impl FrontEnd {
         &self.ebbi_scratch
     }
 
-    /// The denoised frame of the most recent [`Self::close_window`] call
-    /// (diagnostics and visualization).
-    #[must_use]
-    pub const fn last_denoised(&self) -> &BinaryImage {
-        &self.denoised_scratch
-    }
-
     /// Per-block op counters accumulated so far (ROE ops are absorbed
     /// into the RPN counter, matching Eq. 5's accounting).
     #[must_use]
@@ -264,7 +257,6 @@ mod tests {
         // An empty frame afterwards: the scratch buffers must be fully
         // refreshed, producing no stale proposals.
         assert!(process(&mut fe, &[]).is_empty());
-        assert_eq!(fe.last_denoised().count_ones(), 0);
     }
 
     #[test]

@@ -1,16 +1,16 @@
-//! The multi-stream engine: router, batched work-stealing scheduler and
-//! output collector.
+//! The multi-stream engine: router, batched scheduler and output
+//! collector.
 //!
 //! Scheduling granularity is the *stream*, not the chunk: a stream with
 //! queued work is a schedulable unit that exactly one executor owns at a
 //! time. An executor acquiring a stream drains a **batch** of queued jobs
-//! in one go (amortizing the wake/hand-off cost that used to dominate
-//! per-chunk dispatch) and a stream may migrate to whichever worker is
-//! free next — a global injector plus per-worker deques with stealing
-//! replaces the old `stream % workers` pinning that load-imbalanced
-//! heterogeneous cameras. Determinism is structural and survives any
-//! steal schedule: jobs sit in one FIFO queue per stream, ownership is
-//! exclusive, and results land in the stream's own ordered buffer.
+//! in one go (amortizing the wake/hand-off cost that would dominate
+//! per-chunk dispatch). Ready streams wait in one FIFO queue that every
+//! executor pops oldest first, so a stream runs on whichever worker is
+//! free next and heterogeneous cameras balance without pinning.
+//! Determinism is structural and survives any schedule: jobs sit in one
+//! FIFO queue per stream, ownership is exclusive, and results land in
+//! the stream's own ordered buffer.
 //!
 //! Executors are the workers and **helping callers**: a caller that
 //! would sleep until a worker makes progress (a producer at capacity,
@@ -75,6 +75,11 @@ impl core::fmt::Display for StreamId {
     }
 }
 
+/// Most queued jobs an executor drains per stream acquisition. Batches
+/// amortize the scheduler hand-off; the queue capacity still bounds
+/// latency.
+const BATCH_CHUNKS: usize = 16;
+
 /// Engine sizing knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
@@ -83,23 +88,19 @@ pub struct EngineConfig {
     /// so heterogeneous cameras balance across the pool.
     pub workers: usize,
     /// Per-stream bound on chunks in flight (queued + processing); the
-    /// router holds (see [`Engine::push`]) or rejects producers beyond it.
+    /// router holds producers beyond it (see [`Engine::push`]).
     pub queue_capacity: usize,
-    /// Maximum queued jobs an executor drains per stream acquisition
-    /// (clamped to at least 1). Larger batches amortize scheduler
-    /// hand-off cost; the queue capacity still bounds latency.
-    pub batch_chunks: usize,
     /// Test-only scheduling perturbation: a seed that makes workers
-    /// randomly yield, micro-sleep and skip their local deque (forcing
-    /// steals and migrations), and makes random blocking calls run a
-    /// ready batch first even when they would not block (forcing helps).
-    /// Output is bit-identical regardless — the determinism proptests
-    /// drive this. `None` (the default) costs nothing.
+    /// randomly yield and micro-sleep before they claim a stream, and
+    /// makes random blocking calls run a ready batch first even when
+    /// they would not block (forcing helps). Output is bit-identical
+    /// regardless — the determinism proptests drive this. `None` (the
+    /// default) costs nothing.
     pub schedule_jitter: Option<u64>,
 }
 
 impl EngineConfig {
-    /// `workers` threads with the default queue capacity and batching.
+    /// `workers` threads with the default queue capacity.
     #[must_use]
     pub fn with_workers(workers: usize) -> Self {
         Self { workers, ..Self::default() }
@@ -109,15 +110,9 @@ impl EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         let workers = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        Self { workers, queue_capacity: 32, batch_chunks: 16, schedule_jitter: None }
+        Self { workers, queue_capacity: 32, schedule_jitter: None }
     }
 }
-
-/// A chunk the router refused because the stream's queue was full
-/// (non-blocking [`Engine::try_push`] only). The events are handed back
-/// untouched so the producer can retry — nothing is ever dropped.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RejectedChunk(pub Vec<Event>);
 
 /// Point-in-time statistics for one stream: what its mutex holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -148,9 +143,9 @@ pub struct StreamSnapshot {
 /// mutexes hold.
 ///
 /// Everything the engine counts in its [`Registry`] is read there, not
-/// copied here: worker busy/acquire/idle/wall time, chunks and steals
-/// through [`WorkerTelemetry::register`] for each of the
-/// [`Self::workers`] workers, batch sizes and chunk queue-wait through
+/// copied here: worker busy/acquire/idle/wall time and chunks through
+/// [`WorkerTelemetry::register`] for each of the [`Self::workers`]
+/// workers, batch sizes and chunk queue-wait through
 /// [`EngineTelemetry::register`], and per-stream queue-wait and producer
 /// blocking through [`StreamTelemetry::register`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -221,7 +216,7 @@ pub struct EngineOutput {
 enum Sched {
     /// No queued jobs; in no scheduler queue, owned by nobody.
     Idle,
-    /// Has queued jobs; sits in the injector or one worker's deque.
+    /// Has queued jobs; sits in the scheduler's ready queue.
     Queued,
     /// Exactly one executor — a worker or a helping caller — holds the
     /// stream (and its pipeline).
@@ -254,10 +249,6 @@ struct StreamWork<T: Tracker> {
     /// takes it for the duration of a batch. `None` for good once the
     /// stream is detached or a batch of it panicked.
     pipeline: Option<Pipeline<T>>,
-    /// Worker of the most recent acquisition (`None` after a helping
-    /// caller's), the injection affinity hint: new work prefers the
-    /// deque of the last owning worker, else the injector.
-    last_owner: Option<usize>,
     /// Chunks admitted but not yet processed: queued in `jobs`, or
     /// drained into an executor's batch and still waiting their turn or
     /// in progress. Admission is bounded by `queue_capacity`.
@@ -294,7 +285,6 @@ impl<T: Tracker> StreamWork<T> {
             sched: Sched::Idle,
             active_trackers: pipeline.active_trackers(),
             pipeline: Some(pipeline),
-            last_owner: None,
             in_flight: 0,
             high_water: 0,
             events_in: totals.events_in,
@@ -408,23 +398,18 @@ impl<T: Tracker> StreamTable<T> {
     }
 }
 
-/// The ready set: stream ids with queued work, awaiting a worker. A
-/// global injector receives streams with no affinity; per-worker deques
-/// hold streams the worker last owned (re-queued there after a batch,
-/// or injected there by producers for locality). Idle workers steal
-/// from other deques, oldest first, so load balances without pinning.
+/// The ready set: one FIFO of stream ids with queued work. Producers
+/// and finished batches push to the back; workers and helping callers
+/// alike pop the front, so the stream that became ready first, which is
+/// the one a producer filling streams in time order blocks on, waits
+/// least, and any executor may take any stream.
 ///
 /// Everything lives under one mutex: scheduling operations are a
-/// handful of `usize` pushes/pops, and batching means workers take the
-/// lock once per *batch*, not once per chunk — correctness (no lost
-/// wakeups, no stream in two queues) is worth far more here than a
-/// lock-free deque.
+/// handful of `usize` pushes/pops, and batching means executors take
+/// the lock once per *batch*, not once per chunk.
 #[derive(Debug)]
 struct SchedQueues {
-    injector: VecDeque<usize>,
-    locals: Vec<VecDeque<usize>>,
-    /// Streams currently ready (in the injector or any deque).
-    ready: usize,
+    ready: VecDeque<usize>,
     shutdown: bool,
     /// Workers waiting on `available` for a ready stream.
     sleepers: usize,
@@ -434,44 +419,26 @@ struct SchedQueues {
 struct Scheduler {
     state: Mutex<SchedQueues>,
     available: Condvar,
-    /// Live ready-set size for the exposition.
+    /// Live ready-queue length for the exposition.
     ready_gauge: Arc<Gauge>,
 }
 
-/// One successful stream acquisition from the scheduler.
-struct Acquired {
-    stream: usize,
-    /// Taken by a worker from another worker's deque.
-    stolen: bool,
-}
-
 impl Scheduler {
-    fn new(workers: usize, ready_gauge: Arc<Gauge>) -> Self {
+    fn new(ready_gauge: Arc<Gauge>) -> Self {
         Self {
-            state: Mutex::new(SchedQueues {
-                injector: VecDeque::new(),
-                locals: (0..workers).map(|_| VecDeque::new()).collect(),
-                ready: 0,
-                shutdown: false,
-                sleepers: 0,
-            }),
+            state: Mutex::new(SchedQueues { ready: VecDeque::new(), shutdown: false, sleepers: 0 }),
             available: Condvar::new(),
             ready_gauge,
         }
     }
 
-    /// Marks `stream` ready: into `prefer`'s deque when the last owner
-    /// is known (locality), the global injector otherwise. Wakes one
-    /// worker only if one is asleep; a busy worker finds the stream when
-    /// it next scans the queues, which it does before it sleeps.
-    fn inject(&self, stream: usize, prefer: Option<usize>) {
+    /// Marks `stream` ready at the back of the queue. Wakes one worker
+    /// only if one is asleep; a busy worker finds the stream when it
+    /// next pops, which it does before it sleeps.
+    fn inject(&self, stream: usize) {
         let mut state = lock(&self.state);
-        match prefer {
-            Some(w) if w < state.locals.len() => state.locals[w].push_back(stream),
-            _ => state.injector.push_back(stream),
-        }
-        state.ready += 1;
-        self.ready_gauge.set(state.ready as i64);
+        state.ready.push_back(stream);
+        self.ready_gauge.set(state.ready.len() as i64);
         let sleeping = state.sleepers > 0;
         drop(state);
         if sleeping {
@@ -479,14 +446,13 @@ impl Scheduler {
         }
     }
 
-    /// Blocks until a ready stream is available and claims it for
-    /// `worker` (see [`Self::pop`]). Returns `None` once the engine shut
-    /// down and every queue is empty.
-    fn next(&self, worker: usize, skip_local: bool) -> Option<Acquired> {
+    /// Blocks until a stream is ready and claims the oldest. Returns
+    /// `None` once the engine shut down and the queue is empty.
+    fn next(&self) -> Option<usize> {
         let mut state = lock(&self.state);
         loop {
-            if let Some(acquired) = self.pop(&mut state, Some(worker), skip_local) {
-                return Some(acquired);
+            if let Some(stream) = self.pop(&mut state) {
+                return Some(stream);
             }
             if state.shutdown {
                 return None;
@@ -495,55 +461,19 @@ impl Scheduler {
         }
     }
 
-    /// Claims a ready stream for a helping caller without waiting, and
-    /// returns its index; `None` when no stream is ready.
+    /// Claims the oldest ready stream without waiting (a helping
+    /// caller); `None` when no stream is ready.
     fn try_next(&self) -> Option<usize> {
-        self.pop(&mut lock(&self.state), None, false).map(|acquired| acquired.stream)
+        self.pop(&mut lock(&self.state))
     }
 
-    /// Claims a ready stream, `None` when none is ready. A worker looks
-    /// in its own deque first (locality), then the injector, then steals
-    /// from another worker's deque. A helping caller (`worker` is
-    /// `None`) has no deque: it takes from the injector, then from the
-    /// workers' deques in index order, and its takes are not counted as
-    /// steals. Every queue is popped oldest first, so the stream that
-    /// became ready first, which is the one a producer filling streams
-    /// in time order blocks on, waits least. `skip_local` (jitter only)
-    /// demotes the own-deque check behind the steal scan, forcing
-    /// migrations.
-    fn pop(
-        &self,
-        state: &mut SchedQueues,
-        worker: Option<usize>,
-        skip_local: bool,
-    ) -> Option<Acquired> {
-        if let Some(stream) =
-            worker.filter(|_| !skip_local).and_then(|w| state.locals[w].pop_front())
-        {
-            return Some(self.claim(state, stream, false));
-        }
-        if let Some(stream) = state.injector.pop_front() {
-            return Some(self.claim(state, stream, false));
-        }
-        let workers = state.locals.len();
-        let (after, before) = worker.map_or((0, 0), |w| (w + 1, w));
-        for victim in (after..workers).chain(0..before) {
-            if let Some(stream) = state.locals[victim].pop_front() {
-                return Some(self.claim(state, stream, worker.is_some()));
-            }
-        }
-        // Jitter demoted the own deque; it must still drain.
-        let stream = worker.and_then(|w| state.locals[w].pop_front())?;
-        Some(self.claim(state, stream, false))
+    fn pop(&self, state: &mut SchedQueues) -> Option<usize> {
+        let stream = state.ready.pop_front()?;
+        self.ready_gauge.set(state.ready.len() as i64);
+        Some(stream)
     }
 
-    fn claim(&self, state: &mut SchedQueues, stream: usize, stolen: bool) -> Acquired {
-        state.ready -= 1;
-        self.ready_gauge.set(state.ready as i64);
-        Acquired { stream, stolen }
-    }
-
-    /// Lets workers exit once every queue is drained. Idempotent.
+    /// Lets workers exit once the queue is drained. Idempotent.
     fn shutdown(&self) {
         lock(&self.state).shutdown = true;
         self.available.notify_all();
@@ -610,7 +540,7 @@ impl SplitMix {
 }
 
 /// A multi-camera tracking engine: owns one [`Pipeline`] per stream and
-/// drives them on a fixed pool of work-stealing worker threads.
+/// drives them on a fixed pool of worker threads.
 ///
 /// Streams are either handed over at construction ([`Engine::new`]) or
 /// attached to the *running* engine one at a time ([`Engine::attach`]) —
@@ -639,8 +569,6 @@ struct Core<T: Tracker> {
     telemetry: EngineTelemetry,
     /// The lane a helping caller charges its spells to: worker 0's.
     helper_lane: WorkerTelemetry,
-    /// Most jobs an executor drains per acquisition (at least 1).
-    batch_chunks: usize,
     /// The payload of the first batch that panicked, re-raised by
     /// [`Engine::join`].
     panic: Mutex<Option<Box<dyn Any + Send>>>,
@@ -683,15 +611,7 @@ impl<T: Tracker + Send + 'static> Engine<T> {
         let workers =
             if pipelines.is_empty() { config.workers } else { config.workers.min(pipelines.len()) };
         let config = EngineConfig { workers, ..config };
-        let telemetry = EngineTelemetry::register(registry);
-        let core = Arc::new(Core {
-            streams: StreamTable::default(),
-            scheduler: Scheduler::new(config.workers, Arc::clone(&telemetry.ready_streams)),
-            helper_lane: WorkerTelemetry::register(telemetry.registry(), 0),
-            telemetry,
-            batch_chunks: config.batch_chunks.max(1),
-            panic: Mutex::new(None),
-        });
+        let core = Arc::new(Core::new(EngineTelemetry::register(registry)));
 
         let mut worker_handles = Vec::with_capacity(config.workers);
         for w in 0..config.workers {
@@ -765,36 +685,13 @@ impl<T: Tracker + Send + 'static> Engine<T> {
     /// before return makes this safe on a running engine, like
     /// `attach`.
     pub fn attach_with_state(&self, pipeline: Pipeline<T>, totals: StreamTotals) -> StreamId {
-        // The slots write lock orders id allocation.
-        let mut slots = self.core.streams.slots.write().unwrap_or_else(PoisonError::into_inner);
-        let id = StreamId(slots.len());
-        slots.push(Arc::new(StreamState {
-            work: Mutex::new(StreamWork::new(pipeline, totals)),
-            changed: Condvar::new(),
-            telemetry: StreamTelemetry::register(self.core.telemetry.registry(), &id.to_string()),
-        }));
-        id
+        self.core.attach(pipeline, totals)
     }
 
     fn state(&self, stream: StreamId) -> Arc<StreamState<T>> {
         self.core.streams.get(stream.0).unwrap_or_else(|| {
             panic!("unknown stream {stream}: engine has {} streams", self.core.streams.len())
         })
-    }
-
-    /// Appends a job to the locked stream's FIFO queue and releases the
-    /// lock, then marks the stream ready (waking a worker) when it was
-    /// idle. A stream already queued or running will see the job when
-    /// its owner re-checks the queue after the current batch; a failed
-    /// stream is never scheduled again.
-    fn enqueue(&self, stream: StreamId, mut work: MutexGuard<'_, StreamWork<T>>, item: WorkItem) {
-        work.jobs.push_back(item);
-        if work.sched == Sched::Idle && !work.failed {
-            work.sched = Sched::Queued;
-            let prefer = work.last_owner;
-            drop(work);
-            self.core.scheduler.inject(stream.0, prefer);
-        }
     }
 
     /// Where a blocking call would sleep until `state` changes: claims a
@@ -828,47 +725,9 @@ impl<T: Tracker + Send + 'static> Engine<T> {
         }
     }
 
-    /// Admits one chunk under the stream lock: while the stream has
-    /// `queue_capacity` chunks in flight, a `blocking` producer helps or
-    /// waits until one completes, and a non-blocking one gets the chunk
-    /// back (it never helps).
-    fn admit(
-        &self,
-        stream: StreamId,
-        chunk: Vec<Event>,
-        blocking: bool,
-    ) -> Result<(), RejectedChunk> {
-        if blocking {
-            self.jitter_help();
-        }
-        let state = self.state(stream);
-        let admission = Instant::now();
-        let mut work = lock(&state.work);
-        loop {
-            assert!(!work.failed, "an engine batch panicked; stream queue will never drain");
-            assert!(!work.closed, "push to {stream} after finish_stream");
-            if work.in_flight < self.config.queue_capacity {
-                break;
-            }
-            if !blocking {
-                return Err(RejectedChunk(chunk));
-            }
-            work = self.help_or_wait(&state, work);
-        }
-        if blocking {
-            state.telemetry.producer_block.add_duration(admission.elapsed());
-        }
-        work.in_flight += 1;
-        work.high_water = work.high_water.max(work.in_flight);
-        work.chunks_in += 1;
-        work.events_in += chunk.len() as u64;
-        self.core.telemetry.queue_depth.record(work.in_flight as u64);
-        self.enqueue(stream, work, WorkItem::Chunk(chunk, Instant::now()));
-        Ok(())
-    }
-
     /// Routes a time-ordered chunk of events to `stream`, holding the
-    /// caller while the stream's queue is at capacity (back-pressure).
+    /// caller while the stream has `queue_capacity` chunks in flight
+    /// (back-pressure), counted under the lock that queues the job.
     /// Meanwhile the caller runs ready batches of any stream (its own
     /// included) and sleeps only when none is ready. Chunks pushed by
     /// one producer are processed in push order; nothing is ever
@@ -879,23 +738,25 @@ impl<T: Tracker + Send + 'static> Engine<T> {
     /// Panics on an unknown stream, after [`Self::finish_stream`], or
     /// when a batch has panicked (on a worker or on a helping caller).
     pub fn push(&self, stream: StreamId, chunk: Vec<Event>) {
-        let admitted = self.admit(stream, chunk, true);
-        debug_assert!(admitted.is_ok(), "a blocking push is never rejected");
-    }
-
-    /// Like [`Self::push`] but never blocks: a full stream queue hands
-    /// the chunk back as [`RejectedChunk`] for the producer to retry.
-    ///
-    /// # Errors
-    ///
-    /// Returns the chunk untouched when the stream is at capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unknown stream, after [`Self::finish_stream`], or
-    /// when a batch has panicked.
-    pub fn try_push(&self, stream: StreamId, chunk: Vec<Event>) -> Result<(), RejectedChunk> {
-        self.admit(stream, chunk, false)
+        self.jitter_help();
+        let state = self.state(stream);
+        let admission = Instant::now();
+        let mut work = lock(&state.work);
+        loop {
+            assert!(!work.failed, "an engine batch panicked; stream queue will never drain");
+            assert!(!work.closed, "push to {stream} after finish_stream");
+            if work.in_flight < self.config.queue_capacity {
+                break;
+            }
+            work = self.help_or_wait(&state, work);
+        }
+        state.telemetry.producer_block.add_duration(admission.elapsed());
+        work.in_flight += 1;
+        work.high_water = work.high_water.max(work.in_flight);
+        work.chunks_in += 1;
+        work.events_in += chunk.len() as u64;
+        self.core.telemetry.queue_depth.record(work.in_flight as u64);
+        self.core.enqueue(stream, work, WorkItem::Chunk(chunk, Instant::now()));
     }
 
     /// Ends `stream`: its pipeline emits the open window plus trailing
@@ -912,7 +773,7 @@ impl<T: Tracker + Send + 'static> Engine<T> {
         let mut work = lock(&state.work);
         assert!(!work.closed, "finish_stream called twice for {stream}");
         work.closed = true;
-        self.enqueue(stream, work, WorkItem::Finish(span_us));
+        self.core.enqueue(stream, work, WorkItem::Finish(span_us));
     }
 
     /// Returns once `stream`'s finish job has been processed, so every
@@ -986,7 +847,7 @@ impl<T: Tracker + Send + 'static> Engine<T> {
         assert!(!work.detached, "detach called twice for {stream}");
         work.detached = true;
         let remaining = std::mem::take(&mut work.results);
-        self.enqueue(stream, work, WorkItem::Detach);
+        self.core.enqueue(stream, work, WorkItem::Detach);
         remaining
     }
 
@@ -1020,7 +881,7 @@ impl<T: Tracker + Send + 'static> Engine<T> {
         assert!(!work.detached, "detach called twice for {stream}");
         work.closed = true;
         work.detached = true;
-        self.enqueue(stream, work, WorkItem::DetachWithState);
+        self.core.enqueue(stream, work, WorkItem::DetachWithState);
         self.jitter_help();
         let mut work = lock(&state.work);
         loop {
@@ -1109,6 +970,44 @@ impl<T: Tracker + Send + 'static> Drop for Engine<T> {
 }
 
 impl<T: Tracker> Core<T> {
+    fn new(telemetry: EngineTelemetry) -> Self {
+        Self {
+            streams: StreamTable::default(),
+            scheduler: Scheduler::new(Arc::clone(&telemetry.ready_streams)),
+            helper_lane: WorkerTelemetry::register(telemetry.registry(), 0),
+            telemetry,
+            panic: Mutex::new(None),
+        }
+    }
+
+    /// Allocates the next [`StreamId`] with `pipeline` parked in its
+    /// slot and its counters starting from `totals`.
+    fn attach(&self, pipeline: Pipeline<T>, totals: StreamTotals) -> StreamId {
+        // The slots write lock orders id allocation.
+        let mut slots = self.streams.slots.write().unwrap_or_else(PoisonError::into_inner);
+        let id = StreamId(slots.len());
+        slots.push(Arc::new(StreamState {
+            work: Mutex::new(StreamWork::new(pipeline, totals)),
+            changed: Condvar::new(),
+            telemetry: StreamTelemetry::register(self.telemetry.registry(), &id.to_string()),
+        }));
+        id
+    }
+
+    /// Appends a job to the locked stream's FIFO queue and releases the
+    /// lock, then marks the stream ready (waking a worker) when it was
+    /// idle. A stream already queued or running will see the job when
+    /// its owner re-checks the queue after the current batch; a failed
+    /// stream is never scheduled again.
+    fn enqueue(&self, stream: StreamId, mut work: MutexGuard<'_, StreamWork<T>>, item: WorkItem) {
+        work.jobs.push_back(item);
+        if work.sched == Sched::Idle && !work.failed {
+            work.sched = Sched::Queued;
+            drop(work);
+            self.scheduler.inject(stream.0);
+        }
+    }
+
     /// Claims a ready stream for a helping caller and runs one batch of
     /// it. Returns `false` when no stream was ready.
     fn help(&self) -> bool {
@@ -1126,16 +1025,16 @@ impl<T: Tracker> Core<T> {
     fn run_helped(&self, stream: usize) {
         let lane = &self.helper_lane;
         let picked = Instant::now();
-        let done = self.run_batch(stream, None, lane, &mut Vec::new(), picked);
+        let done = self.run_batch(stream, lane, &mut Vec::new(), picked);
         let spell = done - picked;
         lane.wall.add_duration(spell);
         lane.helped.add_duration(spell);
     }
 
-    /// Runs one batch of a claimed stream for its executor — `owner` is
-    /// the worker, or `None` for a helping caller — through `batch`
-    /// (empty scratch), charging `lane` with acquire time from `picked`
-    /// and busy time to the returned instant.
+    /// Runs one batch of a claimed stream for its executor, a worker or
+    /// a helping caller, through `batch` (empty scratch), charging `lane`
+    /// with acquire time from `picked` and busy time to the returned
+    /// instant.
     ///
     /// A panicking job is contained here: the stream is released with
     /// no pipeline and no jobs and is never scheduled again, every
@@ -1145,7 +1044,6 @@ impl<T: Tracker> Core<T> {
     fn run_batch(
         &self,
         stream: usize,
-        owner: Option<usize>,
         lane: &WorkerTelemetry,
         batch: &mut Vec<WorkItem>,
         picked: Instant,
@@ -1158,8 +1056,7 @@ impl<T: Tracker> Core<T> {
             let mut work = lock(&state.work);
             debug_assert_eq!(work.sched, Sched::Queued, "acquired stream must be queued");
             work.sched = Sched::Running;
-            work.last_owner = owner;
-            let take = work.jobs.len().min(self.batch_chunks);
+            let take = work.jobs.len().min(BATCH_CHUNKS);
             batch.extend(work.jobs.drain(..take));
             work.pipeline.take()
         };
@@ -1209,10 +1106,9 @@ impl<T: Tracker> Core<T> {
             }
         }));
 
-        // Release: park the pipeline and, if more jobs arrived while
-        // this batch ran, mark the stream ready again — in the owning
-        // worker's deque, for locality (idle peers can still steal it),
-        // or the injector after a helping caller's batch.
+        // Release: park the pipeline and, if jobs are left or arrived
+        // while this batch ran, mark the stream ready again at the back
+        // of the queue, behind every stream that was already waiting.
         let requeue = {
             let mut work = lock(&state.work);
             if ran.is_err() {
@@ -1230,7 +1126,7 @@ impl<T: Tracker> Core<T> {
             }
         };
         if requeue {
-            self.scheduler.inject(stream, owner);
+            self.scheduler.inject(stream);
         }
         if let Err(payload) = ran {
             lock(&self.panic).get_or_insert(payload);
@@ -1256,7 +1152,7 @@ fn worker_loop<T: Tracker>(worker: usize, core: &Core<T>, jitter: Option<u64>) {
         jitter.map(|seed| SplitMix(seed ^ (worker as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 1));
     // Worker-local scratch, reused across every batch drain: the job
     // buffer never reallocates once grown to the batch limit.
-    let mut batch: Vec<WorkItem> = Vec::with_capacity(core.batch_chunks);
+    let mut batch: Vec<WorkItem> = Vec::with_capacity(BATCH_CHUNKS);
     // Telescoping time accounting: every nanosecond between `started`
     // and exit is attributed to exactly one of idle (waiting for a
     // ready stream), acquire (claiming ownership + draining the batch)
@@ -1266,18 +1162,16 @@ fn worker_loop<T: Tracker>(worker: usize, core: &Core<T>, jitter: Option<u64>) {
     let mut mark = started;
     loop {
         // Jitter (tests only): perturb the schedule so the determinism
-        // proptests explore many steal/migration interleavings.
-        let mut skip_local = false;
+        // proptests explore many claim/migration interleavings.
         if let Some(rng) = rng.as_mut() {
             let roll = rng.next();
-            skip_local = roll % 3 == 0;
             if roll % 4 == 0 {
                 std::thread::yield_now();
             } else if roll % 5 == 0 {
                 std::thread::sleep(Duration::from_micros(roll % 200));
             }
         }
-        let Some(acquired) = core.scheduler.next(worker, skip_local) else {
+        let Some(stream) = core.scheduler.next() else {
             let now = Instant::now();
             lane.idle.add_duration(now - mark);
             lane.wall.add_duration(now - started);
@@ -1285,10 +1179,7 @@ fn worker_loop<T: Tracker>(worker: usize, core: &Core<T>, jitter: Option<u64>) {
         };
         let picked = Instant::now();
         lane.idle.add_duration(picked - mark);
-        if acquired.stolen {
-            lane.steals.inc();
-        }
-        mark = core.run_batch(acquired.stream, Some(worker), &lane, &mut batch, picked);
+        mark = core.run_batch(stream, &lane, &mut batch, picked);
     }
 }
 
@@ -1297,6 +1188,7 @@ mod tests {
     use super::*;
     use ebbiot_core::{EbbiotConfig, EbbiotPipeline};
     use ebbiot_events::SensorGeometry;
+    use ebbiot_telemetry::Histogram;
 
     fn pipelines(n: usize) -> Vec<EbbiotPipeline> {
         let config = EbbiotConfig::paper_default(SensorGeometry::davis240());
@@ -1315,31 +1207,39 @@ mod tests {
     }
 
     #[test]
-    fn a_worker_claims_its_own_deque_oldest_first() {
-        let scheduler = Scheduler::new(1, Arc::new(Gauge::new()));
-        for stream in 0..3 {
-            scheduler.inject(stream, Some(0));
+    fn workers_and_helpers_claim_one_queue_oldest_first() {
+        // No worker threads: this test is every executor, so each
+        // claim and each batch happens exactly where it says.
+        let core = Core::new(EngineTelemetry::register(Arc::new(Registry::new())));
+        let queue = |core: &Core<_>| {
+            let len = lock(&core.scheduler.state).ready.len();
+            assert_eq!(core.telemetry.ready_streams.get(), len as i64, "the gauge is the length");
+            len
+        };
+        // Stream 0 gets one chunk more than a batch takes, 1 and 2 one.
+        for (jobs, pipeline) in [BATCH_CHUNKS + 1, 1, 1].into_iter().zip(pipelines(3)) {
+            let stream = core.attach(pipeline, StreamTotals::default());
+            for _ in 0..jobs {
+                let state = core.streams.get(stream.0).expect("attached");
+                let mut work = lock(&state.work);
+                work.in_flight += 1;
+                core.enqueue(stream, work, WorkItem::Chunk(Vec::new(), Instant::now()));
+            }
         }
-        let order: Vec<usize> =
-            (0..3).map(|_| scheduler.next(0, false).expect("a stream is ready").stream).collect();
-        assert_eq!(order, [0, 1, 2]);
-    }
+        assert_eq!(queue(&core), 3, "a stream is queued once, however many jobs it has");
 
-    #[test]
-    fn a_helper_takes_the_injector_then_every_deque_and_never_steals() {
-        let scheduler = Scheduler::new(2, Arc::new(Gauge::new()));
-        scheduler.inject(0, Some(1));
-        scheduler.inject(1, Some(0));
-        scheduler.inject(2, None);
-        let claims: Vec<(usize, bool)> = (0..3)
-            .map(|_| {
-                let acquired =
-                    scheduler.pop(&mut lock(&scheduler.state), None, false).expect("ready");
-                (acquired.stream, acquired.stolen)
-            })
-            .collect();
-        assert_eq!(claims, [(2, false), (1, false), (0, false)]);
-        assert!(scheduler.try_next().is_none(), "a helper never waits");
+        let lane = WorkerTelemetry::register(core.telemetry.registry(), 0);
+        assert_eq!(core.scheduler.next(), Some(0), "a worker takes the oldest stream");
+        core.run_batch(0, &lane, &mut Vec::new(), Instant::now());
+        assert_eq!(core.telemetry.batch_size.sum(), BATCH_CHUNKS as u64, "one full batch");
+        assert_eq!(queue(&core), 3, "stream 0 is ready again with the chunk it left");
+
+        assert_eq!(core.scheduler.try_next(), Some(1), "a helper takes the oldest stream");
+        assert_eq!(queue(&core), 2);
+        assert_eq!(core.scheduler.next(), Some(2), "the re-queued stream went to the back");
+        assert_eq!(core.scheduler.try_next(), Some(0));
+        assert_eq!(queue(&core), 0);
+        assert_eq!(core.scheduler.try_next(), None, "a helper never waits");
     }
 
     #[test]
@@ -1387,28 +1287,29 @@ mod tests {
 
     #[test]
     fn batching_amortizes_acquisitions_below_chunk_count() {
-        // One worker, one stream, tiny batch limit: acquisitions are
-        // counted per batch, not per chunk, and respect the limit.
-        let config = EngineConfig {
-            workers: 1,
-            batch_chunks: 2,
-            queue_capacity: 32,
-            ..EngineConfig::default()
-        };
-        let engine = Engine::new(config, pipelines(1));
+        // One worker, one stream, more chunks than a batch holds:
+        // acquisitions are counted per batch, not per chunk, and no
+        // batch takes more than BATCH_CHUNKS jobs.
+        let chunks = 3 * BATCH_CHUNKS + 1;
+        let jobs = chunks as u64 + 1;
+        let engine = Engine::new(EngineConfig::with_workers(1), pipelines(1));
         let telemetry = engine.telemetry().clone();
-        for k in 0..6u64 {
-            engine.push(StreamId(0), block_events(40 + 3 * k as u16, k * 66_000));
+        for k in 0..chunks as u64 {
+            engine.push(StreamId(0), block_events(40 + (k % 40) as u16 * 3, k * 66_000));
         }
-        engine.finish_stream(StreamId(0), 7 * 66_000);
+        engine.finish_stream(StreamId(0), (chunks as u64 + 1) * 66_000);
         let _ = engine.join();
         let batches = telemetry.batch_size.count();
-        assert!(batches >= 1, "at least one acquisition");
-        assert!(batches <= 7, "never more acquisitions than jobs (6 chunks + finish): {batches}");
-        assert!(telemetry.batch_size.mean() >= 1.0);
-        assert!(telemetry.batch_size.max_bound() >= 1);
-        let steals = WorkerTelemetry::register(telemetry.registry(), 0).steals.get();
-        assert_eq!(steals, 0, "one worker cannot steal from itself");
+        assert_eq!(telemetry.batch_size.sum(), jobs, "every job is in exactly one batch");
+        assert!(batches <= jobs, "never more acquisitions than jobs: {batches}");
+        assert!(
+            batches >= jobs.div_ceil(BATCH_CHUNKS as u64),
+            "{batches} batches of {jobs} jobs means one held more than {BATCH_CHUNKS}"
+        );
+        // The histogram resolves powers of two: nothing lands above the
+        // bucket BATCH_CHUNKS falls in.
+        let top = Histogram::bucket_index(BATCH_CHUNKS as u64);
+        assert!(telemetry.batch_size.bucket_counts()[top + 1..].iter().all(|&n| n == 0));
     }
 
     #[test]
@@ -1539,7 +1440,6 @@ mod tests {
             text.contains("ebbiot_engine_stream_queue_wait_nanoseconds_total{stream=\"cam00\"}")
         );
         assert!(text.contains("ebbiot_engine_worker_chunks_total{worker=\"0\"} 3"));
-        assert!(text.contains("ebbiot_engine_worker_steals_total{worker=\"0\"} 0"));
         assert!(text.contains("ebbiot_engine_batch_chunks"));
     }
 
@@ -1696,7 +1596,7 @@ mod tests {
     #[test]
     fn jittered_schedule_is_still_bit_identical() {
         // The jitter knob perturbs worker acquisition order (yields,
-        // micro-sleeps, forced steals) — output must not move.
+        // micro-sleeps, forced helps) — output must not move.
         let chunks: Vec<Vec<Event>> =
             (0..6u64).map(|k| block_events(40 + 4 * k as u16, k * 66_000)).collect();
         let span = 8 * 66_000;
@@ -1708,12 +1608,8 @@ mod tests {
         expected.extend(reference.finish(span));
 
         for seed in [1u64, 42, 0xDEAD_BEEF] {
-            let config = EngineConfig {
-                workers: 3,
-                queue_capacity: 2,
-                batch_chunks: 2,
-                schedule_jitter: Some(seed),
-            };
+            let config =
+                EngineConfig { workers: 3, queue_capacity: 2, schedule_jitter: Some(seed) };
             let engine = Engine::new(config, pipelines(3));
             for chunk in &chunks {
                 for s in 0..3 {

@@ -9,14 +9,14 @@
 //! workspace is offline/vendored):
 //!
 //! * a [`StreamId`]-keyed **router** that appends incoming event chunks
-//!   to per-stream bounded FIFO queues, with holding ([`Engine::push`])
-//!   or rejecting ([`Engine::try_push`]) back-pressure once a stream has
+//!   to per-stream bounded FIFO queues, holding the producer
+//!   ([`Engine::push`]) once a stream has
 //!   [`EngineConfig::queue_capacity`] chunks in flight — counted under
 //!   the same per-stream lock that queues the job;
-//! * a **work-stealing scheduler** (global injector + per-worker
-//!   deques) over *stream* granularity: a ready stream is a schedulable
-//!   unit exactly one worker owns at a time, drains a *batch* of queued
-//!   chunks per acquisition, and migrates to whichever worker is free;
+//! * a **scheduler** over *stream* granularity: ready streams wait in
+//!   one FIFO queue, a ready stream is a schedulable unit exactly one
+//!   executor owns at a time, drains a *batch* of queued chunks per
+//!   acquisition, and runs on whichever worker is free;
 //! * a **worker pool** that acquires ready streams and drives each
 //!   stream's own [`Pipeline`](ebbiot_core::Pipeline), joined by
 //!   **helping callers**: a call that would sleep until a worker makes
@@ -28,7 +28,7 @@
 //!   emission order, indexed by stream;
 //! * per-stream and aggregate **stats** (events and frames, events/s,
 //!   active trackers, queue depth high-water) through
-//!   [`Engine::snapshot`], and worker time, steals, batch sizes and
+//!   [`Engine::snapshot`], and worker time, batch sizes and
 //!   queue wait in the engine's telemetry registry ([`telemetry`]), read
 //!   nowhere else;
 //! * [`Engine::run_fleet`], the batteries-included entry point for
@@ -53,7 +53,7 @@
 //!
 //! Engine output is **bit-for-bit identical to running each stream's
 //! pipeline sequentially**, for any worker count, any chunk granularity
-//! and any steal schedule. Three properties combine to give this:
+//! and any schedule. Three properties combine to give this:
 //!
 //! 1. **Exclusive ownership** — a ready stream is acquired by exactly
 //!    one executor at a time: a worker or a helping caller, both through
@@ -75,9 +75,8 @@
 //! workspace root checks exactly this: a 16-camera fleet on 1, 2 and 8
 //! workers against sequential `process_recording`, for every registered
 //! back-end, plus a proptest that perturbs the schedule with
-//! [`EngineConfig::schedule_jitter`] (random yields, micro-sleeps,
-//! forced steals and forced helps) and random attach/detach
-//! interleavings.
+//! [`EngineConfig::schedule_jitter`] (random yields, micro-sleeps and
+//! forced helps) and random attach/detach interleavings.
 //!
 //! # Example
 //!
@@ -110,8 +109,8 @@ pub mod fleet;
 pub mod telemetry;
 
 pub use engine::{
-    Engine, EngineConfig, EngineOutput, RejectedChunk, SessionHandoff, Snapshot, StreamId,
-    StreamSnapshot, StreamTotals,
+    Engine, EngineConfig, EngineOutput, SessionHandoff, Snapshot, StreamId, StreamSnapshot,
+    StreamTotals,
 };
 pub use fleet::{FleetOptions, FleetStream};
 pub use telemetry::{EngineTelemetry, StreamTelemetry, WorkerTelemetry};

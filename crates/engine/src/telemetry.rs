@@ -11,7 +11,7 @@
 //! contention story (ARCHITECTURE.md §7):
 //!
 //! * **per worker lane** ([`WorkerTelemetry`]) — busy / acquire / idle /
-//!   wall time, chunk counts and steals, accounted with telescoping
+//!   wall time and chunk counts, accounted with telescoping
 //!   timestamps so that `busy + acquire + idle == wall` holds *exactly*
 //!   at worker exit (the determinism suite asserts equality, not a
 //!   tolerance); lane 0 also carries helping callers' batches, their
@@ -40,7 +40,7 @@ pub const QUEUE_DEPTH_METRIC: &str = "ebbiot_engine_queue_depth_chunks";
 pub const COLLECTOR_BUFFERED_METRIC: &str = "ebbiot_engine_collector_buffered_frames";
 /// Jobs drained per stream acquisition (batching effectiveness).
 pub const BATCH_SIZE_METRIC: &str = "ebbiot_engine_batch_chunks";
-/// Streams currently ready and awaiting a worker.
+/// Streams in the ready queue, awaiting an executor.
 pub const READY_STREAMS_METRIC: &str = "ebbiot_engine_ready_streams";
 
 /// Engine-wide instruments plus the registry they live in.
@@ -106,9 +106,6 @@ pub struct WorkerTelemetry {
     pub wall: Arc<Counter>,
     /// Chunks processed (finish jobs excluded).
     pub chunks: Arc<Counter>,
-    /// Stream acquisitions taken from another worker's deque (never
-    /// counted for helping callers).
-    pub steals: Arc<Counter>,
     /// Nanoseconds of helping callers' spells charged to this lane
     /// (nonzero on lane 0 only), already included in `wall`.
     pub helped: Arc<Counter>,
@@ -126,7 +123,6 @@ impl WorkerTelemetry {
             idle: registry.counter("ebbiot_engine_worker_idle_nanoseconds_total", labels),
             wall: registry.counter("ebbiot_engine_worker_wall_nanoseconds_total", labels),
             chunks: registry.counter("ebbiot_engine_worker_chunks_total", labels),
-            steals: registry.counter("ebbiot_engine_worker_steals_total", labels),
             helped: registry.counter("ebbiot_engine_worker_helped_nanoseconds_total", labels),
         }
     }
@@ -189,13 +185,11 @@ mod tests {
         w1.busy.add(5);
         w1.acquire.add(2);
         w1.chunks.inc();
-        w1.steals.inc();
         StreamTelemetry::register(&registry, "cam02").queue_wait.add(9);
         let text = registry.render();
         assert!(text.contains("ebbiot_engine_worker_busy_nanoseconds_total{worker=\"1\"} 5"));
         assert!(text.contains("ebbiot_engine_worker_acquire_nanoseconds_total{worker=\"1\"} 2"));
         assert!(text.contains("ebbiot_engine_worker_chunks_total{worker=\"1\"} 1"));
-        assert!(text.contains("ebbiot_engine_worker_steals_total{worker=\"1\"} 1"));
         assert!(
             text.contains("ebbiot_engine_stream_queue_wait_nanoseconds_total{stream=\"cam02\"} 9")
         );

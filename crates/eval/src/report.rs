@@ -1,6 +1,6 @@
 //! Plain-text report rendering for the experiment harnesses.
 
-use crate::{metrics::PrecisionRecall, sweep::RecordingEval};
+use crate::sweep::RecordingEval;
 
 /// Renders a simple aligned table. `headers` sets column count; every row
 /// must have that many cells.
@@ -83,12 +83,6 @@ pub fn render_bar(value: f64, max: f64, width: usize) -> String {
     format!("{}{}", "#".repeat(filled), ".".repeat(width - filled))
 }
 
-/// One-line summary of a precision/recall pair.
-#[must_use]
-pub fn render_pr(pr: &PrecisionRecall) -> String {
-    format!("P={:.3} R={:.3} F1={:.3}", pr.precision, pr.recall, pr.f1())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,11 +133,5 @@ mod tests {
         assert_eq!(render_bar(20.0, 10.0, 10), "##########");
         assert_eq!(render_bar(0.0, 10.0, 4), "....");
         assert_eq!(render_bar(1.0, 0.0, 4), "....");
-    }
-
-    #[test]
-    fn pr_summary_format() {
-        let s = render_pr(&PrecisionRecall { precision: 1.0, recall: 0.5 });
-        assert_eq!(s, "P=1.000 R=0.500 F1=0.667");
     }
 }

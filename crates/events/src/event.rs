@@ -29,7 +29,7 @@ impl Polarity {
         }
     }
 
-    /// Single-bit representation used by the binary codec (1 = ON).
+    /// Single-bit representation used by the chunk codec (1 = ON).
     #[must_use]
     pub const fn bit(self) -> u8 {
         match self {

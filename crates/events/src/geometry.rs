@@ -86,25 +86,10 @@ impl SensorGeometry {
         y as usize * self.width as usize + x as usize
     }
 
-    /// Inverse of [`SensorGeometry::index_of`].
-    #[must_use]
-    pub fn pixel_at(&self, index: usize) -> (u16, u16) {
-        debug_assert!(index < self.num_pixels());
-        let x = (index % self.width as usize) as u16;
-        let y = (index / self.width as usize) as u16;
-        (x, y)
-    }
-
     /// Iterator over all `(x, y)` pixels in row-major order.
     pub fn pixels(&self) -> impl Iterator<Item = (u16, u16)> + '_ {
         let w = self.width;
         (0..self.height).flat_map(move |y| (0..w).map(move |x| (x, y)))
-    }
-
-    /// Clamps a floating-point position onto the array.
-    #[must_use]
-    pub fn clamp_position(&self, x: f32, y: f32) -> (f32, f32) {
-        (x.clamp(0.0, f32::from(self.width) - 1.0), y.clamp(0.0, f32::from(self.height) - 1.0))
     }
 }
 
@@ -141,15 +126,6 @@ mod tests {
     }
 
     #[test]
-    fn index_round_trips_for_all_pixels() {
-        let g = SensorGeometry::new(7, 3);
-        for (x, y) in g.pixels() {
-            let idx = g.index_of(x, y);
-            assert_eq!(g.pixel_at(idx), (x, y));
-        }
-    }
-
-    #[test]
     fn index_is_row_major() {
         let g = SensorGeometry::new(10, 5);
         assert_eq!(g.index_of(0, 0), 0);
@@ -167,13 +143,6 @@ mod tests {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted.len(), 12, "no duplicates");
-    }
-
-    #[test]
-    fn clamp_position_keeps_points_on_array() {
-        let g = SensorGeometry::new(100, 50);
-        assert_eq!(g.clamp_position(-5.0, 200.0), (0.0, 49.0));
-        assert_eq!(g.clamp_position(42.5, 10.0), (42.5, 10.0));
     }
 
     #[test]

@@ -10,8 +10,6 @@
 //! * [`SensorGeometry`] — the `A x B` pixel array (240x180 for DAVIS240),
 //! * [`stream`] — ordering checks, windowing into fixed `tF` frames
 //!   (the paper's interrupt-driven readout of Fig. 2),
-//! * [`codec`] — a compact binary AER codec and a human-readable text
-//!   codec for recordings,
 //! * [`stats`] — summary statistics used to regenerate Table I.
 //!
 //! # Example
@@ -32,7 +30,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod codec;
 pub mod event;
 pub mod geometry;
 pub mod ops;

@@ -1,9 +1,8 @@
-//! Property-based tests for event primitives, windowing and codecs.
+//! Property-based tests for event primitives and windowing.
 
 use ebbiot_events::{
-    codec,
     stream::{self, FrameWindows},
-    Event, Polarity, SensorGeometry,
+    Event, Polarity,
 };
 use proptest::prelude::*;
 
@@ -18,15 +17,6 @@ fn arb_event() -> impl Strategy<Value = Event> {
 
 fn arb_ordered_events(max_len: usize) -> impl Strategy<Value = Vec<Event>> {
     proptest::collection::vec(arb_event(), 0..max_len).prop_map(|mut v| {
-        stream::sort_by_time(&mut v);
-        v
-    })
-}
-
-/// Like [`arb_ordered_events`] but never empty — for corruption tests
-/// that need a record to corrupt.
-fn arb_nonempty_events(max_len: usize) -> impl Strategy<Value = Vec<Event>> {
-    proptest::collection::vec(arb_event(), 1..max_len).prop_map(|mut v| {
         stream::sort_by_time(&mut v);
         v
     })
@@ -73,123 +63,6 @@ proptest! {
             prop_assert_eq!(w.index, i);
             prop_assert_eq!(w.start, i as u64 * duration);
         }
-    }
-
-    #[test]
-    fn binary_codec_round_trips(events in arb_ordered_events(200)) {
-        let geom = SensorGeometry::new(W, H);
-        let bytes = codec::encode_binary(geom, &events);
-        let rec = codec::decode_binary(&bytes).unwrap();
-        prop_assert_eq!(rec.geometry, geom);
-        prop_assert_eq!(rec.events, events);
-    }
-
-    #[test]
-    fn text_codec_round_trips(events in arb_ordered_events(200)) {
-        let text = codec::encode_text(&events);
-        let decoded = codec::decode_text(&text).unwrap();
-        prop_assert_eq!(decoded, events);
-    }
-
-    #[test]
-    fn corrupting_any_header_byte_is_detected_or_changes_meaning(
-        events in arb_ordered_events(20),
-        byte in 0usize..4,
-    ) {
-        // Corrupting the magic must always be rejected.
-        let geom = SensorGeometry::new(W, H);
-        let mut bytes = codec::encode_binary(geom, &events);
-        bytes[byte] ^= 0xFF;
-        prop_assert!(matches!(codec::decode_binary(&bytes), Err(codec::CodecError::BadMagic(_))));
-    }
-
-    #[test]
-    fn truncating_an_encoding_anywhere_is_an_error(
-        events in arb_ordered_events(50),
-        cut in 0usize..1_000_000,
-    ) {
-        // Any strict prefix of a valid encoding must fail cleanly:
-        // shorter than the header -> TruncatedHeader, otherwise a
-        // partial payload -> TruncatedPayload. Never Ok, never a panic.
-        let geom = SensorGeometry::new(W, H);
-        let bytes = codec::encode_binary(geom, &events);
-        let cut = cut % bytes.len().max(1);
-        let err = codec::decode_binary(&bytes[..cut]).unwrap_err();
-        if cut < codec::HEADER_BYTES {
-            prop_assert_eq!(err, codec::CodecError::TruncatedHeader);
-        } else {
-            prop_assert!(matches!(err, codec::CodecError::TruncatedPayload { .. }), "{:?}", err);
-        }
-    }
-
-    #[test]
-    fn trailing_bytes_after_the_declared_events_are_rejected(
-        events in arb_ordered_events(50),
-        extra in 1usize..40,
-        filler in any::<u8>(),
-    ) {
-        let geom = SensorGeometry::new(W, H);
-        let mut bytes = codec::encode_binary(geom, &events);
-        bytes.extend(std::iter::repeat_n(filler, extra));
-        prop_assert_eq!(
-            codec::decode_binary(&bytes),
-            Err(codec::CodecError::TrailingData { extra_bytes: extra })
-        );
-    }
-
-    #[test]
-    fn decoded_coordinates_are_validated_against_the_header_geometry(
-        events in arb_nonempty_events(50),
-        victim in 0usize..1_000_000,
-        overshoot in 0u16..100,
-        corrupt_y in any::<bool>(),
-    ) {
-        // Patch one record's coordinate to lie outside the declared
-        // array: the decoder must pinpoint exactly that record.
-        let geom = SensorGeometry::new(W, H);
-        let mut bytes = codec::encode_binary(geom, &events);
-        let victim = victim % events.len();
-        let off = codec::HEADER_BYTES + victim * codec::EVENT_RECORD_BYTES;
-        let (field_off, bad) =
-            if corrupt_y { (10, H + overshoot) } else { (8, W + overshoot) };
-        bytes[off + field_off..off + field_off + 2].copy_from_slice(&bad.to_le_bytes());
-        match codec::decode_binary(&bytes) {
-            Err(codec::CodecError::OutOfBounds { index, x, y }) => {
-                prop_assert_eq!(index, victim);
-                prop_assert!(if corrupt_y { y == bad } else { x == bad });
-            }
-            other => prop_assert!(false, "expected OutOfBounds, got {:?}", other),
-        }
-    }
-
-    #[test]
-    fn decoding_arbitrary_bytes_never_panics(
-        bytes in proptest::collection::vec(any::<u8>(), 0..400),
-    ) {
-        // Hostile input: whatever happens, it is a clean Ok/Err.
-        let _ = codec::decode_binary(&bytes);
-        // And anything that does decode re-encodes to the same bytes
-        // (the format has a single canonical encoding up to padding).
-        if let Ok(rec) = codec::decode_binary(&bytes) {
-            let reenc = codec::encode_binary(rec.geometry, &rec.events);
-            prop_assert_eq!(reenc.len(), bytes.len());
-        }
-    }
-
-    #[test]
-    fn corrupting_a_text_line_is_reported_with_its_number(
-        events in arb_nonempty_events(30),
-        victim in 0usize..1_000_000,
-    ) {
-        let victim = victim % events.len();
-        let mut lines: Vec<String> =
-            codec::encode_text(&events).lines().map(str::to_string).collect();
-        lines[victim] = format!("{} garbage", lines[victim]);
-        let text = lines.join("\n");
-        prop_assert_eq!(
-            codec::decode_text(&text),
-            Err(codec::CodecError::BadTextLine { line: victim + 1 })
-        );
     }
 
     #[test]

@@ -81,12 +81,6 @@ impl<const R: usize, const C: usize> Matrix<R, C> {
         self.data.iter().flat_map(|row| row.iter()).map(|v| v * v).sum::<f64>().sqrt()
     }
 
-    /// Maximum absolute entry.
-    #[must_use]
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().flat_map(|row| row.iter()).fold(0.0_f64, |acc, v| acc.max(v.abs()))
-    }
-
     /// Returns `true` if all entries are finite.
     #[must_use]
     pub fn is_finite(&self) -> bool {
@@ -116,13 +110,6 @@ impl<const R: usize, const C: usize> Matrix<R, C> {
     #[must_use]
     pub fn row(&self, r: usize) -> Vector<C> {
         Vector::from_fn(|c| self.data[r][c])
-    }
-
-    /// Set column `c` from a vector.
-    pub fn set_column(&mut self, c: usize, v: &Vector<R>) {
-        for r in 0..R {
-            self.data[r][c] = v[r];
-        }
     }
 }
 
@@ -435,21 +422,6 @@ mod tests {
         let c = m.column(2);
         assert_eq!(c[0], 3.0);
         assert_eq!(c[1], 6.0);
-    }
-
-    #[test]
-    fn set_column_overwrites_only_that_column() {
-        let mut m = Matrix::<2, 2>::zeros();
-        m.set_column(1, &Vector::from_column([9.0, 8.0]));
-        assert_eq!(m[(0, 1)], 9.0);
-        assert_eq!(m[(1, 1)], 8.0);
-        assert_eq!(m[(0, 0)], 0.0);
-    }
-
-    #[test]
-    fn max_abs_finds_largest_magnitude() {
-        let m = Matrix::<2, 2>::from_rows([[1.0, -7.0], [3.0, 4.0]]);
-        assert_eq!(m.max_abs(), 7.0);
     }
 
     #[test]

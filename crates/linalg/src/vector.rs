@@ -78,12 +78,6 @@ impl<const N: usize> Vector<N> {
         Self::from_fn(|i| f(self.data[i]))
     }
 
-    /// Converts to an `N x 1` matrix (column).
-    #[must_use]
-    pub fn as_matrix(&self) -> Matrix<N, 1> {
-        Matrix::from_fn(|r, _| self.data[r])
-    }
-
     /// Outer product `self * other^T`, an `N x M` matrix.
     #[must_use]
     pub fn outer<const M: usize>(&self, other: &Vector<M>) -> Matrix<N, M> {
@@ -219,14 +213,6 @@ mod tests {
         let o = a.outer(&b);
         assert_eq!(o[(0, 0)], 3.0);
         assert_eq!(o[(1, 2)], 10.0);
-    }
-
-    #[test]
-    fn as_matrix_round_trip() {
-        let v = Vector::<3>::from_column([1.0, 2.0, 3.0]);
-        let m = v.as_matrix();
-        assert_eq!(m[(2, 0)], 3.0);
-        assert_eq!(m.column(0), v);
     }
 
     #[test]

@@ -21,13 +21,6 @@ pub const MAGIC: [u8; 4] = *b"EBWP";
 pub const VERSION: u16 = 2;
 /// Size of the frame envelope (kind byte + payload length).
 pub const ENVELOPE_BYTES: usize = 5;
-/// Size of the HELLO payload before the stream name — deliberately the
-/// same 20-byte layout as an `EBST` file header, with the magic swapped.
-pub const HELLO_FIXED_BYTES: usize = 20;
-/// Size of the EVENTS payload before the bit-packed body.
-pub const EVENTS_FIXED_BYTES: usize = 24;
-/// Size of a FINISHED payload.
-pub const FINISHED_BYTES: usize = 20;
 /// Encoded size of one frame summary before its tracks.
 pub const TRACKS_FRAME_FIXED_BYTES: usize = 36;
 /// Encoded size of one track box.

@@ -34,32 +34,6 @@ pub struct TrafficConfig {
     pub min_headway_us: u64,
 }
 
-impl TrafficConfig {
-    /// A simple two-lane bidirectional road with a moderate mix — the
-    /// starting point the presets specialize.
-    #[must_use]
-    pub fn two_lane_default() -> Self {
-        Self {
-            lanes: vec![
-                LaneConfig { y_center: 70.0, direction: 1, z_order: 1 },
-                LaneConfig { y_center: 110.0, direction: -1, z_order: 2 },
-            ],
-            arrivals_hz: vec![
-                (ObjectClass::Car, 0.20),
-                (ObjectClass::Van, 0.05),
-                (ObjectClass::Truck, 0.03),
-                (ObjectClass::Bus, 0.02),
-                (ObjectClass::Bike, 0.06),
-                (ObjectClass::Human, 0.03),
-            ],
-            lens_scale: 1.0,
-            size_jitter: 0.12,
-            speed_scale: 1.0,
-            min_headway_us: 1_200_000,
-        }
-    }
-}
-
 /// Generates scenes by sampling Poisson arrival processes per class.
 #[derive(Debug, Clone)]
 pub struct TrafficGenerator {
@@ -173,8 +147,30 @@ mod tests {
     use super::*;
     use rand::{rngs::StdRng, SeedableRng};
 
+    /// A simple two-lane bidirectional road with a moderate mix.
+    fn two_lane() -> TrafficConfig {
+        TrafficConfig {
+            lanes: vec![
+                LaneConfig { y_center: 70.0, direction: 1, z_order: 1 },
+                LaneConfig { y_center: 110.0, direction: -1, z_order: 2 },
+            ],
+            arrivals_hz: vec![
+                (ObjectClass::Car, 0.20),
+                (ObjectClass::Van, 0.05),
+                (ObjectClass::Truck, 0.03),
+                (ObjectClass::Bus, 0.02),
+                (ObjectClass::Bike, 0.06),
+                (ObjectClass::Human, 0.03),
+            ],
+            lens_scale: 1.0,
+            size_jitter: 0.12,
+            speed_scale: 1.0,
+            min_headway_us: 1_200_000,
+        }
+    }
+
     fn generator() -> TrafficGenerator {
-        TrafficGenerator::new(SensorGeometry::davis240(), TrafficConfig::two_lane_default())
+        TrafficGenerator::new(SensorGeometry::davis240(), two_lane())
     }
 
     fn rng(seed: u64) -> StdRng {
@@ -256,7 +252,7 @@ mod tests {
 
     #[test]
     fn lens_scale_shrinks_objects_and_speeds() {
-        let mut cfg = TrafficConfig::two_lane_default();
+        let mut cfg = two_lane();
         cfg.lens_scale = 0.5;
         let g = TrafficGenerator::new(SensorGeometry::davis240(), cfg);
         let scene = g.generate(300_000_000, &mut rng(6));
@@ -278,7 +274,7 @@ mod tests {
 
     #[test]
     fn zero_rate_class_never_spawns() {
-        let mut cfg = TrafficConfig::two_lane_default();
+        let mut cfg = two_lane();
         cfg.arrivals_hz = vec![(ObjectClass::Car, 0.0), (ObjectClass::Bus, 0.1)];
         let g = TrafficGenerator::new(SensorGeometry::davis240(), cfg);
         let scene = g.generate(300_000_000, &mut rng(8));
@@ -289,7 +285,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one lane")]
     fn empty_lanes_panic() {
-        let mut cfg = TrafficConfig::two_lane_default();
+        let mut cfg = two_lane();
         cfg.lanes.clear();
         let _ = TrafficGenerator::new(SensorGeometry::davis240(), cfg);
     }

@@ -111,14 +111,6 @@ impl ObjectClass {
             ObjectClass::Bus => "bus",
         }
     }
-
-    /// Whether the paper's single-timescale EBBIOT is expected to track
-    /// this class ("we have not tracked slow and small objects like
-    /// humans").
-    #[must_use]
-    pub const fn is_vehicle(self) -> bool {
-        !matches!(self, ObjectClass::Human)
-    }
 }
 
 impl core::fmt::Display for ObjectClass {
@@ -153,7 +145,7 @@ mod tests {
         let classes = ObjectClass::all();
         for pair in classes.windows(2) {
             let (a, b) = (pair[0], pair[1]);
-            if a.is_vehicle() {
+            if a != ObjectClass::Human {
                 assert!(
                     a.interior_activity() >= b.interior_activity(),
                     "{a} should be at least as textured as {b}"
@@ -168,13 +160,6 @@ mod tests {
         all.sort();
         all.dedup();
         assert_eq!(all.len(), 6);
-    }
-
-    #[test]
-    fn only_humans_are_not_vehicles() {
-        for c in ObjectClass::all() {
-            assert_eq!(c.is_vehicle(), c != ObjectClass::Human);
-        }
     }
 
     #[test]

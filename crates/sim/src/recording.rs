@@ -43,12 +43,6 @@ impl SimulatedRecording {
         count_tracks(&self.ground_truth)
     }
 
-    /// Total number of annotated ground-truth boxes across all frames.
-    #[must_use]
-    pub fn num_gt_boxes(&self) -> usize {
-        self.ground_truth.iter().map(|f| f.boxes.len()).sum()
-    }
-
     /// Mean event rate in events/second over the nominal duration.
     #[must_use]
     pub fn event_rate_hz(&self) -> f64 {
@@ -104,7 +98,6 @@ mod tests {
     fn empty_gt_has_no_tracks() {
         let r = tiny_recording();
         assert_eq!(r.num_tracks(), 0);
-        assert_eq!(r.num_gt_boxes(), 0);
     }
 
     #[test]

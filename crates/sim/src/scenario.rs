@@ -131,15 +131,6 @@ impl ScenarioBuilder {
             .build()
     }
 
-    /// A slow pedestrian plus a fast car — the two-timescale motivation.
-    #[must_use]
-    pub fn car_and_pedestrian() -> Scene {
-        Self::davis240()
-            .entering_left(ObjectClass::Car, 70.0, 55.0, 0, 1)
-            .entering_left(ObjectClass::Human, 130.0, 7.0, 0, 2)
-            .build()
-    }
-
     /// Foliage flicker in the top-left corner plus one crossing car — the
     /// ROE scenario.
     #[must_use]
@@ -226,13 +217,5 @@ mod tests {
         assert_eq!(scene.objects.len(), 1);
         assert_eq!(scene.flickers.len(), 1);
         assert!(scene.flickers[0].rate_hz_per_pixel > 0.0);
-    }
-
-    #[test]
-    fn car_and_pedestrian_speeds_differ_by_an_order() {
-        let scene = ScenarioBuilder::car_and_pedestrian();
-        let car_speed = scene.objects[0].trajectory.speed();
-        let ped_speed = scene.objects[1].trajectory.speed();
-        assert!(car_speed > 5.0 * ped_speed);
     }
 }

@@ -66,41 +66,6 @@ impl SceneObject {
         let (x, y) = self.position_at(t_us)?;
         Some(BoundingBox::new(x, y, self.width, self.height))
     }
-
-    /// Whether any part of the object is on the sensor array at `t_us`.
-    #[must_use]
-    pub fn on_screen_at(&self, t_us: Timestamp, geometry: SensorGeometry) -> bool {
-        let frame =
-            BoundingBox::new(0.0, 0.0, f32::from(geometry.width()), f32::from(geometry.height()));
-        self.bbox_at(t_us).is_some_and(|b| b.intersection(&frame).is_some())
-    }
-
-    /// Time span `[first, last]` during which the object is on screen, or
-    /// `None` if it never enters. Brute-force scan at `step_us`
-    /// granularity; used by tests and the generator's self-checks.
-    #[must_use]
-    pub fn on_screen_span(
-        &self,
-        geometry: SensorGeometry,
-        horizon_us: Timestamp,
-        step_us: u64,
-    ) -> Option<(Timestamp, Timestamp)> {
-        let mut first = None;
-        let mut last = None;
-        let mut t = self.trajectory.t0_us;
-        while t <= horizon_us {
-            if self.on_screen_at(t, geometry) {
-                if first.is_none() {
-                    first = Some(t);
-                }
-                last = Some(t);
-            } else if first.is_some() {
-                break; // linear motion: once off screen, gone for good
-            }
-            t += step_us;
-        }
-        first.zip(last)
-    }
 }
 
 /// A stationary flickering region — the simulator's stand-in for the
@@ -132,11 +97,6 @@ impl Scene {
         Self { geometry, objects: Vec::new(), flickers: Vec::new() }
     }
 
-    /// Objects active (on screen) at `t_us`.
-    pub fn active_objects(&self, t_us: Timestamp) -> impl Iterator<Item = &SceneObject> + '_ {
-        self.objects.iter().filter(move |o| o.on_screen_at(t_us, self.geometry))
-    }
-
     /// Whether the point `(x, y)` is covered at `t_us` by any object with
     /// z-order strictly greater than `z` — i.e. whether an event from an
     /// object at depth `z` would be occluded there.
@@ -163,18 +123,6 @@ impl Scene {
             }
         }
         (1.0 - max_cover).max(0.0)
-    }
-
-    /// The largest timestamp at which any object is still on screen,
-    /// scanned up to `horizon_us`. Returns 0 for sceneless configs.
-    #[must_use]
-    pub fn last_activity(&self, horizon_us: Timestamp, step_us: u64) -> Timestamp {
-        self.objects
-            .iter()
-            .filter_map(|o| o.on_screen_span(self.geometry, horizon_us, step_us))
-            .map(|(_, last)| last)
-            .max()
-            .unwrap_or(0)
     }
 }
 
@@ -206,41 +154,6 @@ mod tests {
         assert!((b.x - 20.0).abs() < 1e-3);
         assert_eq!(b.y, 80.0);
         assert_eq!(b.w, 40.0);
-    }
-
-    #[test]
-    fn off_screen_before_entry_and_after_exit() {
-        let c = car(1, 80.0, 60.0, 0, 1);
-        assert!(!c.on_screen_at(0, geom()), "starts fully left of frame");
-        assert!(c.on_screen_at(1_000_000, geom()));
-        // Exits after travelling 240 + 40 px at 60 px/s ≈ 4.67 s.
-        assert!(!c.on_screen_at(5_000_000, geom()));
-    }
-
-    #[test]
-    fn on_screen_span_brackets_crossing() {
-        let c = car(1, 80.0, 60.0, 0, 1);
-        let (first, last) = c.on_screen_span(geom(), 10_000_000, 33_000).unwrap();
-        assert!(first > 0 && first < 1_000_000);
-        assert!(last > 4_000_000 && last < 5_000_000);
-    }
-
-    #[test]
-    fn never_entering_object_has_no_span() {
-        let mut c = car(1, 80.0, -60.0, 0, 1); // starts left, moves further left
-        c.trajectory.start_x = -100.0;
-        assert_eq!(c.on_screen_span(geom(), 5_000_000, 33_000), None);
-    }
-
-    #[test]
-    fn active_objects_filters_by_time() {
-        let mut scene = Scene::new(geom());
-        scene.objects.push(car(1, 60.0, 60.0, 0, 1));
-        scene.objects.push(car(2, 100.0, 60.0, 3_000_000, 2));
-        assert_eq!(scene.active_objects(1_000_000).count(), 1);
-        // At t = 4 s both are on screen (car 1 exits at ~4.67 s).
-        assert_eq!(scene.active_objects(4_000_000).count(), 2);
-        assert_eq!(scene.active_objects(5_000_000).count(), 1, "car 1 exited, car 2 active");
     }
 
     #[test]
@@ -295,14 +208,5 @@ mod tests {
         for t in [0, 123_456, 4_000_000] {
             assert_eq!(c.warped_time(t), t);
         }
-    }
-
-    #[test]
-    fn last_activity_finds_final_exit() {
-        let mut scene = Scene::new(geom());
-        scene.objects.push(car(1, 60.0, 60.0, 0, 1));
-        scene.objects.push(car(2, 100.0, 60.0, 2_000_000, 2));
-        let last = scene.last_activity(20_000_000, 33_000);
-        assert!(last > 6_000_000 && last < 7_000_000, "second car exits ~6.67 s");
     }
 }

@@ -99,7 +99,7 @@ mod tests {
             assert_eq!(reader.name(), rec.name);
             assert_eq!(reader.geometry(), rec.geometry);
             assert_eq!(reader.span_us(), rec.duration_us);
-            assert_eq!(reader.read_recording().unwrap().events, rec.events);
+            assert_eq!(reader.read_recording().unwrap(), rec.events);
         }
         // Reopening from the manifest sees the same fleet.
         assert_eq!(FleetStore::open(&dir).unwrap(), store);

@@ -52,20 +52,6 @@ impl LinearTrajectory {
     pub fn speed(&self) -> f32 {
         (self.vx * self.vx + self.vy * self.vy).sqrt()
     }
-
-    /// Time at which the object's min-corner x reaches `x`, or `None` for
-    /// a stationary-in-x trajectory or a crossing before activation.
-    #[must_use]
-    pub fn time_at_x(&self, x: f32) -> Option<Timestamp> {
-        if self.vx == 0.0 {
-            return None;
-        }
-        let dt_s = (x - self.start_x) / self.vx;
-        if dt_s < 0.0 {
-            return None;
-        }
-        Some(self.t0_us + (dt_s * 1e6) as Timestamp)
-    }
 }
 
 #[cfg(test)]
@@ -106,22 +92,5 @@ mod tests {
     fn speed_combines_axes() {
         let t = LinearTrajectory { start_x: 0.0, start_y: 0.0, vx: 3.0, vy: 4.0, t0_us: 0 };
         assert!((t.speed() - 5.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn time_at_x_inverts_position() {
-        let t = LinearTrajectory::horizontal(-40.0, 0.0, 80.0, 2_000_000);
-        let at = t.time_at_x(0.0).unwrap();
-        assert_eq!(at, 2_500_000);
-        let (x, _) = t.position(at).unwrap();
-        assert!(x.abs() < 1e-3);
-    }
-
-    #[test]
-    fn time_at_x_none_for_unreachable() {
-        let t = LinearTrajectory::horizontal(0.0, 0.0, 50.0, 0);
-        assert_eq!(t.time_at_x(-10.0), None, "behind the start");
-        let still = LinearTrajectory::horizontal(0.0, 0.0, 0.0, 0);
-        assert_eq!(still.time_at_x(10.0), None);
     }
 }

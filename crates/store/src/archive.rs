@@ -239,8 +239,8 @@ mod tests {
         assert_eq!(full.cameras(), 2);
         assert_eq!(full.total_events(), 200);
         for k in 0..2 {
-            let rec = full.reader(k).unwrap().read_recording().unwrap();
-            assert_eq!(rec.events, recorded, "camera {k} round-trips");
+            let events = full.reader(k).unwrap().read_recording().unwrap();
+            assert_eq!(events, recorded, "camera {k} round-trips");
         }
         assert_eq!(archiver.cameras(), 2);
         fs::remove_dir_all(&dir).unwrap();

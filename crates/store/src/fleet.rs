@@ -393,7 +393,7 @@ mod tests {
             let mut reader = opened.reader(k).unwrap();
             assert_eq!(reader.name(), format!("LT4-cam{k:02}"));
             assert_eq!(reader.span_us(), 1_000_000);
-            assert_eq!(&reader.read_recording().unwrap().events, events);
+            assert_eq!(&reader.read_recording().unwrap(), events);
         }
         assert_eq!(opened.readers().unwrap().len(), 3);
         fs::remove_dir_all(&dir).unwrap();

@@ -683,7 +683,6 @@ fn end_decode(chunk: usize, t: Timestamp, t_last: Timestamp) -> Result<(), Store
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ebbiot_events::codec::EVENT_RECORD_BYTES;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
     #[test]
@@ -961,10 +960,12 @@ mod tests {
         assert_eq!(payload.len(), payload_len(3, MAX_EVENT_BITS));
         let geometry = SensorGeometry::new(u16::MAX, u16::MAX);
         decode(&payload, geometry, &events).unwrap();
-        // From three events on, even that beats EAER's 14 B/event.
+        // From three events on, even that beats the 14 B/event of the
+        // flat event file EBST replaced.
+        const FLAT_EVENT_BYTES: f64 = 14.0;
         for count in (3..=MAX_CHUNK_EVENTS).step_by(997).chain([MAX_CHUNK_EVENTS]) {
             let per_event = payload_len(count, MAX_EVENT_BITS) as f64 / count as f64;
-            assert!(per_event < EVENT_RECORD_BYTES as f64, "{count} events: {per_event} B/event");
+            assert!(per_event < FLAT_EVENT_BYTES, "{count} events: {per_event} B/event");
         }
     }
 

@@ -14,8 +14,8 @@
 //! * [`ChunkReader`] — one-chunk-at-a-time reader with
 //!   [`ChunkReader::seek_to_time`] over the chunk index, generic over a
 //!   [`ChunkSource`] (streamed `BufReader` or resident `Cursor`);
-//! * [`Replayer`] — drives a `Pipeline<T>` or a whole `Engine` from
-//!   readers, in [`ReplayMode::MaxSpeed`] or [`ReplayMode::Paced`];
+//! * [`Replayer`] — drives an `Engine` from one reader per stream, in
+//!   [`ReplayMode::MaxSpeed`] or [`ReplayMode::Paced`];
 //! * [`FleetStore`] — one file per camera plus a manifest, the spool
 //!   layout `ebbiot_sim`'s fleet generator writes;
 //! * [`FleetArchiver`] — the streaming counterpart of
@@ -80,8 +80,8 @@
 //! little-endian bit stream zero-padded to a whole byte, so
 //! `len = 3 + ceil(count · (wt + wx + wy) / 8)` exactly. Simulated
 //! traffic lands near 3.5–3.8 bytes/event, and even the widest events
-//! (99 bits) beat the flat `EAER` codec's 14 from three events a chunk
-//! on. Decoding validates CRC, the count against
+//! (99 bits) beat a flat 14-byte event record from three events a
+//! chunk on. Decoding validates CRC, the count against
 //! [`format::MAX_CHUNK_EVENTS`] (before anything is allocated), the
 //! widths, the exact length, zero padding, the first `Δt`, timestamp
 //! overflow, bounds and span, so corruption is detected rather than
@@ -131,6 +131,7 @@
 //!
 //! ```
 //! use ebbiot_core::{EbbiotConfig, EbbiotPipeline};
+//! use ebbiot_engine::{Engine, EngineConfig};
 //! use ebbiot_events::{Event, SensorGeometry};
 //! use ebbiot_store::{ChunkReader, RecordingWriter, Replayer, ReplayMode, StoreOptions};
 //! use std::io::Cursor;
@@ -145,11 +146,12 @@
 //! let (bytes, summary) = writer.finish()?;
 //! assert!(summary.bytes_per_event() < 14.0, "beats the flat codec");
 //!
-//! // Replay it through a pipeline, chunk by chunk.
-//! let mut reader = ChunkReader::new(Cursor::new(bytes))?;
-//! let mut pipeline = EbbiotPipeline::new(EbbiotConfig::paper_default(geometry));
-//! let run = Replayer::new(ReplayMode::MaxSpeed).replay_pipeline(&mut reader, &mut pipeline)?;
-//! assert_eq!(run.stats.events, 600);
+//! // Replay it through a one-stream engine, chunk by chunk.
+//! let mut readers = vec![ChunkReader::new(Cursor::new(bytes))?];
+//! let pipeline = EbbiotPipeline::new(EbbiotConfig::paper_default(geometry));
+//! let engine = Engine::new(EngineConfig::with_workers(1), vec![pipeline]);
+//! let run = Replayer::new(ReplayMode::MaxSpeed).replay_engine(&mut readers, engine)?;
+//! assert_eq!(run.events(), 600);
 //! # Ok::<(), ebbiot_store::StoreError>(())
 //! ```
 
@@ -169,72 +171,75 @@ pub use archive::{ArchiveStream, FleetArchiver};
 pub use fleet::{FleetEntry, FleetStore, StoredCamera, MANIFEST_FILE};
 pub use format::{ChunkMeta, StoreError, StoreHeader};
 pub use reader::{ChunkReader, ChunkSource};
-pub use replay::{EngineReplay, PipelineReplay, ReplayMode, ReplayStats, Replayer};
+pub use replay::{EngineReplay, ReplayMode, ReplayStats, Replayer};
 pub use snapshot::{
     read_snapshot, read_snapshot_file, write_snapshot, SnapshotError, SnapshotHeader,
 };
-pub use writer::{encode_recording, RecordingWriter, StoreOptions, StoreSummary};
+pub use writer::{RecordingWriter, StoreOptions, StoreSummary};
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ebbiot_events::codec::{self, Recording};
-    use ebbiot_events::{Event, SensorGeometry};
+    use ebbiot_events::{Event, Polarity, SensorGeometry};
     use rand::{rngs::StdRng, Rng, SeedableRng};
+    use std::io::Cursor;
 
-    /// Random time-ordered in-bounds stream, the codec interop fixture.
-    fn random_recording(seed: u64, n: usize) -> Recording {
+    /// The flat event file EBST replaced (an 18-byte header, then 14
+    /// bytes per event) is the size bound EBST must stay under.
+    const FLAT_HEADER_BYTES: usize = 18;
+    const FLAT_EVENT_BYTES: usize = 14;
+
+    /// Random time-ordered in-bounds DAVIS240 stream.
+    fn random_events(seed: u64, n: usize) -> Vec<Event> {
         let mut rng = StdRng::seed_from_u64(seed);
         let geometry = SensorGeometry::davis240();
         let mut t = 0u64;
-        let events = (0..n)
+        (0..n)
             .map(|_| {
                 t += rng.random_range(0u64..500);
+                let polarity =
+                    if rng.random_range(0..2) == 0 { Polarity::On } else { Polarity::Off };
                 Event::new(
                     rng.random_range(0..geometry.width()),
                     rng.random_range(0..geometry.height()),
                     t,
-                    if rng.random_range(0..2) == 0 {
-                        ebbiot_events::Polarity::On
-                    } else {
-                        ebbiot_events::Polarity::Off
-                    },
+                    polarity,
                 )
             })
-            .collect();
-        Recording { geometry, events }
+            .collect()
     }
 
-    /// Decodes `EBST` bytes back into an in-memory [`Recording`].
-    fn read_back(bytes: &[u8]) -> Result<Recording, StoreError> {
-        ChunkReader::new(std::io::Cursor::new(bytes))?.read_recording()
+    fn encode(events: &[Event]) -> Vec<u8> {
+        let mut writer = RecordingWriter::new(
+            Vec::new(),
+            SensorGeometry::davis240(),
+            "random",
+            0,
+            StoreOptions::default(),
+        )
+        .unwrap();
+        writer.push_events(events).unwrap();
+        writer.finish().unwrap().0
+    }
+
+    fn read_back(bytes: Vec<u8>) -> Vec<Event> {
+        ChunkReader::new(Cursor::new(bytes)).unwrap().read_recording().unwrap()
     }
 
     #[test]
-    fn recording_interop_is_lossless_both_ways() {
+    fn random_streams_round_trip_losslessly() {
         for seed in 0..5u64 {
-            let rec = random_recording(seed, 3_000);
-            // EAER -> Recording -> EBST -> Recording is identity.
-            let eaer = codec::encode_binary(rec.geometry, &rec.events);
-            let from_eaer = codec::decode_binary(&eaer).unwrap();
-            let ebst = encode_recording(&from_eaer, "interop", 0, StoreOptions::default()).unwrap();
-            let back = read_back(&ebst).unwrap();
-            assert_eq!(back, rec, "seed {seed}");
+            let events = random_events(seed, 3_000);
+            assert_eq!(read_back(encode(&events)), events, "seed {seed}");
         }
+        assert!(read_back(encode(&[])).is_empty());
     }
 
     #[test]
     fn ebst_is_smaller_than_flat_eaer_on_random_streams() {
-        let rec = random_recording(7, 20_000);
-        let eaer = codec::encode_binary(rec.geometry, &rec.events);
-        let ebst = encode_recording(&rec, "", 0, StoreOptions::default()).unwrap();
-        assert!(ebst.len() < eaer.len(), "EBST {} bytes vs EAER {} bytes", ebst.len(), eaer.len());
-    }
-
-    #[test]
-    fn empty_recording_interop_round_trips() {
-        let rec = Recording { geometry: SensorGeometry::new(10, 10), events: Vec::new() };
-        let ebst = encode_recording(&rec, "empty", 5, StoreOptions::default()).unwrap();
-        assert_eq!(read_back(&ebst).unwrap(), rec);
+        let events = random_events(7, 20_000);
+        let ebst = encode(&events).len();
+        let flat = FLAT_HEADER_BYTES + FLAT_EVENT_BYTES * events.len();
+        assert!(ebst < flat, "EBST {ebst} bytes vs flat {flat} bytes");
     }
 }

@@ -6,7 +6,7 @@ use std::fs::File;
 use std::io::{BufReader, Cursor, Read, Seek, SeekFrom};
 use std::path::Path;
 
-use ebbiot_events::{codec::Recording, Event, Micros, SensorGeometry, Timestamp};
+use ebbiot_events::{Event, Micros, SensorGeometry, Timestamp};
 
 use crate::format::{
     crc32, decode_chunk_payload, ChunkMeta, StoreError, StoreHeader, CHUNK_FRAME_BYTES, END_MAGIC,
@@ -422,22 +422,21 @@ impl<R: ChunkSource> ChunkReader<R> {
         self.resume_from = None;
     }
 
-    /// Reads the remaining chunks into one in-memory [`Recording`] —
-    /// the lossless interop path back to the flat `EAER` codec's type.
-    /// Unlike chunked reading this *is* memory-resident; it exists for
-    /// interop and tests, not for production replay.
+    /// Reads the remaining chunks' events into one `Vec`. Unlike
+    /// chunked reading this *is* memory-resident; it exists for tests
+    /// and tools, not for production replay.
     ///
     /// # Errors
     ///
     /// Returns any error [`ChunkReader::next_chunk`] can.
-    pub fn read_recording(&mut self) -> Result<Recording, StoreError> {
+    pub fn read_recording(&mut self) -> Result<Vec<Event>, StoreError> {
         // Grow as chunks actually decode — the footer's event count is
         // untrusted input and must not drive a pre-allocation.
         let mut events = Vec::new();
         while let Some(chunk) = self.next_chunk()? {
             events.extend_from_slice(chunk);
         }
-        Ok(Recording { geometry: self.header.geometry, events })
+        Ok(events)
     }
 }
 
@@ -502,8 +501,7 @@ mod tests {
             let chunks = std::iter::from_fn(|| reader.next_chunk().unwrap().map(<[_]>::len));
             assert_eq!(chunks.count(), 1_000usize.div_ceil(chunk_events));
             reader.rewind();
-            let rec = reader.read_recording().unwrap();
-            assert_eq!(rec.events, original, "chunk size {chunk_events}");
+            assert_eq!(reader.read_recording().unwrap(), original, "chunk size {chunk_events}");
         }
     }
 
@@ -516,10 +514,7 @@ mod tests {
         let mut streamed = ChunkReader::new(BufReader::new(Cursor::new(bytes.clone()))).unwrap();
         // Resident: Cursor directly, payloads borrowed in place.
         let mut resident = ChunkReader::new(Cursor::new(bytes)).unwrap();
-        assert_eq!(
-            streamed.read_recording().unwrap().events,
-            resident.read_recording().unwrap().events
-        );
+        assert_eq!(streamed.read_recording().unwrap(), resident.read_recording().unwrap());
     }
 
     #[test]
@@ -532,7 +527,7 @@ mod tests {
         let streamed = ChunkReader::open(&path).unwrap().read_recording().unwrap();
         let mapped = ChunkReader::open_mapped(&path).unwrap().read_recording().unwrap();
         assert_eq!(streamed, mapped);
-        assert_eq!(mapped.events, original);
+        assert_eq!(mapped, original);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -574,7 +569,7 @@ mod tests {
         let mut reader = ChunkReader::new(Cursor::new(bytes)).unwrap();
         for instant in [0u64, 1, 96, 97, 40_000, 77_600, 100_000] {
             reader.seek_to_time(instant);
-            let resumed = reader.read_recording().unwrap().events;
+            let resumed = reader.read_recording().unwrap();
             let expected: Vec<Event> =
                 original.iter().copied().filter(|e| e.t >= instant).collect();
             assert_eq!(resumed, expected, "seek to t={instant}");
@@ -589,7 +584,7 @@ mod tests {
         reader.seek_to_time(5_000);
         let _ = reader.read_recording().unwrap();
         reader.rewind();
-        assert_eq!(reader.read_recording().unwrap().events, original);
+        assert_eq!(reader.read_recording().unwrap(), original);
     }
 
     #[test]

@@ -1,9 +1,9 @@
-//! [`Replayer`]: drives pipelines and engines from stored recordings,
-//! at maximum speed or paced against the wall clock.
+//! [`Replayer`]: drives engines from stored recordings, at maximum
+//! speed or paced against the wall clock.
 
 use std::time::{Duration, Instant};
 
-use ebbiot_core::{FrameResult, Pipeline, Tracker};
+use ebbiot_core::Tracker;
 use ebbiot_engine::{Engine, EngineOutput, StreamId};
 use ebbiot_events::Event;
 
@@ -58,18 +58,6 @@ pub struct ReplayStats {
     pub last_t: u64,
 }
 
-/// Everything a pipeline replay produced.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PipelineReplay {
-    /// The frames the pipeline emitted, identical to processing the
-    /// recording in memory.
-    pub frames: Vec<FrameResult>,
-    /// Progress counters.
-    pub stats: ReplayStats,
-    /// Wall-clock duration of the replay.
-    pub elapsed: Duration,
-}
-
 /// Everything an engine replay produced.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineReplay {
@@ -98,12 +86,14 @@ impl EngineReplay {
 /// Replays stored recordings through the streaming tracking stack.
 ///
 /// The replayer is the bridge between the on-disk store and the
-/// processing layers: it feeds [`Pipeline::push`]/`finish` (single
-/// stream) or [`Engine::push`]/`finish_stream` (a whole fleet) straight
-/// from [`ChunkReader`]s, so no recording is ever memory-resident.
+/// processing layers: it feeds [`Engine::push`]/`finish_stream` straight
+/// from [`ChunkReader`]s, one per stream, so no recording is ever
+/// memory-resident. A single recording replays through a one-stream
+/// engine.
 ///
 /// ```
 /// use ebbiot_core::{EbbiotConfig, EbbiotPipeline};
+/// use ebbiot_engine::{Engine, EngineConfig};
 /// use ebbiot_events::{Event, SensorGeometry};
 /// use ebbiot_store::{ChunkReader, RecordingWriter, ReplayMode, Replayer, StoreOptions};
 ///
@@ -114,12 +104,13 @@ impl EngineReplay {
 /// writer.push_events(&[Event::on(10, 20, 0), Event::on(11, 20, 40_000)])?;
 /// let (bytes, _) = writer.finish()?;
 ///
-/// // …and replay it through a pipeline at maximum speed.
-/// let mut reader = ChunkReader::new(std::io::Cursor::new(bytes))?;
-/// let mut pipeline = EbbiotPipeline::new(EbbiotConfig::paper_default(geometry));
-/// let run = Replayer::new(ReplayMode::MaxSpeed).replay_pipeline(&mut reader, &mut pipeline)?;
-/// assert_eq!(run.stats.events, 2);
-/// assert_eq!(run.frames, EbbiotPipeline::new(EbbiotConfig::paper_default(geometry))
+/// // …and replay it through a one-stream engine at maximum speed.
+/// let mut readers = vec![ChunkReader::new(std::io::Cursor::new(bytes))?];
+/// let pipeline = EbbiotPipeline::new(EbbiotConfig::paper_default(geometry));
+/// let engine = Engine::new(EngineConfig::with_workers(1), vec![pipeline]);
+/// let run = Replayer::new(ReplayMode::MaxSpeed).replay_engine(&mut readers, engine)?;
+/// assert_eq!(run.events(), 2);
+/// assert_eq!(run.output.streams[0], EbbiotPipeline::new(EbbiotConfig::paper_default(geometry))
 ///     .process_recording(&[Event::on(10, 20, 0), Event::on(11, 20, 40_000)], 66_000));
 /// # Ok::<(), ebbiot_store::StoreError>(())
 /// ```
@@ -139,33 +130,6 @@ impl Replayer {
     #[must_use]
     pub const fn mode(&self) -> ReplayMode {
         self.mode
-    }
-
-    /// Drives one pipeline from one reader, chunk by chunk, finishing
-    /// with the header's nominal span. The emitted frames are
-    /// bit-for-bit what `process_recording` over the same events (and
-    /// span) yields.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first read/decode error; the pipeline is left where
-    /// the error struck.
-    pub fn replay_pipeline<T: Tracker, R: ChunkSource>(
-        &self,
-        reader: &mut ChunkReader<R>,
-        pipeline: &mut Pipeline<T>,
-    ) -> Result<PipelineReplay, StoreError> {
-        let started = Instant::now();
-        let mut frames = Vec::new();
-        let mut stats = ReplayStats { stream: 0, events: 0, chunks: 0, last_t: 0 };
-        while let Some(meta) = reader.peek_meta().copied() {
-            self.mode.pace(started, meta.t_first);
-            let chunk = reader.next_chunk()?.expect("peeked chunk exists");
-            note_chunk(&mut stats, chunk);
-            frames.extend(pipeline.push(chunk));
-        }
-        frames.extend(pipeline.finish(reader.span_us()));
-        Ok(PipelineReplay { frames, stats, elapsed: started.elapsed() })
     }
 
     /// Drives a whole engine from one reader per stream (reader `i`
@@ -280,21 +244,6 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_replay_matches_in_memory_processing() {
-        let events = recording();
-        let expected = pipeline().process_recording(&events, SPAN);
-        for chunk_events in [37usize, 288, 100_000] {
-            let mut reader = stored(&events, chunk_events);
-            let mut p = pipeline();
-            let run =
-                Replayer::new(ReplayMode::MaxSpeed).replay_pipeline(&mut reader, &mut p).unwrap();
-            assert_eq!(run.frames, expected, "chunk size {chunk_events}");
-            assert_eq!(run.stats.events, events.len() as u64);
-            assert_eq!(run.stats.last_t, events.last().unwrap().t);
-        }
-    }
-
-    #[test]
     fn engine_replay_matches_in_memory_processing() {
         let events = recording();
         let expected = pipeline().process_recording(&events, SPAN);
@@ -354,16 +303,16 @@ mod tests {
         let events = recording();
         // Last chunk begins at t of the final block (4 * 66 ms); at
         // 10x real time the release gate is ~26 ms of wall clock.
-        let mut reader = stored(&events, 288);
-        let mut p = pipeline();
+        let mut readers = vec![stored(&events, 288)];
+        let engine = Engine::new(EngineConfig::with_workers(1), vec![pipeline()]);
         let started = Instant::now();
         let run = Replayer::new(ReplayMode::Paced { rate: 10.0 })
-            .replay_pipeline(&mut reader, &mut p)
+            .replay_engine(&mut readers, engine)
             .unwrap();
         let last_chunk_start = 4 * 66_000u64;
         let floor = Duration::from_secs_f64(last_chunk_start as f64 / 1e6 / 10.0);
         assert!(started.elapsed() >= floor, "paced replay finished too fast");
-        assert_eq!(run.frames, pipeline().process_recording(&events, SPAN));
+        assert_eq!(run.output.streams[0], pipeline().process_recording(&events, SPAN));
     }
 
     #[test]

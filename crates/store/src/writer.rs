@@ -4,7 +4,7 @@ use std::fs::File;
 use std::io::{BufWriter, Seek, SeekFrom, Write};
 use std::path::Path;
 
-use ebbiot_events::{codec::Recording, Event, Micros, SensorGeometry, Timestamp};
+use ebbiot_events::{Event, Micros, SensorGeometry, Timestamp};
 
 use crate::format::{
     crc32, encode_chunk_payload, ChunkMeta, StoreError, END_MAGIC, MAGIC, MAX_CHUNK_EVENTS, VERSION,
@@ -266,26 +266,6 @@ impl<W: Write + Seek> RecordingWriter<W> {
         this.sink.flush()?;
         Ok((this.sink, summary))
     }
-}
-
-/// Encodes a whole in-memory [`Recording`] to `EBST` bytes — the
-/// lossless interop path from the flat `EAER` codec's `Recording` type.
-///
-/// # Errors
-///
-/// Returns a [`StoreError`] when the recording is not time-ordered or
-/// out of bounds (both impossible for a `Recording` produced by
-/// `decode_binary`, which validates the same invariants).
-pub fn encode_recording(
-    recording: &Recording,
-    name: &str,
-    span_us: Micros,
-    options: StoreOptions,
-) -> Result<Vec<u8>, StoreError> {
-    let mut writer = RecordingWriter::new(Vec::new(), recording.geometry, name, span_us, options)?;
-    writer.push_events(&recording.events)?;
-    let (bytes, _) = writer.finish()?;
-    Ok(bytes)
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 //!
 //! This facade crate re-exports the whole workspace under one name:
 //!
-//! * [`events`] — event primitives, AER codecs, framing ([`ebbiot_events`])
+//! * [`events`] — event primitives, framing ([`ebbiot_events`])
 //! * [`frame`] — EBBI, median filter, histograms, CCA ([`ebbiot_frame`])
 //! * [`filters`] — event-domain noise filters ([`ebbiot_filters`])
 //! * [`sim`] — the DAVIS traffic-scene simulator ([`ebbiot_sim`])
@@ -111,8 +111,8 @@ pub mod prelude {
     };
     pub use ebbiot_store::{
         read_snapshot, read_snapshot_file, write_snapshot, ChunkReader, EngineReplay,
-        FleetArchiver, FleetStore, PipelineReplay, RecordingWriter, ReplayMode, Replayer,
-        SnapshotError, SnapshotHeader, StoreError, StoreOptions, StoreSummary, StoredCamera,
+        FleetArchiver, FleetStore, RecordingWriter, ReplayMode, Replayer, SnapshotError,
+        SnapshotHeader, StoreError, StoreOptions, StoreSummary, StoredCamera,
     };
     pub use ebbiot_telemetry::{validate_exposition, Counter, Gauge, Histogram, Registry};
 }

@@ -1,6 +1,6 @@
 //! Back-pressure integration: a stream whose bounded queue fills up
-//! blocks (`push`) or rejects (`try_push`) its producer, never drops or
-//! reorders a chunk, and the engine's `Snapshot` reports the queue-depth
+//! holds its producer in `push`, never drops or reorders a chunk, and
+//! the engine's `Snapshot` reports the queue-depth
 //! high-water mark. Admission counts every chunk in flight — queued or
 //! in process — and a worker failure fails blocked producers instead of
 //! stranding them. A producer held at capacity runs ready batches
@@ -86,36 +86,6 @@ fn blocking_push_under_full_queue_drops_and_reorders_nothing() {
             "snapshot reports the capacity-1 high-water mark"
         );
     }
-}
-
-#[test]
-fn try_push_rejects_when_full_and_rejected_chunks_can_be_retried() {
-    let expected = expected();
-    let engine = Engine::new(
-        EngineConfig { workers: 1, queue_capacity: 1, ..EngineConfig::default() },
-        pipelines(1),
-    );
-    let mut rejections = 0u64;
-    for f in 0..FRAMES {
-        let mut chunk = frame_chunk(f);
-        // Spin until admitted: a rejection hands the chunk back intact,
-        // so retrying preserves both content and order.
-        loop {
-            match engine.try_push(StreamId(0), chunk) {
-                Ok(()) => break,
-                Err(rejected) => {
-                    rejections += 1;
-                    chunk = rejected.0;
-                    std::thread::yield_now();
-                }
-            }
-        }
-    }
-    engine.finish_stream(StreamId(0), FRAMES * 66_000);
-    let out = engine.join();
-    assert_eq!(out.streams[0], expected, "despite {rejections} rejections nothing was lost");
-    assert_eq!(out.snapshot.streams[0].chunks_in, FRAMES);
-    assert_eq!(out.snapshot.streams[0].queue_high_water, 1);
 }
 
 #[test]
@@ -221,13 +191,26 @@ fn admission_counts_the_chunk_a_worker_is_processing() {
     // The second event closes frame 0, whose tracker step parks.
     engine.push(StreamId(0), vec![Event::on(10, 10, 0), Event::on(10, 10, 70_000)]);
     barrier.wait();
-    // The job queue is empty now, but the chunk is still in flight.
-    let rejected = engine.try_push(StreamId(0), vec![Event::on(10, 10, 140_000)]);
+    // The job queue is empty now, but the chunk is still in flight: a
+    // second push is held (no stream is ready for it to run) until the
+    // parked step is released.
     assert_eq!(engine.snapshot().streams[0].queue_depth, 1);
-    barrier.wait();
-    let chunk = rejected.expect_err("a chunk in process holds the only slot").0;
-    engine.push(StreamId(0), chunk);
-    engine.finish_stream(StreamId(0), 3 * 66_000);
+    std::thread::scope(|scope| {
+        let (pushed, admitted) = mpsc::channel();
+        let engine = &engine;
+        scope.spawn(move || {
+            engine.push(StreamId(0), vec![Event::on(10, 10, 140_000)]);
+            pushed.send(()).expect("the test listens");
+        });
+        assert_eq!(
+            admitted.recv_timeout(Duration::from_millis(200)),
+            Err(RecvTimeoutError::Timeout),
+            "a chunk in process holds the only slot"
+        );
+        barrier.wait();
+        admitted.recv().expect("the push is admitted once the chunk completes");
+        engine.finish_stream(StreamId(0), 3 * 66_000);
+    });
     let out = engine.join();
     assert_eq!(out.snapshot.streams[0].chunks_in, 2);
     assert_eq!(out.snapshot.streams[0].queue_depth, 0);
@@ -352,7 +335,7 @@ fn no_wakeup_is_lost_under_jitter_with_every_kind_of_waiter() {
     // stream 3 hands its session off with `detach_with_state` halfway
     // and resumes it on a new stream. Every producer blocks on a full
     // capacity-1 queue most of the time, and the jittered workers
-    // sleep, yield and steal at random, so the waits and wakes of the
+    // sleep and yield at random, so the waits and wakes of the
     // stream condvars and the scheduler interleave in many ways.
     const STREAMS: usize = 4;
     const HANDOFF_AT: u64 = FRAMES / 2;
@@ -364,7 +347,6 @@ fn no_wakeup_is_lost_under_jitter_with_every_kind_of_waiter() {
                     EngineConfig {
                         workers,
                         queue_capacity: 1,
-                        batch_chunks: 2,
                         schedule_jitter: Some(seed * 31 + workers as u64),
                     },
                     pipelines(STREAMS),

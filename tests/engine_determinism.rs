@@ -1,14 +1,14 @@
 //! Engine determinism: a 16-camera fleet driven through the concurrent
 //! engine must produce output **bit-for-bit identical** to running each
 //! camera's pipeline sequentially via `process_recording` — for every
-//! registered back-end and regardless of worker count, batch size or
-//! steal schedule.
+//! registered back-end and regardless of worker count, chunk size or
+//! schedule.
 //!
 //! This is the contract `ebbiot_engine`'s docs promise: exclusive
 //! stream ownership + per-stream FIFO queues + per-stream collection
-//! make the work-stealing schedule invisible in the output. The
+//! make the schedule invisible in the output. The
 //! proptests below drive the point home adversarially: random
-//! scheduler jitter (forced steals, yields, micro-sleeps via
+//! scheduler jitter (forced helps, yields, micro-sleeps via
 //! `EngineConfig::schedule_jitter`) and random attach/detach
 //! interleavings on a running engine must not move a single bit.
 
@@ -135,15 +135,15 @@ impl Lcg {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
 
-    // Random scheduler perturbation: forced steals, yields and
-    // micro-sleeps reorder which worker drains which batch, and tiny
-    // batch limits force many acquisitions per stream — output must be
-    // bit-identical to sequential for every back-end regardless.
+    // Random scheduler perturbation: forced helps, yields and
+    // micro-sleeps reorder which executor drains which batch, and a
+    // capacity-2 queue keeps batches to one or two chunks, forcing many
+    // acquisitions per stream — output must be bit-identical to
+    // sequential for every back-end regardless.
     #[test]
     fn jittered_work_stealing_schedule_is_bit_identical(
         seed in any::<u64>(),
         workers in 2usize..6,
-        batch_chunks in 1usize..5,
         chunk_events in 200usize..2000,
     ) {
         let fleet = small_fleet();
@@ -151,12 +151,7 @@ proptest! {
         for (backend, spec) in BACKENDS.iter().enumerate() {
             let expected = small_reference(backend);
             let engine = Engine::new(
-                EngineConfig {
-                    workers,
-                    queue_capacity: 2,
-                    batch_chunks,
-                    schedule_jitter: Some(seed),
-                },
+                EngineConfig { workers, queue_capacity: 2, schedule_jitter: Some(seed) },
                 spec.build_fleet(&config, P_CAMERAS),
             );
             // Round-robin pushes so streams genuinely interleave.
@@ -201,12 +196,7 @@ proptest! {
         for (backend, spec) in BACKENDS.iter().enumerate() {
             let expected = small_reference(backend);
             let engine: Engine = Engine::new(
-                EngineConfig {
-                    workers,
-                    queue_capacity: 4,
-                    batch_chunks: 2,
-                    schedule_jitter: Some(seed),
-                },
+                EngineConfig { workers, queue_capacity: 4, schedule_jitter: Some(seed) },
                 Vec::new(),
             );
             let mut rng = Lcg(seed ^ backend as u64);

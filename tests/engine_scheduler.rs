@@ -1,4 +1,4 @@
-//! Work-stealing scheduler smoke tests for degenerate configurations:
+//! Scheduler smoke tests for degenerate configurations:
 //! oversubscribed worker pools (`workers > streams`, `workers =
 //! 2×cores`) must drain cleanly — no deadlock, no leaked streams, no
 //! lost or reordered frames — because the scheduler's shutdown drain
@@ -78,8 +78,8 @@ fn more_workers_than_streams_drains_without_deadlock() {
 
 #[test]
 fn twice_the_cores_drains_without_deadlock() {
-    // More workers than the machine has cores: acquisition and steal
-    // scans contend on genuinely preempted threads.
+    // More workers than the machine has cores: claims on the one
+    // ready queue contend on genuinely preempted threads.
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let workers = 2 * cores;
     let engine: Engine<OverlapTracker> = Engine::new(
@@ -97,15 +97,10 @@ fn twice_the_cores_drains_without_deadlock() {
 #[test]
 fn oversubscribed_and_jittered_still_drains() {
     // The worst of both: oversubscription plus schedule jitter (forced
-    // steals, yields, micro-sleeps). Liveness and bit-exactness both
-    // hold.
+    // helps, yields, micro-sleeps), with capacity-1 queues so every
+    // batch holds one job. Liveness and bit-exactness both hold.
     let engine: Engine<OverlapTracker> = Engine::new(
-        EngineConfig {
-            workers: 6,
-            queue_capacity: 1,
-            batch_chunks: 1,
-            schedule_jitter: Some(0xC0FFEE),
-        },
+        EngineConfig { workers: 6, queue_capacity: 1, schedule_jitter: Some(0xC0FFEE) },
         Vec::new(),
     );
     for pipeline in pipelines(3) {

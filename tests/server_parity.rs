@@ -130,7 +130,7 @@ fn archival_tee_round_trips_the_ingested_fleet() {
         let rec = fleet.iter().find(|r| r.name == entry.name).expect("archived unknown camera");
         let camera_index = store.entries().iter().position(|e| e.name == entry.name).unwrap();
         let replayed = store.reader(camera_index).unwrap().read_recording().unwrap();
-        assert_eq!(replayed.events, rec.events, "{}", entry.name);
+        assert_eq!(replayed, rec.events, "{}", entry.name);
         assert_eq!(entry.span_us, rec.duration_us, "{}", entry.name);
     }
     std::fs::remove_dir_all(&dir).unwrap();

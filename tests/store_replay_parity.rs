@@ -2,21 +2,24 @@
 //! replayed through the concurrent engine must produce tracker output
 //! **bit-for-bit identical** to PR 2's in-memory `run_fleet` — for
 //! every registered back-end — while the readers hold at most one
-//! chunk per stream in memory, and the spool must be smaller than the
-//! flat `EAER` codec's output. Also pins `seek_to_time` semantics:
+//! chunk per stream in memory, and the spool must be smaller than a
+//! flat 14-byte-per-event file. Also pins `seek_to_time` semantics:
 //! resuming mid-recording equals a fresh read filtered to the seek
 //! instant.
 
 use std::path::PathBuf;
 
 use ebbiot::engine::{EngineConfig, FleetOptions};
-use ebbiot::events::codec::{EVENT_RECORD_BYTES, HEADER_BYTES};
 use ebbiot::prelude::*;
 use ebbiot::store::fleet::StoredCamera;
 
 const CAMERAS: usize = 8;
 const SECONDS: f64 = 0.4;
 const CHUNK_EVENTS: usize = 777;
+/// The flat event file EBST replaced (an 18-byte header, then 14 bytes
+/// per event) is the size bound a spool must stay under.
+const FLAT_HEADER_BYTES: usize = 18;
+const FLAT_EVENT_BYTES: usize = 14;
 
 fn fleet() -> Vec<SimulatedRecording> {
     FleetConfig::new(DatasetPreset::Lt4, CAMERAS).with_seconds(SECONDS).generate()
@@ -35,13 +38,13 @@ fn spooled_fleet_replay_is_bit_identical_to_in_memory_for_all_backends() {
     let store = spool_fleet(&dir, &fleet, StoreOptions::default().with_chunk_events(CHUNK_EVENTS))
         .expect("spool fleet");
     assert_eq!(store.cameras(), CAMERAS);
-    // The spool is smaller than the flat EAER codec would write: a
-    // header plus a fixed-size record per event, per camera.
-    let eaer_bytes: usize =
-        fleet.iter().map(|r| HEADER_BYTES + r.events.len() * EVENT_RECORD_BYTES).sum();
+    // The spool is smaller than the flat file would be: a header plus a
+    // fixed-size record per event, per camera.
+    let flat_bytes: usize =
+        fleet.iter().map(|r| FLAT_HEADER_BYTES + r.events.len() * FLAT_EVENT_BYTES).sum();
     assert!(
-        store.total_bytes() < eaer_bytes as u64,
-        "EBST {} bytes vs EAER {eaer_bytes} bytes",
+        store.total_bytes() < flat_bytes as u64,
+        "EBST {} bytes vs flat {flat_bytes} bytes",
         store.total_bytes()
     );
 
@@ -117,13 +120,13 @@ fn seek_to_time_resumes_consistently_with_a_fresh_read() {
     spool_recording(&path, &rec, StoreOptions::default().with_chunk_events(CHUNK_EVENTS)).unwrap();
 
     let mut reader = ebbiot::store::ChunkReader::open(&path).unwrap();
-    let full = reader.read_recording().unwrap().events;
+    let full = reader.read_recording().unwrap();
     assert_eq!(full, rec.events, "fresh read is lossless");
 
     let mid = rec.duration_us / 2;
     for instant in [0, 1, mid, mid + 1, rec.duration_us] {
         reader.seek_to_time(instant);
-        let resumed = reader.read_recording().unwrap().events;
+        let resumed = reader.read_recording().unwrap();
         let expected: Vec<Event> = full.iter().copied().filter(|e| e.t >= instant).collect();
         assert_eq!(resumed, expected, "seek to t={instant}");
     }
@@ -141,12 +144,10 @@ fn spooled_single_stream_replay_matches_process_recording() {
     let config = EbbiotConfig::paper_default(rec.geometry).with_frame_us(rec.frame_us);
     for spec in BACKENDS {
         let expected = spec.build(config.clone()).process_recording(&rec.events, rec.duration_us);
-        let mut reader = ebbiot::store::ChunkReader::open(&path).unwrap();
-        let mut pipeline = spec.build(config.clone());
-        let run = Replayer::new(ReplayMode::MaxSpeed)
-            .replay_pipeline(&mut reader, &mut pipeline)
-            .unwrap();
-        assert_eq!(run.frames, expected, "backend {}", spec.name);
+        let mut readers = vec![ebbiot::store::ChunkReader::open(&path).unwrap()];
+        let engine = Engine::new(EngineConfig::with_workers(1), vec![spec.build(config.clone())]);
+        let run = Replayer::new(ReplayMode::MaxSpeed).replay_engine(&mut readers, engine).unwrap();
+        assert_eq!(run.output.streams, [expected], "backend {}", spec.name);
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -170,6 +171,6 @@ fn stored_camera_shape_is_usable_without_the_simulator() {
     )
     .unwrap();
     assert_eq!(store.total_events(), 100);
-    assert_eq!(store.reader(0).unwrap().read_recording().unwrap().events, events);
+    assert_eq!(store.reader(0).unwrap().read_recording().unwrap(), events);
     std::fs::remove_dir_all(&dir).unwrap();
 }
