@@ -30,6 +30,4 @@ pub mod registry;
 pub use backends::NnEbmsTracker;
 pub use ebms::{EbmsConfig, EbmsTracker};
 pub use kalman::{KalmanConfig, KalmanTracker};
-pub use registry::{
-    backend_names, build_pipeline, find_backend, restore_pipeline, BackendSpec, BACKENDS,
-};
+pub use registry::{build_pipeline, find_backend, restore_pipeline, BackendSpec, BACKENDS};

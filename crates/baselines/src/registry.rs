@@ -83,12 +83,6 @@ pub fn build_pipeline(name: &str, config: EbbiotConfig) -> Option<DynPipeline> {
     find_backend(name).map(|spec| spec.build(config))
 }
 
-/// All registry names.
-#[must_use]
-pub fn backend_names() -> Vec<&'static str> {
-    BACKENDS.iter().map(|spec| spec.name).collect()
-}
-
 /// Rebuilds a type-erased pipeline from a [`SessionState`] checkpoint,
 /// resolving the back-end by the name recorded in the state. The restored
 /// pipeline resumes bit-identically to the uninterrupted session.
@@ -119,7 +113,8 @@ mod tests {
 
     #[test]
     fn registry_covers_all_three_trackers() {
-        assert_eq!(backend_names(), vec!["nn-ebms", "ebbi-kf", "ebbiot"]);
+        let names: Vec<_> = BACKENDS.iter().map(|spec| spec.name).collect();
+        assert_eq!(names, ["nn-ebms", "ebbi-kf", "ebbiot"]);
     }
 
     #[test]

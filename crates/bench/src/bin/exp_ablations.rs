@@ -1,5 +1,4 @@
-//! Accuracy ablations for the design choices ARCHITECTURE.md §1 describes
-//! (complementing the wall-clock `benches/ablations.rs`):
+//! Accuracy ablations for the design choices ARCHITECTURE.md §1 describes:
 //!
 //! 1. proposal refinement off (paper) vs on (extension) — effect on the
 //!    Fig. 4 ordering,

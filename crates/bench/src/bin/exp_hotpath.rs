@@ -24,8 +24,6 @@
 //!   straight into `H_X`/`H_Y` plus the run search on both, against the
 //!   count-image downsample, the two projections and the same runs, on
 //!   denoised frames;
-//! - `count_in_box`: box counting over tracker-sized boxes on denoised
-//!   frames, what the trackers read;
 //! - `decode` and `encode`: the bit-packed EBST chunk codec on the
 //!   fleet's full chunks, in ns/event; the decoder instance the CPU
 //!   selects (AVX-512 where available) is timed against the portable
@@ -63,8 +61,7 @@ use std::time::{Duration, Instant};
 
 use ebbiot_baselines::registry;
 use ebbiot_bench::{
-    ebbiot_config_for, run_fleet_sequential, tracker_box_tiling, Flags, FleetFrames, JsonReport,
-    CHUNK_EVENTS,
+    ebbiot_config_for, run_fleet_sequential, Flags, FleetFrames, JsonReport, CHUNK_EVENTS,
 };
 use ebbiot_core::StageTelemetry;
 use ebbiot_events::{Event, OpsCounter, SensorGeometry};
@@ -388,14 +385,6 @@ fn measure(
         std::hint::black_box(rpn_reference(img, &mut ops));
     });
 
-    let boxes = tracker_box_tiling(geometry);
-    let count_word = ns_per_frame(budget, &frames.denoised, |img| {
-        std::hint::black_box(boxes.iter().map(|b| img.count_in_box(b)).sum::<usize>());
-    });
-    let count_ref = ns_per_frame(budget, &frames.denoised, |img| {
-        std::hint::black_box(boxes.iter().map(|b| reference::count_in_box(img, b)).sum::<usize>());
-    });
-
     let chunks: Vec<(&[Event], EncodedChunk)> = full_chunks(frames).collect();
     let (mut decoded, mut scalar_decoded, mut payload) = (Vec::new(), Vec::new(), Vec::new());
     let per_chunk = fastest_alternating(
@@ -431,7 +420,6 @@ fn measure(
         ("ebbi", "EBBI latch + readout", "frame", ebbi_word, ebbi_ref),
         ("median", "median 3x3 (EBBI)", "frame", median_dispatched, median_ref),
         ("rpn", "RPN rows + runs", "frame", rpn_word_ns, rpn_ref_ns),
-        ("count_in_box", "count_in_box x64", "frame", count_word, count_ref),
         ("crc", "CRC-32 of payloads", "byte", crc_dispatched, crc_ref),
     ];
     report = report

@@ -1,4 +1,4 @@
-//! Shared harness utilities for the experiment binaries and benches.
+//! Shared harness utilities for the experiment binaries.
 //!
 //! Each `exp_*` binary in `src/bin/` regenerates one table or figure of
 //! the paper (the README's Quickstart and per-subsystem sections list
@@ -218,19 +218,6 @@ impl FleetFrames {
             .collect();
         Self { windows, ebbis, denoised, denoised_rows, chunks }
     }
-}
-
-/// An 8x8 tiling of tracker-sized boxes across the frame, the shared
-/// workload for the box-counting kernel measurements.
-#[must_use]
-pub fn tracker_box_tiling(geometry: ebbiot_events::SensorGeometry) -> Vec<ebbiot_frame::PixelBox> {
-    (0..64u16)
-        .map(|i| {
-            let x = (i % 8) * (geometry.width() / 8);
-            let y = (i / 8) * (geometry.height() / 8);
-            ebbiot_frame::PixelBox::new(x, y, x + geometry.width() / 6, y + geometry.height() / 6)
-        })
-        .collect()
 }
 
 /// Minimal ordered JSON-object builder for the machine-readable

@@ -59,7 +59,7 @@ pub struct FrameResult {
     /// Confirmed tracks.
     pub tracks: Vec<TrackBox>,
     /// Number of region proposals fed to the tracker this frame (after
-    /// ROE filtering) — a diagnostic the ablation benches use.
+    /// ROE filtering), a diagnostic that EBWP `TRACKS` frames carry.
     pub num_proposals: usize,
     /// Number of events accumulated this frame.
     pub num_events: usize,

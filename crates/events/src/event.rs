@@ -104,15 +104,6 @@ impl Event {
     pub const fn pixel(&self) -> (u16, u16) {
         (self.x, self.y)
     }
-
-    /// Chebyshev (L-inf) distance between this event's pixel and another's,
-    /// the metric used by `p x p` neighbourhood filters.
-    #[must_use]
-    pub fn chebyshev_distance(&self, other: &Event) -> u16 {
-        let dx = self.x.abs_diff(other.x);
-        let dy = self.y.abs_diff(other.y);
-        dx.max(dy)
-    }
 }
 
 #[cfg(test)]
@@ -151,15 +142,6 @@ mod tests {
         let a = Event::on(1, 0, 10);
         let b = Event::on(2, 0, 10);
         assert!(a < b);
-    }
-
-    #[test]
-    fn chebyshev_distance_is_max_of_axis_distances() {
-        let a = Event::on(10, 10, 0);
-        let b = Event::on(13, 11, 0);
-        assert_eq!(a.chebyshev_distance(&b), 3);
-        assert_eq!(b.chebyshev_distance(&a), 3);
-        assert_eq!(a.chebyshev_distance(&a), 0);
     }
 
     #[test]

@@ -64,15 +64,4 @@ proptest! {
             prop_assert_eq!(w.start, i as u64 * duration);
         }
     }
-
-    #[test]
-    fn chebyshev_distance_is_a_metric(a in arb_event(), b in arb_event(), c in arb_event()) {
-        let dab = a.chebyshev_distance(&b);
-        let dba = b.chebyshev_distance(&a);
-        prop_assert_eq!(dab, dba, "symmetry");
-        prop_assert_eq!(a.chebyshev_distance(&a), 0, "identity");
-        let dac = a.chebyshev_distance(&c);
-        let dcb = c.chebyshev_distance(&b);
-        prop_assert!(dab <= dac + dcb, "triangle inequality");
-    }
 }

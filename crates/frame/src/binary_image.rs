@@ -277,22 +277,6 @@ impl BinaryImage {
         }
     }
 
-    /// Counts set pixels inside a pixel box (exclusive max corner, clipped
-    /// to the array), one masked popcount span per covered row.
-    #[must_use]
-    pub fn count_in_box(&self, b: &PixelBox) -> usize {
-        let x_end = b.x_max.min(self.width());
-        let y_end = b.y_max.min(self.height());
-        if b.x_min >= x_end || b.y_min >= y_end {
-            return 0;
-        }
-        let mut count = 0usize;
-        for y in b.y_min..y_end {
-            count += self.count_in_row_span(y, b.x_min, x_end) as usize;
-        }
-        count
-    }
-
     /// Whether any set pixel lies inside the pixel box (masked word tests
     /// with early exit).
     #[must_use]
@@ -497,8 +481,6 @@ mod tests {
     fn box_counting_and_any() {
         let mut img = small();
         img.fill_box(&PixelBox::new(2, 2, 5, 5));
-        assert_eq!(img.count_in_box(&PixelBox::new(0, 0, 10, 8)), 9);
-        assert_eq!(img.count_in_box(&PixelBox::new(2, 2, 4, 4)), 4);
         assert!(img.any_in_box(&PixelBox::new(4, 4, 10, 8)));
         assert!(!img.any_in_box(&PixelBox::new(6, 6, 10, 8)));
     }
@@ -508,9 +490,6 @@ mod tests {
         let mut img = BinaryImage::new(SensorGeometry::new(200, 4));
         img.fill_box(&PixelBox::new(60, 1, 140, 3));
         assert_eq!(img.count_ones(), 80 * 2);
-        assert_eq!(img.count_in_box(&PixelBox::new(60, 1, 140, 3)), 160);
-        assert_eq!(img.count_in_box(&PixelBox::new(63, 1, 65, 2)), 2);
-        assert_eq!(img.count_in_box(&PixelBox::new(0, 0, 200, 1)), 0);
         assert!(img.any_in_box(&PixelBox::new(128, 2, 200, 4)));
         assert!(!img.any_in_box(&PixelBox::new(140, 1, 200, 3)));
         assert!(img.tail_bits_zero());
@@ -522,14 +501,12 @@ mod tests {
         img.set(9, 7, true);
         // Box extending past the array must not panic and must find the pixel.
         assert!(img.any_in_box(&PixelBox::new(8, 6, 50, 50)));
-        assert_eq!(img.count_in_box(&PixelBox::new(8, 6, 50, 50)), 1);
     }
 
     #[test]
     fn degenerate_boxes_are_empty() {
         let mut img = small();
         img.fill_box(&PixelBox::new(0, 0, 10, 8));
-        assert_eq!(img.count_in_box(&PixelBox::new(5, 5, 5, 8)), 0);
         assert!(!img.any_in_box(&PixelBox::new(3, 2, 3, 2)));
         // Degenerate fill is a no-op.
         let mut img2 = small();

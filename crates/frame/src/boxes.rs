@@ -162,15 +162,6 @@ impl BoundingBox {
         Self { x: self.x + dx, y: self.y + dy, ..*self }
     }
 
-    /// Linear interpolation between two boxes (`alpha = 0` gives `self`,
-    /// `alpha = 1` gives `other`). Used for the OT's weighted average
-    /// between prediction and region proposal.
-    #[must_use]
-    pub fn lerp(&self, other: &Self, alpha: f32) -> Self {
-        let l = |a: f32, b: f32| a + alpha * (b - a);
-        Self::new(l(self.x, other.x), l(self.y, other.y), l(self.w, other.w), l(self.h, other.h))
-    }
-
     /// Clips the box to `[0, width) x [0, height)`. Returns an empty box at
     /// the nearest corner when fully outside. The explicit `max` guards
     /// (plus the clamping in [`Self::from_corners`]) keep the result's
@@ -341,16 +332,6 @@ mod tests {
         assert_eq!(e.y, 0.0);
         assert_eq!(e.x_max(), 6.0);
         assert_eq!(e.y_max(), 8.0);
-    }
-
-    #[test]
-    fn lerp_endpoints_and_midpoint() {
-        let a = bb(0.0, 0.0, 2.0, 2.0);
-        let b = bb(4.0, 8.0, 6.0, 10.0);
-        assert_eq!(a.lerp(&b, 0.0), a);
-        assert_eq!(a.lerp(&b, 1.0), b);
-        let mid = a.lerp(&b, 0.5);
-        assert_eq!(mid, bb(2.0, 4.0, 4.0, 6.0));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Scalar per-pixel reference implementations of the hot frame kernels.
 //!
 //! The production kernels ([`crate::MedianFilter`], [`CountImage::downsample`],
-//! [`Histogram::project`], [`BinaryImage::count_in_box`] and friends) run
+//! [`Histogram::project`], [`BinaryImage::any_in_box`] and friends) run
 //! word-parallel or slice-wise over the row-aligned layout and skip empty
 //! rows or words. This module keeps the straightforward one-pixel-at-a-time
 //! transcriptions those kernels replaced, so the
@@ -123,23 +123,6 @@ pub fn project(image: &CountImage, axis: Axis, ops: &mut OpsCounter) -> Histogra
     Histogram::from_bins(bins)
 }
 
-/// Scalar box count — the reference for [`BinaryImage::count_in_box`]
-/// (exclusive max corner, clipped to the array).
-#[must_use]
-pub fn count_in_box(image: &BinaryImage, b: &PixelBox) -> usize {
-    let x_end = b.x_max.min(image.width());
-    let y_end = b.y_max.min(image.height());
-    let mut count = 0;
-    for y in b.y_min..y_end {
-        for x in b.x_min..x_end {
-            if image.get(x, y) {
-                count += 1;
-            }
-        }
-    }
-    count
-}
-
 /// Scalar box-emptiness test — the reference for
 /// [`BinaryImage::any_in_box`].
 #[must_use]
@@ -227,7 +210,6 @@ mod tests {
             PixelBox::new(100, 10, 200, 40),
             PixelBox::new(5, 5, 5, 9),
         ] {
-            assert_eq!(img.count_in_box(&b), count_in_box(&img, &b), "{b:?}");
             assert_eq!(img.any_in_box(&b), any_in_box(&img, &b), "{b:?}");
             let mut a = BinaryImage::new(img.geometry());
             let mut c = BinaryImage::new(img.geometry());

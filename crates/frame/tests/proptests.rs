@@ -43,7 +43,7 @@ fn arb_any_box() -> impl Strategy<Value = BoundingBox> {
 }
 
 /// Pixel boxes whose corners may lie well outside the `W x H` sensor, so
-/// the clipped code paths of `count_in_box`/`any_in_box` are exercised
+/// the clipped code paths of `any_in_box` are exercised
 /// (including boxes entirely off the array and degenerate boxes).
 fn arb_pixel_box() -> impl Strategy<Value = PixelBox> {
     (0..W + 20, 0..H + 20, 0..W + 20, 0..H + 20)
@@ -161,7 +161,6 @@ proptest! {
                 }
             }
         }
-        prop_assert_eq!(img.count_in_box(&b), naive);
         prop_assert_eq!(img.any_in_box(&b), naive > 0);
     }
 
@@ -170,11 +169,9 @@ proptest! {
         let img = image_of(&pixels);
         // A box hanging over every edge clips to the full sensor.
         let over = PixelBox::new(0, 0, W + 20, H + 20);
-        prop_assert_eq!(img.count_in_box(&over), img.count_ones());
         prop_assert_eq!(img.any_in_box(&over), img.count_ones() > 0);
         // A box entirely off the array is empty.
         let outside = PixelBox::new(W, H, W + 20, H + 20);
-        prop_assert_eq!(img.count_in_box(&outside), 0);
         prop_assert!(!img.any_in_box(&outside));
     }
 
@@ -186,9 +183,17 @@ proptest! {
             let comps = connected_components(&img, conn, &mut ops);
             let total: u32 = comps.iter().map(|c| c.pixel_count).sum();
             prop_assert_eq!(total as usize, img.count_ones());
-            // Every component's bbox contains at least pixel_count pixels of the image.
+            // Every component's bbox contains at least pixel_count pixels of
+            // the image, counted pixel by pixel.
             for c in &comps {
-                prop_assert!(img.count_in_box(&c.bbox) >= c.pixel_count as usize);
+                let b = c.bbox;
+                let mut inside = 0usize;
+                for y in b.y_min..b.y_max {
+                    for x in b.x_min..b.x_max {
+                        inside += usize::from(img.get(x, y));
+                    }
+                }
+                prop_assert!(inside >= c.pixel_count as usize);
             }
         }
     }

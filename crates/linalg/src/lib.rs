@@ -28,7 +28,7 @@
 //! let b = Vector::<2>::from_column([1.0, 2.0]);
 //! let x = a.inverse().unwrap() * b;
 //! let residual = a * x - b;
-//! assert!(residual.frobenius_norm() < 1e-12);
+//! assert!(residual.norm() < 1e-12);
 //! ```
 
 #![forbid(unsafe_code)]

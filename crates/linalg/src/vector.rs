@@ -95,13 +95,6 @@ impl<const N: usize> Vector<N> {
     pub fn is_finite(&self) -> bool {
         self.data.iter().all(|v| v.is_finite())
     }
-
-    /// Frobenius norm (same as [`Vector::norm`], provided for symmetry with
-    /// [`Matrix::frobenius_norm`]).
-    #[must_use]
-    pub fn frobenius_norm(&self) -> f64 {
-        self.norm()
-    }
 }
 
 impl<const N: usize> Index<usize> for Vector<N> {

@@ -45,7 +45,7 @@ impl SceneObject {
     /// length afterwards. Monotone non-decreasing, so span scans stay
     /// valid.
     #[must_use]
-    pub fn warped_time(&self, t_us: Timestamp) -> Timestamp {
+    fn warped_time(&self, t_us: Timestamp) -> Timestamp {
         match self.stall {
             None => t_us,
             Some(s) if t_us < s.at_us => t_us,

@@ -172,17 +172,6 @@ impl Histogram {
     pub fn bucket_counts(&self) -> [u64; BUCKETS] {
         std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed))
     }
-
-    /// The exclusive upper bound `2^i` of the highest non-empty bucket —
-    /// an upper estimate of the maximum recorded sample (0 when empty).
-    #[must_use]
-    pub fn max_bound(&self) -> u64 {
-        let counts = self.bucket_counts();
-        (0..BUCKETS)
-            .rev()
-            .find(|&i| counts[i] > 0)
-            .map_or(0, |i| Self::upper_bound(i).saturating_sub(u64::from(i == 0)))
-    }
 }
 
 #[cfg(test)]
@@ -243,7 +232,6 @@ mod tests {
         assert_eq!(counts[1], 1, "[1,2)");
         assert_eq!(counts[2], 2, "[2,4)");
         assert_eq!(counts[10], 1, "[512,1024)");
-        assert_eq!(h.max_bound(), 1024);
     }
 
     #[test]
@@ -252,7 +240,6 @@ mod tests {
         assert_eq!(h.count(), 0);
         assert_eq!(h.sum(), 0);
         assert_eq!(h.mean(), 0.0);
-        assert_eq!(h.max_bound(), 0);
     }
 
     #[test]
